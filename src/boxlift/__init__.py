@@ -36,7 +36,6 @@ from .extraction import (
     MotionVerdict,
     build_tracks,
     classify_motion,
-    extract_object_points,
     extraction_mask,
     track_centroids,
 )
@@ -60,9 +59,6 @@ from .geometry import (
 )
 from .masks import Mask, decode_mask, encode_mask, point_in_mask
 from .refine import (
-    FilterThresholds,
-    FilterVerdict,
-    ObjectiveWeights,
     PseudoLabel,
     QualityRecord,
     annotate_track,
@@ -95,7 +91,6 @@ from .synthetic import (
     ObjectClassSpec,
     PlacementSpec,
     SceneConfig,
-    default_scene_config,
     generate_scene,
 )
 

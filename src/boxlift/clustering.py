@@ -21,18 +21,15 @@ NOISE = -1
 @dataclass(eq=False)
 class AggregatedInstance:
     track_id: str
-    class_label: str
     points_agg: np.ndarray                 # (n, 3) world frame
     point_frame_ids: np.ndarray            # (n,) source frame per point
     point_indices: np.ndarray              # (n,) index within the source frame cloud
-    per_view_points: dict[int, np.ndarray] # frame_id -> that frame's points
     n_views: int                           # frames with a non-empty extraction
 
 
 def aggregate_static(track: ObjectTrack) -> AggregatedInstance:
     """Concatenate per-frame extracted points, keeping per-point provenance."""
     chunks, fids, idxs = [], [], []
-    per_view: dict[int, np.ndarray] = {}
     n_views = 0
     for fid in track.frame_ids:
         obs = track.observations[fid]
@@ -42,16 +39,13 @@ def aggregate_static(track: ObjectTrack) -> AggregatedInstance:
         chunks.append(obs.points)
         fids.append(np.full(len(obs.points), fid, dtype=np.int64))
         idxs.append(np.asarray(obs.indices, dtype=np.int64))
-        per_view[fid] = obs.points
     if not chunks:
         raise EmptyAggregate(f"track {track.track_id!r} has no extracted points")
     return AggregatedInstance(
         track_id=track.track_id,
-        class_label=track.class_label,
         points_agg=np.concatenate(chunks),
         point_frame_ids=np.concatenate(fids),
         point_indices=np.concatenate(idxs),
-        per_view_points=per_view,
         n_views=n_views,
     )
 

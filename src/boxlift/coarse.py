@@ -6,6 +6,9 @@ height come from the z range.  Verification compares the fitted footprint
 against the convex hull of the same points and rejects fits whose shape
 disagrees with the observed silhouette (typical for L-shaped partial views
 where principal axes tilt away from the body).
+
+``fit_coarse_box`` returns the box and whether an extent was clamped to
+the floor; ``verify_geometry`` returns only the hull score and verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .geometry import (
 
 
 def fit_coarse_box(points, extent_floor: float = 0.05) -> tuple[Box3D, bool]:
-    """Fit a box to >= 3 world points; returns (box, extents_clamped).
+    """Fit a box to >= 3 world points; returns (box, clamped).
 
     Extents below ``extent_floor`` are clamped to it and flagged rather
     than rejected, so nearly one-dimensional objects still produce a box.
@@ -53,10 +56,8 @@ def fit_coarse_box(points, extent_floor: float = 0.05) -> tuple[Box3D, bool]:
 
 @dataclass(frozen=True)
 class CoarseBoxResult:
-    box: Box3D
     hull_iou: float
     verified: bool
-    extents_clamped: bool
 
 
 def verify_geometry(
@@ -64,7 +65,6 @@ def verify_geometry(
     bev_points,
     tau_iou: float = 0.6,
     metric: str = "iou",
-    extents_clamped: bool = False,
 ) -> CoarseBoxResult:
     """Shape-consistency check of a fitted box against its point hull.
 
@@ -72,7 +72,8 @@ def verify_geometry(
     area(footprint ∪ hull); "coverage" divides by the footprint area
     instead.  For points inside the footprint (the fit construction
     guarantees this) the two only differ in how slack footprint area is
-    weighted.  The instance is verified iff the score exceeds ``tau_iou``.
+    weighted.  Returns the score as ``hull_iou``; the instance is verified
+    iff it exceeds ``tau_iou``.
     """
     hull = convex_hull(np.asarray(bev_points, dtype=float).reshape(-1, 2))
     footprint = ConvexPolygon2D(box.footprint())
@@ -84,9 +85,4 @@ def verify_geometry(
         union = fp_area + hull.area - inter
         score = inter / union
     score = min(1.0, max(0.0, score))
-    return CoarseBoxResult(
-        box=box,
-        hull_iou=score,
-        verified=score > tau_iou,
-        extents_clamped=extents_clamped,
-    )
+    return CoarseBoxResult(hull_iou=score, verified=score > tau_iou)

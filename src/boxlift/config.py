@@ -1,16 +1,38 @@
-"""Pipeline configuration: every tunable threshold in one place."""
+"""Pipeline configuration: every tunable threshold in one place.
+
+``PipelineConfig`` is the only validator of these settings: every field is
+checked for type and range on construction, and a bad value raises
+``ConfigError`` naming the key.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ConfigError
 
 # Class-specific confidence gates for pseudo-label filtering.
 DEFAULT_TAU_CONF = {"Car": 0.5, "Pedestrian": 0.4}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# Field annotation (a string under postponed evaluation) -> (type test,
+# description in the error message).
+_TYPE_CHECKS = {
+    "float": (_is_real, "a finite number"),
+    "int": (_is_int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -35,22 +57,42 @@ class PipelineConfig:
     curve_thresholds: tuple = (0, 5, 10, 25, 50, 100, 200)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            check = _TYPE_CHECKS.get(f.type)
+            if check is not None and not check[0](value):
+                raise ConfigError(f"{f.name} must be {check[1]}, got {value!r}")
+        if not isinstance(self.tau_conf, dict) or not all(
+            isinstance(cls, str) and _is_real(tau) for cls, tau in self.tau_conf.items()
+        ):
+            raise ConfigError(
+                f"tau_conf must be an object of class names to numbers, got {self.tau_conf!r}"
+            )
+        if not isinstance(self.curve_thresholds, (list, tuple)) or not all(
+            _is_int(t) for t in self.curve_thresholds
+        ):
+            raise ConfigError(
+                f"curve_thresholds must be a list of integers, got {self.curve_thresholds!r}"
+            )
+        object.__setattr__(self, "curve_thresholds", tuple(self.curve_thresholds))
         if self.centroid not in ("mean", "median"):
             raise ConfigError(f"centroid must be 'mean' or 'median', got {self.centroid!r}")
         if self.hull_metric not in ("iou", "coverage"):
             raise ConfigError(f"hull_metric must be 'iou' or 'coverage', got {self.hull_metric!r}")
         for name in ("tau_static", "dbscan_eps", "extent_floor", "z_near"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.tau_iou <= 1:
-            raise ConfigError("tau_iou must be in [0, 1]")
-        if self.lambda_2d < 0 or self.mu_fit < 0:
-            raise ConfigError("objective weights must be non-negative")
-        for cls, tau in self.tau_conf.items():
-            if not 0 <= tau <= 1:
-                raise ConfigError(f"tau_conf[{cls!r}] must be in [0, 1]")
-        if not 0 <= self.tau_conf_default <= 1:
-            raise ConfigError("tau_conf_default must be in [0, 1]")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("lambda_2d", "mu_fit", "refine_budget", "min_cluster_points", "min_views"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if self.dbscan_min_pts < 1:
+            raise ConfigError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts!r}")
+        gates = {f"tau_conf[{cls!r}]": tau for cls, tau in self.tau_conf.items()}
+        for name in ("mask_conf_min", "tau_iou", "tau_conf_default"):
+            gates[name] = getattr(self, name)
+        for name, value in gates.items():
+            if not 0 <= value <= 1:
+                raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
@@ -58,9 +100,6 @@ class PipelineConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "curve_thresholds" in d:
-            d["curve_thresholds"] = tuple(d["curve_thresholds"])
         return PipelineConfig(**d)
 
     @staticmethod
@@ -78,6 +117,3 @@ class PipelineConfig:
         d = dataclasses.asdict(self)
         d["curve_thresholds"] = list(self.curve_thresholds)
         return d
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

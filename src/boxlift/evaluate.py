@@ -92,15 +92,8 @@ def segmentation_instances(
     return out
 
 
-def segmentation_curve(
-    scene: Scene,
-    thresholds,
-    config: PipelineConfig | None = None,
-    instances: list[SegmentationInstance] | None = None,
-) -> list[dict]:
+def segmentation_curve(instances: list[SegmentationInstance], thresholds) -> list[dict]:
     """Mean point-set IoU of P_agg and C* vs ground truth per min-point threshold."""
-    if instances is None:
-        instances = segmentation_instances(scene, config)
     curve = []
     for threshold in thresholds:
         retained = [inst for inst in instances if len(inst.cluster_ids) >= threshold]
@@ -200,6 +193,8 @@ def build_report(
     by default they are derived from the scene on the fly.
     """
     gt_boxes = resolve_gt_boxes(scene, labels)
+    if instances is None:
+        instances = segmentation_instances(scene, config)
     kept = [lb for lb in labels if lb.kept]
     by_source = {"coarse": [], "refined": []}
     for lb in kept:
@@ -220,8 +215,6 @@ def build_report(
             source: coarse_quality_table(group, gt_boxes)
             for source, group in by_source.items()
         },
-        "segmentation_curve": segmentation_curve(
-            scene, config.curve_thresholds, config, instances=instances
-        ),
+        "segmentation_curve": segmentation_curve(instances, config.curve_thresholds),
         "frames_per_object": frames_histogram(scene),
     }

@@ -16,7 +16,7 @@ import numpy as np
 from .config import PipelineConfig
 from .geometry import CameraModel, project_points
 from .masks import decode_mask
-from .scene import Annotation2D, Frame, Observation, ObjectTrack, Scene
+from .scene import Annotation2D, Observation, ObjectTrack, Scene
 
 STATIC = "static"
 MOVING = "moving"
@@ -51,21 +51,6 @@ def extraction_mask(
         hit = (u >= box.x_min) & (u <= box.x_max) & (v >= box.y_min) & (v <= box.y_max)
     keep[valid] = hit
     return keep
-
-
-def extract_object_points(
-    frame: Frame,
-    annotation: Annotation2D,
-    camera: CameraModel,
-    mask_conf_min: float = 0.6,
-    z_near: float = 1e-3,
-) -> np.ndarray:
-    """World-frame points of ``frame`` kept by the annotation's pixel test."""
-    pts = frame.points_world
-    if len(pts) == 0:
-        return np.empty((0, 3))
-    keep = extraction_mask(camera, pts, annotation, mask_conf_min, z_near)
-    return pts[keep]
 
 
 @dataclass(frozen=True)
@@ -137,11 +122,7 @@ def build_tracks(
             observations.setdefault(ann.track_id, {})[frame.frame_id] = obs
             cameras.setdefault(ann.track_id, {})[frame.frame_id] = cam
             classes.setdefault(ann.track_id, ann.class_label)
-    out = []
-    for tid in sorted(observations):
-        gt = None
-        if scene.gt_tracks and tid in scene.gt_tracks:
-            gt = scene.gt_tracks[tid].boxes
-        track = ObjectTrack(tid, classes[tid], observations[tid], gt_box3d_per_frame=gt)
-        out.append((track, cameras[tid]))
-    return out
+    return [
+        (ObjectTrack(tid, classes[tid], observations[tid]), cameras[tid])
+        for tid in sorted(observations)
+    ]

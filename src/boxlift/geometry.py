@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DegenerateHull, DegenerateSpread
 
-EPS = 1e-9
-
 # Depth below which a point counts as behind the camera (meters).
 DEFAULT_Z_NEAR = 1e-3
 
@@ -195,9 +193,6 @@ class Box2D:
     def as_array(self) -> np.ndarray:
         return np.array([self.x_min, self.y_min, self.x_max, self.y_max])
 
-    def contains(self, u: float, v: float) -> bool:
-        return self.x_min <= u <= self.x_max and self.y_min <= v <= self.y_max
-
 
 @dataclass(frozen=True)
 class Box3D:
@@ -230,11 +225,6 @@ class Box3D:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw])
-
-    @staticmethod
-    def from_array(a) -> "Box3D":
-        cx, cy, cz, l, w, h, yaw = (float(v) for v in a)
-        return Box3D(cx, cy, cz, l, w, h, yaw)
 
     def footprint(self) -> np.ndarray:
         """(4, 2) bird's-eye-view corner array, counter-clockwise."""

@@ -6,7 +6,8 @@ contributes 1 - GIoU between the box's projection and the annotated 2D
 box, and the per-object mean keeps instances visible in many frames from
 dominating.  A derivative-free simplex search minimizes the weighted sum;
 the objective is piecewise smooth (min/max and clipping everywhere), so
-no gradients are assumed.
+no gradients are assumed.  The term weights, evaluation budget, extent
+floor, near plane and confidence gates all come from ``PipelineConfig``.
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ from .scene import ObjectTrack
 # 1 - GIoU is bounded by 2; an absent projection is charged the supremum so
 # the optimizer sees a finite, stable penalty for leaving every frustum.
 MISSING_PROJECTION_PENALTY = 2.0
-
-
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    lambda_2d: float = 0.5
-    mu_fit: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_2d < 0 or self.mu_fit < 0:
-            raise ValueError("weights must be non-negative")
 
 
 def l2d_multiview(
@@ -89,15 +80,18 @@ def objective_value(
     track: ObjectTrack,
     points,
     cameras: dict[int, CameraModel],
-    weights: ObjectiveWeights = ObjectiveWeights(),
-    z_near: float = 1e-3,
+    config: PipelineConfig | None = None,
 ) -> float:
-    """Weighted refinement objective; either term is skipped at weight 0."""
+    """``mu_fit * l_fit + lambda_2d * l2d_multiview`` with the config's weights.
+
+    A term is skipped at weight 0, so a pure 2D objective needs no points.
+    """
+    cfg = config or PipelineConfig()
     total = 0.0
-    if weights.mu_fit > 0:
-        total += weights.mu_fit * l_fit(box, points)
-    if weights.lambda_2d > 0:
-        total += weights.lambda_2d * l2d_multiview(box, track, cameras, z_near=z_near)
+    if cfg.mu_fit > 0:
+        total += cfg.mu_fit * l_fit(box, points)
+    if cfg.lambda_2d > 0:
+        total += cfg.lambda_2d * l2d_multiview(box, track, cameras, z_near=cfg.z_near)
     return total
 
 
@@ -141,19 +135,19 @@ def refine_box(
     track: ObjectTrack,
     points,
     cameras: dict[int, CameraModel],
-    weights: ObjectiveWeights = ObjectiveWeights(),
-    budget: int = 2000,
-    extent_floor: float = 0.05,
-    z_near: float = 1e-3,
+    config: PipelineConfig | None = None,
 ) -> tuple[Box3D, RefineTrace]:
-    """Minimize the refinement objective with a bounded evaluation budget.
+    """Minimize ``objective_value`` within ``config.refine_budget`` evaluations.
 
     Nelder-Mead from the documented initial simplex, restarted once from
     the best point found with the budget's second half.  Extents are
-    clamped to ``extent_floor`` during the search.  The best evaluated box
-    is returned, so the result never scores worse than ``init``; a budget
-    of zero returns ``init`` untouched.  Deterministic.
+    clamped to ``config.extent_floor`` during the search.  The best
+    evaluated box is returned, so the result never scores worse than
+    ``init``; a budget of zero returns ``init`` untouched.  Deterministic.
     """
+    cfg = config or PipelineConfig()
+    budget = cfg.refine_budget
+    extent_floor = cfg.extent_floor
     if budget <= 0:
         return init, RefineTrace(0, None, None)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -168,7 +162,7 @@ def refine_box(
         if evals >= limit:
             raise _BudgetExhausted
         evals += 1
-        j = objective_value(_vec_to_box(x, extent_floor), track, pts, cameras, weights, z_near)
+        j = objective_value(_vec_to_box(x, extent_floor), track, pts, cameras, cfg)
         if j < best_j:
             best_j = j
             best_x = np.array(x, dtype=float)
@@ -201,42 +195,23 @@ def refine_box(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FilterThresholds:
-    """Per-class confidence gates; unknown classes use ``default`` and flag it."""
-
-    per_class: dict = field(default_factory=lambda: {"Car": 0.5, "Pedestrian": 0.4})
-    default: float = 0.5
-
-    def __post_init__(self):
-        for cls, tau in self.per_class.items():
-            if not 0.0 <= tau <= 1.0:
-                raise ValueError(f"threshold for {cls!r} outside [0, 1]")
-        if not 0.0 <= self.default <= 1.0:
-            raise ValueError("default threshold outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class FilterVerdict:
-    keep: bool
-    reason: str | None = None          # "class" | "confidence" when dropped
-    used_default_threshold: bool = False
-
-
 def filter_pseudo_label(
     predicted_class: str,
     annotation_class: str,
     confidence: float,
-    thresholds: FilterThresholds,
-) -> FilterVerdict:
-    """Drop on class mismatch, then on confidence below the class gate."""
+    config: PipelineConfig,
+) -> str | None:
+    """Drop reason for a label, or None to keep it.
+
+    A class mismatch drops first ("class"); then a confidence below the
+    class's ``tau_conf`` gate, or ``tau_conf_default`` for unlisted
+    classes, drops it ("confidence").
+    """
     if predicted_class != annotation_class:
-        return FilterVerdict(False, "class")
-    used_default = predicted_class not in thresholds.per_class
-    tau = thresholds.per_class.get(predicted_class, thresholds.default)
-    if confidence < tau:
-        return FilterVerdict(False, "confidence", used_default)
-    return FilterVerdict(True, None, used_default)
+        return "class"
+    if confidence < config.tau_conf.get(predicted_class, config.tau_conf_default):
+        return "confidence"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +271,13 @@ def annotate_track(
 
     Static tracks: aggregate across frames, clean with DBSCAN, gate on
     cluster size and view count, fit, verify, then refine against every
-    view's 2D annotation.  Moving tracks: fit on the single densest view
-    and refine against that view only; the object moves between frames, so
-    one world-frame box cannot satisfy other timestamps' annotations and
-    including them would drag the box off the anchor frame.  Every failure
-    path emits a kept=False label whose drop_reason names the stage.
+    view's 2D annotation.  Moving tracks: fit on the single densest view,
+    record but do not gate on verification, and refine against that view
+    only; the object moves between frames, so one world-frame box cannot
+    satisfy other timestamps' annotations and including them would drag
+    the box off the anchor frame.  Both paths share one fit-and-verify
+    step.  Every failure path emits a kept=False label whose drop_reason
+    names the stage.
     """
     cfg = config or PipelineConfig()
     centroids = track_centroids(track, cfg.centroid)
@@ -308,9 +285,6 @@ def annotate_track(
         return _dropped(track, "empty")
     verdict = classify_motion(centroids, cfg.tau_static)
 
-    hull_iou = None
-    anchor = track.frame_ids[0]
-    loss_track = track
     if verdict.is_static:
         inst = aggregate_static(track)
         labels = dbscan(inst.points_agg, cfg.dbscan_eps, cfg.dbscan_min_pts)
@@ -319,58 +293,44 @@ def annotate_track(
         except BoxliftError:
             return _dropped(track, "clustering")
         fit_points = inst.points_agg[cluster.indices]
-        n_points = cluster.size
-        quality_stub = QualityRecord(n_points, inst.n_views, None, None, None)
+        n_views = inst.n_views
+        anchor = track.frame_ids[0]
+        loss_track = track
         gate = quality_gate(cluster, inst, cfg.min_cluster_points, cfg.min_views)
         if not gate.passed:
-            return _dropped(track, gate.reason, quality=quality_stub)
-        try:
-            box, clamped = fit_coarse_box(fit_points, cfg.extent_floor)
-            result = verify_geometry(
-                box, fit_points[:, :2], cfg.tau_iou, cfg.hull_metric, clamped
-            )
-        except BoxliftError:
-            return _dropped(track, "degenerate", quality=quality_stub)
-        hull_iou = result.hull_iou
-        if not result.verified:
-            return _dropped(
-                track,
-                "verification",
-                box=box,
-                quality=QualityRecord(n_points, inst.n_views, hull_iou, None, None),
-                anchor=anchor,
-            )
-        n_views = inst.n_views
+            return _dropped(track, gate.reason,
+                            quality=QualityRecord(cluster.size, n_views, None, None, None))
     else:
-        densest = max(
+        anchor = max(
             track.frame_ids, key=lambda fid: (len(track.observations[fid].points), -fid)
         )
-        fit_points = track.observations[densest].points
-        anchor = densest
-        n_points = len(fit_points)
+        fit_points = track.observations[anchor].points
         n_views = track.n_views_with_points
-        try:
-            box, clamped = fit_coarse_box(fit_points, cfg.extent_floor)
-            # Recorded for diagnostics; moving fits are single-view and are
-            # not gated on shape consistency.
-            hull_iou = verify_geometry(
-                box, fit_points[:, :2], cfg.tau_iou, cfg.hull_metric, clamped
-            ).hull_iou
-        except BoxliftError:
-            return _dropped(track, "degenerate",
-                            quality=QualityRecord(n_points, n_views, None, None, None))
         loss_track = ObjectTrack(
-            track.track_id, track.class_label, {densest: track.observations[densest]},
-            gt_box3d_per_frame=track.gt_box3d_per_frame,
+            track.track_id, track.class_label, {anchor: track.observations[anchor]}
         )
 
-    weights = ObjectiveWeights(cfg.lambda_2d, cfg.mu_fit)
+    n_points = len(fit_points)
+    try:
+        box, _ = fit_coarse_box(fit_points, cfg.extent_floor)
+        geometry = verify_geometry(box, fit_points[:, :2], cfg.tau_iou, cfg.hull_metric)
+    except BoxliftError:
+        return _dropped(track, "degenerate",
+                        quality=QualityRecord(n_points, n_views, None, None, None))
+    hull_iou = geometry.hull_iou
+    # A moving fit is single-view: its hull IoU is recorded, not gated on.
+    if verdict.is_static and not geometry.verified:
+        return _dropped(
+            track,
+            "verification",
+            box=box,
+            quality=QualityRecord(n_points, n_views, hull_iou, None, None),
+            anchor=anchor,
+        )
+
     source = "coarse"
     if cfg.refine:
-        box, _ = refine_box(
-            box, loss_track, fit_points, cameras, weights,
-            budget=cfg.refine_budget, extent_floor=cfg.extent_floor, z_near=cfg.z_near,
-        )
+        box, _ = refine_box(box, loss_track, fit_points, cameras, cfg)
         source = "refined"
 
     final_l2d = l2d_multiview(box, loss_track, cameras, z_near=cfg.z_near)
@@ -381,16 +341,15 @@ def annotate_track(
 
     # No classifier runs here, so the predicted class is the annotated one;
     # the class check can only fire for callers that pass a real prediction.
-    thresholds = FilterThresholds(dict(cfg.tau_conf), cfg.tau_conf_default)
-    decision = filter_pseudo_label(track.class_label, track.class_label, confidence, thresholds)
+    reason = filter_pseudo_label(track.class_label, track.class_label, confidence, cfg)
     return PseudoLabel(
         track_id=track.track_id,
         class_label=track.class_label,
         box=box,
         source=source,
         quality=quality,
-        kept=decision.keep,
-        drop_reason=decision.reason,
+        kept=reason is None,
+        drop_reason=reason,
         confidence=confidence,
         anchor_frame_id=anchor,
     )

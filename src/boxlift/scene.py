@@ -134,7 +134,6 @@ class ObjectTrack:
     track_id: str
     class_label: str
     observations: dict[int, Observation]  # frame_id -> observation
-    gt_box3d_per_frame: dict[int, Box3D] | None = None
 
     def __post_init__(self):
         if not self.observations:

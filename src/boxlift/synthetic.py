@@ -200,19 +200,6 @@ def _tuplify(d: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 
 
-def default_scene_config() -> SceneConfig:
-    """A small mixed-class scene usable as a starting point."""
-    return SceneConfig(
-        objects=(
-            ObjectClassSpec("Car", 5, (4.0, 4.8), (1.7, 2.0), (1.4, 1.7), (2.0, 6.0)),
-            ObjectClassSpec("Pedestrian", 3, (0.5, 0.7), (0.5, 0.7), (1.6, 1.8), (0.5, 1.5),
-                            density=40.0),
-            ObjectClassSpec("Bicycle", 2, (1.6, 1.9), (0.5, 0.7), (1.0, 1.3), (1.0, 4.0),
-                            density=25.0),
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from boxlift.clustering import aggregate_static, dbscan, select_dominant_cluster
 from boxlift.cli import cli_main
 from boxlift.evaluate import SegmentationInstance, segmentation_instances
 from boxlift.extraction import classify_motion, track_centroids
-from boxlift.refine import ObjectiveWeights, objective_value, refine_box
+from boxlift.refine import objective_value, refine_box
 from boxlift.scene_io import scene_to_manifest
 from reference import brute_force_dbscan, mc_iou_3d, point_in_convex_polygon
 from support import passing_config, two_view_track
@@ -169,7 +169,7 @@ def test_c03_coarse_fit_recovery():
 
 def test_c04_multiview_disambiguation():
     rng = np.random.default_rng(104)
-    weights = ObjectiveWeights(lambda_2d=1.0, mu_fit=0.0)
+    cfg = bl.PipelineConfig(lambda_2d=1.0, mu_fit=0.0, refine_budget=500)
     improved = 0
     err_single, err_both = [], []
     for _ in range(50):
@@ -178,8 +178,8 @@ def test_c04_multiview_disambiguation():
         init = bl.Box3D(gt.cx + sign * 0.2 * gt.l, gt.cy, gt.cz,
                         1.2 * gt.l, gt.w, gt.h, gt.yaw)
         empty = np.empty((0, 3))
-        one, _ = refine_box(init, track_a, empty, cams, weights, budget=500)
-        both, _ = refine_box(init, track_ab, empty, cams, weights, budget=500)
+        one, _ = refine_box(init, track_a, empty, cams, cfg)
+        both, _ = refine_box(init, track_ab, empty, cams, cfg)
         e1, e2 = abs(one.l - gt.l), abs(both.l - gt.l)
         err_single.append(e1)
         err_both.append(e2)
@@ -200,7 +200,7 @@ def test_c04_multiview_disambiguation():
 def test_c05_refinement_descent():
     rng = np.random.default_rng(105)
     pool = static_track_pool(range(500, 509), sigma=0.02)
-    weights = ObjectiveWeights()
+    cfg = bl.PipelineConfig(refine_budget=300)
     n_descent = 0
     gains = []
     cases = 0
@@ -216,9 +216,9 @@ def test_c05_refinement_descent():
             gt.h * rng.uniform(0.85, 1.2),
             gt.yaw + rng.uniform(-0.3, 0.3),
         )
-        j_init = objective_value(init, track, pts, cams, weights)
-        out, _ = refine_box(init, track, pts, cams, weights, budget=300)
-        j_out = objective_value(out, track, pts, cams, weights)
+        j_init = objective_value(init, track, pts, cams, cfg)
+        out, _ = refine_box(init, track, pts, cams, cfg)
+        j_out = objective_value(out, track, pts, cams, cfg)
         if j_out <= j_init + 1e-12:
             n_descent += 1
         gains.append(bl.iou_3d(out, gt) - bl.iou_3d(init, gt))
@@ -287,21 +287,20 @@ def test_c06_l2d_exactness_and_averaging():
 
 def test_c07_filter_truth_table():
     rng = np.random.default_rng(107)
-    thresholds = bl.FilterThresholds({"Car": 0.5, "Pedestrian": 0.4}, default=0.5)
+    cfg = bl.PipelineConfig()  # gates: Car 0.5, Pedestrian 0.4, default 0.5
     classes = ["Car", "Pedestrian", "Bicycle", "Bus"]
     failures = 0
     for _ in range(1000):
         predicted = classes[rng.integers(len(classes))]
         annotated = predicted if rng.random() < 0.5 else classes[rng.integers(len(classes))]
         confidence = float(rng.uniform(0, 1))
-        got = bl.filter_pseudo_label(predicted, annotated, confidence, thresholds)
+        got = bl.filter_pseudo_label(predicted, annotated, confidence, cfg)
         if predicted != annotated:
-            expect_keep, expect_reason = False, "class"
+            expect_reason = "class"
         else:
             tau = {"Car": 0.5, "Pedestrian": 0.4}.get(predicted, 0.5)
-            expect_keep = confidence >= tau
-            expect_reason = None if expect_keep else "confidence"
-        if got.keep != expect_keep or got.reason != expect_reason:
+            expect_reason = None if confidence >= tau else "confidence"
+        if got != expect_reason:
             failures += 1
     verdict(7, "pseudo-label filter truth table", failures == 0,
             f"{failures} rule mismatches over 1000 randomized cases")
@@ -634,9 +633,9 @@ def prop_gate_monotone():
         views = int(rng.integers(1, 6))
         min_pts = int(rng.integers(1, 30))
         min_views = int(rng.integers(1, 5))
-        inst = AggregatedInstance("t", "Car", np.zeros((max(n, 1), 3)),
+        inst = AggregatedInstance("t", np.zeros((max(n, 1), 3)),
                                   np.zeros(max(n, 1), dtype=np.int64),
-                                  np.arange(max(n, 1)), {}, views)
+                                  np.arange(max(n, 1)), views)
         before = bl.quality_gate(CleanCluster(np.arange(n), np.zeros(3)), inst,
                                  min_pts, min_views)
         after = bl.quality_gate(CleanCluster(np.arange(n + extra), np.zeros(3)), inst,
@@ -743,20 +742,20 @@ def prop_l2d_gt_zero():
 def prop_refine_never_increases_and_budget_zero():
     rng = np.random.default_rng(1021)
     pool = _refine_pool()
-    weights = ObjectiveWeights()
     for k in range(N_CASES):
         track, cams, pts, gt = pool[k % len(pool)]
         init = bl.Box3D(gt.cx + rng.uniform(-1, 1), gt.cy + rng.uniform(-1, 1), gt.cz,
                         gt.l * rng.uniform(0.8, 1.3), gt.w * rng.uniform(0.8, 1.3),
                         gt.h, gt.yaw + rng.uniform(-0.3, 0.3))
         budget = int(rng.integers(0, 25))
-        out, trace = refine_box(init, track, pts, cams, weights, budget=budget)
+        cfg = bl.PipelineConfig(refine_budget=budget)
+        out, trace = refine_box(init, track, pts, cams, cfg)
         if budget == 0:
             assert out == init
             assert trace.n_evals == 0
         else:
-            j_init = objective_value(init, track, pts, cams, weights)
-            j_out = objective_value(out, track, pts, cams, weights)
+            j_init = objective_value(init, track, pts, cams, cfg)
+            j_out = objective_value(out, track, pts, cams, cfg)
             assert j_out <= j_init + 1e-12
             assert trace.n_evals <= budget
 
@@ -780,13 +779,13 @@ def prop_l2d_averaging_identity():
 
 def prop_filter_monotone():
     rng = np.random.default_rng(1023)
-    thresholds = bl.FilterThresholds({"Car": 0.5, "Pedestrian": 0.4}, default=0.5)
+    cfg = bl.PipelineConfig()  # gates: Car 0.5, Pedestrian 0.4, default 0.5
     classes = ["Car", "Pedestrian", "Bicycle"]
     for _ in range(N_CASES):
         cls = classes[rng.integers(len(classes))]
         c1, c2 = sorted(rng.uniform(0, 1, 2))
-        if bl.filter_pseudo_label(cls, cls, c1, thresholds).keep:
-            assert bl.filter_pseudo_label(cls, cls, c2, thresholds).keep
+        if bl.filter_pseudo_label(cls, cls, c1, cfg) is None:
+            assert bl.filter_pseudo_label(cls, cls, c2, cfg) is None
 
 
 def prop_refine_weight_scale_invariance():
@@ -798,10 +797,11 @@ def prop_refine_weight_scale_invariance():
                         gt.cz, gt.l, gt.w, gt.h, gt.yaw + rng.uniform(-0.2, 0.2))
         scale = float(rng.uniform(0.1, 20.0))
         budget = int(rng.integers(1, 15))
-        a, _ = refine_box(init, track, pts, cams, ObjectiveWeights(0.5, 1.0),
-                          budget=budget)
+        a, _ = refine_box(init, track, pts, cams,
+                          bl.PipelineConfig(lambda_2d=0.5, mu_fit=1.0, refine_budget=budget))
         b, _ = refine_box(init, track, pts, cams,
-                          ObjectiveWeights(0.5 * scale, 1.0 * scale), budget=budget)
+                          bl.PipelineConfig(lambda_2d=0.5 * scale, mu_fit=1.0 * scale,
+                                            refine_budget=budget))
         assert a == b
 
 
@@ -850,7 +850,7 @@ def prop_curve_retained_non_increasing():
                                                            replace=False))
             instances.append(SegmentationInstance(f"t{i}", "Car", agg, cluster, gt))
         thresholds = sorted(int(v) for v in rng.integers(0, 80, 6))
-        curve = bl.segmentation_curve(None, thresholds, instances=instances)
+        curve = bl.segmentation_curve(instances, thresholds)
         counts = [c["n_retained"] for c in curve]
         assert counts == sorted(counts, reverse=True)
 

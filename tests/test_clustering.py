@@ -52,9 +52,7 @@ class TestAggregate:
         inst = aggregate_static(track)
         assert len(inst.points_agg) == 30
         assert inst.n_views == 3
-        assert sorted(inst.per_view_points) == [0, 1, 2]
         assert len(inst.point_frame_ids) == 30
-        assert sum(len(v) for v in inst.per_view_points.values()) == 30
 
     def test_single_frame_identity(self):
         pts = np.arange(15, dtype=float).reshape(5, 3)
@@ -147,11 +145,9 @@ def make_instance(points):
     n = len(points)
     return AggregatedInstance(
         track_id="t-0",
-        class_label="Car",
         points_agg=points,
         point_frame_ids=np.zeros(n, dtype=np.int64),
         point_indices=np.arange(n),
-        per_view_points={0: points},
         n_views=1,
     )
 

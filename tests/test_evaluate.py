@@ -103,12 +103,12 @@ class TestSegmentationCurve:
     def test_threshold_zero_retains_all(self):
         scene = self.make_scene()
         instances = segmentation_instances(scene)
-        curve = segmentation_curve(scene, [0], instances=instances)
+        curve = segmentation_curve(instances, [0])
         assert curve[0]["n_retained"] == len(instances)
 
     def test_absurd_threshold_retains_none(self):
         scene = self.make_scene()
-        curve = segmentation_curve(scene, [10**9])
+        curve = segmentation_curve(segmentation_instances(scene), [10**9])
         assert curve[0]["n_retained"] == 0
         assert curve[0]["mean_iou_aggregate"] is None
         assert curve[0]["mean_iou_cluster"] is None
@@ -116,20 +116,20 @@ class TestSegmentationCurve:
     def test_retained_counts_non_increasing(self):
         scene = self.make_scene()
         thresholds = [0, 5, 10, 50, 100, 200, 400]
-        curve = segmentation_curve(scene, thresholds)
+        curve = segmentation_curve(segmentation_instances(scene), thresholds)
         counts = [c["n_retained"] for c in curve]
         assert counts == sorted(counts, reverse=True)
 
     def test_cluster_beats_aggregate_with_bleed(self):
         scene = self.make_scene()
-        curve = segmentation_curve(scene, [0])
+        curve = segmentation_curve(segmentation_instances(scene), [0])
         assert curve[0]["mean_iou_cluster"] > curve[0]["mean_iou_aggregate"]
 
     def test_needs_ground_truth(self):
         scene = self.make_scene()
         scene.gt_tracks = None
         with pytest.raises(ConfigError):
-            segmentation_curve(scene, [0])
+            segmentation_instances(scene)
 
 
 class TestFramesHistogram:

