@@ -3,7 +3,8 @@
 Aggregation unions the per-frame extracted points of a static track into
 one world-frame cloud; DBSCAN separates the object body from stray
 background points that leaked through the 2D annotation, and the largest
-cluster is kept for box fitting.
+cluster is kept for box fitting.  DBSCAN's eps-neighbour search is a
+``scipy.spatial.cKDTree`` ball query.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import EmptyAggregate, NoClusterError
 from .scene import ObjectTrack
@@ -50,36 +52,13 @@ def aggregate_static(track: ObjectTrack) -> AggregatedInstance:
     )
 
 
-def _grid_neighbors(points: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Per-point index arrays of eps-neighbors (self included), ascending.
-
-    Uses a uniform voxel grid of cell size eps so each query only scans
-    the 27 surrounding cells.
-    """
-    cells = np.floor(points / eps).astype(np.int64)
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(map(tuple, cells)):
-        grid.setdefault(key, []).append(i)
-    offsets = [
-        (dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    ]
-    eps2 = eps * eps
-    out: list[np.ndarray] = []
-    for i in range(len(points)):
-        cx, cy, cz = cells[i]
-        cand: list[int] = []
-        for dx, dy, dz in offsets:
-            cand.extend(grid.get((cx + dx, cy + dy, cz + dz), ()))
-        cand_arr = np.array(cand, dtype=np.int64)
-        d2 = ((points[cand_arr] - points[i]) ** 2).sum(axis=1)
-        near = cand_arr[d2 <= eps2]
-        near.sort()
-        out.append(near)
-    return out
-
-
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     """Euclidean DBSCAN; returns per-point cluster labels, noise = -1.
+
+    Neighbourhoods (distance <= eps, self included) come from one KD-tree:
+    core points are counted for all points at once, and the expansion and
+    border passes query a point's neighbours only when they visit it, so
+    the neighbour lists are never all held in memory.
 
     Labeling is deterministic for a fixed input order: cluster ids are
     assigned in order of each cluster's first core point, and a border
@@ -94,8 +73,8 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     labels = np.full(n, NOISE, dtype=np.int64)
     if n == 0:
         return labels
-    neighbors = _grid_neighbors(pts, eps)
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    tree = cKDTree(pts)
+    core = tree.query_ball_point(pts, eps, return_length=True) >= min_pts
     cluster = 0
     for start in range(n):
         if not core[start] or labels[start] != NOISE:
@@ -104,7 +83,7 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
         queue = [start]
         while queue:
             j = queue.pop()
-            for nb in neighbors[j]:
+            for nb in tree.query_ball_point(pts[j], eps):
                 if core[nb] and labels[nb] == NOISE:
                     labels[nb] = cluster
                     queue.append(nb)
@@ -112,7 +91,7 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     for i in range(n):
         if core[i] or labels[i] != NOISE:
             continue
-        for nb in neighbors[i]:
+        for nb in tree.query_ball_point(pts[i], eps, return_sorted=True):
             if core[nb]:
                 labels[i] = labels[nb]
                 break

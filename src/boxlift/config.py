@@ -2,7 +2,8 @@
 
 ``PipelineConfig`` is the only validator of these settings: every field is
 checked for type and range on construction, and a bad value raises
-``ConfigError`` naming the key.
+``ConfigError`` naming the key.  ``check_field_types`` is the type check,
+shared with the synthetic scene config.
 """
 
 from __future__ import annotations
@@ -26,13 +27,36 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_reals(v, n: int) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == n and all(_is_real(x) for x in v)
+
+
+# Annotations for fixed-length number sequences: a [lo, hi] range with
+# lo <= hi, and a 3-vector.
+Range = tuple
+Vec3 = tuple
+
 # Field annotation (a string under postponed evaluation) -> (type test,
 # description in the error message).
 _TYPE_CHECKS = {
     "float": (_is_real, "a finite number"),
     "int": (_is_int, "an integer"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "bool | None": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Range": (lambda v: _is_reals(v, 2) and v[0] <= v[1], "finite numbers [lo, hi], lo <= hi"),
+    "Vec3": (lambda v: _is_reals(v, 3), "three finite numbers"),
 }
+
+
+def check_field_types(obj) -> None:
+    """Raise ConfigError naming the first dataclass field whose value does not
+    match its annotation; annotations missing from ``_TYPE_CHECKS`` are not checked."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        check = _TYPE_CHECKS.get(f.type)
+        if check is not None and not check[0](value):
+            raise ConfigError(f"{f.name} must be {check[1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +81,7 @@ class PipelineConfig:
     curve_thresholds: tuple = (0, 5, 10, 25, 50, 100, 200)
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            check = _TYPE_CHECKS.get(f.type)
-            if check is not None and not check[0](value):
-                raise ConfigError(f"{f.name} must be {check[1]}, got {value!r}")
+        check_field_types(self)
         if not isinstance(self.tau_conf, dict) or not all(
             isinstance(cls, str) and _is_real(tau) for cls, tau in self.tau_conf.items()
         ):

@@ -241,6 +241,8 @@ _CORNER_SIGNS = np.array(
     [[1 if i & b else -1 for b in (1, 2, 4)] for i in range(8)], dtype=float
 )
 BOX_EDGES = tuple((i, i ^ b) for i in range(8) for b in (1, 2, 4) if (i ^ b) > i)
+# (2, 12): row 0 holds each edge's lower corner index, row 1 its upper one.
+_EDGE_ENDS = np.array(BOX_EDGES).T
 
 
 def box3d_corners(box: Box3D) -> np.ndarray:
@@ -325,43 +327,30 @@ def project_points(
     return uv, valid
 
 
-def _clip_edges_to_near_plane(cam_pts: np.ndarray, z_near: float) -> list[np.ndarray]:
-    """Clip box edges (camera frame) against z = z_near; returns surviving endpoints."""
-    kept: list[np.ndarray] = []
-    for i, j in BOX_EDGES:
-        a, b = cam_pts[i], cam_pts[j]
-        a_in, b_in = a[2] > z_near, b[2] > z_near
-        if not a_in and not b_in:
-            continue
-        if a_in:
-            kept.append(a)
-        if b_in:
-            kept.append(b)
-        if a_in != b_in:
-            s = (z_near - a[2]) / (b[2] - a[2])
-            p = a + s * (b - a)
-            p[2] = z_near
-            kept.append(p)
-    return kept
-
-
 def project_box_silhouette(
     camera: CameraModel, box: Box3D, z_near: float = DEFAULT_Z_NEAR
 ) -> np.ndarray:
-    """Pixel coordinates of the box's edge endpoints after near-plane clipping.
+    """Pixel coordinates of the box's corners and edge cuts after near-plane clipping.
 
-    Returns an (n, 2) array, possibly empty; the silhouette of the box in
-    the image is the convex hull of these points.
+    Returns an (n, 2) array, possibly empty: the corners in front of the
+    near plane, then the points where edges cross it.  The silhouette of
+    the box in the image is the convex hull of these points.
     """
     pose = camera.world_from_camera
-    cam_pts = (box3d_corners(box) - pose.t) @ pose.rotation_matrix
-    kept = _clip_edges_to_near_plane(cam_pts, z_near)
-    if not kept:
+    # Work on 1-D coordinate arrays: selecting rows of a 2-D array releases
+    # the interpreter lock, which stalls this call behind other threads.
+    x, y, z = ((box3d_corners(box) - pose.t) @ pose.rotation_matrix).T
+    front = z > z_near
+    if not front.any():
         return np.empty((0, 2))
-    pts = np.array(kept)
-    u = camera.fx * pts[:, 0] / pts[:, 2] + camera.cx
-    v = camera.fy * pts[:, 1] / pts[:, 2] + camera.cy
-    return np.column_stack([u, v])
+    i, j = _EDGE_ENDS
+    crossing = front[i] != front[j]
+    i, j = i[crossing], j[crossing]
+    s = (z_near - z[i]) / (z[j] - z[i])
+    x = np.concatenate([x[front], x[i] + s * (x[j] - x[i])])
+    y = np.concatenate([y[front], y[i] + s * (y[j] - y[i])])
+    z = np.concatenate([z[front], np.full(len(s), z_near)])
+    return np.column_stack([camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy])
 
 
 def project_box3d(

@@ -54,6 +54,18 @@ class CameraRigEntry:
     height: int
     ego_from_camera: Pose
 
+    def world_camera(self, world_from_ego: Pose) -> CameraModel:
+        """This camera as a world-posed model, for the given ego pose."""
+        return CameraModel(
+            fx=self.fx,
+            fy=self.fy,
+            cx=self.cx,
+            cy=self.cy,
+            width=self.width,
+            height=self.height,
+            world_from_camera=world_from_ego.compose(self.ego_from_camera),
+        )
+
 
 @dataclass(eq=False)
 class Frame:
@@ -103,15 +115,7 @@ class Scene:
             rig = self.cameras[camera_id]
         except KeyError:
             raise ConfigError(f"unknown camera id {camera_id!r}") from None
-        return CameraModel(
-            fx=rig.fx,
-            fy=rig.fy,
-            cx=rig.cx,
-            cy=rig.cy,
-            width=rig.width,
-            height=rig.height,
-            world_from_camera=frame.world_from_ego.compose(rig.ego_from_camera),
-        )
+        return rig.world_camera(frame.world_from_ego)
 
     @property
     def seed(self) -> int | None:

@@ -69,8 +69,18 @@ def read_mvpc(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _expect(value, kind: type, path: str):
+    """Return ``value`` if it is a ``kind`` (a bool is not an integer), else raise."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"expected {_KINDS[kind]}", path)
+    return value
+
+
 def _get(obj: dict, key: str, path: str):
-    if key not in obj:
+    if key not in _expect(obj, dict, path):
         raise ParseError(f"missing key {key!r}", path)
     return obj[key]
 
@@ -82,8 +92,6 @@ def _num(value, path: str) -> float:
 
 
 def _pose(obj, path: str) -> Pose:
-    if not isinstance(obj, dict):
-        raise ParseError("expected a pose object", path)
     q = _get(obj, "q", path)
     t = _get(obj, "t", path)
     if not (isinstance(q, list) and len(q) == 4):
@@ -97,8 +105,6 @@ def _pose(obj, path: str) -> Pose:
 
 
 def _annotation(obj, path: str) -> Annotation2D:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an annotation object", path)
     box = _get(obj, "box", path)
     if not (isinstance(box, list) and len(box) == 4):
         raise ParseError("box must be [x_min, y_min, x_max, y_max]", f"{path}/box")
@@ -108,10 +114,13 @@ def _annotation(obj, path: str) -> Annotation2D:
         raise ParseError(str(exc), f"{path}/box") from exc
     mask = None
     if obj.get("mask") is not None:
-        m = obj["mask"]
-        for key in ("rle", "width", "height"):
-            _get(m, key, f"{path}/mask")
-        mask = Mask(tuple(int(v) for v in m["rle"]), int(m["width"]), int(m["height"]))
+        m, mp = obj["mask"], f"{path}/mask"
+        rle = _expect(_get(m, "rle", mp), list, f"{mp}/rle")
+        mask = Mask(
+            tuple(_expect(v, int, f"{mp}/rle/{k}") for k, v in enumerate(rle)),
+            _expect(_get(m, "width", mp), int, f"{mp}/width"),
+            _expect(_get(m, "height", mp), int, f"{mp}/height"),
+        )
     conf = obj.get("mask_confidence")
     if conf is not None:
         conf = _num(conf, f"{path}/mask_confidence")
@@ -231,10 +240,7 @@ def save_scene(scene: Scene, directory) -> Path:
 
 def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     cameras = {}
-    cams = _get(manifest, "cameras", "/")
-    if not isinstance(cams, dict):
-        raise ParseError("cameras must be an object", "/cameras")
-    for cid, cam in cams.items():
+    for cid, cam in _expect(_get(manifest, "cameras", "/"), dict, "/cameras").items():
         path = f"/cameras/{cid}"
         width = int(_num(_get(cam, "width", path), f"{path}/width"))
         height = int(_num(_get(cam, "height", path), f"{path}/height"))
@@ -253,11 +259,8 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
             ego_from_camera=_pose(_get(cam, "ego_from_camera", path), f"{path}/ego_from_camera"),
         )
     frames = []
-    frame_list = _get(manifest, "frames", "/")
-    if not isinstance(frame_list, list):
-        raise ParseError("frames must be an array", "/frames")
     last = None
-    for i, fr in enumerate(frame_list):
+    for i, fr in enumerate(_expect(_get(manifest, "frames", "/"), list, "/frames")):
         path = f"/frames/{i}"
         frame_id = int(_num(_get(fr, "frame_id", path), f"{path}/frame_id"))
         timestamp = _num(_get(fr, "timestamp", path), f"{path}/timestamp")
@@ -267,7 +270,9 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         rel = str(_get(fr, "pointcloud", path))
         annotations = [
             _annotation(a, f"{path}/annotations/{k}")
-            for k, a in enumerate(_get(fr, "annotations", path))
+            for k, a in enumerate(
+                _expect(_get(fr, "annotations", path), list, f"{path}/annotations")
+            )
         ]
         spans = None
         if fr.get("gt_spans") is not None:
@@ -279,7 +284,7 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
                     n_bleed=int(s.get("n_bleed", 0)),
                     faces=tuple(int(f) for f in s.get("faces", ())),
                 )
-                for k, s in enumerate(fr["gt_spans"])
+                for k, s in enumerate(_expect(fr["gt_spans"], list, f"{path}/gt_spans"))
             ]
         points = read_mvpc(directory / rel)
         for ann_idx, ann in enumerate(annotations):
@@ -311,15 +316,16 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     gt_tracks = None
     if manifest.get("gt_tracks") is not None:
         gt_tracks = {}
-        for tid, gt in manifest["gt_tracks"].items():
+        for tid, gt in _expect(manifest["gt_tracks"], dict, "/gt_tracks").items():
             path = f"/gt_tracks/{tid}"
+            boxes = _expect(_get(gt, "boxes", path), dict, f"{path}/boxes")
             gt_tracks[tid] = GtTrack(
                 class_label=str(_get(gt, "class", path)),
                 static=bool(_get(gt, "static", path)),
                 velocity=tuple(float(v) for v in _get(gt, "velocity", path)),
                 boxes={
                     int(fid): _box3d(b, f"{path}/boxes/{fid}")
-                    for fid, b in _get(gt, "boxes", path).items()
+                    for fid, b in boxes.items()
                 },
             )
     return Scene(

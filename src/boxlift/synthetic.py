@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Range, Vec3, check_field_types
 from .errors import ConfigError, DegenerateHull
 from .geometry import Box3D, Pose, convex_hull, project_box3d, project_box_silhouette
 from .masks import encode_mask, rasterize_convex_polygon
@@ -45,7 +46,12 @@ class CameraSpec:
     width: int = 800
     height: int = 450
     mount_yaw_deg: float = 0.0
-    mount_offset: tuple = (0.0, 0.0, 0.0)
+    mount_offset: Vec3 = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        check_field_types(self)
+        if not (self.fx > 0 and self.fy > 0 and self.width > 0 and self.height > 0):
+            raise ConfigError("camera fx, fy, width and height must be positive")
 
     def rig_entry(self) -> CameraRigEntry:
         yaw = math.radians(self.mount_yaw_deg)
@@ -65,10 +71,13 @@ class CameraSpec:
 
 @dataclass(frozen=True)
 class EgoSpec:
-    start: tuple = (0.0, 0.0, 1.8)
-    velocity: tuple = (4.0, 0.0, 0.0)   # m/s
+    start: Vec3 = (0.0, 0.0, 1.8)
+    velocity: Vec3 = (4.0, 0.0, 0.0)    # m/s
     yaw0: float = 0.0
     yaw_rate: float = 0.0               # rad/s
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def pose_at(self, t: float) -> Pose:
         pos = np.asarray(self.start, float) + np.asarray(self.velocity, float) * t
@@ -79,15 +88,16 @@ class EgoSpec:
 class ObjectClassSpec:
     class_label: str
     count: int
-    length_range: tuple
-    width_range: tuple
-    height_range: tuple
-    speed_range: tuple = (1.0, 4.0)     # moving objects only, m/s
+    length_range: Range
+    width_range: Range
+    height_range: Range
+    speed_range: Range = (1.0, 4.0)     # moving objects only, m/s
     static: bool | None = None          # None: sample from static_fraction
     density: float = 8.0                # surface points per m^2 per frame
     sigma: float = 0.02                 # sensor noise std, meters
 
     def __post_init__(self):
+        check_field_types(self)
         if self.count < 0:
             raise ConfigError("object count must be >= 0")
         if self.density <= 0:
@@ -95,21 +105,23 @@ class ObjectClassSpec:
         if self.sigma < 0:
             raise ConfigError("sigma must be >= 0")
         for name in ("length_range", "width_range", "height_range", "speed_range"):
-            lo, hi = getattr(self, name)
-            if not (0 <= lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 <= lo <= hi")
+            if getattr(self, name)[0] < 0:
+                raise ConfigError(f"{name} must not be negative")
 
 
 @dataclass(frozen=True)
 class PlacementSpec:
-    x_range: tuple = (8.0, 40.0)
-    y_range: tuple = (-10.0, 10.0)
+    x_range: Range = (8.0, 40.0)
+    y_range: Range = (-10.0, 10.0)
     min_separation: float = 6.0         # BEV meters between object centers
     # Silhouettes of distinct objects must stay this far apart in bearing
     # from every ego position, so one object's mask never swallows another
     # object's points (inter-object occlusion is not modelled).
     min_angular_margin_deg: float = 3.0
     min_sensor_distance: float = 3.0    # BEV meters from ego to any object edge
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -123,13 +135,14 @@ class SceneConfig:
     objects: tuple = ()
     static_fraction: float = 0.74
     bleed_fraction: float = 0.02        # share of points turned into outliers
-    bleed_offset_range: tuple = (0.0, 0.5)  # meters past the surface, along the ray
+    bleed_offset_range: Range = (0.0, 0.5)  # meters past the surface, along the ray
     placement: PlacementSpec = PlacementSpec()
     emit_masks: bool = True
     mask_confidence: float = 1.0
     n_background: int = 0               # ground-plane clutter points per frame
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_frames < 1:
             raise ConfigError("n_frames must be >= 1")
         if self.dt <= 0:
@@ -138,11 +151,12 @@ class SceneConfig:
             raise ConfigError("static_fraction must be in [0, 1]")
         if not 0.0 <= self.bleed_fraction <= 1.0:
             raise ConfigError("bleed_fraction must be in [0, 1]")
-        lo, hi = self.bleed_offset_range
-        if not 0 <= lo <= hi:
-            raise ConfigError("bleed_offset_range must satisfy 0 <= lo <= hi")
+        if self.bleed_offset_range[0] < 0:
+            raise ConfigError("bleed_offset_range must not be negative")
         if not self.cameras:
             raise ConfigError("at least one camera is required")
+        if self.n_background < 0:
+            raise ConfigError("n_background must be >= 0")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -158,18 +172,18 @@ class SceneConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown scene config keys: {sorted(unknown)}")
-        kw = dict(d)
+        kw = _tuplify(d, "scene config")
         try:
             if "cameras" in kw:
-                kw["cameras"] = tuple(CameraSpec(**_tuplify(c)) for c in kw["cameras"])
+                kw["cameras"] = tuple(CameraSpec(**_tuplify(c, "cameras")) for c in kw["cameras"])
             if "ego" in kw:
-                kw["ego"] = EgoSpec(**_tuplify(kw["ego"]))
+                kw["ego"] = EgoSpec(**_tuplify(kw["ego"], "ego"))
             if "objects" in kw:
-                kw["objects"] = tuple(ObjectClassSpec(**_tuplify(o)) for o in kw["objects"])
+                kw["objects"] = tuple(
+                    ObjectClassSpec(**_tuplify(o, "objects")) for o in kw["objects"]
+                )
             if "placement" in kw:
-                kw["placement"] = PlacementSpec(**_tuplify(kw["placement"]))
-            if "bleed_offset_range" in kw:
-                kw["bleed_offset_range"] = tuple(kw["bleed_offset_range"])
+                kw["placement"] = PlacementSpec(**_tuplify(kw["placement"], "placement"))
             return SceneConfig(**kw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -196,7 +210,9 @@ def _listify(value):
     return value
 
 
-def _tuplify(d: dict) -> dict:
+def _tuplify(d: dict, key: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{key}: expected an object, got {d!r}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 
 
@@ -444,8 +460,7 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
             box = boxes_t[obj.track_id]
             best = None
             for cid in sorted(rig):
-                cam_entry = rig[cid]
-                cam = _world_camera(cam_entry, ego)
+                cam = rig[cid].world_camera(ego)
                 proj = project_box3d(cam, box)
                 if proj is None:
                     continue
@@ -497,18 +512,4 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
         frames=frames,
         gt_tracks=gt_tracks,
         generator={"seed": int(seed), "config": cfg.to_dict()},
-    )
-
-
-def _world_camera(entry: CameraRigEntry, world_from_ego: Pose):
-    from .geometry import CameraModel
-
-    return CameraModel(
-        fx=entry.fx,
-        fy=entry.fy,
-        cx=entry.cx,
-        cy=entry.cy,
-        width=entry.width,
-        height=entry.height,
-        world_from_camera=world_from_ego.compose(entry.ego_from_camera),
     )

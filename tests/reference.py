@@ -1,13 +1,15 @@
 """Independent oracle implementations used to check the production code.
 
 Everything here is deliberately written from scratch against the textbook
-definition (O(n^2) scans, Monte-Carlo sampling, per-pixel loops) and never
-calls the code paths it verifies.
+definition (O(n^2) scans, Monte-Carlo sampling, per-pixel and per-edge
+loops) and never calls the code paths it verifies.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from boxlift.geometry import BOX_EDGES, box3d_corners
 
 
 def brute_force_dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -131,6 +133,37 @@ def _corners(box) -> np.ndarray:
                     ]
                 )
     return np.array(out)
+
+
+def clipped_silhouette_loop(camera, box, z_near: float) -> np.ndarray:
+    """Box silhouette points by clipping each of the 12 edges in turn.
+
+    Corners are moved into the camera frame; an edge with both ends at or
+    behind ``z_near`` is dropped, and an edge crossing it keeps its front
+    end plus the crossing point, interpolated from the lower-index corner.
+    Returns the (n, 2) pixels of every kept point, duplicates included.
+    """
+    pose = camera.world_from_camera
+    cam_pts = (box3d_corners(box) - pose.t) @ pose.rotation_matrix
+    kept = []
+    for i, j in BOX_EDGES:
+        a, b = cam_pts[i], cam_pts[j]
+        a_in, b_in = a[2] > z_near, b[2] > z_near
+        if a_in:
+            kept.append(a)
+        if b_in:
+            kept.append(b)
+        if a_in != b_in:
+            s = (z_near - a[2]) / (b[2] - a[2])
+            p = a + s * (b - a)
+            p[2] = z_near
+            kept.append(p)
+    if not kept:
+        return np.empty((0, 2))
+    pts = np.array(kept)
+    u = camera.fx * pts[:, 0] / pts[:, 2] + camera.cx
+    v = camera.fy * pts[:, 1] / pts[:, 2] + camera.cy
+    return np.column_stack([u, v])
 
 
 def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:

@@ -42,6 +42,15 @@ class TestGen:
     def test_missing_config_is_input_error(self, tmp_path):
         assert run("gen", "--config", tmp_path / "nope.json", "--out", tmp_path / "s") == 1
 
+    def test_bad_config_value_exits_one_naming_key(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"objects": [
+            {"class_label": "Car", "count": 2.5, "length_range": [4, 4],
+             "width_range": [2, 2], "height_range": [1.5, 1.5]}
+        ]}))
+        assert run("gen", "--config", config, "--out", tmp_path / "s") == 1
+        assert "count" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one(self, tmp_path, capsys):
         assert run("gen", "--bogus") == 1
         assert "usage" in capsys.readouterr().err

@@ -104,11 +104,20 @@ class TestDbscan:
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(44)
+        cases = []
         for _ in range(50):
             n = int(rng.integers(1, 120))
             pts = rng.uniform(-3, 3, (n, 3))
             eps = float(rng.uniform(0.2, 1.5))
-            min_pts = int(rng.integers(1, 12))
+            cases.append((pts, eps, int(rng.integers(1, 12))))
+        # Integer lattices with eps equal to the spacing: neighbour distances
+        # tie exactly at eps, where the `<= eps` boundary decides.
+        for spacing in (0.25, 0.5, 1.0):
+            for _ in range(20):
+                n = int(rng.integers(1, 120))
+                pts = rng.integers(-3, 4, (n, 3)) * spacing
+                cases.append((pts, spacing, int(rng.integers(1, 8))))
+        for pts, eps, min_pts in cases:
             mine = dbscan(pts, eps, min_pts)
             ref = brute_force_dbscan(pts, eps, min_pts)
             assert np.array_equal(mine, ref)

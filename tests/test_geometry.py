@@ -25,7 +25,8 @@ from boxlift import (
     project_point,
     transform_box3d,
 )
-from reference import mc_iou_3d, point_in_convex_polygon
+from boxlift.geometry import project_box_silhouette
+from reference import clipped_silhouette_loop, mc_iou_3d, point_in_convex_polygon
 
 
 def random_pose(rng):
@@ -141,6 +142,21 @@ class TestProjectBox3d:
 
     def test_box_outside_image_absent(self):
         assert project_box3d(self.cam, Box3D(100, 0, 5, 1, 1, 1, 0)) is None
+
+    def test_silhouette_matches_per_edge_clipping(self):
+        rng = np.random.default_rng(12)
+        seen = {"front": 0, "straddling": 0, "behind": 0}
+        for _ in range(3000):
+            z_near = float(rng.choice([1e-3, 0.5]))
+            box = Box3D(*rng.uniform(-2, 2, 2), rng.uniform(-2.5, 2.5),
+                        *rng.uniform(0.2, 3.0, 3), rng.uniform(-math.pi, math.pi))
+            n_front = int((box3d_corners(box)[:, 2] > z_near).sum())  # identity camera
+            seen["front" if n_front == 8 else "behind" if n_front == 0 else "straddling"] += 1
+            mine = project_box_silhouette(self.cam, box, z_near)
+            ref = clipped_silhouette_loop(self.cam, box, z_near)
+            assert mine.shape[1] == 2
+            assert {tuple(p) for p in mine} == {tuple(p) for p in ref}
+        assert min(seen.values()) >= 300, seen
 
 
 class TestGiou2d:

@@ -128,6 +128,43 @@ class TestSceneRoundTrip:
         assert load_scene(tmp_path / "scene/scene.json").scene_id == "mini"
 
 
+GOOD_MASK = {"rle": [0, 25], "width": 5, "height": 5}
+
+
+def annotate_with_mask(mask):
+    def mutate(m):
+        m["frames"][0]["annotations"] = [
+            {"track_id": "t", "class": "Car", "camera_id": "cam", "box": [0, 0, 5, 5],
+             "mask": mask}
+        ]
+    return mutate
+
+
+def set_key(container_of, key, value):
+    def mutate(m):
+        container_of(m)[key] = value
+    return mutate
+
+
+def add_gt_track(m):
+    m["gt_tracks"] = {
+        "t": {"class": "Car", "static": True, "velocity": [0, 0, 0], "boxes": None}
+    }
+
+
+# (mutation, JSON pointer the ParseError must name): a wrong container or
+# value type must surface as a ParseError located at that element.
+MALFORMED_MANIFESTS = [
+    (annotate_with_mask(5), "/frames/0/annotations/0/mask"),
+    (annotate_with_mask({**GOOD_MASK, "rle": "abc"}), "/frames/0/annotations/0/mask/rle"),
+    (annotate_with_mask({**GOOD_MASK, "width": "x"}), "/frames/0/annotations/0/mask/width"),
+    (set_key(lambda m: m["frames"][0], "annotations", None), "/frames/0/annotations"),
+    (set_key(lambda m: m["frames"], 0, 5), "/frames/0"),
+    (set_key(lambda m: m["cameras"], "cam", 5), "/cameras/cam"),
+    (add_gt_track, "/gt_tracks/t/boxes"),
+]
+
+
 class TestManifestErrors:
     def write_manifest(self, tmp_path, mutate):
         scene = minimal_scene()
@@ -147,6 +184,14 @@ class TestManifestErrors:
         with pytest.raises(ParseError) as err:
             load_scene(path)
         assert "/frames/0/annotations/0" in str(err.value)
+
+    @pytest.mark.parametrize("mutate,where", MALFORMED_MANIFESTS,
+                             ids=[where for _, where in MALFORMED_MANIFESTS])
+    def test_malformed_container_names_path(self, tmp_path, mutate, where):
+        path = self.write_manifest(tmp_path, mutate)
+        with pytest.raises(ParseError) as err:
+            load_scene(path)
+        assert err.value.where == where
 
     def test_missing_key(self, tmp_path):
         path = self.write_manifest(tmp_path, lambda m: m.pop("cameras"))

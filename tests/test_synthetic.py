@@ -230,6 +230,26 @@ class TestConfig:
             SceneConfig(static_fraction=1.5)
         with pytest.raises(ConfigError):
             ObjectClassSpec("Car", 1, (4, 4), (2, 2), (1.5, 1.5), density=0.0)
+        car = {"class_label": "Car", "count": 1, "length_range": [4, 4],
+               "width_range": [2, 2], "height_range": [1.5, 1.5]}
+        bad = [
+            ({"n_frames": "x"}, "n_frames"),
+            ({"dt": None}, "dt"),
+            ({"static_fraction": "a"}, "static_fraction"),
+            ({"objects": [dict(car, count=2.5)]}, "count"),
+            ({"objects": [dict(car, length_range=[1, 2, 3])]}, "length_range"),
+            ({"cameras": [{"camera_id": "c", "fx": "500"}], "objects": [car]}, "fx"),
+            ({"cameras": [{"camera_id": "c", "fx": "500"}]}, "fx"),
+            ({"cameras": [{"camera_id": "c", "fx": 0}]}, "fx"),
+            ({"cameras": [5]}, "cameras"),
+            ({"ego": {"velocity": [1, "a", 0]}}, "velocity"),
+            ({"placement": {"x_range": [1, float("nan")]}}, "x_range"),
+            ({"placement": {"x_range": [40, 8]}}, "x_range"),
+            ({"n_background": -1}, "n_background"),
+        ]
+        for config, key in bad:
+            with pytest.raises(ConfigError, match=key):
+                SceneConfig.from_dict(config)
 
     def test_static_fraction_drives_mix(self):
         cfg = SceneConfig(
