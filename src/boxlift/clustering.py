@@ -101,7 +101,6 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CleanCluster:
     indices: np.ndarray    # ascending indices into points_agg
-    centroid: np.ndarray
 
     @property
     def size(self) -> int:
@@ -126,8 +125,7 @@ def select_dominant_cluster(inst: AggregatedInstance, labels: np.ndarray) -> Cle
         best_dist = min(dist.values())
         tied = [cid for cid in tied if dist[cid] == best_dist]
     winner = min(tied)
-    indices = np.flatnonzero(labels == winner)
-    return CleanCluster(indices=indices, centroid=inst.points_agg[indices].mean(axis=0))
+    return CleanCluster(indices=np.flatnonzero(labels == winner))
 
 
 @dataclass(frozen=True)

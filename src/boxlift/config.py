@@ -2,8 +2,9 @@
 
 ``PipelineConfig`` is the only validator of these settings: every field is
 checked for type and range on construction, and a bad value raises
-``ConfigError`` naming the key.  ``check_field_types`` is the type check,
-shared with the synthetic scene config.
+``ConfigError`` naming the key.  ``check_field_types`` is the type check
+and ``read_json_object`` the file loader, both shared with the synthetic
+scene config.
 """
 
 from __future__ import annotations
@@ -57,6 +58,18 @@ def check_field_types(obj) -> None:
         check = _TYPE_CHECKS.get(f.type)
         if check is not None and not check[0](value):
             raise ConfigError(f"{f.name} must be {check[1]}, got {value!r}")
+
+
+def read_json_object(path) -> dict:
+    """Load a config file that must hold one JSON object; ConfigError otherwise."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return data
 
 
 @dataclass(frozen=True)
@@ -124,14 +137,7 @@ class PipelineConfig:
 
     @staticmethod
     def from_json_file(path) -> "PipelineConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        return PipelineConfig.from_dict(data)
+        return PipelineConfig.from_dict(read_json_object(path))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -254,21 +254,6 @@ def box3d_corners(box: Box3D) -> np.ndarray:
     return local @ rot.T + box.center
 
 
-def transform_box3d(box: Box3D, yaw: float, translation=(0.0, 0.0, 0.0)) -> Box3D:
-    """Apply a world-frame rigid transform (rotate about +z, then translate)."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    t = np.asarray(translation, float)
-    return Box3D(
-        c * box.cx - s * box.cy + t[0],
-        s * box.cx + c * box.cy + t[1],
-        box.cz + t[2],
-        box.l,
-        box.w,
-        box.h,
-        box.yaw + yaw,
-    )
-
-
 # ---------------------------------------------------------------------------
 # camera projection
 # ---------------------------------------------------------------------------
@@ -289,24 +274,6 @@ class CameraModel:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0 and self.width > 0 and self.height > 0):
             raise ValueError("invalid camera intrinsics")
-
-
-def project_point(
-    camera: CameraModel, p_world, z_near: float = DEFAULT_Z_NEAR
-) -> tuple[float, float] | None:
-    """Project a world point to pixels; None when at or behind the near plane.
-
-    Points projecting outside the image are still returned — clipping is
-    the caller's decision.
-    """
-    pose = camera.world_from_camera
-    p = pose.rotation_matrix.T @ (np.asarray(p_world, float) - pose.t)
-    if p[2] <= z_near:
-        return None
-    return (
-        camera.fx * p[0] / p[2] + camera.cx,
-        camera.fy * p[1] / p[2] + camera.cy,
-    )
 
 
 def project_points(
@@ -503,13 +470,6 @@ def convex_intersection_area(a: ConvexPolygon2D, b: ConvexPolygon2D) -> float:
 
 def _footprint_polygon(box: Box3D) -> ConvexPolygon2D:
     return ConvexPolygon2D(box.footprint())
-
-
-def bev_iou(a: Box3D, b: Box3D) -> float:
-    """IoU of the rotated bird's-eye-view footprints, in [0, 1]."""
-    inter = convex_intersection_area(_footprint_polygon(a), _footprint_polygon(b))
-    union = a.l * a.w + b.l * b.w - inter
-    return min(1.0, max(0.0, inter / union))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:

@@ -62,15 +62,6 @@ def encode_mask(bitmap: np.ndarray) -> Mask:
     return Mask(tuple(int(r) for r in runs), w, h)
 
 
-def point_in_mask(mask: Mask, pixel) -> bool:
-    """Membership of a continuous pixel coordinate via integer floor."""
-    c = math.floor(pixel[0])
-    r = math.floor(pixel[1])
-    if not (0 <= c < mask.width and 0 <= r < mask.height):
-        return False
-    return bool(decode_mask(mask)[r, c])
-
-
 def rasterize_convex_polygon(vertices, width: int, height: int) -> np.ndarray:
     """Rasterize a convex polygon: a pixel is set iff its center is inside.
 

@@ -25,15 +25,9 @@ MVPC_MAGIC = b"MVPC"
 MVPC_VERSION = 1
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
     os.replace(tmp, path)
 
 
@@ -45,7 +39,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 def write_mvpc(path, points: np.ndarray) -> None:
     pts = np.ascontiguousarray(np.asarray(points, dtype="<f4").reshape(-1, 3))
     header = MVPC_MAGIC + struct.pack("<HI", MVPC_VERSION, len(pts))
-    _atomic_write_bytes(Path(path), header + pts.tobytes())
+    _atomic_write(Path(path), header + pts.tobytes())
 
 
 def read_mvpc(path) -> np.ndarray:
@@ -65,16 +59,18 @@ def read_mvpc(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# manifest parsing helpers
+# manifest and label parsing helpers
 # ---------------------------------------------------------------------------
 
 
-_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+_KINDS = {
+    dict: "an object", list: "an array", int: "an integer", bool: "true or false", str: "a string",
+}
 
 
 def _expect(value, kind: type, path: str):
     """Return ``value`` if it is a ``kind`` (a bool is not an integer), else raise."""
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"expected {_KINDS[kind]}", path)
     return value
 
@@ -89,6 +85,15 @@ def _num(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError("expected a number", path)
     return float(value)
+
+
+def _ints(values, path: str) -> tuple[int, ...]:
+    return tuple(_expect(v, int, f"{path}/{k}") for k, v in enumerate(_expect(values, list, path)))
+
+
+def _opt_num(obj: dict, key: str, path: str) -> float | None:
+    """``obj[key]`` as a number, or None when the key is absent or null."""
+    return None if obj.get(key) is None else _num(obj[key], f"{path}/{key}")
 
 
 def _pose(obj, path: str) -> Pose:
@@ -115,22 +120,18 @@ def _annotation(obj, path: str) -> Annotation2D:
     mask = None
     if obj.get("mask") is not None:
         m, mp = obj["mask"], f"{path}/mask"
-        rle = _expect(_get(m, "rle", mp), list, f"{mp}/rle")
         mask = Mask(
-            tuple(_expect(v, int, f"{mp}/rle/{k}") for k, v in enumerate(rle)),
+            _ints(_get(m, "rle", mp), f"{mp}/rle"),
             _expect(_get(m, "width", mp), int, f"{mp}/width"),
             _expect(_get(m, "height", mp), int, f"{mp}/height"),
         )
-    conf = obj.get("mask_confidence")
-    if conf is not None:
-        conf = _num(conf, f"{path}/mask_confidence")
     return Annotation2D(
         track_id=str(_get(obj, "track_id", path)),
         class_label=str(_get(obj, "class", path)),
         camera_id=str(_get(obj, "camera_id", path)),
         box=box2d,
         mask=mask,
-        mask_confidence=conf,
+        mask_confidence=_opt_num(obj, "mask_confidence", path),
     )
 
 
@@ -141,6 +142,33 @@ def _box3d(values, path: str) -> Box3D:
         return Box3D(*(_num(v, path) for v in values))
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
+
+
+def _gt_span(obj, path: str) -> GtSpan:
+    return GtSpan(
+        track_id=str(_get(obj, "track_id", path)),
+        start=_expect(_get(obj, "start", path), int, f"{path}/start"),
+        count=_expect(_get(obj, "count", path), int, f"{path}/count"),
+        n_bleed=_expect(obj.get("n_bleed", 0), int, f"{path}/n_bleed"),
+        faces=_ints(obj.get("faces", []), f"{path}/faces"),
+    )
+
+
+def _gt_track(obj, path: str) -> GtTrack:
+    velocity = _expect(_get(obj, "velocity", path), list, f"{path}/velocity")
+    boxes = {}
+    for fid, values in _expect(_get(obj, "boxes", path), dict, f"{path}/boxes").items():
+        try:
+            frame_id = int(fid)
+        except ValueError as exc:
+            raise ParseError("expected an integer frame id", f"{path}/boxes/{fid}") from exc
+        boxes[frame_id] = _box3d(values, f"{path}/boxes/{fid}")
+    return GtTrack(
+        class_label=str(_get(obj, "class", path)),
+        static=_expect(_get(obj, "static", path), bool, f"{path}/static"),
+        velocity=tuple(_num(v, f"{path}/velocity/{k}") for k, v in enumerate(velocity)),
+        boxes=boxes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +262,7 @@ def save_scene(scene: Scene, directory) -> Path:
         target.parent.mkdir(parents=True, exist_ok=True)
         write_mvpc(target, frame.points_ego)
     text = json.dumps(scene_to_manifest(scene), indent=2, sort_keys=True) + "\n"
-    _atomic_write_text(directory / "scene.json", text)
+    _atomic_write(directory / "scene.json", text.encode())
     return directory
 
 
@@ -242,8 +270,8 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     cameras = {}
     for cid, cam in _expect(_get(manifest, "cameras", "/"), dict, "/cameras").items():
         path = f"/cameras/{cid}"
-        width = int(_num(_get(cam, "width", path), f"{path}/width"))
-        height = int(_num(_get(cam, "height", path), f"{path}/height"))
+        width = _expect(_get(cam, "width", path), int, f"{path}/width")
+        height = _expect(_get(cam, "height", path), int, f"{path}/height")
         fx = _num(_get(cam, "fx", path), f"{path}/fx")
         fy = _num(_get(cam, "fy", path), f"{path}/fy")
         if fx <= 0 or fy <= 0 or width <= 0 or height <= 0:
@@ -262,7 +290,7 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     last = None
     for i, fr in enumerate(_expect(_get(manifest, "frames", "/"), list, "/frames")):
         path = f"/frames/{i}"
-        frame_id = int(_num(_get(fr, "frame_id", path), f"{path}/frame_id"))
+        frame_id = _expect(_get(fr, "frame_id", path), int, f"{path}/frame_id")
         timestamp = _num(_get(fr, "timestamp", path), f"{path}/timestamp")
         if last is not None and (frame_id <= last[0] or timestamp <= last[1]):
             raise ParseError("frame ids and timestamps must be strictly increasing", path)
@@ -277,13 +305,7 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         spans = None
         if fr.get("gt_spans") is not None:
             spans = [
-                GtSpan(
-                    track_id=str(_get(s, "track_id", f"{path}/gt_spans/{k}")),
-                    start=int(s["start"]),
-                    count=int(s["count"]),
-                    n_bleed=int(s.get("n_bleed", 0)),
-                    faces=tuple(int(f) for f in s.get("faces", ())),
-                )
+                _gt_span(s, f"{path}/gt_spans/{k}")
                 for k, s in enumerate(_expect(fr["gt_spans"], list, f"{path}/gt_spans"))
             ]
         points = read_mvpc(directory / rel)
@@ -315,19 +337,10 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         )
     gt_tracks = None
     if manifest.get("gt_tracks") is not None:
-        gt_tracks = {}
-        for tid, gt in _expect(manifest["gt_tracks"], dict, "/gt_tracks").items():
-            path = f"/gt_tracks/{tid}"
-            boxes = _expect(_get(gt, "boxes", path), dict, f"{path}/boxes")
-            gt_tracks[tid] = GtTrack(
-                class_label=str(_get(gt, "class", path)),
-                static=bool(_get(gt, "static", path)),
-                velocity=tuple(float(v) for v in _get(gt, "velocity", path)),
-                boxes={
-                    int(fid): _box3d(b, f"{path}/boxes/{fid}")
-                    for fid, b in boxes.items()
-                },
-            )
+        gt_tracks = {
+            tid: _gt_track(gt, f"/gt_tracks/{tid}")
+            for tid, gt in _expect(manifest["gt_tracks"], dict, "/gt_tracks").items()
+        }
     return Scene(
         scene_id=str(_get(manifest, "scene_id", "/")),
         cameras=cameras,
@@ -383,44 +396,42 @@ def _label_to_dict(label: PseudoLabel) -> dict:
     return out
 
 
-def _label_from_dict(d: dict, where: int) -> PseudoLabel:
-    for key in ("track_id", "class", "box", "source", "quality", "kept"):
-        if key not in d:
-            raise ParseError(f"missing key {key!r}", where)
+def _label_from_dict(d) -> PseudoLabel:
+    """Parse one label record; ParseError locations are JSON pointers into it."""
+    source = _get(d, "source", "/")
+    if source not in ("coarse", "refined"):
+        raise ParseError(f"bad source {source!r}", "/source")
     if d.get("frame_of_reference", "world") != "world":
-        raise ParseError("frame_of_reference must be 'world'", where)
-    if d["source"] not in ("coarse", "refined"):
-        raise ParseError(f"bad source {d['source']!r}", where)
-    q = d["quality"]
+        raise ParseError("frame_of_reference must be 'world'", "/frame_of_reference")
+    q = _get(d, "quality", "/")
+    drop_reason = d.get("drop_reason")
+    anchor = d.get("anchor_frame_id")
+    fields = dict(
+        track_id=_expect(_get(d, "track_id", "/"), str, "/track_id"),
+        class_label=_expect(_get(d, "class", "/"), str, "/class"),
+        box=_box3d(_get(d, "box", "/"), "/box"),
+        source=source,
+        quality=QualityRecord(
+            n_points=_expect(_get(q, "n_points", "/quality"), int, "/quality/n_points"),
+            n_views=_expect(_get(q, "n_views", "/quality"), int, "/quality/n_views"),
+            hull_iou=_opt_num(q, "hull_iou", "/quality"),
+            l2d=_opt_num(q, "l2d", "/quality"),
+            fit=_opt_num(q, "fit", "/quality"),
+        ),
+        kept=_expect(_get(d, "kept", "/"), bool, "/kept"),
+        drop_reason=None if drop_reason is None else _expect(drop_reason, str, "/drop_reason"),
+        confidence=_opt_num(d, "confidence", ""),
+        anchor_frame_id=None if anchor is None else _expect(anchor, int, "/anchor_frame_id"),
+    )
     try:
-        box = _box3d(d["box"], f"line {where}")
-        quality = QualityRecord(
-            n_points=int(q["n_points"]),
-            n_views=int(q["n_views"]),
-            hull_iou=None if q.get("hull_iou") is None else float(q["hull_iou"]),
-            l2d=None if q.get("l2d") is None else float(q["l2d"]),
-            fit=None if q.get("fit") is None else float(q["fit"]),
-        )
-        return PseudoLabel(
-            track_id=str(d["track_id"]),
-            class_label=str(d["class"]),
-            box=box,
-            source=d["source"],
-            quality=quality,
-            kept=bool(d["kept"]),
-            drop_reason=d.get("drop_reason"),
-            confidence=None if d.get("confidence") is None else float(d["confidence"]),
-            anchor_frame_id=None
-            if d.get("anchor_frame_id") is None
-            else int(d["anchor_frame_id"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(exc), where) from exc
+        return PseudoLabel(**fields)
+    except ValueError as exc:
+        raise ParseError(str(exc), "/") from exc
 
 
 def write_pseudo_labels(labels, path) -> None:
     lines = [json.dumps(_label_to_dict(lb), sort_keys=True) for lb in labels]
-    _atomic_write_text(Path(path), "".join(line + "\n" for line in lines))
+    _atomic_write(Path(path), "".join(line + "\n" for line in lines).encode())
 
 
 def read_pseudo_labels(path) -> list[PseudoLabel]:
@@ -432,10 +443,9 @@ def read_pseudo_labels(path) -> list[PseudoLabel]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            labels.append(_label_from_dict(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", lineno) from exc
-        if not isinstance(record, dict):
-            raise ParseError("expected a JSON object", lineno)
-        labels.append(_label_from_dict(record, lineno))
+        except ParseError as exc:
+            raise ParseError(str(exc), lineno) from exc
     return labels

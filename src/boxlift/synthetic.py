@@ -19,13 +19,12 @@ x faces, then bleed, then background clutter).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Range, Vec3, check_field_types
+from .config import Range, Vec3, check_field_types, read_json_object
 from .errors import ConfigError, DegenerateHull
 from .geometry import Box3D, Pose, convex_hull, project_box3d, project_box_silhouette
 from .masks import encode_mask, rasterize_convex_polygon
@@ -147,10 +146,9 @@ class SceneConfig:
             raise ConfigError("n_frames must be >= 1")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if not 0.0 <= self.static_fraction <= 1.0:
-            raise ConfigError("static_fraction must be in [0, 1]")
-        if not 0.0 <= self.bleed_fraction <= 1.0:
-            raise ConfigError("bleed_fraction must be in [0, 1]")
+        for name in ("static_fraction", "bleed_fraction", "mask_confidence"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
         if self.bleed_offset_range[0] < 0:
             raise ConfigError("bleed_offset_range must not be negative")
         if not self.cameras:
@@ -159,12 +157,7 @@ class SceneConfig:
             raise ConfigError("n_background must be >= 0")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["cameras"] = [dataclasses.asdict(c) for c in self.cameras]
-        d["ego"] = dataclasses.asdict(self.ego)
-        d["objects"] = [dataclasses.asdict(o) for o in self.objects]
-        d["placement"] = dataclasses.asdict(self.placement)
-        return _listify(d)
+        return _listify(dataclasses.asdict(self))
 
     @staticmethod
     def from_dict(d: dict) -> "SceneConfig":
@@ -174,14 +167,13 @@ class SceneConfig:
             raise ConfigError(f"unknown scene config keys: {sorted(unknown)}")
         kw = _tuplify(d, "scene config")
         try:
-            if "cameras" in kw:
-                kw["cameras"] = tuple(CameraSpec(**_tuplify(c, "cameras")) for c in kw["cameras"])
+            for key, spec in (("cameras", CameraSpec), ("objects", ObjectClassSpec)):
+                if key in kw:
+                    if not isinstance(kw[key], tuple):
+                        raise ConfigError(f"{key} must be an array, got {kw[key]!r}")
+                    kw[key] = tuple(spec(**_tuplify(v, key)) for v in kw[key])
             if "ego" in kw:
                 kw["ego"] = EgoSpec(**_tuplify(kw["ego"], "ego"))
-            if "objects" in kw:
-                kw["objects"] = tuple(
-                    ObjectClassSpec(**_tuplify(o, "objects")) for o in kw["objects"]
-                )
             if "placement" in kw:
                 kw["placement"] = PlacementSpec(**_tuplify(kw["placement"], "placement"))
             return SceneConfig(**kw)
@@ -190,20 +182,11 @@ class SceneConfig:
 
     @staticmethod
     def from_json_file(path) -> "SceneConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        return SceneConfig.from_dict(data)
+        return SceneConfig.from_dict(read_json_object(path))
 
 
 def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_listify(v) for v in value]
     if isinstance(value, dict):
         return {k: _listify(v) for k, v in value.items()}

@@ -7,9 +7,11 @@ loops) and never calls the code paths it verifies.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from boxlift.geometry import BOX_EDGES, box3d_corners
+from boxlift.geometry import BOX_EDGES, DEFAULT_Z_NEAR, box3d_corners
 
 
 def brute_force_dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -164,6 +166,30 @@ def clipped_silhouette_loop(camera, box, z_near: float) -> np.ndarray:
     u = camera.fx * pts[:, 0] / pts[:, 2] + camera.cx
     v = camera.fy * pts[:, 1] / pts[:, 2] + camera.cy
     return np.column_stack([u, v])
+
+
+def project_point(camera, p_world, z_near: float = DEFAULT_Z_NEAR) -> tuple[float, float] | None:
+    """Project one world point to pixels; None when at or behind the near plane.
+
+    Points projecting outside the image are still returned.
+    """
+    pose = camera.world_from_camera
+    p = pose.rotation_matrix.T @ (np.asarray(p_world, float) - pose.t)
+    if p[2] <= z_near:
+        return None
+    return (
+        camera.fx * p[0] / p[2] + camera.cx,
+        camera.fy * p[1] / p[2] + camera.cy,
+    )
+
+
+def point_in_mask(mask, pixel) -> bool:
+    """Membership of a continuous pixel coordinate via integer floor."""
+    c = math.floor(pixel[0])
+    r = math.floor(pixel[1])
+    if not (0 <= c < mask.width and 0 <= r < mask.height):
+        return False
+    return bool(decode_rle_loop(mask.rle, mask.width, mask.height)[r, c])
 
 
 def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:

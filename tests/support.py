@@ -6,24 +6,28 @@ import math
 
 import numpy as np
 
-from boxlift import (
-    Annotation2D,
-    Box3D,
-    CameraModel,
-    CameraSpec,
-    EgoSpec,
-    ObjectClassSpec,
-    Observation,
-    ObjectTrack,
-    PlacementSpec,
-    Pose,
-    SceneConfig,
-    project_box3d,
-)
+from boxlift.geometry import Box3D, CameraModel, Pose, project_box3d
+from boxlift.scene import Annotation2D, ObjectTrack, Observation
+from boxlift.synthetic import CameraSpec, EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig
 
 # Camera axes in the world/ego frame when yaw = 0: optical axis +x, image
 # x-axis -y (right), image y-axis -z (down).
 CAM_BASE = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+
+def transform_box3d(box: Box3D, yaw: float, translation=(0.0, 0.0, 0.0)) -> Box3D:
+    """Apply a world-frame rigid transform (rotate about +z, then translate)."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    t = np.asarray(translation, float)
+    return Box3D(
+        c * box.cx - s * box.cy + t[0],
+        s * box.cx + c * box.cy + t[1],
+        box.cz + t[2],
+        box.l,
+        box.w,
+        box.h,
+        box.yaw + yaw,
+    )
 
 
 def camera_looking(position, yaw_deg: float, fx: float = 600.0,

@@ -13,15 +13,49 @@ import jsonschema
 import numpy as np
 import pytest
 
-import boxlift as bl
-from boxlift.clustering import aggregate_static, dbscan, select_dominant_cluster
 from boxlift.cli import cli_main
-from boxlift.evaluate import SegmentationInstance, segmentation_instances
-from boxlift.extraction import classify_motion, track_centroids
-from boxlift.refine import objective_value, refine_box
+from boxlift.clustering import aggregate_static, dbscan, quality_gate, select_dominant_cluster
+from boxlift.coarse import fit_coarse_box, verify_geometry
+from boxlift.config import PipelineConfig
+from boxlift.errors import DegenerateHull, DegenerateSpread
+from boxlift.evaluate import (
+    SegmentationInstance,
+    build_report,
+    segmentation_curve,
+    segmentation_instances,
+)
+from boxlift.extraction import build_tracks, classify_motion, track_centroids
+from boxlift.geometry import (
+    Box2D,
+    Box3D,
+    Pose,
+    convex_hull,
+    convex_intersection_area,
+    giou_2d,
+    iou_3d,
+    pca_2d,
+    project_box3d,
+)
+from boxlift.masks import encode_mask
+from boxlift.refine import (
+    annotate_track,
+    filter_pseudo_label,
+    l2d_multiview,
+    objective_value,
+    refine_box,
+)
+from boxlift.scene import Annotation2D, ObjectTrack
 from boxlift.scene_io import scene_to_manifest
+from boxlift.synthetic import (
+    CameraSpec,
+    EgoSpec,
+    ObjectClassSpec,
+    PlacementSpec,
+    SceneConfig,
+    generate_scene,
+)
 from reference import brute_force_dbscan, mc_iou_3d, point_in_convex_polygon
-from support import passing_config, two_view_track
+from support import passing_config, transform_box3d, two_view_track
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs/report.schema.json").read_text()
@@ -34,7 +68,7 @@ def verdict(num, name, ok, detail):
 
 
 def random_box(rng, center_spread=1.0):
-    return bl.Box3D(
+    return Box3D(
         *rng.uniform(-center_spread, center_spread, 3),
         *rng.uniform(0.5, 3.0, 3),
         rng.uniform(-math.pi, math.pi),
@@ -45,11 +79,11 @@ def static_track_pool(seeds, sigma=0.02, bleed=0.0, offsets=(1.0, 4.0), n_cars=3
     """(scene, track, cams, gt, cluster_points) tuples from full-pass scenes."""
     pool = []
     for seed in seeds:
-        scene = bl.generate_scene(
+        scene = generate_scene(
             passing_config(seed, n_cars=n_cars, n_frames=10, sigma=sigma,
                            bleed_fraction=bleed, bleed_offset_range=offsets)
         )
-        for track, cams in bl.build_tracks(scene):
+        for track, cams in build_tracks(scene):
             inst = aggregate_static(track)
             labels = dbscan(inst.points_agg, 0.5, 10)
             cluster = select_dominant_cluster(inst, labels)
@@ -69,14 +103,14 @@ def test_c01_iou3d_monte_carlo_equivalence():
     errors = []
     for _ in range(500):
         a = random_box(rng)
-        b = bl.Box3D(
+        b = Box3D(
             a.cx + rng.uniform(-1.5, 1.5),
             a.cy + rng.uniform(-1.5, 1.5),
             a.cz + rng.uniform(-1.5, 1.5),
             *rng.uniform(0.5, 3.0, 3),
             rng.uniform(-math.pi, math.pi),
         )
-        errors.append(abs(bl.iou_3d(a, b) - mc_iou_3d(a, b, 1_000_000, rng)))
+        errors.append(abs(iou_3d(a, b) - mc_iou_3d(a, b, 1_000_000, rng)))
     elapsed = time.monotonic() - t0
     mae = float(np.mean(errors))
     ok = mae <= 0.01 and elapsed < 60.0
@@ -112,7 +146,7 @@ def test_c02_dbscan_brute_force_equivalence():
         pts = rng.normal(0.0, scale, (n, 3))
         eps = float(rng.uniform(0.1, 1.5))
         min_pts = int(rng.integers(1, 15))
-        mine = relabel(bl.dbscan(pts, eps, min_pts))
+        mine = relabel(dbscan(pts, eps, min_pts))
         ref = relabel(brute_force_dbscan(pts, eps, min_pts))
         if not np.array_equal(mine, ref):
             mismatches += 1
@@ -135,18 +169,18 @@ def test_c03_coarse_fit_recovery():
     for _scene, _track, _cams, gt, inst, cluster in clean:
         if inst.n_views < 5 or cluster.size < 200:
             continue
-        box, _ = bl.fit_coarse_box(inst.points_agg[cluster.indices])
-        ious.append(bl.iou_3d(box, gt))
+        box, _ = fit_coarse_box(inst.points_agg[cluster.indices])
+        ious.append(iou_3d(box, gt))
     mean_clean = float(np.mean(ious))
 
     # part B: 2% bleed; fits on the cleaned cluster vs the raw aggregate
     bled = static_track_pool(range(400, 434), sigma=0.02, bleed=0.02)
     cluster_ious, raw_ious = [], []
     for _scene, _track, _cams, gt, inst, cluster in bled:
-        box_c, _ = bl.fit_coarse_box(inst.points_agg[cluster.indices])
-        box_r, _ = bl.fit_coarse_box(inst.points_agg)
-        cluster_ious.append(bl.iou_3d(box_c, gt))
-        raw_ious.append(bl.iou_3d(box_r, gt))
+        box_c, _ = fit_coarse_box(inst.points_agg[cluster.indices])
+        box_r, _ = fit_coarse_box(inst.points_agg)
+        cluster_ious.append(iou_3d(box_c, gt))
+        raw_ious.append(iou_3d(box_r, gt))
     elapsed = time.monotonic() - t0
     mean_cluster = float(np.mean(cluster_ious))
     mean_raw = float(np.mean(raw_ious))
@@ -169,14 +203,14 @@ def test_c03_coarse_fit_recovery():
 
 def test_c04_multiview_disambiguation():
     rng = np.random.default_rng(104)
-    cfg = bl.PipelineConfig(lambda_2d=1.0, mu_fit=0.0, refine_budget=500)
+    cfg = PipelineConfig(lambda_2d=1.0, mu_fit=0.0, refine_budget=500)
     improved = 0
     err_single, err_both = [], []
     for _ in range(50):
         gt, track_a, track_ab, cams = two_view_track(rng)
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        init = bl.Box3D(gt.cx + sign * 0.2 * gt.l, gt.cy, gt.cz,
-                        1.2 * gt.l, gt.w, gt.h, gt.yaw)
+        init = Box3D(gt.cx + sign * 0.2 * gt.l, gt.cy, gt.cz,
+                     1.2 * gt.l, gt.w, gt.h, gt.yaw)
         empty = np.empty((0, 3))
         one, _ = refine_box(init, track_a, empty, cams, cfg)
         both, _ = refine_box(init, track_ab, empty, cams, cfg)
@@ -200,14 +234,14 @@ def test_c04_multiview_disambiguation():
 def test_c05_refinement_descent():
     rng = np.random.default_rng(105)
     pool = static_track_pool(range(500, 509), sigma=0.02)
-    cfg = bl.PipelineConfig(refine_budget=300)
+    cfg = PipelineConfig(refine_budget=300)
     n_descent = 0
     gains = []
     cases = 0
     while cases < 100:
         _scene, track, cams, gt, inst, cluster = pool[cases % len(pool)]
         pts = inst.points_agg[cluster.indices]
-        init = bl.Box3D(
+        init = Box3D(
             gt.cx + rng.uniform(-0.8, 0.8),
             gt.cy + rng.uniform(-0.8, 0.8),
             gt.cz + rng.uniform(-0.2, 0.2),
@@ -221,7 +255,7 @@ def test_c05_refinement_descent():
         j_out = objective_value(out, track, pts, cams, cfg)
         if j_out <= j_init + 1e-12:
             n_descent += 1
-        gains.append(bl.iou_3d(out, gt) - bl.iou_3d(init, gt))
+        gains.append(iou_3d(out, gt) - iou_3d(init, gt))
         cases += 1
     mean_gain = float(np.mean(gains))
     ok = n_descent == 100 and mean_gain >= 0.05
@@ -238,41 +272,41 @@ def test_c06_l2d_exactness_and_averaging():
     worst = 0.0
     n_tracks = 0
     for seed in range(600, 606):
-        scene = bl.generate_scene(
+        scene = generate_scene(
             passing_config(seed, n_cars=3, n_frames=8, sigma=0.0, static=None,
                            static_fraction=0.6)
         )
-        for track, cams in bl.build_tracks(scene):
+        for track, cams in build_tracks(scene):
             gt_boxes = scene.gt_tracks[track.track_id].boxes
             n_tracks += 1
             if scene.gt_tracks[track.track_id].static:
-                worst = max(worst, abs(bl.l2d_multiview(gt_boxes[0], track, cams)))
+                worst = max(worst, abs(l2d_multiview(gt_boxes[0], track, cams)))
             else:
                 # a moving object's ground truth is per frame
                 for fid in track.frame_ids:
-                    single = bl.ObjectTrack(
+                    single = ObjectTrack(
                         track.track_id, track.class_label,
                         {fid: track.observations[fid]},
                     )
-                    worst = max(worst, abs(bl.l2d_multiview(gt_boxes[fid], single, cams)))
+                    worst = max(worst, abs(l2d_multiview(gt_boxes[fid], single, cams)))
 
     # averaging identity: adding a view combines as a weighted mean, 1e-12
     rng = np.random.default_rng(106)
-    scene = bl.generate_scene(passing_config(610, n_cars=2, n_frames=8, sigma=0.02))
+    scene = generate_scene(passing_config(610, n_cars=2, n_frames=8, sigma=0.02))
     identity_err = 0.0
-    for track, cams in bl.build_tracks(scene):
+    for track, cams in build_tracks(scene):
         fids = track.frame_ids
         for _ in range(25):
             box = random_box(rng, center_spread=8.0)
-            sub = bl.ObjectTrack(track.track_id, track.class_label,
-                                 {f: track.observations[f] for f in fids[:-1]})
-            new = bl.ObjectTrack(track.track_id, track.class_label,
-                                 {fids[-1]: track.observations[fids[-1]]})
+            sub = ObjectTrack(track.track_id, track.class_label,
+                              {f: track.observations[f] for f in fids[:-1]})
+            new = ObjectTrack(track.track_id, track.class_label,
+                              {fids[-1]: track.observations[fids[-1]]})
             n = len(fids) - 1
-            combined = (n * bl.l2d_multiview(box, sub, cams)
-                        + bl.l2d_multiview(box, new, cams)) / (n + 1)
+            combined = (n * l2d_multiview(box, sub, cams)
+                        + l2d_multiview(box, new, cams)) / (n + 1)
             identity_err = max(
-                identity_err, abs(bl.l2d_multiview(box, track, cams) - combined)
+                identity_err, abs(l2d_multiview(box, track, cams) - combined)
             )
     ok = worst <= 1e-9 and identity_err <= 1e-12 and n_tracks >= 15
     verdict(6, "multi-view 2D loss exactness", ok,
@@ -287,14 +321,14 @@ def test_c06_l2d_exactness_and_averaging():
 
 def test_c07_filter_truth_table():
     rng = np.random.default_rng(107)
-    cfg = bl.PipelineConfig()  # gates: Car 0.5, Pedestrian 0.4, default 0.5
+    cfg = PipelineConfig()  # gates: Car 0.5, Pedestrian 0.4, default 0.5
     classes = ["Car", "Pedestrian", "Bicycle", "Bus"]
     failures = 0
     for _ in range(1000):
         predicted = classes[rng.integers(len(classes))]
         annotated = predicted if rng.random() < 0.5 else classes[rng.integers(len(classes))]
         confidence = float(rng.uniform(0, 1))
-        got = bl.filter_pseudo_label(predicted, annotated, confidence, cfg)
+        got = filter_pseudo_label(predicted, annotated, confidence, cfg)
         if predicted != annotated:
             expect_reason = "class"
         else:
@@ -320,25 +354,25 @@ def test_c08_motion_classification():
     n_static_checked = 0
     n_moving_checked = 0
     for seed in range(800, 825):
-        cfg = bl.SceneConfig(
+        cfg = SceneConfig(
             scene_id=f"motion-{seed}",
             n_frames=8,
             dt=0.5,
             seed=seed,
-            cameras=(bl.CameraSpec("cam_front"),),
-            ego=bl.EgoSpec(start=(0.0, 0.0, 1.8), velocity=(0.0, 0.0, 0.0)),
+            cameras=(CameraSpec("cam_front"),),
+            ego=EgoSpec(start=(0.0, 0.0, 1.8), velocity=(0.0, 0.0, 0.0)),
             objects=(
-                bl.ObjectClassSpec(
+                ObjectClassSpec(
                     "Car", 2, (4.0, 4.8), (1.7, 2.0), (1.4, 1.7),
                     speed_range=(1.0, 2.5), static=None, density=240.0, sigma=0.02,
                 ),
             ),
             static_fraction=0.5,
             bleed_fraction=0.0,
-            placement=bl.PlacementSpec(x_range=(25.0, 55.0), y_range=(-12.0, 12.0)),
+            placement=PlacementSpec(x_range=(25.0, 55.0), y_range=(-12.0, 12.0)),
         )
-        scene = bl.generate_scene(cfg)
-        for track, _cams in bl.build_tracks(scene):
+        scene = generate_scene(cfg)
+        for track, _cams in build_tracks(scene):
             gt = scene.gt_tracks[track.track_id]
             fids = [f for f in track.frame_ids if len(track.observations[f].points) > 0]
             if len(fids) < 2:
@@ -414,8 +448,8 @@ N_CASES = 1000
 def prop_pose_algebra():
     rng = np.random.default_rng(1001)
     for _ in range(N_CASES):
-        p = bl.Pose(rng.normal(size=4), rng.uniform(-5, 5, 3))
-        q = bl.Pose(rng.normal(size=4), rng.uniform(-5, 5, 3))
+        p = Pose(rng.normal(size=4), rng.uniform(-5, 5, 3))
+        q = Pose(rng.normal(size=4), rng.uniform(-5, 5, 3))
         x = rng.uniform(-10, 10, 3)
         assert np.abs(p.compose(q).apply(x) - p.apply(q.apply(x))).max() < 1e-9
         ident = p.compose(p.inverse())
@@ -428,13 +462,13 @@ def prop_giou_range_identity_symmetry():
     for _ in range(N_CASES):
         def mk():
             x0, y0 = rng.uniform(-20, 20, 2)
-            return bl.Box2D(x0, y0, x0 + rng.uniform(0.1, 30), y0 + rng.uniform(0.1, 30))
+            return Box2D(x0, y0, x0 + rng.uniform(0.1, 30), y0 + rng.uniform(0.1, 30))
 
         a, b = mk(), mk()
-        g = bl.giou_2d(a, b)
+        g = giou_2d(a, b)
         assert -1.0 < g <= 1.0
-        assert abs(g - bl.giou_2d(b, a)) < 1e-12
-        assert bl.giou_2d(a, a) == 1.0
+        assert abs(g - giou_2d(b, a)) < 1e-12
+        assert giou_2d(a, a) == 1.0
 
 
 def prop_hull_contains_inputs():
@@ -442,8 +476,8 @@ def prop_hull_contains_inputs():
     for _ in range(N_CASES):
         pts = rng.uniform(-10, 10, (int(rng.integers(3, 25)), 2))
         try:
-            hull = bl.convex_hull(pts)
-        except bl.DegenerateHull:
+            hull = convex_hull(pts)
+        except DegenerateHull:
             continue
         for p in pts:
             assert point_in_convex_polygon(p, hull.vertices, tol=1e-9)
@@ -452,10 +486,10 @@ def prop_hull_contains_inputs():
 def prop_intersection_bounded_symmetric():
     rng = np.random.default_rng(1004)
     for _ in range(N_CASES):
-        a = bl.convex_hull(rng.uniform(-3, 3, (10, 2)))
-        b = bl.convex_hull(rng.uniform(-3, 3, (10, 2)))
-        ab = bl.convex_intersection_area(a, b)
-        assert abs(ab - bl.convex_intersection_area(b, a)) < 1e-9
+        a = convex_hull(rng.uniform(-3, 3, (10, 2)))
+        b = convex_hull(rng.uniform(-3, 3, (10, 2)))
+        ab = convex_intersection_area(a, b)
+        assert abs(ab - convex_intersection_area(b, a)) < 1e-9
         assert -1e-12 <= ab <= min(a.area, b.area) + 1e-9
 
 
@@ -466,19 +500,19 @@ def prop_iou3d_rigid_invariance():
         b = random_box(rng, 2.0)
         yaw = rng.uniform(-math.pi, math.pi)
         t = rng.uniform(-10, 10, 3)
-        before = bl.iou_3d(a, b)
-        after = bl.iou_3d(bl.transform_box3d(a, yaw, t), bl.transform_box3d(b, yaw, t))
+        before = iou_3d(a, b)
+        after = iou_3d(transform_box3d(a, yaw, t), transform_box3d(b, yaw, t))
         assert abs(before - after) < 1e-9
 
 
 def prop_pca_rotation_equivariance():
     rng = np.random.default_rng(1006)
     base = rng.normal(size=(50, 2)) * np.array([3.0, 0.6])
-    v1_base, _ = bl.pca_2d(base)
+    v1_base, _ = pca_2d(base)
     for _ in range(N_CASES):
         phi = rng.uniform(-math.pi, math.pi)
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        v1, _ = bl.pca_2d(base @ rot.T)
+        v1, _ = pca_2d(base @ rot.T)
         expected = rot @ v1_base
         assert min(np.linalg.norm(v1 - expected), np.linalg.norm(v1 + expected)) < 1e-9
 
@@ -493,8 +527,8 @@ def _consistency_scenes():
     global _CONSISTENCY_SCENES
     if _CONSISTENCY_SCENES is None:
         _CONSISTENCY_SCENES = [
-            bl.generate_scene(passing_config(1100 + k, n_cars=6, n_frames=14,
-                                             sigma=0.02, bleed_fraction=0.02))
+            generate_scene(passing_config(1100 + k, n_cars=6, n_frames=14,
+                                          sigma=0.02, bleed_fraction=0.02))
             for k in range(14)
         ]
     return _CONSISTENCY_SCENES
@@ -507,7 +541,7 @@ def prop_generator_self_consistency():
             for ann in frame.annotations:
                 cam = scene.camera_for(frame, ann.camera_id)
                 gt = scene.gt_tracks[ann.track_id].boxes[frame.frame_id]
-                proj = bl.project_box3d(cam, gt)
+                proj = project_box3d(cam, gt)
                 assert proj is not None
                 assert proj.as_array().tolist() == ann.box.as_array().tolist()
                 checked += 1
@@ -524,8 +558,8 @@ def prop_points_within_3sigma():
             for span in frame.gt_spans:
                 body = pts[span.start : span.start + span.count - span.n_bleed]
                 gt = scene.gt_tracks[span.track_id].boxes[frame.frame_id]
-                grown = bl.Box3D(gt.cx, gt.cy, gt.cz, gt.l + 0.12, gt.w + 0.12,
-                                 gt.h + 0.12, gt.yaw)
+                grown = Box3D(gt.cx, gt.cy, gt.cz, gt.l + 0.12, gt.w + 0.12,
+                              gt.h + 0.12, gt.yaw)
                 inside += int(points_in_box3d(body, grown).sum())
                 total += len(body)
     assert total >= N_CASES
@@ -534,17 +568,17 @@ def prop_points_within_3sigma():
 
 def prop_generation_deterministic():
     rng = np.random.default_rng(1009)
-    base = bl.SceneConfig(
+    base = SceneConfig(
         n_frames=2,
-        objects=(bl.ObjectClassSpec("Car", 1, (4.0, 4.6), (1.7, 2.0), (1.4, 1.7),
-                                    density=3.0),),
+        objects=(ObjectClassSpec("Car", 1, (4.0, 4.6), (1.7, 2.0), (1.4, 1.7),
+                                 density=3.0),),
         bleed_fraction=0.02,
     )
     for _ in range(N_CASES):
         seed = int(rng.integers(0, 2**63))
         blobs = []
         for _rep in range(2):
-            scene = bl.generate_scene(base, seed=seed)
+            scene = generate_scene(base, seed=seed)
             manifest = json.dumps(scene_to_manifest(scene), sort_keys=True)
             clouds = b"".join(fr.points_ego.tobytes() for fr in scene.frames)
             blobs.append((manifest, clouds))
@@ -561,7 +595,7 @@ def prop_extraction_order_independence():
         pts = np.column_stack([
             rng.uniform(2, 20, 50), rng.uniform(-5, 5, 50), rng.uniform(-2, 2, 50),
         ])
-        ann = bl.Annotation2D("t", "Car", "cam", bl.Box2D(5, 5, 60, 40))
+        ann = Annotation2D("t", "Car", "cam", Box2D(5, 5, 60, 40))
         perm = rng.permutation(50)
         assert np.array_equal(
             extraction_mask(cam, pts, ann)[perm], extraction_mask(cam, pts[perm], ann)
@@ -572,7 +606,7 @@ def prop_classify_rigid_invariance():
     rng = np.random.default_rng(1011)
     for _ in range(N_CASES):
         cents = rng.uniform(-5, 5, (int(rng.integers(2, 8)), 3))
-        pose = bl.Pose.from_yaw(rng.uniform(-math.pi, math.pi), rng.uniform(-20, 20, 3))
+        pose = Pose.from_yaw(rng.uniform(-math.pi, math.pi), rng.uniform(-20, 20, 3))
         a = classify_motion(cents, 0.5)
         b = classify_motion(pose.apply(cents), 0.5)
         assert a.state == b.state
@@ -591,10 +625,10 @@ def prop_mask_shrink_monotone():
         ])
         big = rng.random((48, 64)) < 0.6
         small = big & (rng.random((48, 64)) < 0.6)
-        ann_b = bl.Annotation2D("t", "Car", "cam", bl.Box2D(0, 0, 64, 48),
-                                mask=bl.encode_mask(big), mask_confidence=1.0)
-        ann_s = bl.Annotation2D("t", "Car", "cam", bl.Box2D(0, 0, 64, 48),
-                                mask=bl.encode_mask(small), mask_confidence=1.0)
+        ann_b = Annotation2D("t", "Car", "cam", Box2D(0, 0, 64, 48),
+                             mask=encode_mask(big), mask_confidence=1.0)
+        ann_s = Annotation2D("t", "Car", "cam", Box2D(0, 0, 64, 48),
+                             mask=encode_mask(small), mask_confidence=1.0)
         keep_b = extraction_mask(cam, pts, ann_b)
         keep_s = extraction_mask(cam, pts, ann_s)
         assert not np.any(keep_s & ~keep_b)
@@ -608,7 +642,7 @@ def prop_dbscan_matches_reference():
         eps = float(rng.uniform(0.15, 1.2))
         min_pts = int(rng.integers(1, 10))
         assert np.array_equal(
-            bl.dbscan(pts, eps, min_pts), brute_force_dbscan(pts, eps, min_pts)
+            dbscan(pts, eps, min_pts), brute_force_dbscan(pts, eps, min_pts)
         )
 
 
@@ -617,7 +651,7 @@ def prop_dbscan_labels_partition():
     for _ in range(N_CASES):
         n = int(rng.integers(1, 80))
         pts = rng.normal(0, 1.0, (n, 3))
-        labels = bl.dbscan(pts, 0.4, 3)
+        labels = dbscan(pts, 0.4, 3)
         ids = sorted(set(labels) - {-1})
         assert ids == list(range(len(ids)))
         assert sum((labels == c).sum() for c in ids) == (labels != -1).sum()
@@ -636,10 +670,10 @@ def prop_gate_monotone():
         inst = AggregatedInstance("t", np.zeros((max(n, 1), 3)),
                                   np.zeros(max(n, 1), dtype=np.int64),
                                   np.arange(max(n, 1)), views)
-        before = bl.quality_gate(CleanCluster(np.arange(n), np.zeros(3)), inst,
-                                 min_pts, min_views)
-        after = bl.quality_gate(CleanCluster(np.arange(n + extra), np.zeros(3)), inst,
-                                min_pts, min_views)
+        before = quality_gate(CleanCluster(np.arange(n)), inst,
+                              min_pts, min_views)
+        after = quality_gate(CleanCluster(np.arange(n + extra)), inst,
+                             min_pts, min_views)
         if before.passed:
             assert after.passed
 
@@ -649,8 +683,8 @@ def prop_fit_contains_points():
     for _ in range(N_CASES):
         pts = rng.normal(0, 1.0, (int(rng.integers(3, 40)), 3)) * rng.uniform(0.3, 3.0, 3)
         try:
-            box, _ = bl.fit_coarse_box(pts)
-        except bl.DegenerateSpread:
+            box, _ = fit_coarse_box(pts)
+        except DegenerateSpread:
             continue
         footprint = box.footprint()
         for p in pts:
@@ -662,13 +696,13 @@ def prop_fit_contains_points():
 def prop_fit_equivariant():
     rng = np.random.default_rng(1017)
     base = rng.normal(size=(30, 3)) * np.array([2.0, 0.8, 0.5])
-    box0, _ = bl.fit_coarse_box(base)
+    box0, _ = fit_coarse_box(base)
     for _ in range(N_CASES):
         phi = rng.uniform(-math.pi, math.pi)
         t2 = rng.uniform(-10, 10, 2)
         c, s = math.cos(phi), math.sin(phi)
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-        box1, _ = bl.fit_coarse_box(base @ rot.T + np.array([t2[0], t2[1], 0.0]))
+        box1, _ = fit_coarse_box(base @ rot.T + np.array([t2[0], t2[1], 0.0]))
         expect = rot[:2, :2] @ np.array([box0.cx, box0.cy]) + t2
         assert abs(box1.cx - expect[0]) < 1e-6 and abs(box1.cy - expect[1]) < 1e-6
         assert np.allclose((box1.l, box1.w, box1.h), (box0.l, box0.w, box0.h), atol=1e-6)
@@ -682,14 +716,14 @@ def prop_hull_iou_unit_interval():
             # hull == footprint: score exactly 1
             box = random_box(rng, 2.0)
             bev = np.repeat(box.footprint(), 2, axis=0)
-            result = bl.verify_geometry(box, bev)
+            result = verify_geometry(box, bev)
             assert abs(result.hull_iou - 1.0) < 1e-9
         else:
             pts = rng.normal(0, 1.0, (int(rng.integers(4, 30)), 3))
             try:
-                box, _ = bl.fit_coarse_box(pts)
-                result = bl.verify_geometry(box, pts[:, :2])
-            except (bl.DegenerateSpread, bl.DegenerateHull):
+                box, _ = fit_coarse_box(pts)
+                result = verify_geometry(box, pts[:, :2])
+            except (DegenerateSpread, DegenerateHull):
                 continue
             assert 0.0 <= result.hull_iou <= 1.0
 
@@ -698,9 +732,9 @@ def prop_heading_mod_pi():
     rng = np.random.default_rng(1019)
     for _ in range(N_CASES):
         box = random_box(rng, 3.0)
-        flipped = bl.Box3D(box.cx, box.cy, box.cz, box.l, box.w, box.h,
-                           box.yaw + math.pi)
-        assert bl.iou_3d(box, flipped) > 1.0 - 1e-9
+        flipped = Box3D(box.cx, box.cy, box.cz, box.l, box.w, box.h,
+                        box.yaw + math.pi)
+        assert iou_3d(box, flipped) > 1.0 - 1e-9
 
 
 _REFINE_POOL: list | None = None
@@ -711,9 +745,9 @@ def _refine_pool():
     if _REFINE_POOL is None:
         pool = []
         for seed in (1200, 1201, 1202):
-            scene = bl.generate_scene(passing_config(seed, n_cars=2, n_frames=6,
-                                                     sigma=0.02, density=4.0))
-            for track, cams in bl.build_tracks(scene):
+            scene = generate_scene(passing_config(seed, n_cars=2, n_frames=6,
+                                                  sigma=0.02, density=4.0))
+            for track, cams in build_tracks(scene):
                 inst = aggregate_static(track)
                 labels = dbscan(inst.points_agg, 0.5, 10)
                 cluster = select_dominant_cluster(inst, labels)
@@ -726,16 +760,16 @@ def _refine_pool():
 def prop_l2d_gt_zero():
     checked = 0
     for seed in range(1300, 1312):
-        scene = bl.generate_scene(passing_config(seed, n_cars=6, n_frames=14,
-                                                 sigma=0.0, density=2.0))
-        for track, cams in bl.build_tracks(scene):
+        scene = generate_scene(passing_config(seed, n_cars=6, n_frames=14,
+                                              sigma=0.0, density=2.0))
+        for track, cams in build_tracks(scene):
             gt = scene.gt_tracks[track.track_id].boxes[0]
             for fid in track.frame_ids:
-                single = bl.ObjectTrack(track.track_id, track.class_label,
-                                        {fid: track.observations[fid]})
-                assert abs(bl.l2d_multiview(gt, single, cams)) <= 1e-12
+                single = ObjectTrack(track.track_id, track.class_label,
+                                     {fid: track.observations[fid]})
+                assert abs(l2d_multiview(gt, single, cams)) <= 1e-12
                 checked += 1
-            assert abs(bl.l2d_multiview(gt, track, cams)) <= 1e-12
+            assert abs(l2d_multiview(gt, track, cams)) <= 1e-12
     assert checked >= N_CASES, f"only {checked} view terms"
 
 
@@ -744,11 +778,11 @@ def prop_refine_never_increases_and_budget_zero():
     pool = _refine_pool()
     for k in range(N_CASES):
         track, cams, pts, gt = pool[k % len(pool)]
-        init = bl.Box3D(gt.cx + rng.uniform(-1, 1), gt.cy + rng.uniform(-1, 1), gt.cz,
-                        gt.l * rng.uniform(0.8, 1.3), gt.w * rng.uniform(0.8, 1.3),
-                        gt.h, gt.yaw + rng.uniform(-0.3, 0.3))
+        init = Box3D(gt.cx + rng.uniform(-1, 1), gt.cy + rng.uniform(-1, 1), gt.cz,
+                     gt.l * rng.uniform(0.8, 1.3), gt.w * rng.uniform(0.8, 1.3),
+                     gt.h, gt.yaw + rng.uniform(-0.3, 0.3))
         budget = int(rng.integers(0, 25))
-        cfg = bl.PipelineConfig(refine_budget=budget)
+        cfg = PipelineConfig(refine_budget=budget)
         out, trace = refine_box(init, track, pts, cams, cfg)
         if budget == 0:
             assert out == init
@@ -767,25 +801,25 @@ def prop_l2d_averaging_identity():
         track, cams, _pts, _gt = pool[k % len(pool)]
         fids = track.frame_ids
         box = random_box(rng, 10.0)
-        sub = bl.ObjectTrack(track.track_id, track.class_label,
-                             {f: track.observations[f] for f in fids[:-1]})
-        new = bl.ObjectTrack(track.track_id, track.class_label,
-                             {fids[-1]: track.observations[fids[-1]]})
+        sub = ObjectTrack(track.track_id, track.class_label,
+                          {f: track.observations[f] for f in fids[:-1]})
+        new = ObjectTrack(track.track_id, track.class_label,
+                          {fids[-1]: track.observations[fids[-1]]})
         n = len(fids) - 1
-        combined = (n * bl.l2d_multiview(box, sub, cams)
-                    + bl.l2d_multiview(box, new, cams)) / (n + 1)
-        assert abs(bl.l2d_multiview(box, track, cams) - combined) <= 1e-12
+        combined = (n * l2d_multiview(box, sub, cams)
+                    + l2d_multiview(box, new, cams)) / (n + 1)
+        assert abs(l2d_multiview(box, track, cams) - combined) <= 1e-12
 
 
 def prop_filter_monotone():
     rng = np.random.default_rng(1023)
-    cfg = bl.PipelineConfig()  # gates: Car 0.5, Pedestrian 0.4, default 0.5
+    cfg = PipelineConfig()  # gates: Car 0.5, Pedestrian 0.4, default 0.5
     classes = ["Car", "Pedestrian", "Bicycle"]
     for _ in range(N_CASES):
         cls = classes[rng.integers(len(classes))]
         c1, c2 = sorted(rng.uniform(0, 1, 2))
-        if bl.filter_pseudo_label(cls, cls, c1, cfg) is None:
-            assert bl.filter_pseudo_label(cls, cls, c2, cfg) is None
+        if filter_pseudo_label(cls, cls, c1, cfg) is None:
+            assert filter_pseudo_label(cls, cls, c2, cfg) is None
 
 
 def prop_refine_weight_scale_invariance():
@@ -793,15 +827,15 @@ def prop_refine_weight_scale_invariance():
     pool = _refine_pool()
     for k in range(N_CASES):
         track, cams, pts, gt = pool[k % len(pool)]
-        init = bl.Box3D(gt.cx + rng.uniform(-0.6, 0.6), gt.cy + rng.uniform(-0.6, 0.6),
-                        gt.cz, gt.l, gt.w, gt.h, gt.yaw + rng.uniform(-0.2, 0.2))
+        init = Box3D(gt.cx + rng.uniform(-0.6, 0.6), gt.cy + rng.uniform(-0.6, 0.6),
+                     gt.cz, gt.l, gt.w, gt.h, gt.yaw + rng.uniform(-0.2, 0.2))
         scale = float(rng.uniform(0.1, 20.0))
         budget = int(rng.integers(1, 15))
         a, _ = refine_box(init, track, pts, cams,
-                          bl.PipelineConfig(lambda_2d=0.5, mu_fit=1.0, refine_budget=budget))
+                          PipelineConfig(lambda_2d=0.5, mu_fit=1.0, refine_budget=budget))
         b, _ = refine_box(init, track, pts, cams,
-                          bl.PipelineConfig(lambda_2d=0.5 * scale, mu_fit=1.0 * scale,
-                                            refine_budget=budget))
+                          PipelineConfig(lambda_2d=0.5 * scale, mu_fit=1.0 * scale,
+                                         refine_budget=budget))
         assert a == b
 
 
@@ -812,11 +846,11 @@ def _report_pool():
     global _REPORT_POOL
     if _REPORT_POOL is None:
         pool = []
-        cfg = bl.PipelineConfig(tau_static=4.0, refine_budget=60)
+        cfg = PipelineConfig(tau_static=4.0, refine_budget=60)
         for seed in (1400, 1401):
-            scene = bl.generate_scene(passing_config(seed, n_cars=3, n_frames=6,
-                                                     sigma=0.02, density=4.0))
-            labels = [bl.annotate_track(t, c, cfg) for t, c in bl.build_tracks(scene)]
+            scene = generate_scene(passing_config(seed, n_cars=3, n_frames=6,
+                                                  sigma=0.02, density=4.0))
+            labels = [annotate_track(t, c, cfg) for t, c in build_tracks(scene)]
             instances = segmentation_instances(scene, cfg)
             pool.append((scene, labels, cfg, instances))
         _REPORT_POOL = pool
@@ -830,8 +864,8 @@ def prop_report_schema_and_idempotence():
     for k in range(N_CASES):
         scene, labels, cfg, instances = pool[k % len(pool)]
         subset = [lb for lb in labels if rng.random() < 0.7] or labels[:1]
-        r1 = bl.build_report(scene, subset, cfg, instances=instances)
-        r2 = bl.build_report(scene, subset, cfg, instances=instances)
+        r1 = build_report(scene, subset, cfg, instances=instances)
+        r2 = build_report(scene, subset, cfg, instances=instances)
         assert r1 == r2
         serialized = json.loads(json.dumps(r1))
         validator.validate(serialized)
@@ -850,7 +884,7 @@ def prop_curve_retained_non_increasing():
                                                            replace=False))
             instances.append(SegmentationInstance(f"t{i}", "Car", agg, cluster, gt))
         thresholds = sorted(int(v) for v in rng.integers(0, 80, 6))
-        curve = bl.segmentation_curve(instances, thresholds)
+        curve = segmentation_curve(instances, thresholds)
         counts = [c["n_retained"] for c in curve]
         assert counts == sorted(counts, reverse=True)
 

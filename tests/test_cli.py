@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from boxlift import read_pseudo_labels
 from boxlift.cli import cli_main
+from boxlift.scene_io import read_pseudo_labels
 from support import passing_config
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"

@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxlift import (
-    EmptyAggregate,
-    NoClusterError,
+from boxlift.clustering import (
+    AggregatedInstance,
+    CleanCluster,
     aggregate_static,
-    build_tracks,
     dbscan,
-    generate_scene,
     quality_gate,
     select_dominant_cluster,
 )
-from boxlift.clustering import AggregatedInstance, CleanCluster
-from boxlift.scene import Annotation2D, Observation, ObjectTrack
+from boxlift.errors import EmptyAggregate, NoClusterError
+from boxlift.extraction import build_tracks
 from boxlift.geometry import Box2D
+from boxlift.scene import Annotation2D, ObjectTrack, Observation
+from boxlift.synthetic import generate_scene
 from reference import brute_force_dbscan
 from support import passing_config
 
@@ -221,7 +221,7 @@ class TestDominantCluster:
 
 class TestQualityGate:
     def cluster_of(self, n):
-        return CleanCluster(indices=np.arange(n), centroid=np.zeros(3))
+        return CleanCluster(indices=np.arange(n))
 
     def inst_with_views(self, n_views, n_points=50):
         inst = make_instance(np.zeros((n_points, 3)))

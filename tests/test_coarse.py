@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from boxlift import (
-    Box3D,
-    DegenerateSpread,
-    fit_coarse_box,
-    iou_3d,
-    verify_geometry,
-)
+from boxlift.coarse import fit_coarse_box, verify_geometry
+from boxlift.errors import DegenerateSpread
+from boxlift.geometry import Box3D, iou_3d
 from reference import point_in_convex_polygon
 
 

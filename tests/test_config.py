@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from boxlift import ConfigError, PipelineConfig
 from boxlift.cli import cli_main
+from boxlift.config import PipelineConfig
+from boxlift.errors import ConfigError
 
 # (key, bad value) pairs that must be rejected on load, naming the key.
 BAD_VALUES = [

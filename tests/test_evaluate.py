@@ -4,23 +4,21 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from boxlift import (
-    Box3D,
-    ConfigError,
-    PipelineConfig,
-    annotate_track,
+from boxlift.config import PipelineConfig
+from boxlift.errors import ConfigError
+from boxlift.evaluate import (
     build_report,
-    build_tracks,
     coarse_quality_table,
     frames_histogram,
-    generate_scene,
-    iou_3d,
     point_set_iou,
     resolve_gt_boxes,
     segmentation_curve,
+    segmentation_instances,
 )
-from boxlift.evaluate import segmentation_instances
-from boxlift.refine import PseudoLabel, QualityRecord
+from boxlift.extraction import build_tracks
+from boxlift.geometry import Box3D, iou_3d
+from boxlift.refine import PseudoLabel, QualityRecord, annotate_track
+from boxlift.synthetic import generate_scene
 from support import passing_config
 
 SCHEMA = json.loads(

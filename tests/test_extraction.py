@@ -3,24 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from boxlift import (
-    Annotation2D,
-    Box2D,
-    ConfigError,
-    Mask,
+from boxlift.errors import ConfigError
+from boxlift.extraction import (
     MOVING,
     STATIC,
     build_tracks,
     classify_motion,
-    encode_mask,
     extraction_mask,
-    generate_scene,
-    point_in_mask,
-    project_point,
     track_centroids,
 )
-from boxlift.scene import Frame
-from boxlift.geometry import Pose
+from boxlift.geometry import Box2D, Pose
+from boxlift.masks import Mask, encode_mask
+from boxlift.scene import Annotation2D, Frame
+from boxlift.synthetic import generate_scene
+from reference import point_in_mask, project_point
 from support import camera_looking, passing_config
 
 

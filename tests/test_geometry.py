@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxlift import (
+from boxlift.errors import DegenerateHull, DegenerateSpread
+from boxlift.geometry import (
     Box2D,
     Box3D,
     CameraModel,
     ConvexPolygon2D,
-    DegenerateHull,
-    DegenerateSpread,
     Pose,
-    bev_iou,
     box3d_corners,
     convex_hull,
     convex_intersection_area,
@@ -22,11 +20,11 @@ from boxlift import (
     normalize_yaw,
     pca_2d,
     project_box3d,
-    project_point,
-    transform_box3d,
+    project_box_silhouette,
+    project_points,
 )
-from boxlift.geometry import project_box_silhouette
 from reference import clipped_silhouette_loop, mc_iou_3d, point_in_convex_polygon
+from support import transform_box3d
 
 
 def random_pose(rng):
@@ -77,24 +75,30 @@ class TestPose:
 class TestProjectPoint:
     def test_principal_point(self):
         cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
-        assert project_point(cam, [0, 0, 5]) == (500.0, 500.0)
+        uv, valid = project_points(cam, [[0, 0, 5]])
+        assert valid.tolist() == [True]
+        assert uv.tolist() == [[500.0, 500.0]]
 
     def test_zero_depth_is_absent(self):
         cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
-        assert project_point(cam, [0, 0, 0]) is None
-        assert project_point(cam, [0, 0, -3]) is None
+        uv, valid = project_points(cam, [[0, 0, 0], [0, 0, -3]])
+        assert valid.tolist() == [False, False]
+        assert np.isnan(uv).all()
 
     def test_offset_point(self):
         # u = fx * x / z + cx = 1000 * (1 / 5) + 500
         cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
-        u, v = project_point(cam, [1, 0, 5])
+        uv, valid = project_points(cam, [[1, 0, 5]])
+        assert valid.tolist() == [True]
+        u, v = uv[0]
         assert u == pytest.approx(700.0, abs=1e-12)
         assert v == pytest.approx(500.0, abs=1e-12)
 
     def test_outside_image_still_returned(self):
         cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
-        u, v = project_point(cam, [10, 0, 5])
-        assert u > 1000
+        uv, valid = project_points(cam, [[10, 0, 5]])
+        assert valid.tolist() == [True]
+        assert uv[0, 0] > 1000
 
 
 class TestBoxCorners:
@@ -276,7 +280,6 @@ class TestIou3d:
     def test_identical(self):
         b = Box3D(1, 2, 3, 4, 2, 1.5, 0.3)
         assert iou_3d(b, b) == pytest.approx(1.0, abs=1e-12)
-        assert bev_iou(b, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_offset_unit_cubes(self):
         a = Box3D(0, 0, 0, 1, 1, 1, 0)

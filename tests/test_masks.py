@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxlift import Mask, MaskError, decode_mask, encode_mask, point_in_mask
-from boxlift.masks import rasterize_convex_polygon
-from reference import decode_rle_loop
+from boxlift.errors import MaskError
+from boxlift.masks import Mask, decode_mask, encode_mask, rasterize_convex_polygon
+from reference import decode_rle_loop, point_in_mask
 
 
 class TestDecode:
@@ -68,7 +68,7 @@ class TestRasterize:
         rng = np.random.default_rng(10)
         for _ in range(20):
             pts = rng.uniform(0, 20, (8, 2))
-            from boxlift import convex_hull
+            from boxlift.geometry import convex_hull
 
             hull = convex_hull(pts)
             bitmap = rasterize_convex_polygon(hull.vertices, 20, 20)

@@ -3,23 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from boxlift import (
-    Box3D,
-    ConfigError,
-    PipelineConfig,
+from boxlift.config import PipelineConfig
+from boxlift.errors import ConfigError
+from boxlift.extraction import build_tracks
+from boxlift.geometry import Box3D, iou_3d, project_box3d
+from boxlift.refine import (
+    MISSING_PROJECTION_PENALTY,
     annotate_track,
-    build_tracks,
     filter_pseudo_label,
-    generate_scene,
-    iou_3d,
     l2d_multiview,
     l_fit,
     objective_value,
     refine_box,
 )
-from boxlift.refine import MISSING_PROJECTION_PENALTY
-from boxlift.scene import Annotation2D, Observation, ObjectTrack
-from boxlift.geometry import project_box3d
+from boxlift.scene import Annotation2D, ObjectTrack, Observation
+from boxlift.synthetic import generate_scene
 from support import camera_looking, passing_config, two_view_track
 
 
@@ -271,7 +269,7 @@ class TestAnnotateTrack:
             cents = [
                 (fid, len(track.observations[fid].points)) for fid in track.frame_ids
             ]
-            from boxlift import classify_motion, track_centroids
+            from boxlift.extraction import classify_motion, track_centroids
 
             verdict = classify_motion(track_centroids(track), 0.5)
             if not verdict.is_static:
@@ -293,7 +291,7 @@ class TestAnnotateTrack:
         # gets a label and the kept labels stay accurate on average.  The
         # static majority carries the mean: movers are fit from one view
         # and inherit its depth ambiguity.
-        from boxlift import EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig
+        from boxlift.synthetic import EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig
         from support import rig4
 
         def mixed_cfg(seed):

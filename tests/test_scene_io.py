@@ -3,25 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from boxlift import (
-    Annotation2D,
-    Box2D,
-    Box3D,
-    CameraRigEntry,
-    Frame,
-    ParseError,
-    Pose,
-    PseudoLabel,
-    QualityRecord,
-    Scene,
-    SceneIoError,
-    generate_scene,
+from boxlift.errors import ParseError, SceneIoError
+from boxlift.geometry import Box2D, Box3D, Pose
+from boxlift.refine import PseudoLabel, QualityRecord
+from boxlift.scene import Annotation2D, CameraRigEntry, Frame, Scene
+from boxlift.scene_io import (
     load_scene,
+    read_mvpc,
     read_pseudo_labels,
     save_scene,
+    write_mvpc,
     write_pseudo_labels,
 )
-from boxlift.scene_io import read_mvpc, write_mvpc
+from boxlift.synthetic import generate_scene
 from support import passing_config
 
 
@@ -146,10 +140,21 @@ def set_key(container_of, key, value):
     return mutate
 
 
-def add_gt_track(m):
-    m["gt_tracks"] = {
-        "t": {"class": "Car", "static": True, "velocity": [0, 0, 0], "boxes": None}
-    }
+GOOD_SPAN = {"track_id": "t", "start": 0, "count": 0, "n_bleed": 0, "faces": []}
+GOOD_GT_TRACK = {"class": "Car", "static": True, "velocity": [0, 0, 0], "boxes": {}}
+BOX = [0, 0, 0, 1, 1, 1, 0]
+
+
+def add_gt_span(span):
+    def mutate(m):
+        m["frames"][0]["gt_spans"] = [span]
+    return mutate
+
+
+def add_gt_track(track):
+    def mutate(m):
+        m["gt_tracks"] = {"t": track}
+    return mutate
 
 
 # (mutation, JSON pointer the ParseError must name): a wrong container or
@@ -161,7 +166,15 @@ MALFORMED_MANIFESTS = [
     (set_key(lambda m: m["frames"][0], "annotations", None), "/frames/0/annotations"),
     (set_key(lambda m: m["frames"], 0, 5), "/frames/0"),
     (set_key(lambda m: m["cameras"], "cam", 5), "/cameras/cam"),
-    (add_gt_track, "/gt_tracks/t/boxes"),
+    (add_gt_track({**GOOD_GT_TRACK, "boxes": None}), "/gt_tracks/t/boxes"),
+    (add_gt_span({**GOOD_SPAN, "start": "x"}), "/frames/0/gt_spans/0/start"),
+    (add_gt_span({**GOOD_SPAN, "faces": 5}), "/frames/0/gt_spans/0/faces"),
+    (add_gt_span({k: v for k, v in GOOD_SPAN.items() if k != "start"}), "/frames/0/gt_spans/0"),
+    (add_gt_track({**GOOD_GT_TRACK, "velocity": 5}), "/gt_tracks/t/velocity"),
+    (add_gt_track({**GOOD_GT_TRACK, "boxes": {"abc": BOX}}), "/gt_tracks/t/boxes/abc"),
+    (add_gt_track({**GOOD_GT_TRACK, "static": "false"}), "/gt_tracks/t/static"),
+    (set_key(lambda m: m["cameras"]["cam"], "width", 800.5), "/cameras/cam/width"),
+    (set_key(lambda m: m["frames"][0], "frame_id", 0.5), "/frames/0/frame_id"),
 ]
 
 
@@ -256,6 +269,25 @@ def make_label(track_id="t-1", kept=True, **kw):
     return PseudoLabel(track_id=track_id, **defaults)
 
 
+MISSING = object()
+
+# (JSON pointer of the edited field, new value or MISSING, text the error
+# must contain): every field of a label record is type-checked.
+MALFORMED_LABELS = [
+    ("/kept", "false", "/kept"),
+    ("/kept", False, "drop_reason"),
+    ("/kept", MISSING, "'kept'"),
+    ("/quality/n_points", 2.5, "/quality/n_points"),
+    ("/quality/n_views", True, "/quality/n_views"),
+    ("/quality/hull_iou", "0.8", "/quality/hull_iou"),
+    ("/quality", 5, "/quality: expected an object"),
+    ("/confidence", "0.5", "/confidence"),
+    ("/anchor_frame_id", 2.5, "/anchor_frame_id"),
+    ("/track_id", 7, "/track_id"),
+    ("/drop_reason", 5, "/drop_reason"),
+]
+
+
 class TestPseudoLabels:
     def test_empty_list(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -294,6 +326,28 @@ class TestPseudoLabels:
         with pytest.raises(ParseError) as err:
             read_pseudo_labels(path)
         assert err.value.where == 2
+
+    @pytest.mark.parametrize("pointer,value,message", MALFORMED_LABELS,
+                             ids=[f"{p}={'missing' if v is MISSING else repr(v)}"
+                                  for p, v, _ in MALFORMED_LABELS])
+    def test_malformed_field_names_line(self, tmp_path, pointer, value, message):
+        path = tmp_path / "labels.jsonl"
+        write_pseudo_labels([make_label("t-1"), make_label("t-2")], path)
+        first, second = path.read_text().splitlines()
+        record = json.loads(second)
+        *parents, key = pointer.strip("/").split("/")
+        target = record
+        for name in parents:
+            target = target[name]
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
+        path.write_text(f"{first}\n{json.dumps(record)}\n")
+        with pytest.raises(ParseError) as err:
+            read_pseudo_labels(path)
+        assert err.value.where == 2
+        assert message in str(err.value)
 
     def test_bad_source_rejected(self, tmp_path):
         path = tmp_path / "labels.jsonl"

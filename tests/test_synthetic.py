@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from boxlift import (
-    EgoSpec,
-    ObjectClassSpec,
-    PlacementSpec,
-    SceneConfig,
-    generate_scene,
-    project_box3d,
-    save_scene,
-)
 from boxlift.errors import ConfigError
+from boxlift.geometry import project_box3d
+from boxlift.scene_io import save_scene
+from boxlift.synthetic import EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig, generate_scene
 from reference import points_in_box3d
 from support import passing_config
 
@@ -242,6 +236,10 @@ class TestConfig:
             ({"cameras": [{"camera_id": "c", "fx": "500"}]}, "fx"),
             ({"cameras": [{"camera_id": "c", "fx": 0}]}, "fx"),
             ({"cameras": [5]}, "cameras"),
+            ({"cameras": 5}, "cameras"),
+            ({"objects": car}, "objects"),
+            ({"mask_confidence": 2.0}, "mask_confidence"),
+            ({"mask_confidence": -0.5}, "mask_confidence"),
             ({"ego": {"velocity": [1, "a", 0]}}, "velocity"),
             ({"placement": {"x_range": [1, float("nan")]}}, "x_range"),
             ({"placement": {"x_range": [40, 8]}}, "x_range"),
