@@ -11,7 +11,7 @@ import dataclasses
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ann.add_argument("--out", required=True, help="output labels JSONL")
     ann.add_argument("--config", default=None, help="pipeline config JSON")
     ann.add_argument("--no-refine", action="store_true", help="emit coarse boxes only")
-    ann.add_argument("--threads", type=int, default=1, help="worker threads")
+    ann.add_argument("--threads", type=int, default=1, help="worker processes")
     ann.set_defaults(func=_cmd_annotate)
 
     ev = sub.add_parser("eval", help="evaluate labels against scene ground truth")
@@ -78,15 +78,24 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _annotate_one(task):
+    # Module-level, so the process pool can send it to workers by name.
+    track, cameras, cfg = task
+    return annotate_track(track, cameras, cfg)
+
+
 def _cmd_annotate(args) -> int:
     cfg = _load_pipeline_config(args)
     scene = load_scene(args.dataset)
-    tracks = build_tracks(scene, cfg)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            labels = list(pool.map(lambda tc: annotate_track(tc[0], tc[1], cfg), tracks))
+    tasks = [(track, cams, cfg) for track, cams in build_tracks(scene, cfg)]
+    workers = min(args.threads, len(tasks))
+    if workers > 1:
+        # The platform's default start method.  Where that is fork (Linux up
+        # to Python 3.13), workers skip the numpy/scipy import spawn repeats.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            labels = list(pool.map(_annotate_one, tasks))
     else:
-        labels = [annotate_track(track, cams, cfg) for track, cams in tracks]
+        labels = [_annotate_one(task) for task in tasks]
     labels.sort(key=lambda lb: lb.track_id)
     write_pseudo_labels(labels, args.out)
     kept = sum(lb.kept for lb in labels)

@@ -304,8 +304,6 @@ def project_box_silhouette(
     the box in the image is the convex hull of these points.
     """
     pose = camera.world_from_camera
-    # Work on 1-D coordinate arrays: selecting rows of a 2-D array releases
-    # the interpreter lock, which stalls this call behind other threads.
     x, y, z = ((box3d_corners(box) - pose.t) @ pose.rotation_matrix).T
     front = z > z_near
     if not front.any():

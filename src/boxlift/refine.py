@@ -23,12 +23,84 @@ from .coarse import fit_coarse_box, verify_geometry
 from .config import PipelineConfig
 from .errors import BoxliftError
 from .extraction import classify_motion, track_centroids
-from .geometry import Box3D, CameraModel, giou_2d, project_box3d
+from .geometry import Box3D, CameraModel, box3d_corners, giou_2d, project_box3d
 from .scene import ObjectTrack
 
 # 1 - GIoU is bounded by 2; an absent projection is charged the supremum so
 # the optimizer sees a finite, stable penalty for leaving every frustum.
 MISSING_PROJECTION_PENALTY = 2.0
+
+
+class _Views:
+    """A track's K annotated views stacked into arrays for the batched 2D loss.
+
+    Building the stack costs about as much as one loss evaluation, so
+    ``refine_box`` builds it once and reuses it for every evaluation.
+    """
+
+    def __init__(self, track: ObjectTrack, cameras: dict[int, CameraModel]):
+        fids = track.frame_ids
+        self.cameras = [cameras[fid] for fid in fids]
+        self.boxes = [track.observations[fid].annotation.box for fid in fids]
+        poses = [cam.world_from_camera for cam in self.cameras]
+        self.rot = np.array([pose.rotation_matrix for pose in poses])             # (K, 3, 3)
+        self.t = np.array([pose.t for pose in poses])[:, None, :]                 # (K, 1, 3)
+        self.focal = np.array([[c.fx, c.fy] for c in self.cameras])[:, None, :]   # (K, 1, 2)
+        self.principal = np.array([[c.cx, c.cy] for c in self.cameras])[:, None, :]
+        self.size = np.array([[float(c.width), float(c.height)] for c in self.cameras])
+        self.gt_lo = np.array([[b.x_min, b.y_min] for b in self.boxes])           # (K, 2)
+        self.gt_hi = np.array([[b.x_max, b.y_max] for b in self.boxes])
+        self.gt_area = np.array([b.area for b in self.boxes])
+
+    def loss(self, box: Box3D, z_near: float) -> float:
+        """Mean over the views of 1 - GIoU, equal to the per-view scalar loop bit for bit.
+
+        The 8 corners move into all K cameras with one matmul.  Views with
+        every corner in front of ``z_near`` are scored as array expressions;
+        the few that cross or sit behind the near plane go through
+        ``project_box3d``, which owns the near-plane clipping.  The terms
+        are summed in view order as Python floats, as the loop does.
+        """
+        cam = (box3d_corners(box) - self.t) @ self.rot                           # (K, 8, 3)
+        ahead = cam[:, :, 2] > z_near
+        if ahead.all():
+            terms = self._front_terms(cam, slice(None)).tolist()
+        else:
+            front = ahead.all(axis=1)
+            batched = iter(self._front_terms(cam[front], front).tolist())
+            terms = [next(batched) if f else self._clipped_term(k, box, z_near)
+                     for k, f in enumerate(front.tolist())]
+        return sum(terms) / len(terms)
+
+    def _front_terms(self, cam: np.ndarray, sel) -> np.ndarray:
+        """1 - GIoU for the views ``sel``, whose corners ``cam`` are all in front."""
+        uv = cam[:, :, :2] * self.focal[sel] / cam[:, :, 2:] + self.principal[sel]
+        lo = np.maximum(0.0, uv.min(axis=1))
+        hi = np.minimum(self.size[sel], uv.max(axis=1))
+        wh = hi - lo
+        empty = wh <= 0.0
+        off_image = None
+        if empty.any():
+            # The projection misses the image: a zero area keeps its GIoU
+            # finite, and the view is charged the penalty below.
+            off_image = empty.any(axis=1)
+            wh = np.maximum(wh, 0.0)
+        gt_lo, gt_hi = self.gt_lo[sel], self.gt_hi[sel]
+        iwh = np.maximum(0.0, np.minimum(hi, gt_hi) - np.maximum(lo, gt_lo))
+        inter = iwh[:, 0] * iwh[:, 1]
+        union = wh[:, 0] * wh[:, 1] + self.gt_area[sel] - inter
+        ewh = np.maximum(hi, gt_hi) - np.minimum(lo, gt_lo)
+        enclosing = ewh[:, 0] * ewh[:, 1]
+        terms = 1.0 - (inter / union - (enclosing - union) / enclosing)
+        if off_image is not None:
+            terms[off_image] = MISSING_PROJECTION_PENALTY
+        return terms
+
+    def _clipped_term(self, k: int, box: Box3D, z_near: float) -> float:
+        pred = project_box3d(self.cameras[k], box, z_near=z_near)
+        if pred is None:
+            return MISSING_PROJECTION_PENALTY
+        return 1.0 - giou_2d(pred, self.boxes[k])
 
 
 def l2d_multiview(
@@ -38,15 +110,13 @@ def l2d_multiview(
     z_near: float = 1e-3,
 ) -> float:
     """Mean over the track's views of (1 - GIoU(projected box, annotated box))."""
-    terms = []
-    for fid in track.frame_ids:
-        gt = track.observations[fid].annotation.box
-        pred = project_box3d(cameras[fid], box, z_near=z_near)
-        if pred is None:
-            terms.append(MISSING_PROJECTION_PENALTY)
-        else:
-            terms.append(1.0 - giou_2d(pred, gt))
-    return float(sum(terms) / len(terms))
+    return _Views(track, cameras).loss(box, z_near)
+
+
+def _coordinates(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, 3) points as three contiguous 1-D coordinate arrays."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return tuple(np.ascontiguousarray(col) for col in pts.T)
 
 
 def l_fit(box: Box3D, points) -> float:
@@ -57,22 +127,34 @@ def l_fit(box: Box3D, points) -> float:
     extent along each box axis, penalizing boxes larger than their
     evidence.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
+    return _fit_loss(box, *_coordinates(points))
+
+
+def _fit_loss(box: Box3D, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
+    """``l_fit`` on the points' coordinate arrays."""
+    if len(x) == 0:
         raise ValueError("l_fit needs at least one point")
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    d = pts - box.center
-    local = np.empty_like(d)
-    local[:, 0] = c * d[:, 0] + s * d[:, 1]
-    local[:, 1] = -s * d[:, 0] + c * d[:, 1]
-    local[:, 2] = d[:, 2]
-    half = 0.5 * np.array([box.l, box.w, box.h])
-    overshoot = np.maximum(np.abs(local) - half, 0.0)
-    outside = np.sqrt((overshoot**2).sum(axis=1)).mean() / box.diagonal
-    observed = local.max(axis=0) - local.min(axis=0)
-    extents = np.array([box.l, box.w, box.h])
-    slack = (np.maximum(extents - observed, 0.0) / extents).mean()
-    return float(outside + slack)
+    dx, dy, lz = x - box.cx, y - box.cy, z - box.cz
+    lx = c * dx + s * dy
+    ly = -s * dx + c * dy
+    ox = np.maximum(np.abs(lx) - 0.5 * box.l, 0.0)
+    oy = np.maximum(np.abs(ly) - 0.5 * box.w, 0.0)
+    oz = np.maximum(np.abs(lz) - 0.5 * box.h, 0.0)
+    outside = np.sqrt(ox**2 + oy**2 + oz**2).mean() / box.diagonal
+    slack = 0.0
+    for local, extent in ((lx, box.l), (ly, box.w), (lz, box.h)):
+        slack += max(extent - (float(local.max()) - float(local.min())), 0.0) / extent
+    return float(outside + slack / 3)
+
+
+def _objective(box: Box3D, views: _Views, coords, cfg: PipelineConfig) -> float:
+    total = 0.0
+    if cfg.mu_fit > 0:
+        total += cfg.mu_fit * _fit_loss(box, *coords)
+    if cfg.lambda_2d > 0:
+        total += cfg.lambda_2d * views.loss(box, cfg.z_near)
+    return total
 
 
 def objective_value(
@@ -87,12 +169,7 @@ def objective_value(
     A term is skipped at weight 0, so a pure 2D objective needs no points.
     """
     cfg = config or PipelineConfig()
-    total = 0.0
-    if cfg.mu_fit > 0:
-        total += cfg.mu_fit * l_fit(box, points)
-    if cfg.lambda_2d > 0:
-        total += cfg.lambda_2d * l2d_multiview(box, track, cameras, z_near=cfg.z_near)
-    return total
+    return _objective(box, _Views(track, cameras), _coordinates(points), cfg)
 
 
 @dataclass
@@ -150,7 +227,8 @@ def refine_box(
     extent_floor = cfg.extent_floor
     if budget <= 0:
         return init, RefineTrace(0, None, None)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    views = _Views(track, cameras)
+    coords = _coordinates(points)
     evals = 0
     limit = 0
     best_x: np.ndarray | None = None
@@ -162,7 +240,7 @@ def refine_box(
         if evals >= limit:
             raise _BudgetExhausted
         evals += 1
-        j = objective_value(_vec_to_box(x, extent_floor), track, pts, cameras, cfg)
+        j = _objective(_vec_to_box(x, extent_floor), views, coords, cfg)
         if j < best_j:
             best_j = j
             best_x = np.array(x, dtype=float)

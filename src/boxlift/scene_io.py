@@ -55,7 +55,10 @@ def read_mvpc(path) -> np.ndarray:
     expected = 10 + count * 12
     if len(data) != expected:
         raise ParseError(f"expected {expected} bytes, found {len(data)}", str(path))
-    return np.frombuffer(data, dtype="<f4", offset=10).reshape(count, 3).copy()
+    points = np.frombuffer(data, dtype="<f4", offset=10).reshape(count, 3).copy()
+    if not np.isfinite(points).all():
+        raise ParseError("non-finite point coordinates", str(path))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +82,10 @@ def _get(obj: dict, key: str, path: str):
     if key not in _expect(obj, dict, path):
         raise ParseError(f"missing key {key!r}", path)
     return obj[key]
+
+
+def _str(obj: dict, key: str, path: str) -> str:
+    return _expect(_get(obj, key, path), str, f"{path.rstrip('/')}/{key}")
 
 
 def _num(value, path: str) -> float:
@@ -126,9 +133,9 @@ def _annotation(obj, path: str) -> Annotation2D:
             _expect(_get(m, "height", mp), int, f"{mp}/height"),
         )
     return Annotation2D(
-        track_id=str(_get(obj, "track_id", path)),
-        class_label=str(_get(obj, "class", path)),
-        camera_id=str(_get(obj, "camera_id", path)),
+        track_id=_str(obj, "track_id", path),
+        class_label=_str(obj, "class", path),
+        camera_id=_str(obj, "camera_id", path),
         box=box2d,
         mask=mask,
         mask_confidence=_opt_num(obj, "mask_confidence", path),
@@ -144,14 +151,21 @@ def _box3d(values, path: str) -> Box3D:
         raise ParseError(str(exc), path) from exc
 
 
-def _gt_span(obj, path: str) -> GtSpan:
-    return GtSpan(
-        track_id=str(_get(obj, "track_id", path)),
+def _gt_span(obj, path: str, n_points: int) -> GtSpan:
+    span = GtSpan(
+        track_id=_str(obj, "track_id", path),
         start=_expect(_get(obj, "start", path), int, f"{path}/start"),
         count=_expect(_get(obj, "count", path), int, f"{path}/count"),
         n_bleed=_expect(obj.get("n_bleed", 0), int, f"{path}/n_bleed"),
         faces=_ints(obj.get("faces", []), f"{path}/faces"),
     )
+    if span.start < 0 or span.start + span.count > n_points:
+        raise ParseError(f"[start, start + count) is outside the frame's {n_points} points", path)
+    if not 0 <= span.n_bleed <= span.count:
+        raise ParseError("needs 0 <= n_bleed <= count", path)
+    if "faces" in obj and len(span.faces) != span.count:
+        raise ParseError(f"{len(span.faces)} faces for {span.count} points", path)
+    return span
 
 
 def _gt_track(obj, path: str) -> GtTrack:
@@ -164,7 +178,7 @@ def _gt_track(obj, path: str) -> GtTrack:
             raise ParseError("expected an integer frame id", f"{path}/boxes/{fid}") from exc
         boxes[frame_id] = _box3d(values, f"{path}/boxes/{fid}")
     return GtTrack(
-        class_label=str(_get(obj, "class", path)),
+        class_label=_str(obj, "class", path),
         static=_expect(_get(obj, "static", path), bool, f"{path}/static"),
         velocity=tuple(_num(v, f"{path}/velocity/{k}") for k, v in enumerate(velocity)),
         boxes=boxes,
@@ -295,20 +309,20 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         if last is not None and (frame_id <= last[0] or timestamp <= last[1]):
             raise ParseError("frame ids and timestamps must be strictly increasing", path)
         last = (frame_id, timestamp)
-        rel = str(_get(fr, "pointcloud", path))
+        rel = _str(fr, "pointcloud", path)
         annotations = [
             _annotation(a, f"{path}/annotations/{k}")
             for k, a in enumerate(
                 _expect(_get(fr, "annotations", path), list, f"{path}/annotations")
             )
         ]
+        points = read_mvpc(directory / rel)
         spans = None
         if fr.get("gt_spans") is not None:
             spans = [
-                _gt_span(s, f"{path}/gt_spans/{k}")
+                _gt_span(s, f"{path}/gt_spans/{k}", len(points))
                 for k, s in enumerate(_expect(fr["gt_spans"], list, f"{path}/gt_spans"))
             ]
-        points = read_mvpc(directory / rel)
         for ann_idx, ann in enumerate(annotations):
             if ann.camera_id not in cameras:
                 raise ParseError(
@@ -342,7 +356,7 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
             for tid, gt in _expect(manifest["gt_tracks"], dict, "/gt_tracks").items()
         }
     return Scene(
-        scene_id=str(_get(manifest, "scene_id", "/")),
+        scene_id=_str(manifest, "scene_id", "/"),
         cameras=cameras,
         frames=frames,
         gt_tracks=gt_tracks,
@@ -407,8 +421,8 @@ def _label_from_dict(d) -> PseudoLabel:
     drop_reason = d.get("drop_reason")
     anchor = d.get("anchor_frame_id")
     fields = dict(
-        track_id=_expect(_get(d, "track_id", "/"), str, "/track_id"),
-        class_label=_expect(_get(d, "class", "/"), str, "/class"),
+        track_id=_str(d, "track_id", "/"),
+        class_label=_str(d, "class", "/"),
         box=_box3d(_get(d, "box", "/"), "/box"),
         source=source,
         quality=QualityRecord(

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from boxlift.geometry import BOX_EDGES, DEFAULT_Z_NEAR, box3d_corners
+from boxlift.geometry import BOX_EDGES, DEFAULT_Z_NEAR, box3d_corners, giou_2d, project_box3d
 
 
 def brute_force_dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -166,6 +166,41 @@ def clipped_silhouette_loop(camera, box, z_near: float) -> np.ndarray:
     u = camera.fx * pts[:, 0] / pts[:, 2] + camera.cx
     v = camera.fy * pts[:, 1] / pts[:, 2] + camera.cy
     return np.column_stack([u, v])
+
+
+def l2d_multiview_loop(box, track, cameras, z_near: float = DEFAULT_Z_NEAR) -> float:
+    """Multi-view 2D loss one view at a time: mean of 1 - GIoU, 2 for a missing projection.
+
+    Each view is projected alone with ``project_box3d`` and scored with
+    ``giou_2d``; the batched loss routes only its near-plane views through
+    those, so this checks the batching, the routing and the summation order.
+    """
+    terms = []
+    for fid in track.frame_ids:
+        pred = project_box3d(cameras[fid], box, z_near=z_near)
+        if pred is None:
+            terms.append(2.0)
+        else:
+            terms.append(1.0 - giou_2d(pred, track.observations[fid].annotation.box))
+    return float(sum(terms) / len(terms))
+
+
+def l_fit_rows(box, points) -> float:
+    """Point-fit loss on an (n, 3) array of rows in the box frame."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    d = pts - box.center
+    local = np.empty_like(d)
+    local[:, 0] = c * d[:, 0] + s * d[:, 1]
+    local[:, 1] = -s * d[:, 0] + c * d[:, 1]
+    local[:, 2] = d[:, 2]
+    half = 0.5 * np.array([box.l, box.w, box.h])
+    overshoot = np.maximum(np.abs(local) - half, 0.0)
+    outside = np.sqrt((overshoot**2).sum(axis=1)).mean() / box.diagonal
+    observed = local.max(axis=0) - local.min(axis=0)
+    extents = np.array([box.l, box.w, box.h])
+    slack = (np.maximum(extents - observed, 0.0) / extents).mean()
+    return float(outside + slack)
 
 
 def project_point(camera, p_world, z_near: float = DEFAULT_Z_NEAR) -> tuple[float, float] | None:

@@ -6,7 +6,7 @@ import pytest
 from boxlift.config import PipelineConfig
 from boxlift.errors import ConfigError
 from boxlift.extraction import build_tracks
-from boxlift.geometry import Box3D, iou_3d, project_box3d
+from boxlift.geometry import Box2D, Box3D, box3d_corners, iou_3d, project_box3d
 from boxlift.refine import (
     MISSING_PROJECTION_PENALTY,
     annotate_track,
@@ -18,7 +18,33 @@ from boxlift.refine import (
 )
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import generate_scene
+from reference import l2d_multiview_loop, l_fit_rows
 from support import camera_looking, passing_config, two_view_track
+
+
+def random_view_track(rng, k):
+    """A track seen by k random cameras looking roughly at the origin, each with a random 2D box."""
+    cams, obs = {}, {}
+    for fid in range(k):
+        x, y = rng.uniform(-6, 6, 2)
+        yaw = math.degrees(math.atan2(-y, -x)) + rng.uniform(-135, 135)
+        cam = camera_looking([x, y, 1.6], yaw, fx=rng.uniform(300, 1500), width=480, height=300)
+        x0, y0 = rng.uniform(0, [cam.width - 1, cam.height - 1])
+        box = Box2D(x0, y0, rng.uniform(x0 + 0.5, cam.width), rng.uniform(y0 + 0.5, cam.height))
+        ann = Annotation2D("t", "Car", f"cam{fid}", box)
+        obs[fid] = Observation(ann, np.empty((0, 3)), np.empty(0, dtype=int))
+        cams[fid] = cam
+    return ObjectTrack("t", "Car", obs), cams
+
+
+def view_kind(cam, box, z_near):
+    pose = cam.world_from_camera
+    n_front = int((((box3d_corners(box) - pose.t) @ pose.rotation_matrix)[:, 2] > z_near).sum())
+    if n_front == 0:
+        return "behind"
+    if n_front < 8:
+        return "straddling"
+    return "off_image" if project_box3d(cam, box, z_near) is None else "front"
 
 
 def scene_track(seed=60, **kw):
@@ -67,8 +93,30 @@ class TestL2dMultiview:
         n = len(fids) - 1
         assert full == pytest.approx((n * partial + new_term) / (n + 1), abs=1e-12)
 
+    @pytest.mark.parametrize("k,n_boxes", [(1, 1800), (2, 900), (12, 150), (40, 45)])
+    def test_batched_equals_per_view_loop(self, k, n_boxes):
+        rng = np.random.default_rng(1000 + k)
+        seen = dict.fromkeys(("front", "straddling", "behind", "off_image"), 0)
+        for _ in range(n_boxes):
+            track, cams = random_view_track(rng, k)
+            z_near = float(rng.choice([1e-3, 0.5]))
+            box = Box3D(*rng.uniform(-4, 4, 2), rng.uniform(0, 2),
+                        *rng.uniform(0.3, 5, 3), rng.uniform(-math.pi, math.pi))
+            for fid in track.frame_ids:
+                seen[view_kind(cams[fid], box, z_near)] += 1
+            assert l2d_multiview(box, track, cams, z_near) == l2d_multiview_loop(
+                box, track, cams, z_near)
+        assert min(seen.values()) >= 300, seen
+
 
 class TestLFit:
+    def test_matches_row_oracle_exactly(self):
+        rng = np.random.default_rng(62)
+        for _ in range(1800):
+            box = Box3D(*rng.uniform(-3, 3, 3), *rng.uniform(0.2, 5, 3), rng.uniform(-4, 4))
+            pts = rng.normal(box.center, rng.uniform(0.1, 4), (int(rng.integers(1, 200)), 3))
+            assert l_fit(box, pts) == l_fit_rows(box, pts)
+
     def test_zero_when_points_fill_box(self):
         box = Box3D(0, 0, 0, 4, 2, 2, 0)
         pts = np.array([

@@ -6,7 +6,7 @@ import pytest
 from boxlift.errors import ParseError, SceneIoError
 from boxlift.geometry import Box2D, Box3D, Pose
 from boxlift.refine import PseudoLabel, QualityRecord
-from boxlift.scene import Annotation2D, CameraRigEntry, Frame, Scene
+from boxlift.scene import Annotation2D, CameraRigEntry, Frame, GtSpan, Scene
 from boxlift.scene_io import (
     load_scene,
     read_mvpc,
@@ -95,6 +95,16 @@ class TestMvpc:
         with pytest.raises(ParseError):
             read_mvpc(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_names_file(self, tmp_path, bad):
+        pts = np.zeros((5, 3), dtype="<f4")
+        pts[3, 1] = bad
+        path = tmp_path / "cloud.mvpc"
+        write_mvpc(path, pts)
+        with pytest.raises(ParseError) as err:
+            read_mvpc(path)
+        assert err.value.where == str(path)
+
 
 class TestSceneRoundTrip:
     def test_minimal_scene(self, tmp_path):
@@ -125,13 +135,18 @@ class TestSceneRoundTrip:
 GOOD_MASK = {"rle": [0, 25], "width": 5, "height": 5}
 
 
-def annotate_with_mask(mask):
+def annotate_with(**fields):
     def mutate(m):
         m["frames"][0]["annotations"] = [
-            {"track_id": "t", "class": "Car", "camera_id": "cam", "box": [0, 0, 5, 5],
-             "mask": mask}
+            {"track_id": "t", "class": "Car", "camera_id": "cam", "box": [0, 0, 5, 5], **fields}
         ]
     return mutate
+
+
+def numbered_camera(m):
+    # camera "5" exists, so only the type of camera_id 5 is wrong
+    m["cameras"]["5"] = m["cameras"]["cam"]
+    annotate_with(camera_id=5)(m)
 
 
 def set_key(container_of, key, value):
@@ -160,9 +175,9 @@ def add_gt_track(track):
 # (mutation, JSON pointer the ParseError must name): a wrong container or
 # value type must surface as a ParseError located at that element.
 MALFORMED_MANIFESTS = [
-    (annotate_with_mask(5), "/frames/0/annotations/0/mask"),
-    (annotate_with_mask({**GOOD_MASK, "rle": "abc"}), "/frames/0/annotations/0/mask/rle"),
-    (annotate_with_mask({**GOOD_MASK, "width": "x"}), "/frames/0/annotations/0/mask/width"),
+    (annotate_with(mask=5), "/frames/0/annotations/0/mask"),
+    (annotate_with(mask={**GOOD_MASK, "rle": "abc"}), "/frames/0/annotations/0/mask/rle"),
+    (annotate_with(mask={**GOOD_MASK, "width": "x"}), "/frames/0/annotations/0/mask/width"),
     (set_key(lambda m: m["frames"][0], "annotations", None), "/frames/0/annotations"),
     (set_key(lambda m: m["frames"], 0, 5), "/frames/0"),
     (set_key(lambda m: m["cameras"], "cam", 5), "/cameras/cam"),
@@ -175,12 +190,30 @@ MALFORMED_MANIFESTS = [
     (add_gt_track({**GOOD_GT_TRACK, "static": "false"}), "/gt_tracks/t/static"),
     (set_key(lambda m: m["cameras"]["cam"], "width", 800.5), "/cameras/cam/width"),
     (set_key(lambda m: m["frames"][0], "frame_id", 0.5), "/frames/0/frame_id"),
+    (annotate_with(track_id=[1]), "/frames/0/annotations/0/track_id"),
+    (annotate_with(**{"class": 5}), "/frames/0/annotations/0/class"),
+    (numbered_camera, "/frames/0/annotations/0/camera_id"),
+    (add_gt_span({**GOOD_SPAN, "track_id": 1}), "/frames/0/gt_spans/0/track_id"),
+    (add_gt_track({**GOOD_GT_TRACK, "class": 5}), "/gt_tracks/t/class"),
+    (set_key(lambda m: m["frames"][0], "pointcloud", 5), "/frames/0/pointcloud"),
+    (set_key(lambda m: m, "scene_id", 5), "/scene_id"),
+]
+
+# (edit of a span in a frame of 4 points, text the error must contain).
+BAD_SPANS = [
+    ({"start": 1000000000}, "outside the frame's 4 points"),
+    ({"start": -1}, "outside the frame's 4 points"),
+    ({"start": 3, "count": 2}, "outside the frame's 4 points"),
+    ({"count": -5}, "0 <= n_bleed <= count"),
+    ({"count": 2, "n_bleed": 3}, "0 <= n_bleed <= count"),
+    ({"n_bleed": -1}, "0 <= n_bleed <= count"),
+    ({"count": 2, "faces": [0]}, "1 faces for 2 points"),
 ]
 
 
 class TestManifestErrors:
-    def write_manifest(self, tmp_path, mutate):
-        scene = minimal_scene()
+    def write_manifest(self, tmp_path, mutate, points=None):
+        scene = minimal_scene(points)
         save_scene(scene, tmp_path / "scene")
         manifest = json.loads((tmp_path / "scene/scene.json").read_text())
         mutate(manifest)
@@ -205,6 +238,24 @@ class TestManifestErrors:
         with pytest.raises(ParseError) as err:
             load_scene(path)
         assert err.value.where == where
+
+    @pytest.mark.parametrize("edit,message", BAD_SPANS, ids=[str(e) for e, _ in BAD_SPANS])
+    def test_span_outside_cloud_names_span(self, tmp_path, edit, message):
+        four = np.zeros((4, 3), dtype="<f4")
+        path = self.write_manifest(tmp_path, add_gt_span({**GOOD_SPAN, **edit}), four)
+        with pytest.raises(ParseError) as err:
+            load_scene(path)
+        assert err.value.where == "/frames/0/gt_spans/0"
+        assert message in str(err.value)
+
+    def test_span_filling_cloud_accepted(self, tmp_path):
+        four = np.zeros((4, 3), dtype="<f4")
+        span = {**GOOD_SPAN, "start": 1, "count": 3, "n_bleed": 3, "faces": [0, 1, 2]}
+        path = self.write_manifest(tmp_path, add_gt_span(span), four)
+        assert load_scene(path).frames[0].gt_spans == [GtSpan("t", 1, 3, 3, (0, 1, 2))]
+        no_faces = {k: v for k, v in span.items() if k != "faces"}
+        path = self.write_manifest(tmp_path, add_gt_span(no_faces), four)
+        assert load_scene(path).frames[0].gt_spans == [GtSpan("t", 1, 3, 3, ())]
 
     def test_missing_key(self, tmp_path):
         path = self.write_manifest(tmp_path, lambda m: m.pop("cameras"))
