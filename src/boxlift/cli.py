@@ -78,24 +78,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _annotate_one(task):
-    # Module-level, so the process pool can send it to workers by name.
-    track, cameras, cfg = task
-    return annotate_track(track, cameras, cfg)
-
-
 def _cmd_annotate(args) -> int:
     cfg = _load_pipeline_config(args)
     scene = load_scene(args.dataset)
-    tasks = [(track, cams, cfg) for track, cams in build_tracks(scene, cfg)]
-    workers = min(args.threads, len(tasks))
+    tracks = build_tracks(scene, cfg)
+    workers = min(args.threads, len(tracks))
     if workers > 1:
         # The platform's default start method.  Where that is fork (Linux up
         # to Python 3.13), workers skip the numpy/scipy import spawn repeats.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            labels = list(pool.map(_annotate_one, tasks))
+            labels = list(pool.map(annotate_track, tracks, [cfg] * len(tracks)))
     else:
-        labels = [_annotate_one(task) for task in tasks]
+        labels = [annotate_track(track, cfg) for track in tracks]
     labels.sort(key=lambda lb: lb.track_id)
     write_pseudo_labels(labels, args.out)
     kept = sum(lb.kept for lb in labels)

@@ -28,7 +28,7 @@ class MaskError(BoxliftError):
 
 
 class ConfigError(BoxliftError):
-    """Invalid configuration value or reference (e.g. unknown camera id)."""
+    """Invalid configuration value."""
 
 
 class DegenerateHull(BoxliftError):

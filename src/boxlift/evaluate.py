@@ -56,7 +56,7 @@ def segmentation_instances(
         for frame in scene.frames
     }
     out = []
-    for track, _cams in build_tracks(scene, cfg):
+    for track in build_tracks(scene, cfg):
         gt = scene.gt_tracks.get(track.track_id)
         if gt is None or not gt.static:
             continue

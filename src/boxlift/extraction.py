@@ -96,33 +96,27 @@ def track_centroids(track: ObjectTrack, mode: str = "mean") -> np.ndarray:
     return np.array(rows).reshape(-1, 3)
 
 
-def build_tracks(
-    scene: Scene, config: PipelineConfig | None = None
-) -> list[tuple[ObjectTrack, dict[int, CameraModel]]]:
+def build_tracks(scene: Scene, config: PipelineConfig | None = None) -> list[ObjectTrack]:
     """Group annotations by track id and run extraction for each observation.
 
-    Returns (track, cameras) pairs sorted by track id, where ``cameras``
-    maps each observed frame id to the world-posed camera that produced
-    the annotation there.
+    Returns the tracks sorted by track id.  Each observation carries the
+    world-posed camera that produced its annotation.
     """
     cfg = config or PipelineConfig()
     observations: dict[str, dict[int, Observation]] = {}
-    cameras: dict[str, dict[int, CameraModel]] = {}
-    classes: dict[str, str] = {}
     for frame in scene.frames:
         pts = frame.points_world
         for ann in frame.annotations:
-            cam = scene.camera_for(frame, ann.camera_id)
+            cam = scene.cameras[ann.camera_id].world_camera(frame.world_from_ego)
             if len(pts):
                 keep = extraction_mask(cam, pts, ann, cfg.mask_conf_min, cfg.z_near)
                 idx = np.flatnonzero(keep)
-                obs = Observation(ann, pts[idx], idx)
+                obs = Observation(ann, cam, pts[idx], idx)
             else:
-                obs = Observation(ann, np.empty((0, 3)), np.empty(0, dtype=np.int64))
+                obs = Observation(ann, cam, np.empty((0, 3)), np.empty(0, dtype=np.int64))
             observations.setdefault(ann.track_id, {})[frame.frame_id] = obs
-            cameras.setdefault(ann.track_id, {})[frame.frame_id] = cam
-            classes.setdefault(ann.track_id, ann.class_label)
+    # The loader guarantees that every annotation of a track names one class.
     return [
-        (ObjectTrack(tid, classes[tid], observations[tid]), cameras[tid])
-        for tid in sorted(observations)
+        ObjectTrack(tid, next(iter(obs.values())).annotation.class_label, obs)
+        for tid, obs in sorted(observations.items())
     ]

@@ -122,10 +122,6 @@ class Pose:
         object.__setattr__(self, "t", t)
 
     @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
-    @staticmethod
     def from_yaw(yaw: float, t=(0.0, 0.0, 0.0)) -> "Pose":
         half = 0.5 * yaw
         return Pose(np.array([math.cos(half), 0.0, 0.0, math.sin(half)]), np.asarray(t, float))
@@ -160,10 +156,6 @@ class Pose:
 
     def to_dict(self) -> dict:
         return {"q": [float(v) for v in self.q], "t": [float(v) for v in self.t]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Pose":
-        return Pose(np.asarray(d["q"], float), np.asarray(d["t"], float))
 
 
 # ---------------------------------------------------------------------------

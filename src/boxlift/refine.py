@@ -23,7 +23,7 @@ from .coarse import fit_coarse_box, verify_geometry
 from .config import PipelineConfig
 from .errors import BoxliftError
 from .extraction import classify_motion, track_centroids
-from .geometry import Box3D, CameraModel, box3d_corners, giou_2d, project_box3d
+from .geometry import Box3D, box3d_corners, giou_2d, project_box3d
 from .scene import ObjectTrack
 
 # 1 - GIoU is bounded by 2; an absent projection is charged the supremum so
@@ -38,10 +38,10 @@ class _Views:
     ``refine_box`` builds it once and reuses it for every evaluation.
     """
 
-    def __init__(self, track: ObjectTrack, cameras: dict[int, CameraModel]):
-        fids = track.frame_ids
-        self.cameras = [cameras[fid] for fid in fids]
-        self.boxes = [track.observations[fid].annotation.box for fid in fids]
+    def __init__(self, track: ObjectTrack):
+        views = [track.observations[fid] for fid in track.frame_ids]
+        self.cameras = [ob.camera for ob in views]
+        self.boxes = [ob.annotation.box for ob in views]
         poses = [cam.world_from_camera for cam in self.cameras]
         self.rot = np.array([pose.rotation_matrix for pose in poses])             # (K, 3, 3)
         self.t = np.array([pose.t for pose in poses])[:, None, :]                 # (K, 1, 3)
@@ -103,14 +103,9 @@ class _Views:
         return 1.0 - giou_2d(pred, self.boxes[k])
 
 
-def l2d_multiview(
-    box: Box3D,
-    track: ObjectTrack,
-    cameras: dict[int, CameraModel],
-    z_near: float = 1e-3,
-) -> float:
+def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float = 1e-3) -> float:
     """Mean over the track's views of (1 - GIoU(projected box, annotated box))."""
-    return _Views(track, cameras).loss(box, z_near)
+    return _Views(track).loss(box, z_near)
 
 
 def _coordinates(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +156,6 @@ def objective_value(
     box: Box3D,
     track: ObjectTrack,
     points,
-    cameras: dict[int, CameraModel],
     config: PipelineConfig | None = None,
 ) -> float:
     """``mu_fit * l_fit + lambda_2d * l2d_multiview`` with the config's weights.
@@ -169,7 +163,7 @@ def objective_value(
     A term is skipped at weight 0, so a pure 2D objective needs no points.
     """
     cfg = config or PipelineConfig()
-    return _objective(box, _Views(track, cameras), _coordinates(points), cfg)
+    return _objective(box, _Views(track), _coordinates(points), cfg)
 
 
 @dataclass
@@ -211,7 +205,6 @@ def refine_box(
     init: Box3D,
     track: ObjectTrack,
     points,
-    cameras: dict[int, CameraModel],
     config: PipelineConfig | None = None,
 ) -> tuple[Box3D, RefineTrace]:
     """Minimize ``objective_value`` within ``config.refine_budget`` evaluations.
@@ -227,7 +220,7 @@ def refine_box(
     extent_floor = cfg.extent_floor
     if budget <= 0:
         return init, RefineTrace(0, None, None)
-    views = _Views(track, cameras)
+    views = _Views(track)
     coords = _coordinates(points)
     evals = 0
     limit = 0
@@ -340,11 +333,7 @@ def _dropped(track, reason, box=None, quality=None, anchor=None, source="coarse"
     )
 
 
-def annotate_track(
-    track: ObjectTrack,
-    cameras: dict[int, CameraModel],
-    config: PipelineConfig | None = None,
-) -> PseudoLabel:
+def annotate_track(track: ObjectTrack, config: PipelineConfig | None = None) -> PseudoLabel:
     """Run the full per-track pipeline and emit one pseudo-label.
 
     Static tracks: aggregate across frames, clean with DBSCAN, gate on
@@ -408,10 +397,10 @@ def annotate_track(
 
     source = "coarse"
     if cfg.refine:
-        box, _ = refine_box(box, loss_track, fit_points, cameras, cfg)
+        box, _ = refine_box(box, loss_track, fit_points, cfg)
         source = "refined"
 
-    final_l2d = l2d_multiview(box, loss_track, cameras, z_near=cfg.z_near)
+    final_l2d = l2d_multiview(box, loss_track, z_near=cfg.z_near)
     final_fit = l_fit(box, fit_points)
     j_final = cfg.mu_fit * final_fit + cfg.lambda_2d * final_l2d
     confidence = math.exp(-j_final)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
 
@@ -45,7 +44,6 @@ class GtSpan:
 class CameraRigEntry:
     """An ego-mounted camera: intrinsics plus the mount pose."""
 
-    camera_id: str
     fx: float
     fy: float
     cx: float
@@ -109,14 +107,6 @@ class Scene:
     gt_tracks: dict[str, GtTrack] | None = None
     generator: dict | None = None        # synthetic provenance (config echo, seed)
 
-    def camera_for(self, frame: Frame, camera_id: str) -> CameraModel:
-        """World-posed camera model for one frame of this scene."""
-        try:
-            rig = self.cameras[camera_id]
-        except KeyError:
-            raise ConfigError(f"unknown camera id {camera_id!r}") from None
-        return rig.world_camera(frame.world_from_ego)
-
     @property
     def seed(self) -> int | None:
         if self.generator is None:
@@ -126,9 +116,10 @@ class Scene:
 
 @dataclass(frozen=True)
 class Observation:
-    """One frame's view of a track: the annotation and its extracted points."""
+    """One frame's view of a track: its annotation, world-posed camera and extracted points."""
 
     annotation: Annotation2D
+    camera: CameraModel
     points: np.ndarray                   # (k, 3) world frame
     indices: np.ndarray                  # (k,) indices into the frame's cloud
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def write_mvpc(path, points: np.ndarray) -> None:
 
 def read_mvpc(path) -> np.ndarray:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise SceneIoError(f"missing point cloud file: {path}")
     data = path.read_bytes()
     if len(data) < 10 or data[:4] != MVPC_MAGIC:
@@ -91,6 +92,8 @@ def _str(obj: dict, key: str, path: str) -> str:
 def _num(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError("expected a number", path)
+    if not abs(value) <= sys.float_info.max:   # NaN, infinities, integers past float range
+        raise ParseError("expected a finite number", path)
     return float(value)
 
 
@@ -110,9 +113,11 @@ def _pose(obj, path: str) -> Pose:
         raise ParseError("pose q must be [w, x, y, z]", f"{path}/q")
     if not (isinstance(t, list) and len(t) == 3):
         raise ParseError("pose t must be [x, y, z]", f"{path}/t")
+    q = [_num(v, f"{path}/q/{k}") for k, v in enumerate(q)]
+    t = [_num(v, f"{path}/t/{k}") for k, v in enumerate(t)]
     try:
-        return Pose(np.asarray(q, float), np.asarray(t, float))
-    except (ValueError, TypeError) as exc:
+        return Pose(np.array(q), np.array(t))
+    except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 
 
@@ -291,7 +296,6 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         if fx <= 0 or fy <= 0 or width <= 0 or height <= 0:
             raise ParseError("camera intrinsics must be positive", path)
         cameras[cid] = CameraRigEntry(
-            camera_id=cid,
             fx=fx,
             fy=fy,
             cx=_num(_get(cam, "cx", path), f"{path}/cx"),
@@ -301,6 +305,7 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
             ego_from_camera=_pose(_get(cam, "ego_from_camera", path), f"{path}/ego_from_camera"),
         )
     frames = []
+    track_classes: dict[str, str] = {}
     last = None
     for i, fr in enumerate(_expect(_get(manifest, "frames", "/"), list, "/frames")):
         path = f"/frames/{i}"
@@ -324,10 +329,11 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
                 for k, s in enumerate(_expect(fr["gt_spans"], list, f"{path}/gt_spans"))
             ]
         for ann_idx, ann in enumerate(annotations):
+            ann_path = f"{path}/annotations/{ann_idx}"
             if ann.camera_id not in cameras:
                 raise ParseError(
                     f"annotation references unknown camera {ann.camera_id!r}",
-                    f"{path}/annotations/{ann_idx}/camera_id",
+                    f"{ann_path}/camera_id",
                 )
             cam = cameras[ann.camera_id]
             box = ann.box
@@ -336,7 +342,19 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
             ):
                 raise ParseError(
                     f"2D box exceeds the {cam.width}x{cam.height} image",
-                    f"{path}/annotations/{ann_idx}/box",
+                    f"{ann_path}/box",
+                )
+            mask = ann.mask
+            if mask is not None and (mask.width, mask.height) != (cam.width, cam.height):
+                raise ParseError(
+                    f"{mask.width}x{mask.height} mask on the {cam.width}x{cam.height} image",
+                    f"{ann_path}/mask",
+                )
+            first = track_classes.setdefault(ann.track_id, ann.class_label)
+            if ann.class_label != first:
+                raise ParseError(
+                    f"track {ann.track_id!r} was annotated {first!r} in an earlier annotation",
+                    f"{ann_path}/class",
                 )
         frames.append(
             Frame(
@@ -355,12 +373,13 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
             tid: _gt_track(gt, f"/gt_tracks/{tid}")
             for tid, gt in _expect(manifest["gt_tracks"], dict, "/gt_tracks").items()
         }
+    generator = manifest.get("generator")
     return Scene(
         scene_id=_str(manifest, "scene_id", "/"),
         cameras=cameras,
         frames=frames,
         gt_tracks=gt_tracks,
-        generator=manifest.get("generator"),
+        generator=None if generator is None else _expect(generator, dict, "/generator"),
     )
 
 

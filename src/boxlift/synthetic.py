@@ -57,7 +57,6 @@ class CameraSpec:
         c, s = math.cos(yaw), math.sin(yaw)
         rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return CameraRigEntry(
-            camera_id=self.camera_id,
             fx=self.fx,
             fy=self.fy,
             cx=self.cx,

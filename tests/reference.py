@@ -168,7 +168,7 @@ def clipped_silhouette_loop(camera, box, z_near: float) -> np.ndarray:
     return np.column_stack([u, v])
 
 
-def l2d_multiview_loop(box, track, cameras, z_near: float = DEFAULT_Z_NEAR) -> float:
+def l2d_multiview_loop(box, track, z_near: float = DEFAULT_Z_NEAR) -> float:
     """Multi-view 2D loss one view at a time: mean of 1 - GIoU, 2 for a missing projection.
 
     Each view is projected alone with ``project_box3d`` and scored with
@@ -177,11 +177,12 @@ def l2d_multiview_loop(box, track, cameras, z_near: float = DEFAULT_Z_NEAR) -> f
     """
     terms = []
     for fid in track.frame_ids:
-        pred = project_box3d(cameras[fid], box, z_near=z_near)
+        obs = track.observations[fid]
+        pred = project_box3d(obs.camera, box, z_near=z_near)
         if pred is None:
             terms.append(2.0)
         else:
-            terms.append(1.0 - giou_2d(pred, track.observations[fid].annotation.box))
+            terms.append(1.0 - giou_2d(pred, obs.annotation.box))
     return float(sum(terms) / len(terms))
 
 

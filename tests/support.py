@@ -30,6 +30,11 @@ def transform_box3d(box: Box3D, yaw: float, translation=(0.0, 0.0, 0.0)) -> Box3
     )
 
 
+def identity_pose() -> Pose:
+    """The rigid transform that maps every point to itself."""
+    return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+
+
 def camera_looking(position, yaw_deg: float, fx: float = 600.0,
                    width: int = 960, height: int = 600) -> CameraModel:
     """A camera at ``position`` whose optical axis points along ``yaw_deg``."""
@@ -88,8 +93,8 @@ def passing_config(
 def two_view_track(rng: np.random.Generator):
     """A track seen end-on by camera A and laterally by camera B.
 
-    Returns (gt_box, track_a_only, track_both, cameras); observations carry
-    no points, so only the 2D consistency loss applies.
+    Returns (gt_box, track_a_only, track_both); observations carry no
+    points, so only the 2D consistency loss applies.
     """
     l = rng.uniform(4.0, 5.0)
     w = rng.uniform(1.7, 2.0)
@@ -102,15 +107,15 @@ def two_view_track(rng: np.random.Generator):
         box2d = project_box3d(cam, gt)
         assert box2d is not None
         ann = Annotation2D("t-0", "Car", "cam", box2d)
-        return Observation(ann, np.empty((0, 3)), np.empty(0, dtype=np.int64))
+        return Observation(ann, cam, np.empty((0, 3)), np.empty(0, dtype=np.int64))
 
     track_a = ObjectTrack("t-0", "Car", {0: obs(cam_a)})
     track_ab = ObjectTrack("t-0", "Car", {0: obs(cam_a), 1: obs(cam_b)})
-    return gt, track_a, track_ab, {0: cam_a, 1: cam_b}
+    return gt, track_a, track_ab
 
 
 def single_view_track(points: np.ndarray, camera: CameraModel, box2d,
                       track_id: str = "t-0", class_label: str = "Car") -> ObjectTrack:
     ann = Annotation2D(track_id, class_label, "cam", box2d)
-    obs = Observation(ann, np.asarray(points, float), np.arange(len(points)))
+    obs = Observation(ann, camera, np.asarray(points, float), np.arange(len(points)))
     return ObjectTrack(track_id, class_label, {0: obs})

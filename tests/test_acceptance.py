@@ -76,19 +76,19 @@ def random_box(rng, center_spread=1.0):
 
 
 def static_track_pool(seeds, sigma=0.02, bleed=0.0, offsets=(1.0, 4.0), n_cars=3):
-    """(scene, track, cams, gt, cluster_points) tuples from full-pass scenes."""
+    """(scene, track, gt, inst, cluster) tuples from full-pass scenes."""
     pool = []
     for seed in seeds:
         scene = generate_scene(
             passing_config(seed, n_cars=n_cars, n_frames=10, sigma=sigma,
                            bleed_fraction=bleed, bleed_offset_range=offsets)
         )
-        for track, cams in build_tracks(scene):
+        for track in build_tracks(scene):
             inst = aggregate_static(track)
             labels = dbscan(inst.points_agg, 0.5, 10)
             cluster = select_dominant_cluster(inst, labels)
             gt = scene.gt_tracks[track.track_id].boxes[0]
-            pool.append((scene, track, cams, gt, inst, cluster))
+            pool.append((scene, track, gt, inst, cluster))
     return pool
 
 
@@ -166,7 +166,7 @@ def test_c03_coarse_fit_recovery():
     # part A: clean scenes (sigma = 0.02, no bleed, no occlusion)
     clean = static_track_pool(range(300, 334), sigma=0.02, bleed=0.0)
     ious = []
-    for _scene, _track, _cams, gt, inst, cluster in clean:
+    for _scene, _track, gt, inst, cluster in clean:
         if inst.n_views < 5 or cluster.size < 200:
             continue
         box, _ = fit_coarse_box(inst.points_agg[cluster.indices])
@@ -176,7 +176,7 @@ def test_c03_coarse_fit_recovery():
     # part B: 2% bleed; fits on the cleaned cluster vs the raw aggregate
     bled = static_track_pool(range(400, 434), sigma=0.02, bleed=0.02)
     cluster_ious, raw_ious = [], []
-    for _scene, _track, _cams, gt, inst, cluster in bled:
+    for _scene, _track, gt, inst, cluster in bled:
         box_c, _ = fit_coarse_box(inst.points_agg[cluster.indices])
         box_r, _ = fit_coarse_box(inst.points_agg)
         cluster_ious.append(iou_3d(box_c, gt))
@@ -207,13 +207,13 @@ def test_c04_multiview_disambiguation():
     improved = 0
     err_single, err_both = [], []
     for _ in range(50):
-        gt, track_a, track_ab, cams = two_view_track(rng)
+        gt, track_a, track_ab = two_view_track(rng)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         init = Box3D(gt.cx + sign * 0.2 * gt.l, gt.cy, gt.cz,
                      1.2 * gt.l, gt.w, gt.h, gt.yaw)
         empty = np.empty((0, 3))
-        one, _ = refine_box(init, track_a, empty, cams, cfg)
-        both, _ = refine_box(init, track_ab, empty, cams, cfg)
+        one, _ = refine_box(init, track_a, empty, cfg)
+        both, _ = refine_box(init, track_ab, empty, cfg)
         e1, e2 = abs(one.l - gt.l), abs(both.l - gt.l)
         err_single.append(e1)
         err_both.append(e2)
@@ -239,7 +239,7 @@ def test_c05_refinement_descent():
     gains = []
     cases = 0
     while cases < 100:
-        _scene, track, cams, gt, inst, cluster = pool[cases % len(pool)]
+        _scene, track, gt, inst, cluster = pool[cases % len(pool)]
         pts = inst.points_agg[cluster.indices]
         init = Box3D(
             gt.cx + rng.uniform(-0.8, 0.8),
@@ -250,9 +250,9 @@ def test_c05_refinement_descent():
             gt.h * rng.uniform(0.85, 1.2),
             gt.yaw + rng.uniform(-0.3, 0.3),
         )
-        j_init = objective_value(init, track, pts, cams, cfg)
-        out, _ = refine_box(init, track, pts, cams, cfg)
-        j_out = objective_value(out, track, pts, cams, cfg)
+        j_init = objective_value(init, track, pts, cfg)
+        out, _ = refine_box(init, track, pts, cfg)
+        j_out = objective_value(out, track, pts, cfg)
         if j_out <= j_init + 1e-12:
             n_descent += 1
         gains.append(iou_3d(out, gt) - iou_3d(init, gt))
@@ -276,11 +276,11 @@ def test_c06_l2d_exactness_and_averaging():
             passing_config(seed, n_cars=3, n_frames=8, sigma=0.0, static=None,
                            static_fraction=0.6)
         )
-        for track, cams in build_tracks(scene):
+        for track in build_tracks(scene):
             gt_boxes = scene.gt_tracks[track.track_id].boxes
             n_tracks += 1
             if scene.gt_tracks[track.track_id].static:
-                worst = max(worst, abs(l2d_multiview(gt_boxes[0], track, cams)))
+                worst = max(worst, abs(l2d_multiview(gt_boxes[0], track)))
             else:
                 # a moving object's ground truth is per frame
                 for fid in track.frame_ids:
@@ -288,13 +288,13 @@ def test_c06_l2d_exactness_and_averaging():
                         track.track_id, track.class_label,
                         {fid: track.observations[fid]},
                     )
-                    worst = max(worst, abs(l2d_multiview(gt_boxes[fid], single, cams)))
+                    worst = max(worst, abs(l2d_multiview(gt_boxes[fid], single)))
 
     # averaging identity: adding a view combines as a weighted mean, 1e-12
     rng = np.random.default_rng(106)
     scene = generate_scene(passing_config(610, n_cars=2, n_frames=8, sigma=0.02))
     identity_err = 0.0
-    for track, cams in build_tracks(scene):
+    for track in build_tracks(scene):
         fids = track.frame_ids
         for _ in range(25):
             box = random_box(rng, center_spread=8.0)
@@ -303,10 +303,10 @@ def test_c06_l2d_exactness_and_averaging():
             new = ObjectTrack(track.track_id, track.class_label,
                               {fids[-1]: track.observations[fids[-1]]})
             n = len(fids) - 1
-            combined = (n * l2d_multiview(box, sub, cams)
-                        + l2d_multiview(box, new, cams)) / (n + 1)
+            combined = (n * l2d_multiview(box, sub)
+                        + l2d_multiview(box, new)) / (n + 1)
             identity_err = max(
-                identity_err, abs(l2d_multiview(box, track, cams) - combined)
+                identity_err, abs(l2d_multiview(box, track) - combined)
             )
     ok = worst <= 1e-9 and identity_err <= 1e-12 and n_tracks >= 15
     verdict(6, "multi-view 2D loss exactness", ok,
@@ -372,7 +372,7 @@ def test_c08_motion_classification():
             placement=PlacementSpec(x_range=(25.0, 55.0), y_range=(-12.0, 12.0)),
         )
         scene = generate_scene(cfg)
-        for track, _cams in build_tracks(scene):
+        for track in build_tracks(scene):
             gt = scene.gt_tracks[track.track_id]
             fids = [f for f in track.frame_ids if len(track.observations[f].points) > 0]
             if len(fids) < 2:
@@ -539,7 +539,7 @@ def prop_generator_self_consistency():
     for scene in _consistency_scenes():
         for frame in scene.frames:
             for ann in frame.annotations:
-                cam = scene.camera_for(frame, ann.camera_id)
+                cam = scene.cameras[ann.camera_id].world_camera(frame.world_from_ego)
                 gt = scene.gt_tracks[ann.track_id].boxes[frame.frame_id]
                 proj = project_box3d(cam, gt)
                 assert proj is not None
@@ -747,12 +747,12 @@ def _refine_pool():
         for seed in (1200, 1201, 1202):
             scene = generate_scene(passing_config(seed, n_cars=2, n_frames=6,
                                                   sigma=0.02, density=4.0))
-            for track, cams in build_tracks(scene):
+            for track in build_tracks(scene):
                 inst = aggregate_static(track)
                 labels = dbscan(inst.points_agg, 0.5, 10)
                 cluster = select_dominant_cluster(inst, labels)
                 gt = scene.gt_tracks[track.track_id].boxes[0]
-                pool.append((track, cams, inst.points_agg[cluster.indices], gt))
+                pool.append((track, inst.points_agg[cluster.indices], gt))
         _REFINE_POOL = pool
     return _REFINE_POOL
 
@@ -762,14 +762,14 @@ def prop_l2d_gt_zero():
     for seed in range(1300, 1312):
         scene = generate_scene(passing_config(seed, n_cars=6, n_frames=14,
                                               sigma=0.0, density=2.0))
-        for track, cams in build_tracks(scene):
+        for track in build_tracks(scene):
             gt = scene.gt_tracks[track.track_id].boxes[0]
             for fid in track.frame_ids:
                 single = ObjectTrack(track.track_id, track.class_label,
                                      {fid: track.observations[fid]})
-                assert abs(l2d_multiview(gt, single, cams)) <= 1e-12
+                assert abs(l2d_multiview(gt, single)) <= 1e-12
                 checked += 1
-            assert abs(l2d_multiview(gt, track, cams)) <= 1e-12
+            assert abs(l2d_multiview(gt, track)) <= 1e-12
     assert checked >= N_CASES, f"only {checked} view terms"
 
 
@@ -777,19 +777,19 @@ def prop_refine_never_increases_and_budget_zero():
     rng = np.random.default_rng(1021)
     pool = _refine_pool()
     for k in range(N_CASES):
-        track, cams, pts, gt = pool[k % len(pool)]
+        track, pts, gt = pool[k % len(pool)]
         init = Box3D(gt.cx + rng.uniform(-1, 1), gt.cy + rng.uniform(-1, 1), gt.cz,
                      gt.l * rng.uniform(0.8, 1.3), gt.w * rng.uniform(0.8, 1.3),
                      gt.h, gt.yaw + rng.uniform(-0.3, 0.3))
         budget = int(rng.integers(0, 25))
         cfg = PipelineConfig(refine_budget=budget)
-        out, trace = refine_box(init, track, pts, cams, cfg)
+        out, trace = refine_box(init, track, pts, cfg)
         if budget == 0:
             assert out == init
             assert trace.n_evals == 0
         else:
-            j_init = objective_value(init, track, pts, cams, cfg)
-            j_out = objective_value(out, track, pts, cams, cfg)
+            j_init = objective_value(init, track, pts, cfg)
+            j_out = objective_value(out, track, pts, cfg)
             assert j_out <= j_init + 1e-12
             assert trace.n_evals <= budget
 
@@ -798,7 +798,7 @@ def prop_l2d_averaging_identity():
     rng = np.random.default_rng(1022)
     pool = [entry for entry in _refine_pool() if len(entry[0].frame_ids) >= 3]
     for k in range(N_CASES):
-        track, cams, _pts, _gt = pool[k % len(pool)]
+        track, _pts, _gt = pool[k % len(pool)]
         fids = track.frame_ids
         box = random_box(rng, 10.0)
         sub = ObjectTrack(track.track_id, track.class_label,
@@ -806,9 +806,9 @@ def prop_l2d_averaging_identity():
         new = ObjectTrack(track.track_id, track.class_label,
                           {fids[-1]: track.observations[fids[-1]]})
         n = len(fids) - 1
-        combined = (n * l2d_multiview(box, sub, cams)
-                    + l2d_multiview(box, new, cams)) / (n + 1)
-        assert abs(l2d_multiview(box, track, cams) - combined) <= 1e-12
+        combined = (n * l2d_multiview(box, sub)
+                    + l2d_multiview(box, new)) / (n + 1)
+        assert abs(l2d_multiview(box, track) - combined) <= 1e-12
 
 
 def prop_filter_monotone():
@@ -826,14 +826,14 @@ def prop_refine_weight_scale_invariance():
     rng = np.random.default_rng(1024)
     pool = _refine_pool()
     for k in range(N_CASES):
-        track, cams, pts, gt = pool[k % len(pool)]
+        track, pts, gt = pool[k % len(pool)]
         init = Box3D(gt.cx + rng.uniform(-0.6, 0.6), gt.cy + rng.uniform(-0.6, 0.6),
                      gt.cz, gt.l, gt.w, gt.h, gt.yaw + rng.uniform(-0.2, 0.2))
         scale = float(rng.uniform(0.1, 20.0))
         budget = int(rng.integers(1, 15))
-        a, _ = refine_box(init, track, pts, cams,
+        a, _ = refine_box(init, track, pts,
                           PipelineConfig(lambda_2d=0.5, mu_fit=1.0, refine_budget=budget))
-        b, _ = refine_box(init, track, pts, cams,
+        b, _ = refine_box(init, track, pts,
                           PipelineConfig(lambda_2d=0.5 * scale, mu_fit=1.0 * scale,
                                          refine_budget=budget))
         assert a == b
@@ -850,7 +850,7 @@ def _report_pool():
         for seed in (1400, 1401):
             scene = generate_scene(passing_config(seed, n_cars=3, n_frames=6,
                                                   sigma=0.02, density=4.0))
-            labels = [annotate_track(t, c, cfg) for t, c in build_tracks(scene)]
+            labels = [annotate_track(t, cfg) for t in build_tracks(scene)]
             instances = segmentation_instances(scene, cfg)
             pool.append((scene, labels, cfg, instances))
         _REPORT_POOL = pool

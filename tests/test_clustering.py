@@ -17,7 +17,7 @@ from boxlift.geometry import Box2D
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import generate_scene
 from reference import brute_force_dbscan
-from support import passing_config
+from support import camera_looking, passing_config
 
 
 def relabel_canonical(labels):
@@ -36,12 +36,15 @@ def relabel_canonical(labels):
     return out
 
 
+CAMERA = camera_looking([0.0, 0.0, 0.0], 0.0)
+
+
 def track_from_points(per_frame_points, class_label="Car"):
     observations = {}
     for fid, pts in per_frame_points.items():
         pts = np.asarray(pts, dtype=float).reshape(-1, 3)
         ann = Annotation2D("t-0", class_label, "cam", Box2D(0, 0, 10, 10))
-        observations[fid] = Observation(ann, pts, np.arange(len(pts)))
+        observations[fid] = Observation(ann, CAMERA, pts, np.arange(len(pts)))
     return ObjectTrack("t-0", class_label, observations)
 
 
@@ -70,7 +73,7 @@ class TestAggregate:
         spans = {
             (f.frame_id, s.track_id): s for f in scene.frames for s in f.gt_spans
         }
-        for track, _ in build_tracks(scene):
+        for track in build_tracks(scene):
             inst = aggregate_static(track)
             faces = set()
             for fid, idxs in zip(inst.point_frame_ids, inst.point_indices):
@@ -197,7 +200,7 @@ class TestDominantCluster:
                            bleed_offset_range=(1.0, 4.0))
         )
         spans = {(f.frame_id, s.track_id): s for f in scene.frames for s in f.gt_spans}
-        for track, _ in build_tracks(scene):
+        for track in build_tracks(scene):
             inst = aggregate_static(track)
             labels = dbscan(inst.points_agg, 0.5, 10)
             cluster = select_dominant_cluster(inst, labels)

@@ -151,7 +151,7 @@ class TestReport:
             passing_config(seed, n_cars=2, n_frames=8, sigma=0.02)
         )
         cfg = PipelineConfig(refine_budget=150, tau_static=4.0)
-        labels = [annotate_track(t, c, cfg) for t, c in build_tracks(scene)]
+        labels = [annotate_track(t, cfg) for t in build_tracks(scene)]
         return scene, labels, cfg
 
     def test_report_validates_against_schema(self):

@@ -24,7 +24,7 @@ from boxlift.geometry import (
     project_points,
 )
 from reference import clipped_silhouette_loop, mc_iou_3d, point_in_convex_polygon
-from support import transform_box3d
+from support import identity_pose, transform_box3d
 
 
 def random_pose(rng):
@@ -67,27 +67,27 @@ class TestPose:
 
     def test_dict_round_trip_is_exact(self):
         p = random_pose(np.random.default_rng(3))
-        again = Pose.from_dict(p.to_dict())
+        again = Pose(**p.to_dict())
         assert np.array_equal(p.q, again.q)
         assert np.array_equal(p.t, again.t)
 
 
 class TestProjectPoint:
     def test_principal_point(self):
-        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
+        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, identity_pose())
         uv, valid = project_points(cam, [[0, 0, 5]])
         assert valid.tolist() == [True]
         assert uv.tolist() == [[500.0, 500.0]]
 
     def test_zero_depth_is_absent(self):
-        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
+        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, identity_pose())
         uv, valid = project_points(cam, [[0, 0, 0], [0, 0, -3]])
         assert valid.tolist() == [False, False]
         assert np.isnan(uv).all()
 
     def test_offset_point(self):
         # u = fx * x / z + cx = 1000 * (1 / 5) + 500
-        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
+        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, identity_pose())
         uv, valid = project_points(cam, [[1, 0, 5]])
         assert valid.tolist() == [True]
         u, v = uv[0]
@@ -95,7 +95,7 @@ class TestProjectPoint:
         assert v == pytest.approx(500.0, abs=1e-12)
 
     def test_outside_image_still_returned(self):
-        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
+        cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, identity_pose())
         uv, valid = project_points(cam, [[10, 0, 5]])
         assert valid.tolist() == [True]
         assert uv[0, 0] > 1000
@@ -124,7 +124,7 @@ class TestBoxCorners:
 
 class TestProjectBox3d:
     def setup_method(self):
-        self.cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, Pose.identity())
+        self.cam = CameraModel(1000, 1000, 500, 500, 1000, 1000, identity_pose())
 
     def test_behind_camera_absent(self):
         assert project_box3d(self.cam, Box3D(0, 0, -10, 1, 1, 1, 0)) is None

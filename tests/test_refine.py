@@ -24,7 +24,7 @@ from support import camera_looking, passing_config, two_view_track
 
 def random_view_track(rng, k):
     """A track seen by k random cameras looking roughly at the origin, each with a random 2D box."""
-    cams, obs = {}, {}
+    obs = {}
     for fid in range(k):
         x, y = rng.uniform(-6, 6, 2)
         yaw = math.degrees(math.atan2(-y, -x)) + rng.uniform(-135, 135)
@@ -32,9 +32,8 @@ def random_view_track(rng, k):
         x0, y0 = rng.uniform(0, [cam.width - 1, cam.height - 1])
         box = Box2D(x0, y0, rng.uniform(x0 + 0.5, cam.width), rng.uniform(y0 + 0.5, cam.height))
         ann = Annotation2D("t", "Car", f"cam{fid}", box)
-        obs[fid] = Observation(ann, np.empty((0, 3)), np.empty(0, dtype=int))
-        cams[fid] = cam
-    return ObjectTrack("t", "Car", obs), cams
+        obs[fid] = Observation(ann, cam, np.empty((0, 3)), np.empty(0, dtype=int))
+    return ObjectTrack("t", "Car", obs)
 
 
 def view_kind(cam, box, z_near):
@@ -49,47 +48,47 @@ def view_kind(cam, box, z_near):
 
 def scene_track(seed=60, **kw):
     scene = generate_scene(passing_config(seed, n_cars=1, **kw))
-    track, cams = build_tracks(scene)[0]
+    track = build_tracks(scene)[0]
     gt = scene.gt_tracks[track.track_id].boxes[0]
-    return scene, track, cams, gt
+    return scene, track, gt
 
 
 class TestL2dMultiview:
     def test_gt_box_scores_zero_on_noise_free_track(self):
-        _, track, cams, gt = scene_track(sigma=0.0)
-        assert l2d_multiview(gt, track, cams) == pytest.approx(0.0, abs=1e-12)
+        _, track, gt = scene_track(sigma=0.0)
+        assert l2d_multiview(gt, track) == pytest.approx(0.0, abs=1e-12)
 
     def test_behind_every_camera_hits_penalty(self):
         cam = camera_looking([0.0, 0.0, 1.6], 0.0)
         gt = Box3D(20.0, 0.0, 0.8, 4, 2, 1.5, 0)
         ann = Annotation2D("t", "Car", "cam", project_box3d(cam, gt))
-        obs = Observation(ann, np.empty((0, 3)), np.empty(0, dtype=int))
+        obs = Observation(ann, cam, np.empty((0, 3)), np.empty(0, dtype=int))
         track = ObjectTrack("t", "Car", {0: obs})
         behind = Box3D(-20.0, 0.0, 0.8, 4, 2, 1.5, 0)
-        assert l2d_multiview(behind, track, {0: cam}) == MISSING_PROJECTION_PENALTY
+        assert l2d_multiview(behind, track) == MISSING_PROJECTION_PENALTY
 
     def test_depth_shift_caught_by_second_view(self):
         rng = np.random.default_rng(61)
-        gt, track_a, track_ab, cams = two_view_track(rng)
+        gt, track_a, track_ab = two_view_track(rng)
         shifted = Box3D(gt.cx + 1.0, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
-        loss_a = l2d_multiview(shifted, track_a, cams)
-        loss_ab = l2d_multiview(shifted, track_ab, cams)
+        loss_a = l2d_multiview(shifted, track_a)
+        loss_ab = l2d_multiview(shifted, track_ab)
         assert loss_ab > 0
         # the end-on view barely sees a depth shift; adding the lateral
         # view raises the average loss
         assert loss_ab > loss_a
 
     def test_averaging_identity_over_added_view(self):
-        _, track, cams, gt = scene_track(sigma=0.02, n_frames=6)
+        _, track, gt = scene_track(sigma=0.02, n_frames=6)
         fids = track.frame_ids
         box = Box3D(gt.cx + 0.3, gt.cy, gt.cz, gt.l * 1.1, gt.w, gt.h, gt.yaw + 0.1)
         sub = ObjectTrack(track.track_id, track.class_label,
                           {f: track.observations[f] for f in fids[:-1]})
         single = ObjectTrack(track.track_id, track.class_label,
                              {fids[-1]: track.observations[fids[-1]]})
-        full = l2d_multiview(box, track, cams)
-        partial = l2d_multiview(box, sub, cams)
-        new_term = l2d_multiview(box, single, cams)
+        full = l2d_multiview(box, track)
+        partial = l2d_multiview(box, sub)
+        new_term = l2d_multiview(box, single)
         n = len(fids) - 1
         assert full == pytest.approx((n * partial + new_term) / (n + 1), abs=1e-12)
 
@@ -98,14 +97,14 @@ class TestL2dMultiview:
         rng = np.random.default_rng(1000 + k)
         seen = dict.fromkeys(("front", "straddling", "behind", "off_image"), 0)
         for _ in range(n_boxes):
-            track, cams = random_view_track(rng, k)
+            track = random_view_track(rng, k)
             z_near = float(rng.choice([1e-3, 0.5]))
             box = Box3D(*rng.uniform(-4, 4, 2), rng.uniform(0, 2),
                         *rng.uniform(0.3, 5, 3), rng.uniform(-math.pi, math.pi))
             for fid in track.frame_ids:
-                seen[view_kind(cams[fid], box, z_near)] += 1
-            assert l2d_multiview(box, track, cams, z_near) == l2d_multiview_loop(
-                box, track, cams, z_near)
+                seen[view_kind(track.observations[fid].camera, box, z_near)] += 1
+            assert l2d_multiview(box, track, z_near) == l2d_multiview_loop(
+                box, track, z_near)
         assert min(seen.values()) >= 300, seen
 
 
@@ -151,16 +150,16 @@ class TestLFit:
 
 class TestRefineBox:
     def test_budget_zero_returns_init(self):
-        _, track, cams, gt = scene_track(sigma=0.02)
+        _, track, gt = scene_track(sigma=0.02)
         init = Box3D(gt.cx + 1, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
         pts = np.concatenate([o.points for o in track.observations.values()])
-        out, trace = refine_box(init, track, pts, cams, PipelineConfig(refine_budget=0))
+        out, trace = refine_box(init, track, pts, PipelineConfig(refine_budget=0))
         assert out == init
         assert trace.n_evals == 0
 
     def test_never_increases_objective(self):
         rng = np.random.default_rng(62)
-        _, track, cams, gt = scene_track(sigma=0.02)
+        _, track, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         for _ in range(10):
             init = Box3D(
@@ -170,24 +169,24 @@ class TestRefineBox:
             )
             budget = int(rng.integers(1, 120))
             cfg = PipelineConfig(refine_budget=budget)
-            out, trace = refine_box(init, track, pts, cams, cfg)
-            j_init = objective_value(init, track, pts, cams, cfg)
-            j_out = objective_value(out, track, pts, cams, cfg)
+            out, trace = refine_box(init, track, pts, cfg)
+            j_init = objective_value(init, track, pts, cfg)
+            j_out = objective_value(out, track, pts, cfg)
             assert j_out <= j_init + 1e-12
             assert trace.n_evals <= budget
 
     def test_gt_init_is_fixed_point_on_noise_free_scene(self):
-        _, track, cams, gt = scene_track(sigma=0.0)
+        _, track, gt = scene_track(sigma=0.0)
         spans_pts = np.concatenate([o.points for o in track.observations.values()])
-        out, trace = refine_box(gt, track, spans_pts, cams, PipelineConfig(refine_budget=300))
+        out, trace = refine_box(gt, track, spans_pts, PipelineConfig(refine_budget=300))
         # l2d(GT) is exactly zero; only the tiny extent-slack from finite
         # surface sampling remains, so the box must stay put within it
-        assert l2d_multiview(gt, track, cams) == 0.0
+        assert l2d_multiview(gt, track) == 0.0
         assert trace.j_init < 0.01
         assert iou_3d(out, gt) > 0.99
 
     def test_perturbed_init_improves(self):
-        _, track, cams, gt = scene_track(sigma=0.02)
+        _, track, gt = scene_track(sigma=0.02)
         from boxlift.clustering import aggregate_static, dbscan, select_dominant_cluster
 
         inst = aggregate_static(track)
@@ -195,47 +194,47 @@ class TestRefineBox:
         pts = inst.points_agg[cluster.indices]
         init = Box3D(gt.cx + 0.5, gt.cy + 0.5, gt.cz, gt.l * 1.2, gt.w, gt.h,
                      gt.yaw + math.radians(10))
-        out, _ = refine_box(init, track, pts, cams, PipelineConfig(refine_budget=600))
+        out, _ = refine_box(init, track, pts, PipelineConfig(refine_budget=600))
         assert iou_3d(out, gt) > iou_3d(init, gt)
-        assert l2d_multiview(out, track, cams) < l2d_multiview(init, track, cams)
+        assert l2d_multiview(out, track) < l2d_multiview(init, track)
 
     def test_points_only_ignores_views(self):
-        _, track, cams, gt = scene_track(sigma=0.02)
+        _, track, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         cfg = PipelineConfig(lambda_2d=0.0, mu_fit=1.0, refine_budget=150)
         init = Box3D(gt.cx + 0.4, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
         fids = track.frame_ids
         sub = ObjectTrack(track.track_id, track.class_label,
                           {f: track.observations[f] for f in fids[:2]})
-        out_full, _ = refine_box(init, track, pts, cams, cfg)
-        out_sub, _ = refine_box(init, sub, pts, cams, cfg)
+        out_full, _ = refine_box(init, track, pts, cfg)
+        out_sub, _ = refine_box(init, sub, pts, cfg)
         assert out_full == out_sub
 
     def test_weight_scaling_leaves_argmin_unchanged(self):
-        _, track, cams, gt = scene_track(sigma=0.02)
+        _, track, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         init = Box3D(gt.cx + 0.5, gt.cy - 0.3, gt.cz, gt.l * 1.1, gt.w, gt.h, gt.yaw)
-        a, _ = refine_box(init, track, pts, cams,
+        a, _ = refine_box(init, track, pts,
                           PipelineConfig(lambda_2d=0.5, mu_fit=1.0, refine_budget=200))
-        b, _ = refine_box(init, track, pts, cams,
+        b, _ = refine_box(init, track, pts,
                           PipelineConfig(lambda_2d=1.5, mu_fit=3.0, refine_budget=200))
         assert a == b
 
     def test_deterministic(self):
-        _, track, cams, gt = scene_track(sigma=0.02)
+        _, track, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         init = Box3D(gt.cx + 0.5, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
         cfg = PipelineConfig(refine_budget=180)
-        a, ta = refine_box(init, track, pts, cams, cfg)
-        b, tb = refine_box(init, track, pts, cams, cfg)
+        a, ta = refine_box(init, track, pts, cfg)
+        b, tb = refine_box(init, track, pts, cfg)
         assert a == b
         assert ta.n_evals == tb.n_evals
 
     def test_extents_clamped_during_search(self):
-        _, track, cams, gt = scene_track(sigma=0.02)
+        _, track, gt = scene_track(sigma=0.02)
         pts = np.concatenate([o.points for o in track.observations.values()])
         init = Box3D(gt.cx, gt.cy, gt.cz, 0.06, 0.06, 0.06, gt.yaw)
-        out, _ = refine_box(init, track, pts, cams,
+        out, _ = refine_box(init, track, pts,
                             PipelineConfig(refine_budget=200, extent_floor=0.05))
         assert out.l >= 0.05 and out.w >= 0.05 and out.h >= 0.05
 
@@ -274,8 +273,8 @@ class TestFilter:
 class TestAnnotateTrack:
     def test_static_happy_path(self):
         scene = generate_scene(passing_config(64, n_cars=1, sigma=0.02))
-        track, cams = build_tracks(scene)[0]
-        label = annotate_track(track, cams, PipelineConfig(refine_budget=300, tau_static=4.0))
+        track = build_tracks(scene)[0]
+        label = annotate_track(track, PipelineConfig(refine_budget=300, tau_static=4.0))
         assert label.kept
         assert label.source == "refined"
         assert label.drop_reason is None
@@ -286,23 +285,23 @@ class TestAnnotateTrack:
 
     def test_no_refine_emits_coarse(self):
         scene = generate_scene(passing_config(65, n_cars=1, sigma=0.02))
-        track, cams = build_tracks(scene)[0]
-        label = annotate_track(track, cams, PipelineConfig(refine=False, tau_static=4.0))
+        track = build_tracks(scene)[0]
+        label = annotate_track(track, PipelineConfig(refine=False, tau_static=4.0))
         assert label.source == "coarse"
 
     def test_sparse_track_dropped(self):
         scene = generate_scene(passing_config(66, n_cars=1, sigma=0.02))
-        track, cams = build_tracks(scene)[0]
+        track = build_tracks(scene)[0]
         label = annotate_track(
-            track, cams, PipelineConfig(min_cluster_points=10**6, tau_static=4.0)
+            track, PipelineConfig(min_cluster_points=10**6, tau_static=4.0)
         )
         assert not label.kept
         assert label.drop_reason == "sparse"
 
     def test_min_views_gate(self):
         scene = generate_scene(passing_config(67, n_cars=1, n_frames=1))
-        track, cams = build_tracks(scene)[0]
-        label = annotate_track(track, cams, PipelineConfig(min_views=2, tau_static=4.0))
+        track = build_tracks(scene)[0]
+        label = annotate_track(track, PipelineConfig(min_views=2, tau_static=4.0))
         assert not label.kept
         assert label.drop_reason == "views"
 
@@ -311,8 +310,8 @@ class TestAnnotateTrack:
             passing_config(68, n_cars=3, sigma=0.02, static=False, n_frames=6)
         )
         found_moving = False
-        for track, cams in build_tracks(scene):
-            label = annotate_track(track, cams, PipelineConfig(refine_budget=200))
+        for track in build_tracks(scene):
+            label = annotate_track(track, PipelineConfig(refine_budget=200))
             gt = scene.gt_tracks[track.track_id]
             cents = [
                 (fid, len(track.observations[fid].points)) for fid in track.frame_ids
@@ -328,9 +327,9 @@ class TestAnnotateTrack:
 
     def test_confidence_is_exp_of_objective(self):
         scene = generate_scene(passing_config(69, n_cars=1, sigma=0.02))
-        track, cams = build_tracks(scene)[0]
+        track = build_tracks(scene)[0]
         cfg = PipelineConfig(refine_budget=200, tau_static=4.0)
-        label = annotate_track(track, cams, cfg)
+        label = annotate_track(track, cfg)
         j = cfg.mu_fit * label.quality.fit + cfg.lambda_2d * label.quality.l2d
         assert label.confidence == pytest.approx(math.exp(-j), abs=1e-12)
 
@@ -364,8 +363,8 @@ class TestAnnotateTrack:
         labels, ious = [], []
         for seed in range(7200, 7209):
             scene = generate_scene(mixed_cfg(seed))
-            for track, cams in build_tracks(scene):
-                label = annotate_track(track, cams, cfg)
+            for track in build_tracks(scene):
+                label = annotate_track(track, cfg)
                 labels.append(label)
                 if label.kept:
                     gt = scene.gt_tracks[label.track_id].boxes[label.anchor_frame_id or 0]
@@ -381,8 +380,8 @@ class TestAnnotateTrack:
     def test_verification_failure_drops_with_coarse_box(self):
         # strict tau forces the verification gate to fire
         scene = generate_scene(passing_config(70, n_cars=1, sigma=0.02))
-        track, cams = build_tracks(scene)[0]
-        label = annotate_track(track, cams, PipelineConfig(tau_iou=1.0, tau_static=5.0))
+        track = build_tracks(scene)[0]
+        label = annotate_track(track, PipelineConfig(tau_iou=1.0, tau_static=5.0))
         assert not label.kept
         assert label.drop_reason == "verification"
         assert label.source == "coarse"

@@ -1,10 +1,16 @@
 import json
+import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from boxlift.cli import cli_main
 from boxlift.errors import ParseError, SceneIoError
-from boxlift.geometry import Box2D, Box3D, Pose
+from boxlift.geometry import Box2D, Box3D
 from boxlift.refine import PseudoLabel, QualityRecord
 from boxlift.scene import Annotation2D, CameraRigEntry, Frame, GtSpan, Scene
 from boxlift.scene_io import (
@@ -15,17 +21,17 @@ from boxlift.scene_io import (
     write_mvpc,
     write_pseudo_labels,
 )
-from boxlift.synthetic import generate_scene
-from support import passing_config
+from boxlift.synthetic import SceneConfig, generate_scene
+from support import identity_pose, passing_config
 
 
 def minimal_scene(points=None):
-    cam = CameraRigEntry("cam", 500, 500, 400, 225, 800, 450, Pose.identity())
+    cam = CameraRigEntry(500, 500, 400, 225, 800, 450, identity_pose())
     pts = np.zeros((0, 3), dtype="<f4") if points is None else points
     frame = Frame(
         frame_id=0,
         timestamp=0.0,
-        world_from_ego=Pose.identity(),
+        world_from_ego=identity_pose(),
         pointcloud="pc/frame_000000.mvpc",
         annotations=[],
         points_ego=pts,
@@ -80,6 +86,10 @@ class TestMvpc:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SceneIoError):
             read_mvpc(tmp_path / "nope.mvpc")
+
+    def test_directory_is_a_missing_file(self, tmp_path):
+        with pytest.raises(SceneIoError, match="missing point cloud file"):
+            read_mvpc(tmp_path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mvpc"
@@ -197,6 +207,7 @@ MALFORMED_MANIFESTS = [
     (add_gt_track({**GOOD_GT_TRACK, "class": 5}), "/gt_tracks/t/class"),
     (set_key(lambda m: m["frames"][0], "pointcloud", 5), "/frames/0/pointcloud"),
     (set_key(lambda m: m, "scene_id", 5), "/scene_id"),
+    (set_key(lambda m: m, "generator", "x"), "/generator"),
 ]
 
 # (edit of a span in a frame of 4 points, text the error must contain).
@@ -415,3 +426,118 @@ class TestAnnotationModel:
         a = Annotation2D("t", "Car", "cam", Box2D(0, 0, 5, 5))
         b = Annotation2D("t", "Car", "cam", Box2D(0, 0, 5, 5))
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the input contract, end to end on the generated tiny bench scene
+# ---------------------------------------------------------------------------
+
+TINY_CONFIG = Path(__file__).resolve().parent.parent / "bench" / "scenes" / "tiny.json"
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "scene"
+    save_scene(generate_scene(SceneConfig.from_json_file(TINY_CONFIG)), out)
+    return out
+
+
+def annotate_edited(tiny_scene, work, edit, capsys):
+    """Run ``annotate --no-refine`` on a copy of the tiny scene whose manifest
+    ``edit`` changed in place; returns (exit code, stderr)."""
+    scene = work / "scene"
+    shutil.copytree(tiny_scene, scene, dirs_exist_ok=True)
+    manifest = json.loads((tiny_scene / "scene.json").read_text())
+    edit(manifest)
+    (scene / "scene.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = cli_main(["annotate", "--dataset", str(scene), "--out", str(work / "labels.jsonl"),
+                     "--no-refine"])
+    return code, capsys.readouterr().err
+
+
+def first_annotation(frame: int):
+    """(edit target, JSON pointer) of a frame's first annotation."""
+    return (lambda m: m["frames"][frame]["annotations"][0],
+            f"/frames/{frame}/annotations/0")
+
+
+ANN_0, ANN_0_PATH = first_annotation(0)
+
+# (edit, JSON pointer the exit-1 message must name): JSON NaN and Infinity
+# are numbers to Python's json module, but not to the manifest format.
+NON_FINITE_EDITS = [
+    (set_key(lambda m: m["cameras"]["cam_front"], "fx", math.nan), "/cameras/cam_front/fx"),
+    (set_key(lambda m: m["cameras"]["cam_front"], "cx", math.inf), "/cameras/cam_front/cx"),
+    (set_key(lambda m: m["frames"][0]["world_from_ego"]["t"], 0, math.nan),
+     "/frames/0/world_from_ego/t/0"),
+    (set_key(ANN_0, "mask_confidence", math.nan), f"{ANN_0_PATH}/mask_confidence"),
+]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("edit,where", NON_FINITE_EDITS,
+                             ids=[where for _, where in NON_FINITE_EDITS])
+    def test_non_finite_number_exits_one_naming_it(self, tiny_scene, tmp_path, capsys,
+                                                   edit, where):
+        code, err = annotate_edited(tiny_scene, tmp_path, edit, capsys)
+        assert code == 1, err
+        assert f"error: {where}: expected a finite number" in err
+
+    def test_track_with_two_classes_names_annotation(self, tiny_scene, tmp_path, capsys):
+        ann, where = first_annotation(1)
+        code, err = annotate_edited(tiny_scene, tmp_path, set_key(ann, "class", "Pedestrian"),
+                                    capsys)
+        assert code == 1, err
+        assert f"error: {where}/class: track 'obj-000' was annotated 'Car'" in err
+
+    def test_mask_of_other_size_than_image_names_mask(self, tiny_scene, tmp_path, capsys):
+        mask = {"rle": [0, 100], "width": 10, "height": 10}
+        code, err = annotate_edited(tiny_scene, tmp_path, set_key(ANN_0, "mask", mask), capsys)
+        assert code == 1, err
+        assert f"error: {ANN_0_PATH}/mask: 10x10 mask on the 800x450 image" in err
+
+
+# Values a manifest field may be replaced with: wrong types, null, empty
+# containers, out-of-range and non-finite numbers.
+FUZZ_VALUES = [None, "x", "", True, [], {}, 0, -1, 0.5, math.nan, math.inf, -math.inf]
+DROP = object()
+
+
+def manifest_paths(node, path=()):
+    """Key and index paths of the fields below ``node``.  The long per-pixel
+    ``rle`` and per-point ``faces`` arrays give only their first element, and
+    the ``generator`` provenance record, which ``annotate`` never reads, none."""
+    if isinstance(node, dict):
+        children = [(key, child) for key, child in node.items() if key != "generator"]
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+        if path[-1:] in (("rle",), ("faces",)):
+            children = children[:1]
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from manifest_paths(child, path + (key,))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_manifest_never_exits_two(tiny_scene, tmp_path, capsys, data):
+    # 1-3 fields, each replaced by a FUZZ_VALUES entry or dropped from its
+    # parent.  Bad input exits 1 with a message; exit 2 is an internal error.
+    def edit(manifest):
+        for _ in range(data.draw(st.integers(1, 3), label="n_edits")):
+            *parents, key = data.draw(st.sampled_from(list(manifest_paths(manifest))))
+            node = manifest
+            for name in parents:
+                node = node[name]
+            value = data.draw(st.sampled_from([DROP, *FUZZ_VALUES]))
+            if value is DROP:
+                del node[key]
+            else:
+                node[key] = value
+
+    code, err = annotate_edited(tiny_scene, tmp_path, edit, capsys)
+    assert code in (0, 1), err
