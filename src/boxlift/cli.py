@@ -8,18 +8,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import BoxliftError
 from .evaluate import build_report, frames_histogram
 from .extraction import build_tracks
 from .refine import annotate_track
-from .scene_io import load_scene, read_pseudo_labels, save_scene, write_pseudo_labels
+from .scene_io import load_scene, read_pseudo_labels, save_scene, write_json, write_pseudo_labels
 from .synthetic import SceneConfig, generate_scene
 
 
@@ -102,8 +100,7 @@ def _cmd_eval(args) -> int:
     scene = load_scene(args.dataset)
     labels = read_pseudo_labels(args.labels)
     report = build_report(scene, labels, cfg)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    Path(args.report).write_text(text)
+    write_json(report, args.report)
     print(f"wrote {args.report}", file=sys.stderr)
     return 0
 
@@ -119,7 +116,7 @@ def _cmd_stats(args) -> int:
         "frames_per_object": hist,
     }
     if args.report:
-        Path(args.report).write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+        write_json(stats, args.report)
         print(f"wrote {args.report}", file=sys.stderr)
     else:
         print(f"scene {stats['scene_id']}: {stats['n_frames']} frames, "
@@ -137,7 +134,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BoxliftError, FileNotFoundError, NotADirectoryError) as exc:
+    except (BoxliftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

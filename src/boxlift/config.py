@@ -1,10 +1,13 @@
 """Pipeline configuration: every tunable threshold in one place.
 
-``PipelineConfig`` is the only validator of these settings: every field is
-checked for type and range on construction, and a bad value raises
-``ConfigError`` naming the key.  ``check_field_types`` is the type check
-and ``read_json_object`` the file loader, both shared with the synthetic
-scene config.
+Each field of a config dataclass declares its type and range in its
+annotation: ``Positive`` is a number > 0, ``Unit`` a number in [0, 1],
+``Count`` an integer >= 0, and so on.  ``check_field_types`` reads the
+annotation's row of ``_TYPE_CHECKS`` and raises ``ConfigError`` naming the
+key.  ``JsonConfig`` is the base of ``PipelineConfig`` and of the synthetic
+scene specs: its ``from_dict`` rejects unknown and missing keys, naming the
+section, turns JSON arrays into tuples and builds nested specs from their
+annotations; ``to_dict`` is its inverse.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field
 
 from .errors import ConfigError
 
@@ -28,25 +32,42 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _is_reals(v, n: int) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == n and all(_is_real(x) for x in v)
+def _is_unit(v) -> bool:
+    return _is_real(v) and 0 <= v <= 1
 
 
-# Annotations for fixed-length number sequences: a [lo, hi] range with
-# lo <= hi, and a 3-vector.
-Range = tuple
-Vec3 = tuple
+def _is_range(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)) and v[0] <= v[1]
 
-# Field annotation (a string under postponed evaluation) -> (type test,
+
+# Field annotations that carry a range; each is checked by its row of
+# _TYPE_CHECKS.  Ranges are [lo, hi] pairs with lo <= hi.
+Positive = NonNeg = Unit = float
+Count = PosInt = int
+Range = NonNegRange = Vec3 = Ints = tuple
+Gates = dict                        # class name -> number in [0, 1]
+
+# Field annotation (a string under postponed evaluation) -> (value test,
 # description in the error message).
 _TYPE_CHECKS = {
     "float": (_is_real, "a finite number"),
+    "Positive": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
+    "NonNeg": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
+    "Unit": (_is_unit, "a number in [0, 1]"),
     "int": (_is_int, "an integer"),
+    "Count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "PosInt": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "bool | None": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "Range": (lambda v: _is_reals(v, 2) and v[0] <= v[1], "finite numbers [lo, hi], lo <= hi"),
-    "Vec3": (lambda v: _is_reals(v, 3), "three finite numbers"),
+    "Range": (_is_range, "finite numbers [lo, hi], lo <= hi"),
+    "NonNegRange": (lambda v: _is_range(v) and v[0] >= 0, "finite numbers [lo, hi], 0 <= lo <= hi"),
+    "Vec3": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_real, v)),
+             "three finite numbers"),
+    "Ints": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
+    "Gates": (lambda v: isinstance(v, dict) and all(isinstance(k, str) and _is_unit(g)
+                                                    for k, g in v.items()),
+              "an object of class names to numbers in [0, 1]"),
 }
 
 
@@ -62,84 +83,91 @@ def check_field_types(obj) -> None:
 
 def read_json_object(path) -> dict:
     """Load a config file that must hold one JSON object; ConfigError otherwise."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return data
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    tau_static: float = 0.5          # max pairwise centroid displacement, meters
-    mask_conf_min: float = 0.6       # below this, fall back to the 2D box
-    centroid: str = "mean"           # "mean" | "median"
-    dbscan_eps: float = 0.5          # meters
-    dbscan_min_pts: int = 10
-    min_cluster_points: int = 10     # quality gate on |C*|
-    min_views: int = 2
-    tau_iou: float = 0.6             # geometric verification gate
-    hull_metric: str = "iou"         # "iou" | "coverage" (see verify_geometry)
-    extent_floor: float = 0.05       # meters; minimum box extent
-    lambda_2d: float = 0.5           # weight of the multi-view 2D loss
-    mu_fit: float = 1.0              # weight of the point-fit loss
-    refine_budget: int = 2000        # objective evaluations per track
-    refine: bool = True
-    tau_conf: dict = field(default_factory=lambda: dict(DEFAULT_TAU_CONF))
-    tau_conf_default: float = 0.5
-    z_near: float = 1e-3             # meters; camera near plane
-    curve_thresholds: tuple = (0, 5, 10, 25, 50, 100, 200)
+def _listify(value):
+    if isinstance(value, (tuple, list)):
+        return [_listify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _listify(v) for k, v in value.items()}
+    return value
+
+
+def _from_json(hint, value, key: str):
+    """A JSON value as the field annotated ``hint`` takes it: a nested spec
+    (``EgoSpec``, ``tuple[CameraSpec, ...]``) built by its ``from_dict``, any
+    other array as a tuple."""
+    if isinstance(hint, type) and issubclass(hint, JsonConfig):
+        return hint.from_dict(value, key)
+    args = typing.get_args(hint)
+    if args and isinstance(args[0], type) and issubclass(args[0], JsonConfig):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be an array, got {value!r}")
+        return tuple(args[0].from_dict(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return tuple(value) if isinstance(value, list) else value
+
+
+class JsonConfig:
+    """Base of the config dataclasses: field checks, JSON loading and dumping."""
 
     def __post_init__(self):
         check_field_types(self)
-        if not isinstance(self.tau_conf, dict) or not all(
-            isinstance(cls, str) and _is_real(tau) for cls, tau in self.tau_conf.items()
-        ):
-            raise ConfigError(
-                f"tau_conf must be an object of class names to numbers, got {self.tau_conf!r}"
-            )
-        if not isinstance(self.curve_thresholds, (list, tuple)) or not all(
-            _is_int(t) for t in self.curve_thresholds
-        ):
-            raise ConfigError(
-                f"curve_thresholds must be a list of integers, got {self.curve_thresholds!r}"
-            )
+
+    @classmethod
+    def from_dict(cls, d, section: str = "config"):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{section} must be an object, got {d!r}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(d) - {f.name for f in fields})
+        if unknown:
+            raise ConfigError(f"{section}: unknown keys {unknown}")
+        for f in fields:
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{f.name} is missing from {section}")
+        hints = typing.get_type_hints(cls)
+        return cls(**{key: _from_json(hints[key], value, key) for key, value in d.items()})
+
+    @classmethod
+    def from_json_file(cls, path):
+        return cls.from_dict(read_json_object(path), str(path))
+
+    def to_dict(self) -> dict:
+        return _listify(dataclasses.asdict(self))
+
+
+@dataclass(frozen=True)
+class PipelineConfig(JsonConfig):
+    tau_static: Positive = 0.5       # max pairwise centroid displacement, meters
+    mask_conf_min: Unit = 0.6        # below this, fall back to the 2D box
+    centroid: str = "mean"           # "mean" | "median"
+    dbscan_eps: Positive = 0.5       # meters
+    dbscan_min_pts: PosInt = 10
+    min_cluster_points: Count = 10   # quality gate on |C*|
+    min_views: Count = 2
+    tau_iou: Unit = 0.6              # geometric verification gate
+    hull_metric: str = "iou"         # "iou" | "coverage" (see verify_geometry)
+    extent_floor: Positive = 0.05    # meters; minimum box extent
+    lambda_2d: NonNeg = 0.5          # weight of the multi-view 2D loss
+    mu_fit: NonNeg = 1.0             # weight of the point-fit loss
+    refine_budget: Count = 2000      # objective evaluations per track
+    refine: bool = True
+    tau_conf: Gates = field(default_factory=lambda: dict(DEFAULT_TAU_CONF))
+    tau_conf_default: Unit = 0.5
+    z_near: Positive = 1e-3          # meters; camera near plane
+    curve_thresholds: Ints = (0, 5, 10, 25, 50, 100, 200)
+
+    def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "curve_thresholds", tuple(self.curve_thresholds))
         if self.centroid not in ("mean", "median"):
             raise ConfigError(f"centroid must be 'mean' or 'median', got {self.centroid!r}")
         if self.hull_metric not in ("iou", "coverage"):
             raise ConfigError(f"hull_metric must be 'iou' or 'coverage', got {self.hull_metric!r}")
-        for name in ("tau_static", "dbscan_eps", "extent_floor", "z_near"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("lambda_2d", "mu_fit", "refine_budget", "min_cluster_points", "min_views"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if self.dbscan_min_pts < 1:
-            raise ConfigError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts!r}")
-        gates = {f"tau_conf[{cls!r}]": tau for cls, tau in self.tau_conf.items()}
-        for name in ("mask_conf_min", "tau_iou", "tau_conf_default"):
-            gates[name] = getattr(self, name)
-        for name, value in gates.items():
-            if not 0 <= value <= 1:
-                raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
-
-    @staticmethod
-    def from_dict(d: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return PipelineConfig(**d)
-
-    @staticmethod
-    def from_json_file(path) -> "PipelineConfig":
-        return PipelineConfig.from_dict(read_json_object(path))
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["curve_thresholds"] = list(self.curve_thresholds)
-        return d

@@ -108,13 +108,10 @@ def build_tracks(scene: Scene, config: PipelineConfig | None = None) -> list[Obj
         pts = frame.points_world
         for ann in frame.annotations:
             cam = scene.cameras[ann.camera_id].world_camera(frame.world_from_ego)
-            if len(pts):
-                keep = extraction_mask(cam, pts, ann, cfg.mask_conf_min, cfg.z_near)
-                idx = np.flatnonzero(keep)
-                obs = Observation(ann, cam, pts[idx], idx)
-            else:
-                obs = Observation(ann, cam, np.empty((0, 3)), np.empty(0, dtype=np.int64))
-            observations.setdefault(ann.track_id, {})[frame.frame_id] = obs
+            idx = np.flatnonzero(extraction_mask(cam, pts, ann, cfg.mask_conf_min, cfg.z_near))
+            observations.setdefault(ann.track_id, {})[frame.frame_id] = Observation(
+                ann, cam, pts[idx], idx
+            )
     # The loader guarantees that every annotation of a track names one class.
     return [
         ObjectTrack(tid, next(iter(obs.values())).annotation.class_label, obs)

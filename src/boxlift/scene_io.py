@@ -28,8 +28,17 @@ MVPC_VERSION = 1
 
 def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented, key-sorted JSON with a trailing newline."""
+    _atomic_write(Path(path), (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +289,7 @@ def save_scene(scene: Scene, directory) -> Path:
         target = directory / frame.pointcloud
         target.parent.mkdir(parents=True, exist_ok=True)
         write_mvpc(target, frame.points_ego)
-    text = json.dumps(scene_to_manifest(scene), indent=2, sort_keys=True) + "\n"
-    _atomic_write(directory / "scene.json", text.encode())
+    write_json(scene_to_manifest(scene), directory / "scene.json")
     return directory
 
 
@@ -374,12 +382,17 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
             for tid, gt in _expect(manifest["gt_tracks"], dict, "/gt_tracks").items()
         }
     generator = manifest.get("generator")
+    if generator is not None:
+        # Reports echo the seed, and their schema allows an integer or null.
+        seed = _expect(generator, dict, "/generator").get("seed")
+        if seed is not None:
+            _expect(seed, int, "/generator/seed")
     return Scene(
         scene_id=_str(manifest, "scene_id", "/"),
         cameras=cameras,
         frames=frames,
         gt_tracks=gt_tracks,
-        generator=None if generator is None else _expect(generator, dict, "/generator"),
+        generator=generator,
     )
 
 
@@ -390,8 +403,8 @@ def load_scene(path) -> Scene:
     if not manifest_path.exists():
         raise SceneIoError(f"missing manifest: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}", str(manifest_path)) from exc
     if not isinstance(manifest, dict):
         raise ParseError("manifest must be a JSON object", "/")
@@ -471,8 +484,12 @@ def read_pseudo_labels(path) -> list[PseudoLabel]:
     path = Path(path)
     if not path.exists():
         raise SceneIoError(f"missing label file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", str(path)) from exc
     labels = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

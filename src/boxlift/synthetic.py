@@ -18,13 +18,12 @@ x faces, then bleed, then background clutter).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Range, Vec3, check_field_types, read_json_object
+from .config import Count, JsonConfig, NonNeg, NonNegRange, PosInt, Positive, Range, Unit, Vec3
 from .errors import ConfigError, DegenerateHull
 from .geometry import Box3D, Pose, convex_hull, project_box3d, project_box_silhouette
 from .masks import encode_mask, rasterize_convex_polygon
@@ -36,21 +35,16 @@ _CAM_BASE = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 
 
 @dataclass(frozen=True)
-class CameraSpec:
+class CameraSpec(JsonConfig):
     camera_id: str
-    fx: float = 500.0
-    fy: float = 500.0
+    fx: Positive = 500.0
+    fy: Positive = 500.0
     cx: float = 400.0
     cy: float = 225.0
-    width: int = 800
-    height: int = 450
+    width: PosInt = 800
+    height: PosInt = 450
     mount_yaw_deg: float = 0.0
     mount_offset: Vec3 = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not (self.fx > 0 and self.fy > 0 and self.width > 0 and self.height > 0):
-            raise ConfigError("camera fx, fy, width and height must be positive")
 
     def rig_entry(self) -> CameraRigEntry:
         yaw = math.radians(self.mount_yaw_deg)
@@ -68,14 +62,11 @@ class CameraSpec:
 
 
 @dataclass(frozen=True)
-class EgoSpec:
+class EgoSpec(JsonConfig):
     start: Vec3 = (0.0, 0.0, 1.8)
     velocity: Vec3 = (4.0, 0.0, 0.0)    # m/s
     yaw0: float = 0.0
     yaw_rate: float = 0.0               # rad/s
-
-    def __post_init__(self):
-        check_field_types(self)
 
     def pose_at(self, t: float) -> Pose:
         pos = np.asarray(self.start, float) + np.asarray(self.velocity, float) * t
@@ -83,32 +74,20 @@ class EgoSpec:
 
 
 @dataclass(frozen=True)
-class ObjectClassSpec:
+class ObjectClassSpec(JsonConfig):
     class_label: str
-    count: int
-    length_range: Range
-    width_range: Range
-    height_range: Range
-    speed_range: Range = (1.0, 4.0)     # moving objects only, m/s
+    count: Count
+    length_range: NonNegRange
+    width_range: NonNegRange
+    height_range: NonNegRange
+    speed_range: NonNegRange = (1.0, 4.0)   # moving objects only, m/s
     static: bool | None = None          # None: sample from static_fraction
-    density: float = 8.0                # surface points per m^2 per frame
-    sigma: float = 0.02                 # sensor noise std, meters
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.count < 0:
-            raise ConfigError("object count must be >= 0")
-        if self.density <= 0:
-            raise ConfigError("density must be positive")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
-        for name in ("length_range", "width_range", "height_range", "speed_range"):
-            if getattr(self, name)[0] < 0:
-                raise ConfigError(f"{name} must not be negative")
+    density: Positive = 8.0             # surface points per m^2 per frame
+    sigma: NonNeg = 0.02                # sensor noise std, meters
 
 
 @dataclass(frozen=True)
-class PlacementSpec:
+class PlacementSpec(JsonConfig):
     x_range: Range = (8.0, 40.0)
     y_range: Range = (-10.0, 10.0)
     min_separation: float = 6.0         # BEV meters between object centers
@@ -118,84 +97,31 @@ class PlacementSpec:
     min_angular_margin_deg: float = 3.0
     min_sensor_distance: float = 3.0    # BEV meters from ego to any object edge
 
-    def __post_init__(self):
-        check_field_types(self)
-
 
 @dataclass(frozen=True)
-class SceneConfig:
+class SceneConfig(JsonConfig):
     scene_id: str = "synthetic"
-    n_frames: int = 10
-    dt: float = 0.5                     # seconds between frames
-    seed: int = 0
-    cameras: tuple = (CameraSpec("cam_front"),)
+    n_frames: PosInt = 10
+    dt: Positive = 0.5                  # seconds between frames
+    seed: Count = 0
+    cameras: tuple[CameraSpec, ...] = (CameraSpec("cam_front"),)
     ego: EgoSpec = EgoSpec()
-    objects: tuple = ()
-    static_fraction: float = 0.74
-    bleed_fraction: float = 0.02        # share of points turned into outliers
-    bleed_offset_range: Range = (0.0, 0.5)  # meters past the surface, along the ray
+    objects: tuple[ObjectClassSpec, ...] = ()
+    static_fraction: Unit = 0.74
+    bleed_fraction: Unit = 0.02         # share of points turned into outliers
+    bleed_offset_range: NonNegRange = (0.0, 0.5)  # meters past the surface, along the ray
     placement: PlacementSpec = PlacementSpec()
     emit_masks: bool = True
-    mask_confidence: float = 1.0
-    n_background: int = 0               # ground-plane clutter points per frame
+    mask_confidence: Unit = 1.0
+    n_background: Count = 0             # ground-plane clutter points per frame
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.n_frames < 1:
-            raise ConfigError("n_frames must be >= 1")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        for name in ("static_fraction", "bleed_fraction", "mask_confidence"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        if self.bleed_offset_range[0] < 0:
-            raise ConfigError("bleed_offset_range must not be negative")
+        super().__post_init__()
         if not self.cameras:
-            raise ConfigError("at least one camera is required")
-        if self.n_background < 0:
-            raise ConfigError("n_background must be >= 0")
-
-    def to_dict(self) -> dict:
-        return _listify(dataclasses.asdict(self))
-
-    @staticmethod
-    def from_dict(d: dict) -> "SceneConfig":
-        known = {f.name for f in dataclasses.fields(SceneConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown scene config keys: {sorted(unknown)}")
-        kw = _tuplify(d, "scene config")
-        try:
-            for key, spec in (("cameras", CameraSpec), ("objects", ObjectClassSpec)):
-                if key in kw:
-                    if not isinstance(kw[key], tuple):
-                        raise ConfigError(f"{key} must be an array, got {kw[key]!r}")
-                    kw[key] = tuple(spec(**_tuplify(v, key)) for v in kw[key])
-            if "ego" in kw:
-                kw["ego"] = EgoSpec(**_tuplify(kw["ego"], "ego"))
-            if "placement" in kw:
-                kw["placement"] = PlacementSpec(**_tuplify(kw["placement"], "placement"))
-            return SceneConfig(**kw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @staticmethod
-    def from_json_file(path) -> "SceneConfig":
-        return SceneConfig.from_dict(read_json_object(path))
-
-
-def _listify(value):
-    if isinstance(value, (tuple, list)):
-        return [_listify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    return value
-
-
-def _tuplify(d: dict, key: str) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{key}: expected an object, got {d!r}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+            raise ConfigError("cameras must name at least one camera")
+        ids = [spec.camera_id for spec in self.cameras]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"cameras must have distinct camera_id values, got {ids}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +308,6 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     rig = {spec.camera_id: spec.rig_entry() for spec in cfg.cameras}
-    if len(rig) != len(cfg.cameras):
-        raise ConfigError("duplicate camera ids")
     objects = _setup_objects(cfg, rng)
 
     frames: list[Frame] = []

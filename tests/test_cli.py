@@ -7,7 +7,26 @@ from boxlift.cli import cli_main
 from boxlift.scene_io import read_pseudo_labels
 from support import passing_config
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
+CAR = {"class_label": "Car", "count": 1, "length_range": [4, 4], "width_range": [2, 2],
+       "height_range": [1.5, 1.5]}
+
+# (scene config, start of the error message, text it must also contain): a
+# bad value leads with its key; a missing or unknown key is named with its
+# section.
+BAD_SCENE_CONFIGS = [
+    pytest.param({"cameras": [{"camera_id": "c", "height": 0}]}, "height ", "", id="height"),
+    pytest.param({"cameras": [{"camera_id": "c", "width": 0}]}, "width ", "", id="width"),
+    pytest.param({"objects": [dict(CAR, count=-1)]}, "count ", "", id="count"),
+    pytest.param({"cameras": []}, "cameras ", "", id="no-camera"),
+    pytest.param({"cameras": [{"camera_id": "c"}, {"camera_id": "c"}]}, "cameras ", "'c'",
+                 id="duplicate-camera-id"),
+    pytest.param({"cameras": [{"fx": 400.0}]}, "camera_id ", "cameras[0]", id="no-camera-id"),
+    pytest.param({"cameras": [{"camera_id": "c", "fxx": 400.0}]}, "cameras[0]: ", "fxx",
+                 id="unknown-camera-key"),
+    pytest.param({"ego": {"spd": 4.0}}, "ego: ", "spd", id="unknown-ego-key"),
+]
 
 
 @pytest.fixture()
@@ -50,6 +69,15 @@ class TestGen:
         ]}))
         assert run("gen", "--config", config, "--out", tmp_path / "s") == 1
         assert "count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,start,also", BAD_SCENE_CONFIGS)
+    def test_bad_scene_config_exits_one_naming_key(self, tmp_path, capsys, config, start, also):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run("gen", "--config", path, "--out", tmp_path / "s") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {start}") and also in err, err
+        assert "Traceback" not in err
 
     def test_unknown_flag_exits_one(self, tmp_path, capsys):
         assert run("gen", "--bogus") == 1
@@ -141,3 +169,53 @@ class TestExampleConfigs:
         assert run("annotate", "--dataset", scene, "--out", labels,
                    "--config", DOCS / "example_pipeline_config.json") == 0
         assert len(read_pseudo_labels(labels)) > 0
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """The generated tiny bench scene and its coarse labels."""
+    out = tmp_path_factory.mktemp("tiny")
+    assert run("gen", "--config", ROOT / "bench/scenes/tiny.json", "--out", out / "scene") == 0
+    assert run("annotate", "--dataset", out / "scene", "--out", out / "labels.jsonl",
+               "--no-refine") == 0
+    return out / "scene", out / "labels.jsonl"
+
+
+def not_utf8(path):
+    path.write_bytes(b'{"tau_static": "\xe9"}')
+    return path
+
+
+# (command line with {scene}, {labels} and {bad} placeholders, how to make
+# {bad}): each names a path the command cannot read or write.
+BAD_PATHS = [
+    pytest.param("annotate --dataset {scene} --out {bad} --no-refine", Path.mkdir,
+                 id="annotate-out-dir"),
+    pytest.param("eval --dataset {scene} --labels {labels} --report {bad}", Path.mkdir,
+                 id="eval-report-dir"),
+    pytest.param("stats --dataset {scene} --report {bad}", Path.mkdir, id="stats-report-dir"),
+    pytest.param("annotate --dataset {scene} --out {tmp}/l.jsonl --config {bad}", Path.mkdir,
+                 id="annotate-config-dir"),
+    pytest.param("gen --config {bad} --out {tmp}/s", Path.mkdir, id="gen-config-dir"),
+    pytest.param("eval --dataset {scene} --labels {bad} --report {tmp}/r.json", Path.mkdir,
+                 id="eval-labels-dir"),
+    pytest.param("gen --config {tiny_config} --out {bad}", Path.touch, id="gen-out-file"),
+    pytest.param("annotate --dataset {scene} --out {tmp}/l.jsonl --config {bad}", not_utf8,
+                 id="annotate-config-not-utf8"),
+    pytest.param("eval --dataset {scene} --labels {bad} --report {tmp}/r.json", not_utf8,
+                 id="eval-labels-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("command,make", BAD_PATHS)
+def test_unusable_path_exits_one_naming_it(tmp_path, capsys, tiny, command, make):
+    bad = tmp_path / "bad"
+    make(bad)
+    argv = command.format(scene=tiny[0], labels=tiny[1], bad=bad, tmp=tmp_path,
+                          tiny_config=ROOT / "bench/scenes/tiny.json").split()
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err, err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -13,10 +13,11 @@ from boxlift.extraction import (
 )
 from boxlift.geometry import Box2D, Pose
 from boxlift.masks import Mask, encode_mask
-from boxlift.scene import Annotation2D, Frame
+from boxlift.refine import annotate_track
+from boxlift.scene import Annotation2D, CameraRigEntry, Frame, Scene
 from boxlift.synthetic import generate_scene
 from reference import point_in_mask, project_point
-from support import camera_looking, identity_pose, passing_config
+from support import CAM_BASE, camera_looking, identity_pose, passing_config
 
 
 def make_frame(points_world, frame_id=0):
@@ -212,3 +213,24 @@ class TestBuildTracks:
         med_c = track_centroids(track, "median")
         assert mean_c.shape == med_c.shape
         assert not np.allclose(mean_c, med_c)
+
+    def test_empty_cloud_gives_empty_observation(self):
+        # Frame 1 has no points: its observations are empty, and a track seen
+        # only there is dropped as "empty".
+        full = make_frame([[10.0, 0.0, 0.0], [10.0, 0.5, 0.0]], frame_id=0)
+        empty = make_frame(np.empty((0, 3)), frame_id=1)
+        box = Box2D(300, 150, 500, 300)
+        full.annotations.append(Annotation2D("a", "Car", "cam", box))
+        empty.annotations += [Annotation2D("a", "Car", "cam", box),
+                              Annotation2D("b", "Car", "cam", box)]
+        rig = CameraRigEntry(500, 500, 400, 225, 800, 450,
+                             Pose.from_matrix(CAM_BASE, np.zeros(3)))
+        tracks = build_tracks(Scene("s", {"cam": rig}, [full, empty]))
+        assert [t.track_id for t in tracks] == ["a", "b"]
+        assert len(tracks[0].observations[0].points) == 2
+        for track in tracks:
+            obs = track.observations[1]
+            assert obs.points.shape == (0, 3) and obs.points.dtype == np.float64
+            assert obs.indices.shape == (0,) and obs.indices.dtype == np.int64
+        label = annotate_track(tracks[1])
+        assert not label.kept and label.drop_reason == "empty"

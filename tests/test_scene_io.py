@@ -3,6 +3,7 @@ import math
 import shutil
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -208,6 +209,7 @@ MALFORMED_MANIFESTS = [
     (set_key(lambda m: m["frames"][0], "pointcloud", 5), "/frames/0/pointcloud"),
     (set_key(lambda m: m, "scene_id", 5), "/scene_id"),
     (set_key(lambda m: m, "generator", "x"), "/generator"),
+    (set_key(lambda m: m, "generator", {"seed": "x"}), "/generator/seed"),
 ]
 
 # (edit of a span in a frame of 4 points, text the error must contain).
@@ -310,6 +312,13 @@ class TestManifestErrors:
         (scene_dir / "pc/frame_000000.mvpc").unlink()
         with pytest.raises(SceneIoError):
             load_scene(scene_dir)
+
+    def test_undecodable_manifest_names_file(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_bytes(b'{"scene_id": "\xe9"}')
+        with pytest.raises(ParseError) as err:
+            load_scene(path)
+        assert err.value.where == str(path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SceneIoError):
@@ -442,14 +451,19 @@ def tiny_scene(tmp_path_factory):
     return out
 
 
-def annotate_edited(tiny_scene, work, edit, capsys):
-    """Run ``annotate --no-refine`` on a copy of the tiny scene whose manifest
-    ``edit`` changed in place; returns (exit code, stderr)."""
+def edited_scene(tiny_scene, work, edit):
+    """A copy of the tiny scene in ``work`` whose manifest ``edit`` changed in place."""
     scene = work / "scene"
     shutil.copytree(tiny_scene, scene, dirs_exist_ok=True)
     manifest = json.loads((tiny_scene / "scene.json").read_text())
     edit(manifest)
     (scene / "scene.json").write_text(json.dumps(manifest))
+    return scene
+
+
+def annotate_edited(tiny_scene, work, edit, capsys):
+    """Run ``annotate --no-refine`` on ``edited_scene``; returns (exit code, stderr)."""
+    scene = edited_scene(tiny_scene, work, edit)
     capsys.readouterr()
     code = cli_main(["annotate", "--dataset", str(scene), "--out", str(work / "labels.jsonl"),
                      "--no-refine"])
@@ -504,12 +518,12 @@ FUZZ_VALUES = [None, "x", "", True, [], {}, 0, -1, 0.5, math.nan, math.inf, -mat
 DROP = object()
 
 
-def manifest_paths(node, path=()):
-    """Key and index paths of the fields below ``node``.  The long per-pixel
-    ``rle`` and per-point ``faces`` arrays give only their first element, and
-    the ``generator`` provenance record, which ``annotate`` never reads, none."""
+def manifest_paths(node, path=(), skip=()):
+    """Key and index paths of the fields below ``node``, leaving out the
+    objects under a key in ``skip``.  The long per-pixel ``rle`` and
+    per-point ``faces`` arrays give only their first element."""
     if isinstance(node, dict):
-        children = [(key, child) for key, child in node.items() if key != "generator"]
+        children = [(key, child) for key, child in node.items() if key not in skip]
     elif isinstance(node, list):
         children = list(enumerate(node))
         if path[-1:] in (("rle",), ("faces",)):
@@ -518,18 +532,21 @@ def manifest_paths(node, path=()):
         return
     for key, child in children:
         yield path + (key,)
-        yield from manifest_paths(child, path + (key,))
+        yield from manifest_paths(child, path + (key,), skip)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_manifest_never_exits_two(tiny_scene, tmp_path, capsys, data):
-    # 1-3 fields, each replaced by a FUZZ_VALUES entry or dropped from its
-    # parent.  Bad input exits 1 with a message; exit 2 is an internal error.
+def random_edit(data, skip=(), by_section=False):
+    """An edit of 1-3 manifest fields (not under a key in ``skip``), each
+    replaced by a FUZZ_VALUES entry or dropped from its parent.  Fields are
+    drawn uniformly, or with ``by_section`` from a uniformly drawn top-level
+    key, so that the few fields of a small section are drawn as often."""
     def edit(manifest):
         for _ in range(data.draw(st.integers(1, 3), label="n_edits")):
-            *parents, key = data.draw(st.sampled_from(list(manifest_paths(manifest))))
+            paths = list(manifest_paths(manifest, skip=skip))
+            if by_section:
+                section = data.draw(st.sampled_from(sorted({p[0] for p in paths})))
+                paths = [p for p in paths if p[0] == section]
+            *parents, key = data.draw(st.sampled_from(paths))
             node = manifest
             for name in parents:
                 node = node[name]
@@ -538,6 +555,46 @@ def test_mutated_manifest_never_exits_two(tiny_scene, tmp_path, capsys, data):
                 del node[key]
             else:
                 node[key] = value
+    return edit
 
-    code, err = annotate_edited(tiny_scene, tmp_path, edit, capsys)
+
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_manifest_never_exits_two(tiny_scene, tmp_path, capsys, data):
+    # Bad input exits 1 with a message; exit 2 is an internal error.  The
+    # generator provenance record is left alone: annotate never reads it.
+    code, err = annotate_edited(tiny_scene, tmp_path, random_edit(data, skip=("generator",)),
+                                capsys)
     assert code in (0, 1), err
+
+
+SCHEMA = json.loads((TINY_CONFIG.parents[2] / "docs" / "report.schema.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def tiny_labels(tiny_scene, tmp_path_factory):
+    labels = tmp_path_factory.mktemp("tiny_labels") / "labels.jsonl"
+    assert cli_main(["annotate", "--dataset", str(tiny_scene), "--out", str(labels),
+                     "--no-refine"]) == 0
+    return labels
+
+
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_manifest_evaluates_to_a_valid_report_or_exits_one(tiny_scene, tiny_labels,
+                                                                   tmp_path, capsys, data):
+    # eval also reads the generator record, whose seed the report echoes;
+    # nothing reads the scene config echoed under it.
+    scene = edited_scene(tiny_scene, tmp_path,
+                         random_edit(data, skip=("config",), by_section=True))
+    report = tmp_path / "report.json"
+    report.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = cli_main(["eval", "--dataset", str(scene), "--labels", str(tiny_labels),
+                     "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code == 0:
+        jsonschema.validate(json.loads(report.read_text()), SCHEMA)

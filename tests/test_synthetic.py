@@ -244,6 +244,7 @@ class TestConfig:
             ({"placement": {"x_range": [1, float("nan")]}}, "x_range"),
             ({"placement": {"x_range": [40, 8]}}, "x_range"),
             ({"n_background": -1}, "n_background"),
+            ({"seed": -1}, "seed"),
         ]
         for config, key in bad:
             with pytest.raises(ConfigError, match=key):
