@@ -12,7 +12,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import PipelineConfig
+from .config import TYPE_CHECKS, PipelineConfig
 from .errors import BoxliftError
 from .evaluate import build_report, frames_histogram
 from .extraction import build_tracks
@@ -28,13 +28,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_option(kind: str):
+    """An argparse type: an integer that passes the ``kind`` row of TYPE_CHECKS."""
+    test, description = TYPE_CHECKS[kind]
+
+    def integer(text: str) -> int:      # argparse says "invalid integer value: ..."
+        value = int(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {description}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="boxlift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic scene")
     gen.add_argument("--config", required=True, help="scene config JSON")
-    gen.add_argument("--seed", type=int, default=None, help="override the config seed")
+    gen.add_argument("--seed", type=_int_option("Count"), default=None,
+                     help="override the config seed")
     gen.add_argument("--out", required=True, help="output scene directory")
     gen.set_defaults(func=_cmd_gen)
 
@@ -43,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ann.add_argument("--out", required=True, help="output labels JSONL")
     ann.add_argument("--config", default=None, help="pipeline config JSON")
     ann.add_argument("--no-refine", action="store_true", help="emit coarse boxes only")
-    ann.add_argument("--threads", type=int, default=1, help="worker processes")
+    ann.add_argument("--threads", type=_int_option("PosInt"), default=1, help="worker processes")
     ann.set_defaults(func=_cmd_annotate)
 
     ev = sub.add_parser("eval", help="evaluate labels against scene ground truth")

@@ -3,18 +3,20 @@
 Each field of a config dataclass declares its type and range in its
 annotation: ``Positive`` is a number > 0, ``Unit`` a number in [0, 1],
 ``Count`` an integer >= 0, and so on.  ``check_field_types`` reads the
-annotation's row of ``_TYPE_CHECKS`` and raises ``ConfigError`` naming the
-key.  ``JsonConfig`` is the base of ``PipelineConfig`` and of the synthetic
-scene specs: its ``from_dict`` rejects unknown and missing keys, naming the
-section, turns JSON arrays into tuples and builds nested specs from their
-annotations; ``to_dict`` is its inverse.
+annotation's row of ``TYPE_CHECKS`` and raises ``ConfigError`` naming the
+key; the manifest and label readers in ``scene_io`` use the same table.
+A number must lie within float range.  ``JsonConfig`` is the base of
+``PipelineConfig`` and of the synthetic scene specs: its ``from_dict``
+rejects unknown and missing keys, naming the section, turns JSON arrays
+into tuples and builds nested specs from their annotations; ``to_dict`` is
+its inverse.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 import typing
 from dataclasses import MISSING, dataclass, field
 
@@ -29,7 +31,8 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # False for NaN, and no OverflowError on an integer past float range.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_unit(v) -> bool:
@@ -41,15 +44,15 @@ def _is_range(v) -> bool:
 
 
 # Field annotations that carry a range; each is checked by its row of
-# _TYPE_CHECKS.  Ranges are [lo, hi] pairs with lo <= hi.
+# TYPE_CHECKS.  Ranges are [lo, hi] pairs with lo <= hi.
 Positive = NonNeg = Unit = float
 Count = PosInt = int
-Range = NonNegRange = Vec3 = Ints = tuple
+Range = NonNegRange = PosRange = Vec3 = Ints = tuple
 Gates = dict                        # class name -> number in [0, 1]
 
-# Field annotation (a string under postponed evaluation) -> (value test,
-# description in the error message).
-_TYPE_CHECKS = {
+# Field annotation (a string under postponed evaluation) or JSON kind ->
+# (value test, description in the error message).
+TYPE_CHECKS = {
     "float": (_is_real, "a finite number"),
     "Positive": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
     "NonNeg": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
@@ -62,21 +65,24 @@ _TYPE_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "Range": (_is_range, "finite numbers [lo, hi], lo <= hi"),
     "NonNegRange": (lambda v: _is_range(v) and v[0] >= 0, "finite numbers [lo, hi], 0 <= lo <= hi"),
+    "PosRange": (lambda v: _is_range(v) and v[0] > 0, "finite numbers [lo, hi], 0 < lo <= hi"),
     "Vec3": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_real, v)),
              "three finite numbers"),
     "Ints": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
     "Gates": (lambda v: isinstance(v, dict) and all(isinstance(k, str) and _is_unit(g)
                                                     for k, g in v.items()),
               "an object of class names to numbers in [0, 1]"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
 }
 
 
 def check_field_types(obj) -> None:
     """Raise ConfigError naming the first dataclass field whose value does not
-    match its annotation; annotations missing from ``_TYPE_CHECKS`` are not checked."""
+    match its annotation; annotations missing from ``TYPE_CHECKS`` are not checked."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        check = _TYPE_CHECKS.get(f.type)
+        check = TYPE_CHECKS.get(f.type)
         if check is not None and not check[0](value):
             raise ConfigError(f"{f.name} must be {check[1]}, got {value!r}")
 

@@ -23,10 +23,6 @@ class SceneIoError(BoxliftError):
     """A referenced file is missing or unreadable."""
 
 
-class MaskError(BoxliftError):
-    """A run-length mask is internally inconsistent."""
-
-
 class ConfigError(BoxliftError):
     """Invalid configuration value."""
 

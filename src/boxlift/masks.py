@@ -8,8 +8,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MaskError
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -17,24 +15,29 @@ class Mask:
 
     Runs alternate background/foreground starting with background, so a
     bitmap whose first pixel is set encodes a leading zero-length run.
-    Runs must sum to width * height; this is checked on decode, not here,
-    so that masks read from disk surface a MaskError at use time.
+    The constructor raises ValueError unless the runs are non-negative and
+    sum to width * height, so a mask read from disk fails at load.
     """
 
     rle: tuple[int, ...]
     width: int
     height: int
 
+    def __post_init__(self):
+        if min(self.rle, default=0) < 0:
+            raise ValueError("negative run length")
+        if sum(self.rle) != self.width * self.height:
+            raise ValueError(
+                f"run lengths sum to {sum(self.rle)}, expected {self.width * self.height}"
+            )
 
-@lru_cache(maxsize=256)
+
+# Caches nothing: a decoded bitmap is rarely asked for twice, and keeping
+# them costs about 360 KB each at 800x450.  The wrapper stays because its
+# cache_info().misses counts the decodes.
+@lru_cache(maxsize=0)
 def _decode_cached(mask: Mask) -> np.ndarray:
     runs = np.asarray(mask.rle, dtype=np.int64)
-    if len(runs) and runs.min() < 0:
-        raise MaskError("negative run length")
-    if runs.sum() != mask.width * mask.height:
-        raise MaskError(
-            f"run lengths sum to {runs.sum()}, expected {mask.width * mask.height}"
-        )
     values = (np.arange(len(runs)) % 2).astype(bool)
     flat = np.repeat(values, runs)
     out = flat.reshape(mask.height, mask.width)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import os
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
 
+from .config import TYPE_CHECKS
 from .errors import ParseError, SceneIoError
 from .geometry import Box2D, Box3D, Pose
 from .masks import Mask
@@ -76,38 +76,45 @@ def read_mvpc(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_KINDS = {
-    dict: "an object", list: "an array", int: "an integer", bool: "true or false", str: "a string",
-}
-
-
-def _expect(value, kind: type, path: str):
-    """Return ``value`` if it is a ``kind`` (a bool is not an integer), else raise."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(f"expected {_KINDS[kind]}", path)
+def _check(value, kind: str, path: str):
+    """Return ``value`` if it passes the ``kind`` row of ``TYPE_CHECKS``, else raise."""
+    test, description = TYPE_CHECKS[kind]
+    if not test(value):
+        raise ParseError(f"expected {description}", path)
     return value
 
 
+def _build(cls, path: str, *args, **kwargs):
+    """Construct ``cls``; the ValueError of a broken invariant becomes a ParseError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from exc
+
+
 def _get(obj: dict, key: str, path: str):
-    if key not in _expect(obj, dict, path):
+    if key not in _check(obj, "object", path):
         raise ParseError(f"missing key {key!r}", path)
     return obj[key]
 
 
 def _str(obj: dict, key: str, path: str) -> str:
-    return _expect(_get(obj, key, path), str, f"{path.rstrip('/')}/{key}")
+    return _check(_get(obj, key, path), "str", f"{path.rstrip('/')}/{key}")
 
 
 def _num(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError("expected a number", path)
-    if not abs(value) <= sys.float_info.max:   # NaN, infinities, integers past float range
-        raise ParseError("expected a finite number", path)
-    return float(value)
+    return float(_check(value, "float", path))
+
+
+def _numbers(values, n: int, path: str, shape: str) -> tuple[float, ...]:
+    """A JSON array of exactly ``n`` numbers; ``shape`` names them in the error."""
+    if not (isinstance(values, list) and len(values) == n):
+        raise ParseError(f"expected {shape}", path)
+    return tuple(_num(v, f"{path}/{k}") for k, v in enumerate(values))
 
 
 def _ints(values, path: str) -> tuple[int, ...]:
-    return tuple(_expect(v, int, f"{path}/{k}") for k, v in enumerate(_expect(values, list, path)))
+    return tuple(_check(values, "Ints", path))
 
 
 def _opt_num(obj: dict, key: str, path: str) -> float | None:
@@ -116,61 +123,43 @@ def _opt_num(obj: dict, key: str, path: str) -> float | None:
 
 
 def _pose(obj, path: str) -> Pose:
-    q = _get(obj, "q", path)
-    t = _get(obj, "t", path)
-    if not (isinstance(q, list) and len(q) == 4):
-        raise ParseError("pose q must be [w, x, y, z]", f"{path}/q")
-    if not (isinstance(t, list) and len(t) == 3):
-        raise ParseError("pose t must be [x, y, z]", f"{path}/t")
-    q = [_num(v, f"{path}/q/{k}") for k, v in enumerate(q)]
-    t = [_num(v, f"{path}/t/{k}") for k, v in enumerate(t)]
-    try:
-        return Pose(np.array(q), np.array(t))
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    q = _numbers(_get(obj, "q", path), 4, f"{path}/q", "[w, x, y, z]")
+    t = _numbers(_get(obj, "t", path), 3, f"{path}/t", "[x, y, z]")
+    return _build(Pose, path, q, t)
 
 
 def _annotation(obj, path: str) -> Annotation2D:
-    box = _get(obj, "box", path)
-    if not (isinstance(box, list) and len(box) == 4):
-        raise ParseError("box must be [x_min, y_min, x_max, y_max]", f"{path}/box")
-    try:
-        box2d = Box2D(*(_num(v, f"{path}/box") for v in box))
-    except ValueError as exc:
-        raise ParseError(str(exc), f"{path}/box") from exc
+    box = _numbers(_get(obj, "box", path), 4, f"{path}/box", "[x_min, y_min, x_max, y_max]")
     mask = None
     if obj.get("mask") is not None:
         m, mp = obj["mask"], f"{path}/mask"
-        mask = Mask(
+        mask = _build(
+            Mask,
+            mp,
             _ints(_get(m, "rle", mp), f"{mp}/rle"),
-            _expect(_get(m, "width", mp), int, f"{mp}/width"),
-            _expect(_get(m, "height", mp), int, f"{mp}/height"),
+            _check(_get(m, "width", mp), "int", f"{mp}/width"),
+            _check(_get(m, "height", mp), "int", f"{mp}/height"),
         )
     return Annotation2D(
         track_id=_str(obj, "track_id", path),
         class_label=_str(obj, "class", path),
         camera_id=_str(obj, "camera_id", path),
-        box=box2d,
+        box=_build(Box2D, f"{path}/box", *box),
         mask=mask,
         mask_confidence=_opt_num(obj, "mask_confidence", path),
     )
 
 
 def _box3d(values, path: str) -> Box3D:
-    if not (isinstance(values, list) and len(values) == 7):
-        raise ParseError("box must be [cx, cy, cz, l, w, h, yaw]", path)
-    try:
-        return Box3D(*(_num(v, path) for v in values))
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return _build(Box3D, path, *_numbers(values, 7, path, "[cx, cy, cz, l, w, h, yaw]"))
 
 
 def _gt_span(obj, path: str, n_points: int) -> GtSpan:
     span = GtSpan(
         track_id=_str(obj, "track_id", path),
-        start=_expect(_get(obj, "start", path), int, f"{path}/start"),
-        count=_expect(_get(obj, "count", path), int, f"{path}/count"),
-        n_bleed=_expect(obj.get("n_bleed", 0), int, f"{path}/n_bleed"),
+        start=_check(_get(obj, "start", path), "int", f"{path}/start"),
+        count=_check(_get(obj, "count", path), "int", f"{path}/count"),
+        n_bleed=_check(obj.get("n_bleed", 0), "int", f"{path}/n_bleed"),
         faces=_ints(obj.get("faces", []), f"{path}/faces"),
     )
     if span.start < 0 or span.start + span.count > n_points:
@@ -183,18 +172,13 @@ def _gt_span(obj, path: str, n_points: int) -> GtSpan:
 
 
 def _gt_track(obj, path: str) -> GtTrack:
-    velocity = _expect(_get(obj, "velocity", path), list, f"{path}/velocity")
     boxes = {}
-    for fid, values in _expect(_get(obj, "boxes", path), dict, f"{path}/boxes").items():
-        try:
-            frame_id = int(fid)
-        except ValueError as exc:
-            raise ParseError("expected an integer frame id", f"{path}/boxes/{fid}") from exc
-        boxes[frame_id] = _box3d(values, f"{path}/boxes/{fid}")
+    for fid, values in _check(_get(obj, "boxes", path), "object", f"{path}/boxes").items():
+        boxes[_build(int, f"{path}/boxes/{fid}", fid)] = _box3d(values, f"{path}/boxes/{fid}")
     return GtTrack(
         class_label=_str(obj, "class", path),
-        static=_expect(_get(obj, "static", path), bool, f"{path}/static"),
-        velocity=tuple(_num(v, f"{path}/velocity/{k}") for k, v in enumerate(velocity)),
+        static=_check(_get(obj, "static", path), "bool", f"{path}/static"),
+        velocity=_numbers(_get(obj, "velocity", path), 3, f"{path}/velocity", "[vx, vy, vz]"),
         boxes=boxes,
     )
 
@@ -295,29 +279,23 @@ def save_scene(scene: Scene, directory) -> Path:
 
 def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     cameras = {}
-    for cid, cam in _expect(_get(manifest, "cameras", "/"), dict, "/cameras").items():
+    for cid, cam in _check(_get(manifest, "cameras", "/"), "object", "/cameras").items():
         path = f"/cameras/{cid}"
-        width = _expect(_get(cam, "width", path), int, f"{path}/width")
-        height = _expect(_get(cam, "height", path), int, f"{path}/height")
-        fx = _num(_get(cam, "fx", path), f"{path}/fx")
-        fy = _num(_get(cam, "fy", path), f"{path}/fy")
-        if fx <= 0 or fy <= 0 or width <= 0 or height <= 0:
-            raise ParseError("camera intrinsics must be positive", path)
         cameras[cid] = CameraRigEntry(
-            fx=fx,
-            fy=fy,
+            fx=float(_check(_get(cam, "fx", path), "Positive", f"{path}/fx")),
+            fy=float(_check(_get(cam, "fy", path), "Positive", f"{path}/fy")),
             cx=_num(_get(cam, "cx", path), f"{path}/cx"),
             cy=_num(_get(cam, "cy", path), f"{path}/cy"),
-            width=width,
-            height=height,
+            width=_check(_get(cam, "width", path), "PosInt", f"{path}/width"),
+            height=_check(_get(cam, "height", path), "PosInt", f"{path}/height"),
             ego_from_camera=_pose(_get(cam, "ego_from_camera", path), f"{path}/ego_from_camera"),
         )
     frames = []
     track_classes: dict[str, str] = {}
     last = None
-    for i, fr in enumerate(_expect(_get(manifest, "frames", "/"), list, "/frames")):
+    for i, fr in enumerate(_check(_get(manifest, "frames", "/"), "array", "/frames")):
         path = f"/frames/{i}"
-        frame_id = _expect(_get(fr, "frame_id", path), int, f"{path}/frame_id")
+        frame_id = _check(_get(fr, "frame_id", path), "int", f"{path}/frame_id")
         timestamp = _num(_get(fr, "timestamp", path), f"{path}/timestamp")
         if last is not None and (frame_id <= last[0] or timestamp <= last[1]):
             raise ParseError("frame ids and timestamps must be strictly increasing", path)
@@ -326,7 +304,7 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         annotations = [
             _annotation(a, f"{path}/annotations/{k}")
             for k, a in enumerate(
-                _expect(_get(fr, "annotations", path), list, f"{path}/annotations")
+                _check(_get(fr, "annotations", path), "array", f"{path}/annotations")
             )
         ]
         points = read_mvpc(directory / rel)
@@ -334,10 +312,17 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         if fr.get("gt_spans") is not None:
             spans = [
                 _gt_span(s, f"{path}/gt_spans/{k}", len(points))
-                for k, s in enumerate(_expect(fr["gt_spans"], list, f"{path}/gt_spans"))
+                for k, s in enumerate(_check(fr["gt_spans"], "array", f"{path}/gt_spans"))
             ]
+        frame_tracks: set[str] = set()
         for ann_idx, ann in enumerate(annotations):
             ann_path = f"{path}/annotations/{ann_idx}"
+            if ann.track_id in frame_tracks:
+                raise ParseError(
+                    f"track {ann.track_id!r} is annotated twice in this frame",
+                    f"{ann_path}/track_id",
+                )
+            frame_tracks.add(ann.track_id)
             if ann.camera_id not in cameras:
                 raise ParseError(
                     f"annotation references unknown camera {ann.camera_id!r}",
@@ -379,14 +364,14 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     if manifest.get("gt_tracks") is not None:
         gt_tracks = {
             tid: _gt_track(gt, f"/gt_tracks/{tid}")
-            for tid, gt in _expect(manifest["gt_tracks"], dict, "/gt_tracks").items()
+            for tid, gt in _check(manifest["gt_tracks"], "object", "/gt_tracks").items()
         }
     generator = manifest.get("generator")
     if generator is not None:
         # Reports echo the seed, and their schema allows an integer or null.
-        seed = _expect(generator, dict, "/generator").get("seed")
+        seed = _check(generator, "object", "/generator").get("seed")
         if seed is not None:
-            _expect(seed, int, "/generator/seed")
+            _check(seed, "int", "/generator/seed")
     return Scene(
         scene_id=_str(manifest, "scene_id", "/"),
         cameras=cameras,
@@ -458,21 +443,18 @@ def _label_from_dict(d) -> PseudoLabel:
         box=_box3d(_get(d, "box", "/"), "/box"),
         source=source,
         quality=QualityRecord(
-            n_points=_expect(_get(q, "n_points", "/quality"), int, "/quality/n_points"),
-            n_views=_expect(_get(q, "n_views", "/quality"), int, "/quality/n_views"),
+            n_points=_check(_get(q, "n_points", "/quality"), "int", "/quality/n_points"),
+            n_views=_check(_get(q, "n_views", "/quality"), "int", "/quality/n_views"),
             hull_iou=_opt_num(q, "hull_iou", "/quality"),
             l2d=_opt_num(q, "l2d", "/quality"),
             fit=_opt_num(q, "fit", "/quality"),
         ),
-        kept=_expect(_get(d, "kept", "/"), bool, "/kept"),
-        drop_reason=None if drop_reason is None else _expect(drop_reason, str, "/drop_reason"),
+        kept=_check(_get(d, "kept", "/"), "bool", "/kept"),
+        drop_reason=None if drop_reason is None else _check(drop_reason, "str", "/drop_reason"),
         confidence=_opt_num(d, "confidence", ""),
-        anchor_frame_id=None if anchor is None else _expect(anchor, int, "/anchor_frame_id"),
+        anchor_frame_id=None if anchor is None else _check(anchor, "int", "/anchor_frame_id"),
     )
-    try:
-        return PseudoLabel(**fields)
-    except ValueError as exc:
-        raise ParseError(str(exc), "/") from exc
+    return _build(PseudoLabel, "/", **fields)
 
 
 def write_pseudo_labels(labels, path) -> None:

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Count, JsonConfig, NonNeg, NonNegRange, PosInt, Positive, Range, Unit, Vec3
+from .config import (
+    Count, JsonConfig, NonNeg, NonNegRange, PosInt, Positive, PosRange, Range, Unit, Vec3,
+)
 from .errors import ConfigError, DegenerateHull
 from .geometry import Box3D, Pose, convex_hull, project_box3d, project_box_silhouette
 from .masks import encode_mask, rasterize_convex_polygon
@@ -77,9 +79,9 @@ class EgoSpec(JsonConfig):
 class ObjectClassSpec(JsonConfig):
     class_label: str
     count: Count
-    length_range: NonNegRange
-    width_range: NonNegRange
-    height_range: NonNegRange
+    length_range: PosRange
+    width_range: PosRange
+    height_range: PosRange
     speed_range: NonNegRange = (1.0, 4.0)   # moving objects only, m/s
     static: bool | None = None          # None: sample from static_fraction
     density: Positive = 8.0             # surface points per m^2 per frame

@@ -26,6 +26,9 @@ BAD_SCENE_CONFIGS = [
     pytest.param({"cameras": [{"camera_id": "c", "fxx": 400.0}]}, "cameras[0]: ", "fxx",
                  id="unknown-camera-key"),
     pytest.param({"ego": {"spd": 4.0}}, "ego: ", "spd", id="unknown-ego-key"),
+    pytest.param({"dt": 10**400}, "dt ", "", id="dt-past-float-range"),
+    pytest.param({"objects": [dict(CAR, length_range=[0, 0])]}, "length_range ", "",
+                 id="zero-length-range"),
 ]
 
 
@@ -83,6 +86,12 @@ class TestGen:
         assert run("gen", "--bogus") == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one_naming_option(self, tmp_path, capsys, scene_config_path):
+        assert run("gen", "--config", scene_config_path, "--seed", -1, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be an integer >= 0, got -1" in err
+        assert "Traceback" not in err
+
 
 class TestPipeline:
     def test_gen_annotate_eval_deterministic(self, tmp_path, scene_config_path,
@@ -137,6 +146,14 @@ class TestPipeline:
                    "--report", tmp_path / "r.json")
         assert code == 1
         assert "obj-999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_exits_one_naming_option(self, tmp_path, capsys, threads):
+        assert run("annotate", "--dataset", tmp_path, "--out", tmp_path / "l.jsonl",
+                   "--threads", threads) == 1
+        assert f"argument --threads: must be an integer >= 1, got {threads}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "l.jsonl").exists()
 
     def test_annotate_missing_dataset_exit_one(self, tmp_path):
         assert run("annotate", "--dataset", tmp_path / "ghost",

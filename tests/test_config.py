@@ -33,6 +33,7 @@ BAD_VALUES = [
     ("centroid", "mode"),
     ("hull_metric", 3),
     ("z_near", 0.0),
+    pytest.param("tau_static", 10**400, id="tau_static-10**400"),
 ]
 
 # One value per kind of check, run through the CLI: it must exit 1, not crash.
@@ -45,6 +46,7 @@ CLI_BAD_VALUES = [
     ("lambda_2d", None),
     ("dbscan_min_pts", 0),
     ("refine_budget", -5),
+    pytest.param("tau_static", 10**400, id="tau_static-10**400"),
 ]
 
 

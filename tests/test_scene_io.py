@@ -144,6 +144,8 @@ class TestSceneRoundTrip:
 
 
 GOOD_MASK = {"rle": [0, 25], "width": 5, "height": 5}
+IMAGE_MASK = {"rle": [0, 800 * 450], "width": 800, "height": 450}  # minimal_scene's image
+MASK = "/frames/0/annotations/0/mask"
 
 
 def annotate_with(**fields):
@@ -158,6 +160,11 @@ def numbered_camera(m):
     # camera "5" exists, so only the type of camera_id 5 is wrong
     m["cameras"]["5"] = m["cameras"]["cam"]
     annotate_with(camera_id=5)(m)
+
+
+def annotate_twice(m):
+    annotate_with()(m)
+    m["frames"][0]["annotations"].append(dict(m["frames"][0]["annotations"][0]))
 
 
 def set_key(container_of, key, value):
@@ -184,7 +191,9 @@ def add_gt_track(track):
 
 
 # (mutation, JSON pointer the ParseError must name): a wrong container or
-# value type must surface as a ParseError located at that element.
+# value type, or a value that breaks its record's invariant (mask run
+# lengths, one annotation per track per frame), must surface as a
+# ParseError located at that element.
 MALFORMED_MANIFESTS = [
     (annotate_with(mask=5), "/frames/0/annotations/0/mask"),
     (annotate_with(mask={**GOOD_MASK, "rle": "abc"}), "/frames/0/annotations/0/mask/rle"),
@@ -210,7 +219,21 @@ MALFORMED_MANIFESTS = [
     (set_key(lambda m: m, "scene_id", 5), "/scene_id"),
     (set_key(lambda m: m, "generator", "x"), "/generator"),
     (set_key(lambda m: m, "generator", {"seed": "x"}), "/generator/seed"),
+    (annotate_with(mask={**IMAGE_MASK, "rle": [0, 800 * 450 - 5]}), MASK),
+    (annotate_with(mask={**IMAGE_MASK, "rle": [-1, 800 * 450 + 1]}), MASK),
+    (add_gt_track({**GOOD_GT_TRACK, "velocity": [0, 0]}), "/gt_tracks/t/velocity"),
+    (set_key(lambda m: m["cameras"]["cam"], "fx", 0), "/cameras/cam/fx"),
+    (annotate_twice, "/frames/0/annotations/1/track_id"),
 ]
+
+
+def pointer_ids(cases):
+    """Each case's JSON pointer as its test id, a repeat numbered from its
+    second occurrence (pytest would renumber every occurrence)."""
+    wheres = [where for _, where in cases]
+    return [where if wheres.index(where) == i else f"{where}#{wheres[:i].count(where) + 1}"
+            for i, where in enumerate(wheres)]
+
 
 # (edit of a span in a frame of 4 points, text the error must contain).
 BAD_SPANS = [
@@ -245,7 +268,7 @@ class TestManifestErrors:
         assert "/frames/0/annotations/0" in str(err.value)
 
     @pytest.mark.parametrize("mutate,where", MALFORMED_MANIFESTS,
-                             ids=[where for _, where in MALFORMED_MANIFESTS])
+                             ids=pointer_ids(MALFORMED_MANIFESTS))
     def test_malformed_container_names_path(self, tmp_path, mutate, where):
         path = self.write_manifest(tmp_path, mutate)
         with pytest.raises(ParseError) as err:

@@ -245,6 +245,10 @@ class TestConfig:
             ({"placement": {"x_range": [40, 8]}}, "x_range"),
             ({"n_background": -1}, "n_background"),
             ({"seed": -1}, "seed"),
+            ({"dt": 10**400}, "dt"),
+            ({"objects": [dict(car, length_range=[0, 0])]}, "length_range"),
+            ({"objects": [dict(car, width_range=[0, 2])]}, "width_range"),
+            ({"objects": [dict(car, height_range=[0.0, 0.0])]}, "height_range"),
         ]
         for config, key in bad:
             with pytest.raises(ConfigError, match=key):
