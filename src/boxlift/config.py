@@ -54,15 +54,18 @@ Gates = dict                        # class name -> number in [0, 1]
 # (value test, description in the error message).
 TYPE_CHECKS = {
     "float": (_is_real, "a finite number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
     "Positive": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
     "NonNeg": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
     "Unit": (_is_unit, "a number in [0, 1]"),
     "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "Count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "PosInt": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "bool | None": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "Range": (_is_range, "finite numbers [lo, hi], lo <= hi"),
     "NonNegRange": (lambda v: _is_range(v) and v[0] >= 0, "finite numbers [lo, hi], 0 <= lo <= hi"),
     "PosRange": (lambda v: _is_range(v) and v[0] > 0, "finite numbers [lo, hi], 0 < lo <= hi"),

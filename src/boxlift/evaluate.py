@@ -118,10 +118,11 @@ def segmentation_curve(instances: list[SegmentationInstance], thresholds) -> lis
 
 
 def resolve_gt_boxes(scene: Scene, labels) -> dict[str, Box3D]:
-    """Ground-truth box per label, taken at the label's anchor frame.
+    """Ground-truth box per kept label, taken at the label's anchor frame.
 
     Raises ConfigError naming any label track ids missing from the scene's
-    ground truth.
+    ground truth, or a kept label's track and anchor frame that has no
+    ground-truth box.
     """
     if scene.gt_tracks is None:
         raise ConfigError("scene has no ground-truth tracks")
@@ -130,20 +131,23 @@ def resolve_gt_boxes(scene: Scene, labels) -> dict[str, Box3D]:
         raise ConfigError(f"labels reference unknown track ids: {', '.join(missing)}")
     out = {}
     for lb in labels:
-        gt = scene.gt_tracks[lb.track_id]
-        fid = lb.anchor_frame_id
-        if fid is None or fid not in gt.boxes:
-            fid = min(gt.boxes)
-        out[lb.track_id] = gt.boxes[fid]
+        if not lb.kept:
+            continue
+        boxes = scene.gt_tracks[lb.track_id].boxes
+        if lb.anchor_frame_id not in boxes:
+            raise ConfigError(
+                f"track {lb.track_id!r} has no ground-truth box at its anchor frame "
+                f"{lb.anchor_frame_id}"
+            )
+        out[lb.track_id] = boxes[lb.anchor_frame_id]
     return out
 
 
 def coarse_quality_table(labels, gt_boxes: dict[str, Box3D]) -> dict:
-    """Per-class and overall mean 3D IoU of labels against ground truth."""
+    """Per-class and overall mean 3D IoU of labels against ground truth;
+    ``gt_boxes`` holds the box of every label's track."""
     per_class: dict[str, list[float]] = {}
     for lb in labels:
-        if lb.track_id not in gt_boxes:
-            raise ConfigError(f"no ground truth for track {lb.track_id!r}")
         per_class.setdefault(lb.class_label, []).append(iou_3d(lb.box, gt_boxes[lb.track_id]))
     table = {
         cls: {"mean_iou_3d": sum(vals) / len(vals), "n": len(vals)}

@@ -8,6 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import Ints
+
 
 @dataclass(frozen=True)
 class Mask:
@@ -19,7 +21,7 @@ class Mask:
     sum to width * height, so a mask read from disk fails at load.
     """
 
-    rle: tuple[int, ...]
+    rle: Ints
     width: int
     height: int
 

@@ -302,7 +302,7 @@ class QualityRecord:
 @dataclass(frozen=True)
 class PseudoLabel:
     track_id: str
-    class_label: str
+    class_label: str = field(metadata={"json": "class"})
     box: Box3D
     source: str                        # "coarse" | "refined"
     quality: QualityRecord
@@ -314,6 +314,8 @@ class PseudoLabel:
     def __post_init__(self):
         if not self.kept and self.drop_reason is None:
             raise ValueError("dropped label must carry a drop_reason")
+        if self.kept and self.anchor_frame_id is None:
+            raise ValueError("kept label must carry an anchor_frame_id")
 
 
 # Emitted when a track yields no usable geometry at all; kept is always False.

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Ints, PosInt, Positive, Vec3
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
 
@@ -17,7 +18,7 @@ from .masks import Mask
 @dataclass(frozen=True)
 class Annotation2D:
     track_id: str
-    class_label: str
+    class_label: str = field(metadata={"json": "class"})
     camera_id: str
     box: Box2D
     mask: Mask | None = None
@@ -36,20 +37,20 @@ class GtSpan:
     track_id: str
     start: int
     count: int
-    n_bleed: int
-    faces: tuple[int, ...]
+    n_bleed: int = 0
+    faces: Ints = ()
 
 
 @dataclass(frozen=True)
 class CameraRigEntry:
     """An ego-mounted camera: intrinsics plus the mount pose."""
 
-    fx: float
-    fy: float
+    fx: Positive
+    fy: Positive
     cx: float
     cy: float
-    width: int
-    height: int
+    width: PosInt
+    height: PosInt
     ego_from_camera: Pose
 
     def world_camera(self, world_from_ego: Pose) -> CameraModel:
@@ -93,9 +94,9 @@ class Frame:
 class GtTrack:
     """Synthetic-only ground truth for one object instance."""
 
-    class_label: str
+    class_label: str = field(metadata={"json": "class"})
     static: bool
-    velocity: tuple[float, float, float]
+    velocity: Vec3
     boxes: dict[int, Box3D]              # frame_id -> world-frame box
 
 

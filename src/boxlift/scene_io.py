@@ -4,13 +4,27 @@ A scene directory holds ``scene.json`` plus one ``.mvpc`` file per frame.
 The manifest references point clouds by relative path; clouds are stored
 in the ego frame as little-endian float32 triplets.  All writes go through
 a temp-file + rename so readers never observe partial files.
+
+A record below the top level (camera, annotation, mask, ground-truth span
+and track, label and its quality) is stored as its dataclass: one key per
+field, named by the field or by its ``json`` metadata.  ``_record`` reads
+a record, checking each value against the ``TYPE_CHECKS`` row its
+annotation names unless a reader is given for the field; ``_plain``
+writes it and leaves out a None whose field defaults to None.  A new
+field therefore needs no reader or writer of its own.  Checks against
+other records (span bounds, box keys that are frame ids, a box inside its
+image, one class per track) stay hand-written.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import struct
+import typing
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +86,7 @@ def read_mvpc(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# manifest and label parsing helpers
+# manifest and label records
 # ---------------------------------------------------------------------------
 
 
@@ -113,13 +127,55 @@ def _numbers(values, n: int, path: str, shape: str) -> tuple[float, ...]:
     return tuple(_num(v, f"{path}/{k}") for k, v in enumerate(values))
 
 
-def _ints(values, path: str) -> tuple[int, ...]:
-    return tuple(_check(values, "Ints", path))
+@functools.cache
+def _layout(cls) -> tuple:
+    """(field, JSON key, whether it holds a float) per field of record type ``cls``."""
+    hints = typing.get_type_hints(cls)
+    floats = {name for name, hint in hints.items() if float in (hint, *typing.get_args(hint))}
+    return tuple((f, f.metadata.get("json", f.name), f.name in floats)
+                 for f in dataclasses.fields(cls))
 
 
-def _opt_num(obj: dict, key: str, path: str) -> float | None:
-    """``obj[key]`` as a number, or None when the key is absent or null."""
-    return None if obj.get(key) is None else _num(obj[key], f"{path}/{key}")
+def _record(cls, obj, path: str, **readers):
+    """Read the record dataclass ``cls`` from the JSON object ``obj`` at ``path``.
+
+    A field is stored under its name, or under its ``json`` metadata.  The
+    field's reader in ``readers`` reads it, called with the value and its
+    JSON pointer; without one, the value must pass the ``TYPE_CHECKS`` row
+    the annotation names, and then an array becomes a tuple and a number in
+    a float field a float (an integer past int64 would make numpy build an
+    object array from it).  A field with a default may be absent.
+    """
+    _check(obj, "object", path)
+    values = {}
+    for f, key, holds_float in _layout(cls):
+        if key not in obj:
+            if f.default is MISSING:
+                raise ParseError(f"missing key {key!r}", path)
+            continue
+        value, where = obj[key], f"{path.rstrip('/')}/{key}"
+        if f.name in readers:
+            value = readers[f.name](value, where)
+        else:
+            _check(value, f.type, where)
+            if holds_float and value is not None:
+                value = float(value)
+            elif isinstance(value, list):
+                value = tuple(value)
+        values[f.name] = value
+    return _build(cls, path, **values)
+
+
+def _plain(record, **writers) -> dict:
+    """The JSON object that ``_record`` reads back as ``record``; ``writers``
+    invert its ``readers``.  A None whose field defaults to None is left out."""
+    out = {}
+    for f, key, _ in _layout(type(record)):
+        value = getattr(record, f.name)
+        if value is None and f.default is None:
+            continue
+        out[key] = writers[f.name](value) if f.name in writers else value
+    return out
 
 
 def _pose(obj, path: str) -> Pose:
@@ -128,40 +184,20 @@ def _pose(obj, path: str) -> Pose:
     return _build(Pose, path, q, t)
 
 
-def _annotation(obj, path: str) -> Annotation2D:
-    box = _numbers(_get(obj, "box", path), 4, f"{path}/box", "[x_min, y_min, x_max, y_max]")
-    mask = None
-    if obj.get("mask") is not None:
-        m, mp = obj["mask"], f"{path}/mask"
-        mask = _build(
-            Mask,
-            mp,
-            _ints(_get(m, "rle", mp), f"{mp}/rle"),
-            _check(_get(m, "width", mp), "int", f"{mp}/width"),
-            _check(_get(m, "height", mp), "int", f"{mp}/height"),
-        )
-    return Annotation2D(
-        track_id=_str(obj, "track_id", path),
-        class_label=_str(obj, "class", path),
-        camera_id=_str(obj, "camera_id", path),
-        box=_build(Box2D, f"{path}/box", *box),
-        mask=mask,
-        mask_confidence=_opt_num(obj, "mask_confidence", path),
-    )
+def _box2d(values, path: str) -> Box2D:
+    return _build(Box2D, path, *_numbers(values, 4, path, "[x_min, y_min, x_max, y_max]"))
 
 
 def _box3d(values, path: str) -> Box3D:
     return _build(Box3D, path, *_numbers(values, 7, path, "[cx, cy, cz, l, w, h, yaw]"))
 
 
+def _box_list(box: Box2D | Box3D) -> list:
+    return box.as_array().tolist()
+
+
 def _gt_span(obj, path: str, n_points: int) -> GtSpan:
-    span = GtSpan(
-        track_id=_str(obj, "track_id", path),
-        start=_check(_get(obj, "start", path), "int", f"{path}/start"),
-        count=_check(_get(obj, "count", path), "int", f"{path}/count"),
-        n_bleed=_check(obj.get("n_bleed", 0), "int", f"{path}/n_bleed"),
-        faces=_ints(obj.get("faces", []), f"{path}/faces"),
-    )
+    span = _record(GtSpan, obj, path)
     if span.start < 0 or span.start + span.count > n_points:
         raise ParseError(f"[start, start + count) is outside the frame's {n_points} points", path)
     if not 0 <= span.n_bleed <= span.count:
@@ -171,16 +207,14 @@ def _gt_span(obj, path: str, n_points: int) -> GtSpan:
     return span
 
 
-def _gt_track(obj, path: str) -> GtTrack:
+def _gt_boxes(obj, path: str, frame_ids: set[str]) -> dict[int, Box3D]:
+    """Ground-truth boxes, each keyed by one of the ``frame_ids`` in decimal."""
     boxes = {}
-    for fid, values in _check(_get(obj, "boxes", path), "object", f"{path}/boxes").items():
-        boxes[_build(int, f"{path}/boxes/{fid}", fid)] = _box3d(values, f"{path}/boxes/{fid}")
-    return GtTrack(
-        class_label=_str(obj, "class", path),
-        static=_check(_get(obj, "static", path), "bool", f"{path}/static"),
-        velocity=_numbers(_get(obj, "velocity", path), 3, f"{path}/velocity", "[vx, vy, vz]"),
-        boxes=boxes,
-    )
+    for key, values in _check(obj, "object", path).items():
+        if key not in frame_ids:
+            raise ParseError("not the frame_id of any frame", f"{path}/{key}")
+        boxes[int(key)] = _box3d(values, f"{path}/{key}")
+    return boxes
 
 
 # ---------------------------------------------------------------------------
@@ -188,37 +222,11 @@ def _gt_track(obj, path: str) -> GtTrack:
 # ---------------------------------------------------------------------------
 
 
-def _annotation_to_dict(ann: Annotation2D) -> dict:
-    out = {
-        "track_id": ann.track_id,
-        "class": ann.class_label,
-        "camera_id": ann.camera_id,
-        "box": [ann.box.x_min, ann.box.y_min, ann.box.x_max, ann.box.y_max],
-    }
-    if ann.mask is not None:
-        out["mask"] = {
-            "rle": list(ann.mask.rle),
-            "width": ann.mask.width,
-            "height": ann.mask.height,
-        }
-    if ann.mask_confidence is not None:
-        out["mask_confidence"] = ann.mask_confidence
-    return out
-
-
 def scene_to_manifest(scene: Scene) -> dict:
     manifest: dict = {
         "scene_id": scene.scene_id,
         "cameras": {
-            cid: {
-                "fx": cam.fx,
-                "fy": cam.fy,
-                "cx": cam.cx,
-                "cy": cam.cy,
-                "width": cam.width,
-                "height": cam.height,
-                "ego_from_camera": cam.ego_from_camera.to_dict(),
-            }
+            cid: _plain(cam, ego_from_camera=Pose.to_dict)
             for cid, cam in sorted(scene.cameras.items())
         },
         "frames": [
@@ -227,37 +235,15 @@ def scene_to_manifest(scene: Scene) -> dict:
                 "timestamp": fr.timestamp,
                 "world_from_ego": fr.world_from_ego.to_dict(),
                 "pointcloud": fr.pointcloud,
-                "annotations": [_annotation_to_dict(a) for a in fr.annotations],
-                **(
-                    {
-                        "gt_spans": [
-                            {
-                                "track_id": s.track_id,
-                                "start": s.start,
-                                "count": s.count,
-                                "n_bleed": s.n_bleed,
-                                "faces": list(s.faces),
-                            }
-                            for s in fr.gt_spans
-                        ]
-                    }
-                    if fr.gt_spans is not None
-                    else {}
-                ),
+                "annotations": [_plain(a, box=_box_list, mask=_plain) for a in fr.annotations],
+                **({} if fr.gt_spans is None else {"gt_spans": [_plain(s) for s in fr.gt_spans]}),
             }
             for fr in scene.frames
         ],
     }
     if scene.gt_tracks is not None:
         manifest["gt_tracks"] = {
-            tid: {
-                "class": gt.class_label,
-                "static": gt.static,
-                "velocity": list(gt.velocity),
-                "boxes": {
-                    str(fid): list(box.as_array()) for fid, box in sorted(gt.boxes.items())
-                },
-            }
+            tid: _plain(gt, boxes=lambda boxes: {str(f): _box_list(b) for f, b in boxes.items()})
             for tid, gt in sorted(scene.gt_tracks.items())
         }
     if scene.generator is not None:
@@ -278,18 +264,10 @@ def save_scene(scene: Scene, directory) -> Path:
 
 
 def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
-    cameras = {}
-    for cid, cam in _check(_get(manifest, "cameras", "/"), "object", "/cameras").items():
-        path = f"/cameras/{cid}"
-        cameras[cid] = CameraRigEntry(
-            fx=float(_check(_get(cam, "fx", path), "Positive", f"{path}/fx")),
-            fy=float(_check(_get(cam, "fy", path), "Positive", f"{path}/fy")),
-            cx=_num(_get(cam, "cx", path), f"{path}/cx"),
-            cy=_num(_get(cam, "cy", path), f"{path}/cy"),
-            width=_check(_get(cam, "width", path), "PosInt", f"{path}/width"),
-            height=_check(_get(cam, "height", path), "PosInt", f"{path}/height"),
-            ego_from_camera=_pose(_get(cam, "ego_from_camera", path), f"{path}/ego_from_camera"),
-        )
+    cameras = {
+        cid: _record(CameraRigEntry, cam, f"/cameras/{cid}", ego_from_camera=_pose)
+        for cid, cam in _check(_get(manifest, "cameras", "/"), "object", "/cameras").items()
+    }
     frames = []
     track_classes: dict[str, str] = {}
     last = None
@@ -302,7 +280,8 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         last = (frame_id, timestamp)
         rel = _str(fr, "pointcloud", path)
         annotations = [
-            _annotation(a, f"{path}/annotations/{k}")
+            _record(Annotation2D, a, f"{path}/annotations/{k}", box=_box2d,
+                    mask=lambda m, p: None if m is None else _record(Mask, m, p))
             for k, a in enumerate(
                 _check(_get(fr, "annotations", path), "array", f"{path}/annotations")
             )
@@ -362,8 +341,10 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
         )
     gt_tracks = None
     if manifest.get("gt_tracks") is not None:
+        frame_ids = {str(fr.frame_id) for fr in frames}
         gt_tracks = {
-            tid: _gt_track(gt, f"/gt_tracks/{tid}")
+            tid: _record(GtTrack, gt, f"/gt_tracks/{tid}",
+                         boxes=lambda obj, path: _gt_boxes(obj, path, frame_ids))
             for tid, gt in _check(manifest["gt_tracks"], "object", "/gt_tracks").items()
         }
     generator = manifest.get("generator")
@@ -401,32 +382,6 @@ def load_scene(path) -> Scene:
 # ---------------------------------------------------------------------------
 
 
-def _label_to_dict(label: PseudoLabel) -> dict:
-    q = label.quality
-    out = {
-        "track_id": label.track_id,
-        "class": label.class_label,
-        "box": [float(v) for v in label.box.as_array()],
-        "frame_of_reference": "world",
-        "source": label.source,
-        "quality": {
-            "n_points": q.n_points,
-            "n_views": q.n_views,
-            "hull_iou": q.hull_iou,
-            "l2d": q.l2d,
-            "fit": q.fit,
-        },
-        "kept": label.kept,
-    }
-    if label.drop_reason is not None:
-        out["drop_reason"] = label.drop_reason
-    if label.confidence is not None:
-        out["confidence"] = label.confidence
-    if label.anchor_frame_id is not None:
-        out["anchor_frame_id"] = label.anchor_frame_id
-    return out
-
-
 def _label_from_dict(d) -> PseudoLabel:
     """Parse one label record; ParseError locations are JSON pointers into it."""
     source = _get(d, "source", "/")
@@ -434,31 +389,16 @@ def _label_from_dict(d) -> PseudoLabel:
         raise ParseError(f"bad source {source!r}", "/source")
     if d.get("frame_of_reference", "world") != "world":
         raise ParseError("frame_of_reference must be 'world'", "/frame_of_reference")
-    q = _get(d, "quality", "/")
-    drop_reason = d.get("drop_reason")
-    anchor = d.get("anchor_frame_id")
-    fields = dict(
-        track_id=_str(d, "track_id", "/"),
-        class_label=_str(d, "class", "/"),
-        box=_box3d(_get(d, "box", "/"), "/box"),
-        source=source,
-        quality=QualityRecord(
-            n_points=_check(_get(q, "n_points", "/quality"), "int", "/quality/n_points"),
-            n_views=_check(_get(q, "n_views", "/quality"), "int", "/quality/n_views"),
-            hull_iou=_opt_num(q, "hull_iou", "/quality"),
-            l2d=_opt_num(q, "l2d", "/quality"),
-            fit=_opt_num(q, "fit", "/quality"),
-        ),
-        kept=_check(_get(d, "kept", "/"), "bool", "/kept"),
-        drop_reason=None if drop_reason is None else _check(drop_reason, "str", "/drop_reason"),
-        confidence=_opt_num(d, "confidence", ""),
-        anchor_frame_id=None if anchor is None else _check(anchor, "int", "/anchor_frame_id"),
-    )
-    return _build(PseudoLabel, "/", **fields)
+    return _record(PseudoLabel, d, "/", box=_box3d,
+                   quality=lambda q, path: _record(QualityRecord, q, path))
 
 
 def write_pseudo_labels(labels, path) -> None:
-    lines = [json.dumps(_label_to_dict(lb), sort_keys=True) for lb in labels]
+    lines = [
+        json.dumps({**_plain(lb, box=_box_list, quality=_plain), "frame_of_reference": "world"},
+                   sort_keys=True)
+        for lb in labels
+    ]
     _atomic_write(Path(path), "".join(line + "\n" for line in lines).encode())
 
 

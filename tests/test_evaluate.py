@@ -74,10 +74,6 @@ class TestQualityTable:
         table = coarse_quality_table([label_for("t-0", shifted)], {"t-0": gt})
         assert table["overall"]["mean_iou_3d"] == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_missing_gt_raises(self):
-        with pytest.raises(ConfigError):
-            coarse_quality_table([label_for("ghost", Box3D(0, 0, 0, 1, 1, 1, 0))], {})
-
     def test_per_class_grouping(self):
         boxes = {"a": Box3D(0, 0, 0, 4, 2, 1.5, 0), "b": Box3D(9, 0, 0, 1, 1, 1.7, 0)}
         labels = [
@@ -176,6 +172,14 @@ class TestReport:
         label = label_for(tid, Box3D(0, 0, 0, 4, 2, 1.5, 0), anchor=3)
         gt = resolve_gt_boxes(scene, [label])
         assert gt[tid] == scene.gt_tracks[tid].boxes[3]
+
+    def test_resolve_skips_dropped_and_needs_the_anchor_box(self):
+        scene = generate_scene(passing_config(85, n_cars=1, n_frames=3))
+        tid = next(iter(scene.gt_tracks))
+        box = Box3D(0, 0, 0, 4, 2, 1.5, 0)
+        assert resolve_gt_boxes(scene, [label_for(tid, box, kept=False, anchor=7)]) == {}
+        with pytest.raises(ConfigError, match=f"track {tid!r} .* anchor frame 7"):
+            resolve_gt_boxes(scene, [label_for(tid, box, anchor=7)])
 
     def test_resolve_names_missing_ids(self):
         scene = generate_scene(passing_config(86, n_cars=1, n_frames=3))

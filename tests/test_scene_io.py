@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from boxlift import scene_io
 from boxlift.cli import cli_main
+from boxlift.config import TYPE_CHECKS
 from boxlift.errors import ParseError, SceneIoError
 from boxlift.geometry import Box2D, Box3D
 from boxlift.refine import PseudoLabel, QualityRecord
-from boxlift.scene import Annotation2D, CameraRigEntry, Frame, GtSpan, Scene
+from boxlift.masks import Mask
+from boxlift.scene import Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, Scene
 from boxlift.scene_io import (
     load_scene,
     read_mvpc,
@@ -224,6 +228,7 @@ MALFORMED_MANIFESTS = [
     (add_gt_track({**GOOD_GT_TRACK, "velocity": [0, 0]}), "/gt_tracks/t/velocity"),
     (set_key(lambda m: m["cameras"]["cam"], "fx", 0), "/cameras/cam/fx"),
     (annotate_twice, "/frames/0/annotations/1/track_id"),
+    (add_gt_track({**GOOD_GT_TRACK, "boxes": {"5": BOX}}), "/gt_tracks/t/boxes/5"),
 ]
 
 
@@ -379,6 +384,9 @@ MALFORMED_LABELS = [
     ("/anchor_frame_id", 2.5, "/anchor_frame_id"),
     ("/track_id", 7, "/track_id"),
     ("/drop_reason", 5, "/drop_reason"),
+    ("/anchor_frame_id", MISSING, "kept label must carry an anchor_frame_id"),
+    ("/class", 5, "/class"),
+    ("/quality/fit", MISSING, "/quality: missing key 'fit'"),
 ]
 
 
@@ -412,6 +420,13 @@ class TestPseudoLabels:
         path = tmp_path / "labels.jsonl"
         write_pseudo_labels(labels, path)
         assert read_pseudo_labels(path) == labels
+        dropped = json.loads(path.read_text().splitlines()[1])
+        assert dropped["quality"] == {"n_points": 3, "n_views": 1, "hull_iou": None, "l2d": None,
+                                      "fit": None}
+        assert not {"confidence", "anchor_frame_id"} & set(dropped)
+        again = tmp_path / "again.jsonl"
+        write_pseudo_labels(read_pseudo_labels(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -621,3 +636,51 @@ def test_mutated_manifest_evaluates_to_a_valid_report_or_exits_one(tiny_scene, t
     assert code in (0, 1), err
     if code == 0:
         jsonschema.validate(json.loads(report.read_text()), SCHEMA)
+
+
+def run_eval(scene, labels, work, capsys):
+    """Run ``eval`` into ``work``; returns (exit code, stderr)."""
+    capsys.readouterr()
+    code = cli_main(["eval", "--dataset", str(scene), "--labels", str(labels),
+                     "--report", str(work / "report.json")])
+    return code, capsys.readouterr().err
+
+
+def test_label_line_that_is_not_an_object_exits_one(tiny_scene, tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("[1, 2]\n")
+    code, err = run_eval(tiny_scene, labels, tmp_path, capsys)
+    assert code == 1, err
+    assert "error: 1: /: expected an object" in err
+
+
+def test_kept_label_without_gt_box_at_its_anchor_exits_one(tiny_scene, tiny_labels, tmp_path,
+                                                           capsys):
+    label = read_pseudo_labels(tiny_labels)[0]
+    assert label.kept
+    scene = edited_scene(tiny_scene, tmp_path,
+                         lambda m: m["gt_tracks"][label.track_id].update(boxes={}))
+    code, err = run_eval(scene, tiny_labels, tmp_path, capsys)
+    assert code == 1, err
+    assert (f"track {label.track_id!r} has no ground-truth box at its anchor frame "
+            f"{label.anchor_frame_id}") in err
+
+
+def test_every_record_field_has_a_reader(tiny_scene, tiny_labels, monkeypatch):
+    # A field whose annotation names no TYPE_CHECKS row and that has no
+    # reader would fail with a KeyError, exit 2, on the first input holding it.
+    readers_seen = {}
+    record = scene_io._record
+
+    def spy(cls, obj, path, **readers):
+        readers_seen.setdefault(cls, set()).update(readers)
+        return record(cls, obj, path, **readers)
+
+    monkeypatch.setattr(scene_io, "_record", spy)
+    load_scene(tiny_scene)
+    read_pseudo_labels(tiny_labels)
+    assert set(readers_seen) == {Annotation2D, Mask, CameraRigEntry, GtSpan, GtTrack,
+                                 QualityRecord, PseudoLabel}
+    for cls, readers in readers_seen.items():
+        for f in dataclasses.fields(cls):
+            assert f.name in readers or f.type in TYPE_CHECKS, f"{cls.__name__}.{f.name}"
