@@ -102,7 +102,6 @@ def _cmd_annotate(args) -> int:
             labels = list(pool.map(annotate_track, tracks, [cfg] * len(tracks)))
     else:
         labels = [annotate_track(track, cfg) for track in tracks]
-    labels.sort(key=lambda lb: lb.track_id)
     write_pseudo_labels(labels, args.out)
     kept = sum(lb.kept for lb in labels)
     print(f"wrote {args.out} ({len(labels)} labels, {kept} kept)", file=sys.stderr)

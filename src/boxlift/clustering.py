@@ -98,17 +98,9 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
-class CleanCluster:
-    indices: np.ndarray    # ascending indices into points_agg
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-def select_dominant_cluster(inst: AggregatedInstance, labels: np.ndarray) -> CleanCluster:
-    """Largest cluster; ties resolved toward the aggregate median, then id."""
+def select_dominant_cluster(inst: AggregatedInstance, labels: np.ndarray) -> np.ndarray:
+    """Ascending indices into ``points_agg`` of the largest cluster; ties
+    are resolved toward the aggregate median, then by cluster id."""
     labels = np.asarray(labels)
     ids = np.unique(labels[labels != NOISE])
     if len(ids) == 0:
@@ -125,7 +117,7 @@ def select_dominant_cluster(inst: AggregatedInstance, labels: np.ndarray) -> Cle
         best_dist = min(dist.values())
         tied = [cid for cid in tied if dist[cid] == best_dist]
     winner = min(tied)
-    return CleanCluster(indices=np.flatnonzero(labels == winner))
+    return np.flatnonzero(labels == winner)
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ class GateResult:
 
 
 def quality_gate(
-    cluster: CleanCluster,
+    cluster: np.ndarray,
     inst: AggregatedInstance,
     min_points: int = 10,
     min_views: int = 2,

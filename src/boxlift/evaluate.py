@@ -78,7 +78,7 @@ def segmentation_instances(
             continue
         cluster_ids = {
             (int(inst.point_frame_ids[i]), int(inst.point_indices[i]))
-            for i in cluster.indices
+            for i in cluster
         }
         out.append(
             SegmentationInstance(

@@ -18,9 +18,6 @@ from .geometry import CameraModel, project_points
 from .masks import decode_mask
 from .scene import Annotation2D, Observation, ObjectTrack, Scene
 
-STATIC = "static"
-MOVING = "moving"
-
 
 def extraction_mask(
     camera: CameraModel,
@@ -55,14 +52,10 @@ def extraction_mask(
 
 @dataclass(frozen=True)
 class MotionVerdict:
-    state: str                        # STATIC or MOVING
+    is_static: bool
     max_pairwise_displacement: float  # meters
     n_observations: int
     low_evidence: bool = False        # single observation: nothing to compare
-
-    @property
-    def is_static(self) -> bool:
-        return self.state == STATIC
 
 
 def classify_motion(centroids, tau_static: float = 0.5) -> MotionVerdict:
@@ -75,11 +68,10 @@ def classify_motion(centroids, tau_static: float = 0.5) -> MotionVerdict:
     if len(c) == 0:
         raise ValueError("classify_motion needs at least one centroid")
     if len(c) == 1:
-        return MotionVerdict(STATIC, 0.0, 1, low_evidence=True)
+        return MotionVerdict(True, 0.0, 1, low_evidence=True)
     diff = c[:, None, :] - c[None, :, :]
     disp = float(np.sqrt((diff**2).sum(axis=2)).max())
-    state = STATIC if disp < tau_static else MOVING
-    return MotionVerdict(state, disp, len(c))
+    return MotionVerdict(disp < tau_static, disp, len(c))
 
 
 def track_centroids(track: ObjectTrack, mode: str = "mean") -> np.ndarray:

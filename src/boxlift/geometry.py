@@ -42,6 +42,12 @@ def normalize_yaw(yaw: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def yaw_rotation(yaw: float) -> np.ndarray:
+    """3x3 rotation by ``yaw`` about +z."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aw, ax, ay, az = a
     bw, bx, by, bz = b
@@ -240,10 +246,7 @@ _EDGE_ENDS = np.array(BOX_EDGES).T
 def box3d_corners(box: Box3D) -> np.ndarray:
     """(8, 3) world-frame corners of ``box`` in the sign-bit order above."""
     half = 0.5 * np.array([box.l, box.w, box.h])
-    local = _CORNER_SIGNS * half
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return local @ rot.T + box.center
+    return (_CORNER_SIGNS * half) @ yaw_rotation(box.yaw).T + box.center
 
 
 # ---------------------------------------------------------------------------

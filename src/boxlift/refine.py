@@ -361,7 +361,7 @@ def annotate_track(track: ObjectTrack, config: PipelineConfig | None = None) -> 
             cluster = select_dominant_cluster(inst, labels)
         except BoxliftError:
             return _dropped(track, "clustering")
-        fit_points = inst.points_agg[cluster.indices]
+        fit_points = inst.points_agg[cluster]
         n_views = inst.n_views
         anchor = track.frame_ids[0]
         loss_track = track

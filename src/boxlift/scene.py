@@ -7,10 +7,11 @@ world coordinates on first access, using each frame's ego pose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .config import Ints, PosInt, Positive, Vec3
+from .config import PosInt, Positive, Vec3
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
 
@@ -30,15 +31,13 @@ class GtSpan:
     """Synthetic-only provenance of a contiguous run of frame points.
 
     The span covers points [start, start + count); the last ``n_bleed`` of
-    them are injected outliers.  ``faces`` gives the source box face id
-    (axis * 2 + (1 if positive side else 0)) per point.
+    them are injected outliers.
     """
 
     track_id: str
     start: int
     count: int
     n_bleed: int = 0
-    faces: Ints = ()
 
 
 @dataclass(frozen=True)
@@ -75,19 +74,16 @@ class Frame:
     annotations: list[Annotation2D]
     points_ego: np.ndarray               # (n, 3) float32, ego frame
     gt_spans: list[GtSpan] | None = None
-    _points_world: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_points(self) -> int:
         return len(self.points_ego)
 
-    @property
+    @cached_property
     def points_world(self) -> np.ndarray:
-        if self._points_world is None:
-            pts = self.world_from_ego.apply(self.points_ego.astype(np.float64))
-            pts.flags.writeable = False
-            self._points_world = pts
-        return self._points_world
+        pts = self.world_from_ego.apply(self.points_ego.astype(np.float64))
+        pts.flags.writeable = False
+        return pts
 
 
 @dataclass(frozen=True)

@@ -202,8 +202,6 @@ def _gt_span(obj, path: str, n_points: int) -> GtSpan:
         raise ParseError(f"[start, start + count) is outside the frame's {n_points} points", path)
     if not 0 <= span.n_bleed <= span.count:
         raise ParseError("needs 0 <= n_bleed <= count", path)
-    if "faces" in obj and len(span.faces) != span.count:
-        raise ParseError(f"{len(span.faces)} faces for {span.count} points", path)
     return span
 
 
@@ -410,14 +408,17 @@ def read_pseudo_labels(path) -> list[PseudoLabel]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", str(path)) from exc
-    labels = []
+    labels: dict[str, PseudoLabel] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            labels.append(_label_from_dict(json.loads(line)))
+            label = _label_from_dict(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", lineno) from exc
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from exc
-    return labels
+        if label.track_id in labels:
+            raise ParseError(f"a second label for track {label.track_id!r}", lineno)
+        labels[label.track_id] = label
+    return list(labels.values())

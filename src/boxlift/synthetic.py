@@ -27,7 +27,9 @@ from .config import (
     Count, JsonConfig, NonNeg, NonNegRange, PosInt, Positive, PosRange, Range, Unit, Vec3,
 )
 from .errors import ConfigError, DegenerateHull
-from .geometry import Box3D, Pose, convex_hull, project_box3d, project_box_silhouette
+from .geometry import (
+    Box3D, Pose, convex_hull, project_box3d, project_box_silhouette, yaw_rotation,
+)
 from .masks import encode_mask, rasterize_convex_polygon
 from .scene import Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, Scene
 
@@ -49,9 +51,7 @@ class CameraSpec(JsonConfig):
     mount_offset: Vec3 = (0.0, 0.0, 0.0)
 
     def rig_entry(self) -> CameraRigEntry:
-        yaw = math.radians(self.mount_yaw_deg)
-        c, s = math.cos(yaw), math.sin(yaw)
-        rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        rz = yaw_rotation(math.radians(self.mount_yaw_deg))
         return CameraRigEntry(
             fx=self.fx,
             fy=self.fy,
@@ -175,11 +175,9 @@ def _placement_ok(
             db = float(np.linalg.norm(b - sensor))
             bearing_b = math.atan2(b[1] - sensor[1], b[0] - sensor[0])
             gap = abs(math.remainder(bearing_a - bearing_b, 2.0 * math.pi))
-            if gap < ang_a + math.atan2(radius, db) + margin:
-                return False
-        for other in others:
-            b = other.center0[:2] + other.velocity[:2] * t
-            if float(np.linalg.norm(a - b)) < cfg.placement.min_separation:
+            if gap < ang_a + math.atan2(radius, db) + margin or (
+                float(np.linalg.norm(a - b)) < cfg.placement.min_separation
+            ):
                 return False
     return True
 
@@ -239,13 +237,12 @@ _FACE_AXES = [(f // 2, 1 if f % 2 else -1) for f in range(6)]
 
 def _sample_object_points(
     box: Box3D, spec: ObjectClassSpec, sensor: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample surface points on sensor-facing faces; returns (points, face ids)."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+) -> np.ndarray:
+    """Sample surface points on the sensor-facing faces, in face order."""
+    rot = yaw_rotation(box.yaw)
     half = 0.5 * np.array([box.l, box.w, box.h])
-    chunks, faces = [], []
-    for f, (axis, sign) in enumerate(_FACE_AXES):
+    chunks = []
+    for axis, sign in _FACE_AXES:
         normal_local = np.zeros(3)
         normal_local[axis] = sign
         normal_world = rot @ normal_local
@@ -265,10 +262,7 @@ def _sample_object_points(
         if spec.sigma > 0:
             pts = pts + rng.normal(0.0, spec.sigma, (n, 3))
         chunks.append(pts)
-        faces.append(np.full(n, f, dtype=np.int64))
-    if not chunks:
-        return np.empty((0, 3)), np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks), np.concatenate(faces)
+    return np.concatenate(chunks) if chunks else np.empty((0, 3))
 
 
 def _ray_box_exit(
@@ -279,8 +273,7 @@ def _ray_box_exit(
     Rays that miss the box fall back to the given per-ray distance (the
     surface sample the ray passed through).
     """
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rot = yaw_rotation(box.yaw)
     o = (origin - box.center) @ rot
     d = directions @ rot
     half = 0.5 * np.array([box.l, box.w, box.h])
@@ -292,11 +285,8 @@ def _ray_box_exit(
 
 
 def _silhouette_mask(camera, box, width, height):
-    pts = project_box_silhouette(camera, box)
-    if len(pts) < 3:
-        return None
     try:
-        hull = convex_hull(pts)
+        hull = convex_hull(project_box_silhouette(camera, box))
     except DegenerateHull:
         return None
     bitmap = rasterize_convex_polygon(hull.vertices, width, height)
@@ -319,12 +309,11 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
         sensor = ego.t
         chunks: list[np.ndarray] = []
         spans: list[GtSpan] = []
+        annotations: list[Annotation2D] = []
         cursor = 0
-        boxes_t: dict[str, Box3D] = {}
         for obj in objects:
             box = obj.box_at(t)
-            boxes_t[obj.track_id] = box
-            pts, faces = _sample_object_points(box, obj.spec, sensor, rng)
+            pts = _sample_object_points(box, obj.spec, sensor, rng)
             n = len(pts)
             n_bleed = 0
             if n and cfg.bleed_fraction > 0:
@@ -339,33 +328,11 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
                 exit_t = _ray_box_exit(sensor, rays, box, fallback=dists[:, 0])
                 off = rng.uniform(*cfg.bleed_offset_range, n_bleed)
                 pts = np.concatenate([pts, sensor + rays * (exit_t + off)[:, None]])
-                faces = np.concatenate([faces, faces[sel]])
             if len(pts):
                 chunks.append(pts)
-                spans.append(
-                    GtSpan(
-                        track_id=obj.track_id,
-                        start=cursor,
-                        count=len(pts),
-                        n_bleed=n_bleed,
-                        faces=tuple(int(f) for f in faces),
-                    )
-                )
+                spans.append(GtSpan(obj.track_id, cursor, len(pts), n_bleed))
                 cursor += len(pts)
-        if cfg.n_background:
-            bg = np.column_stack(
-                [
-                    rng.uniform(*cfg.placement.x_range, cfg.n_background),
-                    rng.uniform(*cfg.placement.y_range, cfg.n_background),
-                    rng.normal(0.0, 0.02, cfg.n_background),
-                ]
-            )
-            chunks.append(bg)
-        points_world = np.concatenate(chunks) if chunks else np.empty((0, 3))
-
-        annotations: list[Annotation2D] = []
-        for obj in objects:
-            box = boxes_t[obj.track_id]
+            # Annotation draws no random numbers, so it may share this loop.
             best = None
             for cid in sorted(rig):
                 cam = rig[cid].world_camera(ego)
@@ -391,7 +358,16 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
                     mask_confidence=cfg.mask_confidence if mask is not None else None,
                 )
             )
-
+        if cfg.n_background:
+            bg = np.column_stack(
+                [
+                    rng.uniform(*cfg.placement.x_range, cfg.n_background),
+                    rng.uniform(*cfg.placement.y_range, cfg.n_background),
+                    rng.normal(0.0, 0.02, cfg.n_background),
+                ]
+            )
+            chunks.append(bg)
+        points_world = np.concatenate(chunks) if chunks else np.empty((0, 3))
         ego_points = ego.inverse().apply(points_world).astype("<f4") if len(points_world) else np.empty((0, 3), dtype="<f4")
         frames.append(
             Frame(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from boxlift.geometry import Box3D, CameraModel, Pose, project_box3d
+from boxlift.geometry import Box3D, CameraModel, Pose, project_box3d, yaw_rotation
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import CameraSpec, EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig
 
@@ -30,6 +30,15 @@ def transform_box3d(box: Box3D, yaw: float, translation=(0.0, 0.0, 0.0)) -> Box3
     )
 
 
+def face_ids(points, box: Box3D) -> np.ndarray:
+    """Id of the face of ``box`` each point lies on: axis * 2, plus 1 on the
+    positive side.  The face's axis is the one where the point's local
+    coordinate is largest relative to the half extent."""
+    local = (np.asarray(points, float).reshape(-1, 3) - box.center) @ yaw_rotation(box.yaw)
+    axis = np.argmax(np.abs(local) / (0.5 * np.array([box.l, box.w, box.h])), axis=1)
+    return 2 * axis + (local[np.arange(len(local)), axis] > 0)
+
+
 def identity_pose() -> Pose:
     """The rigid transform that maps every point to itself."""
     return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
@@ -38,9 +47,8 @@ def identity_pose() -> Pose:
 def camera_looking(position, yaw_deg: float, fx: float = 600.0,
                    width: int = 960, height: int = 600) -> CameraModel:
     """A camera at ``position`` whose optical axis points along ``yaw_deg``."""
-    c, s = math.cos(math.radians(yaw_deg)), math.sin(math.radians(yaw_deg))
-    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    pose = Pose.from_matrix(rz @ CAM_BASE, np.asarray(position, float))
+    pose = Pose.from_matrix(yaw_rotation(math.radians(yaw_deg)) @ CAM_BASE,
+                            np.asarray(position, float))
     return CameraModel(fx, fx, width / 2, height / 2, width, height, pose)
 
 

@@ -169,7 +169,7 @@ def test_c03_coarse_fit_recovery():
     for _scene, _track, gt, inst, cluster in clean:
         if inst.n_views < 5 or cluster.size < 200:
             continue
-        box, _ = fit_coarse_box(inst.points_agg[cluster.indices])
+        box, _ = fit_coarse_box(inst.points_agg[cluster])
         ious.append(iou_3d(box, gt))
     mean_clean = float(np.mean(ious))
 
@@ -177,7 +177,7 @@ def test_c03_coarse_fit_recovery():
     bled = static_track_pool(range(400, 434), sigma=0.02, bleed=0.02)
     cluster_ious, raw_ious = [], []
     for _scene, _track, gt, inst, cluster in bled:
-        box_c, _ = fit_coarse_box(inst.points_agg[cluster.indices])
+        box_c, _ = fit_coarse_box(inst.points_agg[cluster])
         box_r, _ = fit_coarse_box(inst.points_agg)
         cluster_ious.append(iou_3d(box_c, gt))
         raw_ious.append(iou_3d(box_r, gt))
@@ -240,7 +240,7 @@ def test_c05_refinement_descent():
     cases = 0
     while cases < 100:
         _scene, track, gt, inst, cluster = pool[cases % len(pool)]
-        pts = inst.points_agg[cluster.indices]
+        pts = inst.points_agg[cluster]
         init = Box3D(
             gt.cx + rng.uniform(-0.8, 0.8),
             gt.cy + rng.uniform(-0.8, 0.8),
@@ -609,7 +609,7 @@ def prop_classify_rigid_invariance():
         pose = Pose.from_yaw(rng.uniform(-math.pi, math.pi), rng.uniform(-20, 20, 3))
         a = classify_motion(cents, 0.5)
         b = classify_motion(pose.apply(cents), 0.5)
-        assert a.state == b.state
+        assert a.is_static == b.is_static
         assert abs(a.max_pairwise_displacement - b.max_pairwise_displacement) < 1e-9
 
 
@@ -658,7 +658,7 @@ def prop_dbscan_labels_partition():
 
 
 def prop_gate_monotone():
-    from boxlift.clustering import AggregatedInstance, CleanCluster
+    from boxlift.clustering import AggregatedInstance
 
     rng = np.random.default_rng(1015)
     for _ in range(N_CASES):
@@ -670,9 +670,9 @@ def prop_gate_monotone():
         inst = AggregatedInstance("t", np.zeros((max(n, 1), 3)),
                                   np.zeros(max(n, 1), dtype=np.int64),
                                   np.arange(max(n, 1)), views)
-        before = quality_gate(CleanCluster(np.arange(n)), inst,
+        before = quality_gate(np.arange(n), inst,
                               min_pts, min_views)
-        after = quality_gate(CleanCluster(np.arange(n + extra)), inst,
+        after = quality_gate(np.arange(n + extra), inst,
                              min_pts, min_views)
         if before.passed:
             assert after.passed
@@ -752,7 +752,7 @@ def _refine_pool():
                 labels = dbscan(inst.points_agg, 0.5, 10)
                 cluster = select_dominant_cluster(inst, labels)
                 gt = scene.gt_tracks[track.track_id].boxes[0]
-                pool.append((track, inst.points_agg[cluster.indices], gt))
+                pool.append((track, inst.points_agg[cluster], gt))
         _REFINE_POOL = pool
     return _REFINE_POOL
 

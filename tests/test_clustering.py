@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from boxlift.clustering import (
     AggregatedInstance,
-    CleanCluster,
     aggregate_static,
     dbscan,
     quality_gate,
@@ -17,7 +16,7 @@ from boxlift.geometry import Box2D
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import generate_scene
 from reference import brute_force_dbscan
-from support import camera_looking, passing_config
+from support import camera_looking, face_ids, passing_config
 
 
 def relabel_canonical(labels):
@@ -75,12 +74,13 @@ class TestAggregate:
         }
         for track in build_tracks(scene):
             inst = aggregate_static(track)
+            boxes = scene.gt_tracks[track.track_id].boxes
             faces = set()
-            for fid, idxs in zip(inst.point_frame_ids, inst.point_indices):
+            for fid, idxs, point in zip(inst.point_frame_ids, inst.point_indices, inst.points_agg):
                 span = spans[(int(fid), track.track_id)]
                 rel = int(idxs) - span.start
                 if rel < span.count - span.n_bleed:
-                    faces.add(span.faces[rel])
+                    faces.update(face_ids(point, boxes[int(fid)]).tolist())
             assert len(faces) >= 3
 
 
@@ -174,7 +174,7 @@ class TestDominantCluster:
         labels = dbscan(pts, eps=0.6, min_pts=5)
         cluster = select_dominant_cluster(inst, labels)
         assert cluster.size == 120
-        assert (cluster.indices < 120).all()
+        assert (cluster < 120).all() and (np.diff(cluster) > 0).all()
 
     def test_all_noise_raises(self):
         pts = np.array([[0, 0, 0], [5, 0, 0], [10, 0, 0]], float)
@@ -192,7 +192,7 @@ class TestDominantCluster:
         labels = dbscan(pts, eps=0.6, min_pts=5)
         assert {tuple(sorted(set(labels)))} == {(0, 1)}
         cluster = select_dominant_cluster(inst, labels)
-        assert labels[cluster.indices[0]] == 0
+        assert labels[cluster[0]] == 0
 
     def test_excludes_injected_bleed(self):
         scene = generate_scene(
@@ -205,7 +205,7 @@ class TestDominantCluster:
             labels = dbscan(inst.points_agg, 0.5, 10)
             cluster = select_dominant_cluster(inst, labels)
             chosen = set(map(tuple, np.column_stack(
-                [inst.point_frame_ids[cluster.indices], inst.point_indices[cluster.indices]]
+                [inst.point_frame_ids[cluster], inst.point_indices[cluster]]
             )))
             n_bleed_total = 0
             n_bleed_kept = 0
@@ -224,7 +224,7 @@ class TestDominantCluster:
 
 class TestQualityGate:
     def cluster_of(self, n):
-        return CleanCluster(indices=np.arange(n))
+        return np.arange(n)
 
     def inst_with_views(self, n_views, n_points=50):
         inst = make_instance(np.zeros((n_points, 3)))

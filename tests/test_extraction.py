@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from boxlift.extraction import (
-    MOVING,
-    STATIC,
     build_tracks,
     classify_motion,
     extraction_mask,
@@ -117,28 +115,28 @@ class TestExtraction:
 class TestClassifyMotion:
     def test_small_displacement_static(self):
         v = classify_motion([[0, 0, 0], [0.2, 0.1, 0.0]], tau_static=0.5)
-        assert v.state == STATIC
+        assert v.is_static is True
         assert v.max_pairwise_displacement == pytest.approx(math.sqrt(0.05), abs=1e-12)
         assert v.n_observations == 2
         assert not v.low_evidence
 
     def test_large_displacement_moving(self):
         v = classify_motion([[0, 0, 0], [0.6, 0, 0]], tau_static=0.5)
-        assert v.state == MOVING
+        assert v.is_static is False
 
     def test_exact_threshold_is_moving(self):
         v = classify_motion([[0, 0, 0], [0.5, 0, 0]], tau_static=0.5)
-        assert v.state == MOVING  # strict less-than for static
+        assert v.is_static is False  # strict less-than for static
 
     def test_max_over_all_pairs(self):
         # middle point close to both ends; ends far apart
         v = classify_motion([[0, 0, 0], [0.3, 0, 0], [0.6, 0, 0]], tau_static=0.5)
-        assert v.state == MOVING
+        assert v.is_static is False
         assert v.max_pairwise_displacement == pytest.approx(0.6)
 
     def test_single_observation_low_evidence_static(self):
         v = classify_motion([[1, 2, 3]], tau_static=0.5)
-        assert v.state == STATIC
+        assert v.is_static is True
         assert v.low_evidence
         assert v.max_pairwise_displacement == 0.0
 
@@ -155,7 +153,7 @@ class TestClassifyMotion:
             pose = Pose.from_yaw(yaw, t)
             a = classify_motion(cents, 0.5)
             b = classify_motion(pose.apply(cents), 0.5)
-            assert a.state == b.state
+            assert a.is_static == b.is_static
             assert a.max_pairwise_displacement == pytest.approx(
                 b.max_pairwise_displacement, abs=1e-9
             )

@@ -191,7 +191,7 @@ class TestRefineBox:
 
         inst = aggregate_static(track)
         cluster = select_dominant_cluster(inst, dbscan(inst.points_agg, 0.5, 10))
-        pts = inst.points_agg[cluster.indices]
+        pts = inst.points_agg[cluster]
         init = Box3D(gt.cx + 0.5, gt.cy + 0.5, gt.cz, gt.l * 1.2, gt.w, gt.h,
                      gt.yaw + math.radians(10))
         out, _ = refine_box(init, track, pts, PipelineConfig(refine_budget=600))

@@ -177,7 +177,7 @@ def set_key(container_of, key, value):
     return mutate
 
 
-GOOD_SPAN = {"track_id": "t", "start": 0, "count": 0, "n_bleed": 0, "faces": []}
+GOOD_SPAN = {"track_id": "t", "start": 0, "count": 0, "n_bleed": 0}
 GOOD_GT_TRACK = {"class": "Car", "static": True, "velocity": [0, 0, 0], "boxes": {}}
 BOX = [0, 0, 0, 1, 1, 1, 0]
 
@@ -207,7 +207,6 @@ MALFORMED_MANIFESTS = [
     (set_key(lambda m: m["cameras"], "cam", 5), "/cameras/cam"),
     (add_gt_track({**GOOD_GT_TRACK, "boxes": None}), "/gt_tracks/t/boxes"),
     (add_gt_span({**GOOD_SPAN, "start": "x"}), "/frames/0/gt_spans/0/start"),
-    (add_gt_span({**GOOD_SPAN, "faces": 5}), "/frames/0/gt_spans/0/faces"),
     (add_gt_span({k: v for k, v in GOOD_SPAN.items() if k != "start"}), "/frames/0/gt_spans/0"),
     (add_gt_track({**GOOD_GT_TRACK, "velocity": 5}), "/gt_tracks/t/velocity"),
     (add_gt_track({**GOOD_GT_TRACK, "boxes": {"abc": BOX}}), "/gt_tracks/t/boxes/abc"),
@@ -248,7 +247,6 @@ BAD_SPANS = [
     ({"count": -5}, "0 <= n_bleed <= count"),
     ({"count": 2, "n_bleed": 3}, "0 <= n_bleed <= count"),
     ({"n_bleed": -1}, "0 <= n_bleed <= count"),
-    ({"count": 2, "faces": [0]}, "1 faces for 2 points"),
 ]
 
 
@@ -290,13 +288,12 @@ class TestManifestErrors:
         assert message in str(err.value)
 
     def test_span_filling_cloud_accepted(self, tmp_path):
+        # Older manifests carry per-point face ids; the key is ignored.
         four = np.zeros((4, 3), dtype="<f4")
-        span = {**GOOD_SPAN, "start": 1, "count": 3, "n_bleed": 3, "faces": [0, 1, 2]}
-        path = self.write_manifest(tmp_path, add_gt_span(span), four)
-        assert load_scene(path).frames[0].gt_spans == [GtSpan("t", 1, 3, 3, (0, 1, 2))]
-        no_faces = {k: v for k, v in span.items() if k != "faces"}
-        path = self.write_manifest(tmp_path, add_gt_span(no_faces), four)
-        assert load_scene(path).frames[0].gt_spans == [GtSpan("t", 1, 3, 3, ())]
+        span = {**GOOD_SPAN, "start": 1, "count": 3, "n_bleed": 3}
+        for legacy in ({}, {"faces": [0, 1, 2]}):
+            path = self.write_manifest(tmp_path, add_gt_span({**span, **legacy}), four)
+            assert load_scene(path).frames[0].gt_spans == [GtSpan("t", 1, 3, 3)]
 
     def test_missing_key(self, tmp_path):
         path = self.write_manifest(tmp_path, lambda m: m.pop("cameras"))
@@ -558,13 +555,13 @@ DROP = object()
 
 def manifest_paths(node, path=(), skip=()):
     """Key and index paths of the fields below ``node``, leaving out the
-    objects under a key in ``skip``.  The long per-pixel ``rle`` and
-    per-point ``faces`` arrays give only their first element."""
+    objects under a key in ``skip``.  The long per-pixel ``rle`` arrays
+    give only their first element."""
     if isinstance(node, dict):
         children = [(key, child) for key, child in node.items() if key not in skip]
     elif isinstance(node, list):
         children = list(enumerate(node))
-        if path[-1:] in (("rle",), ("faces",)):
+        if path[-1:] == ("rle",):
             children = children[:1]
     else:
         return
@@ -664,6 +661,16 @@ def test_kept_label_without_gt_box_at_its_anchor_exits_one(tiny_scene, tiny_labe
     assert code == 1, err
     assert (f"track {label.track_id!r} has no ground-truth box at its anchor frame "
             f"{label.anchor_frame_id}") in err
+
+
+def test_second_label_for_a_track_exits_one(tiny_scene, tiny_labels, tmp_path, capsys):
+    lines = tiny_labels.read_text().splitlines()
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(line + "\n" for line in [*lines, lines[0]]))
+    code, err = run_eval(tiny_scene, labels, tmp_path, capsys)
+    assert code == 1, err
+    track_id = json.loads(lines[0])["track_id"]
+    assert f"error: {len(lines) + 1}: a second label for track {track_id!r}" in err
 
 
 def test_every_record_field_has_a_reader(tiny_scene, tiny_labels, monkeypatch):

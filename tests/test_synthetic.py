@@ -8,7 +8,7 @@ from boxlift.geometry import project_box3d
 from boxlift.scene_io import save_scene
 from boxlift.synthetic import EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig, generate_scene
 from reference import points_in_box3d
-from support import passing_config
+from support import face_ids, passing_config
 
 
 def scene_bytes(tmp_path, scene, name):
@@ -136,7 +136,6 @@ class TestPointModel:
             cursor = 0
             for span in spans:
                 assert span.start == cursor
-                assert len(span.faces) == span.count
                 cursor += span.count
             assert cursor == frame.n_points
 
@@ -195,7 +194,8 @@ class TestFaceCoverage:
                 bearings.append(math.atan2(box.cy - sensor[1], box.cx - sensor[0]))
                 for span in frame.gt_spans:
                     if span.track_id == tid:
-                        faces.update(span.faces[: span.count - span.n_bleed])
+                        end = span.start + span.count - span.n_bleed
+                        faces.update(face_ids(frame.points_world[span.start : end], box).tolist())
             span_deg = math.degrees(
                 max(
                     abs(math.remainder(a - b, 2 * math.pi))
