@@ -97,7 +97,7 @@ def _cmd_annotate(args) -> int:
     workers = min(args.threads, len(tracks))
     if workers > 1:
         # The platform's default start method.  Where that is fork (Linux up
-        # to Python 3.13), workers skip the numpy/scipy import spawn repeats.
+        # to Python 3.13), workers skip the imports that spawn repeats.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             labels = list(pool.map(annotate_track, tracks, [cfg] * len(tracks)))
     else:

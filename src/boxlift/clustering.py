@@ -3,8 +3,10 @@
 Aggregation unions the per-frame extracted points of a static track into
 one world-frame cloud; DBSCAN separates the object body from stray
 background points that leaked through the 2D annotation, and the largest
-cluster is kept for box fitting.  DBSCAN's eps-neighbour search is a
-``scipy.spatial.cKDTree`` ball query.
+cluster is kept for box fitting.  DBSCAN finds its eps-neighbour pairs
+with a voxel hash of cell size eps: each occupied cell is compared with
+itself and with 13 of its 26 neighbour cells, so every pair of points in
+touching cells is tested once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyAggregate, NoClusterError
 from .scene import ObjectTrack
@@ -52,13 +53,79 @@ def aggregate_static(track: ObjectTrack) -> AggregatedInstance:
     )
 
 
+# The cell offsets o > (0, 0, 0): one of each neighbour pair (o, -o).
+_HALF_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+                 if (dx, dy, dz) > (0, 0, 0)]
+
+
+def _squeeze(coords: np.ndarray) -> np.ndarray:
+    """Integer coordinates renumbered from 1 with every gap wider than 2
+    closed to 2: neighbouring values stay 1 apart, the rest stay apart,
+    and the range is at most twice the number of distinct values."""
+    values, inverse = np.unique(coords, return_inverse=True)
+    return np.concatenate([[1], 1 + np.cumsum(np.minimum(np.diff(values), 2))])[inverse]
+
+
+def _find(sorted_keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each target in ``sorted_keys``, and whether it is there."""
+    at = np.minimum(np.searchsorted(sorted_keys, targets), len(sorted_keys) - 1)
+    return at, sorted_keys[at] == targets
+
+
+def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair i != j with squared distance <= eps**2, each pair once.
+
+    Points are binned into cells a hair wider than eps (by 2**-20), which
+    absorbs the rounding of the division for coordinates up to about 1e9
+    cells: two points within eps are never more than one cell apart.
+    Cell coordinates are squeezed per axis and keyed in two steps (x-y
+    column, then z), so the keys fit in int64 for any coordinate range.
+    Candidates are filtered offset by offset, so only the close pairs of
+    all offsets are held at once.
+    """
+    cells = np.floor(pts / (eps * (1 + 2.0**-20))).astype(np.int64)
+    x, y, z = (_squeeze(cells[:, axis]) for axis in range(3))
+    y_span, z_span = int(y.max()) + 2, int(z.max()) + 2
+    columns, column_of = np.unique(x * y_span + y, return_inverse=True)
+    keys, cell_of = np.unique(column_of * z_span + z, return_inverse=True)
+    order = np.argsort(cell_of, kind="stable")     # point indices grouped by cell
+    counts = np.bincount(cell_of)
+    starts = np.cumsum(counts) - counts
+    cell_column, cell_z = columns[keys // z_span], keys % z_span
+    eps2 = eps * eps
+    found_i, found_j = [], []
+    for offset in [(0, 0, 0)] + _HALF_OFFSETS:
+        column, in_columns = _find(columns, cell_column + offset[0] * y_span + offset[1])
+        other, in_keys = _find(keys, column * z_span + cell_z + offset[2])
+        a = np.flatnonzero(in_columns & in_keys)
+        b = other[a]
+        # All (point of cell a, point of cell b) candidates, enumerated flat.
+        sizes = counts[a] * counts[b]
+        pair = np.repeat(np.arange(len(a)), sizes)
+        rank = np.arange(len(pair)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        width = counts[b][pair]
+        pi = starts[a][pair] + rank // width
+        pj = starts[b][pair] + rank % width
+        if offset == (0, 0, 0):
+            upper = pi < pj
+            pi, pj = pi[upper], pj[upper]
+        i, j = order[pi], order[pj]
+        close = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= eps2
+        found_i.append(i[close])
+        found_j.append(j[close])
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     """Euclidean DBSCAN; returns per-point cluster labels, noise = -1.
 
-    Neighbourhoods (distance <= eps, self included) come from one KD-tree:
-    core points are counted for all points at once, and the expansion and
-    border passes query a point's neighbours only when they visit it, so
-    the neighbour lists are never all held in memory.
+    Neighbours are the points within eps, boundary included, found as
+    pairs with a voxel hash (see ``_neighbour_pairs``); a point is core
+    when its neighbours, itself included, number at least ``min_pts``.
+    Core points joined by a pair form a cluster: every core point takes
+    the lowest index in its cluster, by min-label propagation along the
+    core-core pairs with pointer jumping.  All work is array operations
+    over the pairs, with no per-point Python loop.
 
     Labeling is deterministic for a fixed input order: cluster ids are
     assigned in order of each cluster's first core point, and a border
@@ -73,28 +140,31 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     labels = np.full(n, NOISE, dtype=np.int64)
     if n == 0:
         return labels
-    tree = cKDTree(pts)
-    core = tree.query_ball_point(pts, eps, return_length=True) >= min_pts
-    cluster = 0
-    for start in range(n):
-        if not core[start] or labels[start] != NOISE:
-            continue
-        labels[start] = cluster
-        queue = [start]
-        while queue:
-            j = queue.pop()
-            for nb in tree.query_ball_point(pts[j], eps):
-                if core[nb] and labels[nb] == NOISE:
-                    labels[nb] = cluster
-                    queue.append(nb)
-        cluster += 1
-    for i in range(n):
-        if core[i] or labels[i] != NOISE:
-            continue
-        for nb in tree.query_ball_point(pts[i], eps, return_sorted=True):
-            if core[nb]:
-                labels[i] = labels[nb]
-                break
+    i, j = _neighbour_pairs(pts, eps)
+    core = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n) >= min_pts
+    linked = core[i] & core[j]
+    ci, cj = i[linked], j[linked]
+    root = np.arange(n)
+    while True:
+        ri, rj = root[ci], root[cj]
+        low = np.minimum(ri, rj)
+        hooked = root.copy()
+        np.minimum.at(hooked, ri, low)
+        np.minimum.at(hooked, rj, low)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    # A cluster's root is its first core point, so ranking roots orders clusters.
+    first = core & (root == np.arange(n))
+    labels[core] = (np.cumsum(first) - 1)[root[core]]
+    border = core[i] != core[j]
+    nearest_core = np.full(n, n)
+    np.minimum.at(nearest_core, np.where(core[i], j, i)[border], np.where(core[i], i, j)[border])
+    joined = nearest_core < n
+    labels[joined] = labels[nearest_core[joined]]
     return labels
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .clustering import aggregate_static, dbscan, quality_gate, select_dominant_cluster
 from .coarse import fit_coarse_box, verify_geometry
@@ -174,10 +173,6 @@ class RefineTrace:
     improvements: list[tuple[int, float]] = field(default_factory=list)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _vec_to_box(x: np.ndarray, extent_floor: float) -> Box3D:
     return Box3D(
         float(x[0]),
@@ -199,6 +194,71 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     for k in range(7):
         simplex[k + 1, k] += steps[k]
     return simplex
+
+
+def _nelder_mead(f, simplex: np.ndarray, budget: int) -> None:
+    """Minimize ``f`` from the (N + 1, N) ``simplex``, calling it at most ``budget`` times.
+
+    The non-adaptive Nelder-Mead of ``scipy.optimize.minimize`` with
+    ``xatol = fatol = 0``, ported operation for operation: the same vertex
+    arithmetic, comparisons and sorts, so ``f`` sees the same points bit
+    for bit.  It stops when the budget is spent, or when the simplex has
+    collapsed to one point with one value.  ``f`` may be handed a view of
+    a simplex row and must copy any point it keeps.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    calls = min(budget, n + 1)
+    for k in range(calls):
+        fsim[k] = f(sim[k])
+    # scipy sorts the starting simplex twice; argsort need not keep tied
+    # values in order, so the second sort is kept too.
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    while calls < budget:
+        if np.max(np.abs(sim[1:] - sim[0])) <= 0 and np.max(np.abs(fsim[0] - fsim[1:])) <= 0:
+            return
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        calls += 1
+        if fxr < fsim[0]:
+            if calls == budget:
+                return
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            calls += 1
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if calls == budget:
+                return
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            calls += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    if calls == budget:
+                        return
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+                    calls += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
 
 
 def refine_box(
@@ -223,15 +283,12 @@ def refine_box(
     views = _Views(track)
     coords = _coordinates(points)
     evals = 0
-    limit = 0
     best_x: np.ndarray | None = None
     best_j = math.inf
     trace = RefineTrace(0, None, None)
 
     def objective(x: np.ndarray) -> float:
         nonlocal evals, best_x, best_j
-        if evals >= limit:
-            raise _BudgetExhausted
         evals += 1
         j = _objective(_vec_to_box(x, extent_floor), views, coords, cfg)
         if j < best_j:
@@ -241,21 +298,9 @@ def refine_box(
         return j
 
     x0 = init.as_array()
-    limit = max(1, budget // 2)
     trace.j_init = objective(x0)
-    opts = {"maxiter": 10 * budget, "maxfev": 10 * budget, "xatol": 0.0, "fatol": 0.0}
-    try:
-        minimize(objective, x0, method="Nelder-Mead",
-                 options=dict(opts, initial_simplex=_initial_simplex(x0)))
-    except _BudgetExhausted:
-        pass
-    limit = budget
-    restart = np.array(best_x, dtype=float)
-    try:
-        minimize(objective, restart, method="Nelder-Mead",
-                 options=dict(opts, initial_simplex=_initial_simplex(restart)))
-    except _BudgetExhausted:
-        pass
+    _nelder_mead(objective, _initial_simplex(x0), max(1, budget // 2) - evals)
+    _nelder_mead(objective, _initial_simplex(best_x), budget - evals)
     trace.n_evals = evals
     trace.j_final = best_j
     return _vec_to_box(best_x, extent_floor), trace

@@ -120,6 +120,24 @@ class TestDbscan:
                 n = int(rng.integers(1, 120))
                 pts = rng.integers(-3, 4, (n, 3)) * spacing
                 cases.append((pts, spacing, int(rng.integers(1, 8))))
+        # A cloud spanning +-1e6 m at eps 0.05: about 4e7 cells per axis, so
+        # a cell key multiplied out over the three axes would overflow int64.
+        centres = rng.uniform(-1e6, 1e6, (30, 3))
+        far = np.repeat(centres, 5, axis=0) + rng.normal(0, 0.02, (150, 3))
+        cases.append((far, 0.05, 3))
+        # Chains with links eps long along one axis.  From an integer start
+        # with eps 0.25 every link is exactly eps, on the inclusive boundary;
+        # from a random start with eps 0.3, rounding puts links either side.
+        for axis in range(3):
+            for start, eps in ((rng.integers(-50, 50, 3), 0.25), (rng.uniform(-50, 50, 3), 0.3)):
+                step = np.zeros(3)
+                step[axis] = eps
+                cases.append((start + np.arange(6)[:, None] * step, eps, 3))
+        # Duplicate points: each copy is a neighbour of the others.
+        dup = rng.uniform(-1, 1, (20, 3))
+        cases.append((np.concatenate([dup, dup, dup[:7]]), 0.3, 3))
+        # Fewer points than min_pts: everything is noise.
+        cases.append((rng.uniform(-0.1, 0.1, (4, 3)), 0.5, 5))
         for pts, eps, min_pts in cases:
             mine = dbscan(pts, eps, min_pts)
             ref = brute_force_dbscan(pts, eps, min_pts)

@@ -1,13 +1,17 @@
-"""Static guard against leftovers in the package modules.
+"""Guards on what the package modules import.
 
 Every module-level import of ``src/boxlift/<module>.py`` must be used in
 that module, and every private module-level function or class must be
 referenced there.  ``__init__.py`` re-exports names, so it is left out.
+The command line must run on numpy alone: scipy is a test-only dependency.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,11 @@ def test_every_private_definition_is_referenced(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     dead = [name for name in private_definitions(tree) if name not in loaded_names(tree)]
     assert not dead, f"{path.name} defines but never references {dead}"
+
+
+def test_cli_import_loads_no_scipy():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, boxlift.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

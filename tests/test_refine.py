@@ -9,6 +9,7 @@ from boxlift.extraction import build_tracks
 from boxlift.geometry import Box2D, Box3D, box3d_corners, iou_3d, project_box3d
 from boxlift.refine import (
     MISSING_PROJECTION_PENALTY,
+    _nelder_mead,
     annotate_track,
     filter_pseudo_label,
     l2d_multiview,
@@ -146,6 +147,43 @@ class TestLFit:
     def test_needs_points(self):
         with pytest.raises(ValueError):
             l_fit(Box3D(0, 0, 0, 1, 1, 1, 0), np.empty((0, 3)))
+
+
+def nelder_mead_oracle_points(f, simplex, budget):
+    """The points scipy's Nelder-Mead evaluates from ``simplex`` within ``budget`` calls."""
+    from scipy.optimize import minimize
+
+    seen = []
+    minimize(lambda x: seen.append(np.array(x)) or f(x), simplex[0], method="Nelder-Mead",
+             options={"initial_simplex": simplex, "xatol": 0, "fatol": 0, "maxfev": budget})
+    return seen
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("dim", [7, 9])
+    @pytest.mark.parametrize("kind", ["quadratic", "kinked", "steps"])
+    @pytest.mark.parametrize("budget", [0, 4, 10, 90, 800])
+    def test_evaluates_the_points_scipy_evaluates(self, dim, kind, budget):
+        rng = np.random.default_rng([dim, budget, len(kind)])
+        a, c = rng.normal(size=(dim, dim)), rng.normal(size=dim)
+        f = {
+            "quadratic": lambda x: float(((a @ (x - c)) ** 2).sum()),
+            "kinked": lambda x: float(np.abs(x - c).sum() + np.sin(3 * x).sum()),
+            # Zero over the whole starting simplex, so the search ends when
+            # the simplex collapses, before a large budget is spent.
+            "steps": lambda x: float(np.floor(np.abs(x).max())),
+        }[kind]
+        simplex = np.tile(rng.uniform(-0.5, 0.5, dim), (dim + 1, 1))
+        simplex[1:] += np.diag(rng.uniform(0.1, 0.4, dim))
+        seen = []
+        _nelder_mead(lambda x: seen.append(np.array(x)) or f(x), simplex, budget)
+        expected = nelder_mead_oracle_points(f, simplex, budget)
+        assert len(seen) == len(expected)
+        assert all((p == q).all() for p, q in zip(seen, expected))
+        if kind == "steps" and budget == 800:
+            assert len(seen) < budget
+        else:
+            assert len(seen) == budget
 
 
 class TestRefineBox:
