@@ -6,7 +6,10 @@ background points that leaked through the 2D annotation, and the largest
 cluster is kept for box fitting.  DBSCAN finds its eps-neighbour pairs
 with a voxel hash of cell size eps: each occupied cell is compared with
 itself and with 13 of its 26 neighbour cells, so every pair of points in
-touching cells is tested once.
+touching cells is tested once.  The points' coordinates are copied into
+three arrays in cell order, so a cell is one contiguous run in each and
+the distance test reads 1-D gathers; only the close pairs are mapped
+back to input indices.
 """
 
 from __future__ import annotations
@@ -80,8 +83,13 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     cells: two points within eps are never more than one cell apart.
     Cell coordinates are squeezed per axis and keyed in two steps (x-y
     column, then z), so the keys fit in int64 for any coordinate range.
-    Candidates are filtered offset by offset, so only the close pairs of
-    all offsets are held at once.
+    The coordinates are copied into three arrays in cell order, so each
+    cell's points are one contiguous run and a candidate pair is two
+    positions in those runs.  Its squared distance is dx*dx + dy*dy + dz*dz
+    on 1-D gathers, the same sum in the same order as a row reduction.
+    Candidates are filtered offset by offset, with the arithmetic done in
+    place, and only the close pairs are mapped back to input indices, so
+    only the close pairs of all offsets are held at once.
     """
     cells = np.floor(pts / (eps * (1 + 2.0**-20))).astype(np.int64)
     x, y, z = (_squeeze(cells[:, axis]) for axis in range(3))
@@ -89,6 +97,7 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     columns, column_of = np.unique(x * y_span + y, return_inverse=True)
     keys, cell_of = np.unique(column_of * z_span + z, return_inverse=True)
     order = np.argsort(cell_of, kind="stable")     # point indices grouped by cell
+    px, py, pz = (np.ascontiguousarray(pts[order, axis]) for axis in range(3))
     counts = np.bincount(cell_of)
     starts = np.cumsum(counts) - counts
     cell_column, cell_z = columns[keys // z_span], keys % z_span
@@ -99,20 +108,32 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
         other, in_keys = _find(keys, column * z_span + cell_z + offset[2])
         a = np.flatnonzero(in_columns & in_keys)
         b = other[a]
-        # All (point of cell a, point of cell b) candidates, enumerated flat.
+        # All (point of cell a, point of cell b) candidates, enumerated flat:
+        # candidate k of cell pair p is point k // width of a, k % width of b.
         sizes = counts[a] * counts[b]
         pair = np.repeat(np.arange(len(a)), sizes)
-        rank = np.arange(len(pair)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rank = np.arange(len(pair))
+        rank -= np.repeat(np.cumsum(sizes) - sizes, sizes)
         width = counts[b][pair]
-        pi = starts[a][pair] + rank // width
-        pj = starts[b][pair] + rank % width
+        pi, pj = np.divmod(rank, width, out=(rank, width))
+        pi += starts[a][pair]
+        pj += starts[b][pair]
+        del pair
         if offset == (0, 0, 0):
             upper = pi < pj
             pi, pj = pi[upper], pj[upper]
-        i, j = order[pi], order[pj]
-        close = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= eps2
-        found_i.append(i[close])
-        found_j.append(j[close])
+        dist2 = px[pi]
+        dist2 -= px[pj]
+        dist2 *= dist2
+        for c in (py, pz):
+            delta = c[pi]
+            delta -= c[pj]
+            delta *= delta
+            dist2 += delta
+        close = dist2 <= eps2
+        del dist2
+        found_i.append(order[pi[close]])
+        found_j.append(order[pj[close]])
     return np.concatenate(found_i), np.concatenate(found_j)
 
 
@@ -142,8 +163,14 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
         return labels
     i, j = _neighbour_pairs(pts, eps)
     core = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n) >= min_pts
+    # Each non-core point's lowest-index core neighbour, found first so that
+    # only the core-core pairs are held through the propagation loop.
+    border = core[i] != core[j]
+    nearest_core = np.full(n, n)
+    np.minimum.at(nearest_core, np.where(core[i], j, i)[border], np.where(core[i], i, j)[border])
     linked = core[i] & core[j]
     ci, cj = i[linked], j[linked]
+    del i, j, border, linked
     root = np.arange(n)
     while True:
         ri, rj = root[ci], root[cj]
@@ -160,9 +187,6 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     # A cluster's root is its first core point, so ranking roots orders clusters.
     first = core & (root == np.arange(n))
     labels[core] = (np.cumsum(first) - 1)[root[core]]
-    border = core[i] != core[j]
-    nearest_core = np.full(n, n)
-    np.minimum.at(nearest_core, np.where(core[i], j, i)[border], np.where(core[i], i, j)[border])
     joined = nearest_core < n
     labels[joined] = labels[nearest_core[joined]]
     return labels
@@ -172,12 +196,10 @@ def select_dominant_cluster(inst: AggregatedInstance, labels: np.ndarray) -> np.
     """Ascending indices into ``points_agg`` of the largest cluster; ties
     are resolved toward the aggregate median, then by cluster id."""
     labels = np.asarray(labels)
-    ids = np.unique(labels[labels != NOISE])
-    if len(ids) == 0:
+    sizes = np.bincount(labels[labels != NOISE])
+    if not sizes.any():
         raise NoClusterError(f"track {inst.track_id!r}: all points labelled noise")
-    sizes = {int(cid): int((labels == cid).sum()) for cid in ids}
-    best_size = max(sizes.values())
-    tied = [cid for cid, s in sizes.items() if s == best_size]
+    tied = np.flatnonzero(sizes == sizes.max()).tolist()
     if len(tied) > 1:
         median = np.median(inst.points_agg, axis=0)
         dist = {

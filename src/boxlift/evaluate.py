@@ -22,11 +22,11 @@ from .scene import Scene
 
 def point_set_iou(pred_indices, gt_indices) -> float:
     """|A ∩ B| / |A ∪ B| over point index sets; 1.0 when both are empty."""
-    a, b = set(pred_indices), set(gt_indices)
-    union = a | b
-    if not union:
+    a, b = frozenset(pred_indices), frozenset(gt_indices)   # no copy of a frozenset
+    if not a and not b:
         return 1.0
-    return len(a & b) / len(union)
+    common = len(a & b)
+    return common / (len(a) + len(b) - common)
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,17 @@ def segmentation_instances(
 
 def segmentation_curve(instances: list[SegmentationInstance], thresholds) -> list[dict]:
     """Mean point-set IoU of P_agg and C* vs ground truth per min-point threshold."""
+    scores = [
+        (len(i.cluster_ids), point_set_iou(i.aggregate_ids, i.gt_ids),
+         point_set_iou(i.cluster_ids, i.gt_ids))
+        for i in instances
+    ]
     curve = []
     for threshold in thresholds:
-        retained = [inst for inst in instances if len(inst.cluster_ids) >= threshold]
+        retained = [s for s in scores if s[0] >= threshold]
         if retained:
-            mean_agg = sum(point_set_iou(i.aggregate_ids, i.gt_ids) for i in retained) / len(
-                retained
-            )
-            mean_cluster = sum(point_set_iou(i.cluster_ids, i.gt_ids) for i in retained) / len(
-                retained
-            )
+            mean_agg = sum(s[1] for s in retained) / len(retained)
+            mean_cluster = sum(s[2] for s in retained) / len(retained)
         else:
             mean_agg = mean_cluster = None
         curve.append(

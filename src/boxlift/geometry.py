@@ -398,8 +398,12 @@ def convex_hull(points) -> ConvexPolygon2D:
     if len(pts) < 3:
         raise DegenerateHull(f"{len(pts)} distinct points")
     # np.unique sorts rows lexicographically, which is the order we need.
+    # The chain runs on Python floats: the same float64 arithmetic as on
+    # numpy scalars, without their per-operation overhead.
+    rows = pts.tolist()
+
     def half(chain_pts):
-        out: list[np.ndarray] = []
+        out: list[list[float]] = []
         for p in chain_pts:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
@@ -410,8 +414,8 @@ def convex_hull(points) -> ConvexPolygon2D:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    lower = half(rows)
+    upper = half(rows[::-1])
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateHull("all points collinear")

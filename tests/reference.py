@@ -27,8 +27,8 @@ def brute_force_dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return labels
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= eps * eps
+    # One row of the distance matrix at a time: a few thousand points fit.
+    within = np.array([((pts - p) ** 2).sum(axis=1) <= eps * eps for p in pts])
     degree = within.sum(axis=1)
     core = degree >= min_pts
 
@@ -67,6 +67,31 @@ def brute_force_dbscan(points, eps: float, min_pts: int) -> np.ndarray:
                 labels[i] = labels[j]
                 break
     return labels
+
+
+def monotone_chain_hull(points) -> np.ndarray:
+    """Monotone-chain convex hull on numpy rows, one numpy scalar at a time.
+
+    Rows are deduplicated and sorted lexicographically; the vertices run
+    CCW from the lowest row, collinear boundary points removed.  Fewer
+    than 3 vertices come back for fewer than 3 distinct or all-collinear
+    points.
+    """
+    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+
+    def half(chain_pts):
+        out = []
+        for p in chain_pts:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1]).reshape(-1, 2)
 
 
 def points_in_box3d(points: np.ndarray, box) -> np.ndarray:

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
+from boxlift.clustering import AggregatedInstance, aggregate_static
+from boxlift.config import PipelineConfig
+from boxlift.extraction import build_tracks
 from boxlift.geometry import Box3D, CameraModel, Pose, project_box3d, yaw_rotation
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
-from boxlift.synthetic import CameraSpec, EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig
+from boxlift.synthetic import (
+    CameraSpec, EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig, generate_scene,
+)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Camera axes in the world/ego frame when yaw = 0: optical axis +x, image
 # x-axis -y (right), image y-axis -z (down).
@@ -127,3 +136,13 @@ def single_view_track(points: np.ndarray, camera: CameraModel, box2d,
     ann = Annotation2D(track_id, class_label, "cam", box2d)
     obs = Observation(ann, camera, np.asarray(points, float), np.arange(len(points)))
     return ObjectTrack(track_id, class_label, {0: obs})
+
+
+@functools.lru_cache(maxsize=None)
+def dense_coarse_instances() -> tuple[AggregatedInstance, ...]:
+    """The aggregated instance of each track of ``gen`` on the dense_coarse
+    bench scene (2.7k-3.7k points each), extracted with the bench pipeline
+    config.  Only reads the bench files."""
+    scene = generate_scene(SceneConfig.from_json_file(BENCH / "scenes" / "dense_coarse.json"))
+    cfg = PipelineConfig.from_json_file(BENCH / "pipeline.json")
+    return tuple(aggregate_static(track) for track in build_tracks(scene, cfg))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from boxlift.clustering import (
     AggregatedInstance,
+    _neighbour_pairs,
     aggregate_static,
     dbscan,
     quality_gate,
@@ -16,7 +17,7 @@ from boxlift.geometry import Box2D
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import generate_scene
 from reference import brute_force_dbscan
-from support import camera_looking, face_ids, passing_config
+from support import camera_looking, dense_coarse_instances, face_ids, passing_config
 
 
 def relabel_canonical(labels):
@@ -143,6 +144,23 @@ class TestDbscan:
             ref = brute_force_dbscan(pts, eps, min_pts)
             assert np.array_equal(mine, ref)
 
+    def test_matches_brute_force_on_crowded_cells(self):
+        # About 1,500 points in a 1.2 m cube at eps 0.5: each cell holds
+        # hundreds of points.  Neighbour counts run from about 60 in the
+        # corners to about 460 in the middle, so min_pts 350 leaves core,
+        # border and noise points.
+        pts = np.random.default_rng(50).uniform(0, 1.2, (1500, 3))
+        labels = dbscan(pts, 0.5, 350)
+        assert {-1, 0} <= set(labels.tolist())
+        assert np.array_equal(labels, brute_force_dbscan(pts, 0.5, 350))
+
+    @pytest.mark.parametrize("track", range(3))
+    def test_matches_brute_force_on_dense_coarse(self, track):
+        # The aggregated clouds DBSCAN cleans on the dense_coarse bench
+        # scene, at the bench pipeline's eps and min_pts.
+        pts = dense_coarse_instances()[track].points_agg
+        assert np.array_equal(dbscan(pts, 0.5, 10), brute_force_dbscan(pts, 0.5, 10))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_brute_force_up_to_relabeling(self, seed):
@@ -168,6 +186,24 @@ class TestDbscan:
             dbscan(np.zeros((3, 3)), eps=0.0, min_pts=1)
         with pytest.raises(ValueError):
             dbscan(np.zeros((3, 3)), eps=0.5, min_pts=0)
+
+
+class TestNeighbourPairs:
+    def test_each_close_pair_exactly_once(self):
+        rng = np.random.default_rng(51)
+        clouds = [
+            (rng.uniform(0, 1.2, (1500, 3)), 0.5),
+            # Lattice points tie at eps, on the inclusive boundary.
+            (rng.integers(-3, 4, (300, 3)) * 0.25, 0.25),
+            (dense_coarse_instances()[0].points_agg, 0.5),
+        ]
+        for pts, eps in clouds:
+            i, j = _neighbour_pairs(pts, eps)
+            assert not (i == j).any()
+            found = np.sort(np.column_stack([i, j]), axis=1)
+            found = found[np.lexsort((found[:, 1], found[:, 0]))]
+            within = np.array([((pts - p) ** 2).sum(axis=1) <= eps * eps for p in pts])
+            assert np.array_equal(found, np.argwhere(np.triu(within, 1)))
 
 
 def make_instance(points):

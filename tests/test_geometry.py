@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlift.clustering import dbscan, select_dominant_cluster
 from boxlift.errors import DegenerateHull, DegenerateSpread
 from boxlift.geometry import (
     Box2D,
@@ -23,8 +24,13 @@ from boxlift.geometry import (
     project_box_silhouette,
     project_points,
 )
-from reference import clipped_silhouette_loop, mc_iou_3d, point_in_convex_polygon
-from support import identity_pose, transform_box3d
+from reference import (
+    clipped_silhouette_loop,
+    mc_iou_3d,
+    monotone_chain_hull,
+    point_in_convex_polygon,
+)
+from support import dense_coarse_instances, identity_pose, transform_box3d
 
 
 def random_pose(rng):
@@ -235,6 +241,42 @@ class TestConvexHull:
             return
         for p in pts:
             assert point_in_convex_polygon(p, hull.vertices, tol=1e-9)
+
+    def test_matches_numpy_scalar_chain(self):
+        # The same float64 arithmetic as the chain on numpy scalars, so the
+        # vertices must match exactly, degenerate inputs included.
+        rng = np.random.default_rng(6)
+        clouds = []
+        for _ in range(50):
+            n = int(rng.integers(3, 300))
+            clouds.append(rng.normal(0, rng.uniform(0.1, 10), (n, 2)))
+            clouds.append(rng.uniform(-50, 50, (n, 2)))
+        # Integer lattices: collinear runs along the edges, and duplicates.
+        for _ in range(50):
+            n = int(rng.integers(1, 60))
+            clouds.append(rng.integers(-3, 4, (n, 2)) * rng.choice([1.0, 0.1, 0.25]))
+        # Points on one line, and the same line jittered by about 1e-12:
+        # orientation signs there come down to the last bits.
+        for _ in range(30):
+            t = rng.uniform(-10, 10, (int(rng.integers(3, 40)), 1))
+            line = rng.normal(size=2) + t * rng.normal(size=2)
+            clouds.append(line)
+            clouds.append(line + rng.normal(0, 1e-12, line.shape))
+        # Bird's-eye views of the dense_coarse clouds and their clusters.
+        for inst in dense_coarse_instances():
+            cluster = select_dominant_cluster(inst, dbscan(inst.points_agg, 0.5, 10))
+            clouds.append(inst.points_agg[:, :2])
+            clouds.append(inst.points_agg[cluster, :2])
+        n_degenerate = 0
+        for pts in clouds:
+            ref = monotone_chain_hull(pts)
+            if len(ref) < 3:
+                n_degenerate += 1
+                with pytest.raises(DegenerateHull):
+                    convex_hull(pts)
+            else:
+                assert np.array_equal(convex_hull(pts).vertices, ref)
+        assert 0 < n_degenerate < len(clouds) // 2
 
 
 class TestConvexIntersection:
