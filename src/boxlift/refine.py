@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -31,10 +32,14 @@ MISSING_PROJECTION_PENALTY = 2.0
 
 
 class _Views:
-    """A track's K annotated views stacked into arrays for the batched 2D loss.
+    """A track's K annotated views, stacked for the batched 2D loss.
 
-    Building the stack costs about as much as one loss evaluation, so
-    ``refine_box`` builds it once and reuses it for every evaluation.
+    The camera poses and intrinsics are (K, ...) arrays for the one batched
+    corner projection; each view's image size and annotated box are a
+    tuple of Python floats, ``(width, height, x_min, y_min, x_max, y_max,
+    area)``, for ``_view_term``.  Building the stack costs about as much as
+    one loss evaluation, so ``refine_box`` builds it once and reuses it for
+    every evaluation.
     """
 
     def __init__(self, track: ObjectTrack):
@@ -46,54 +51,32 @@ class _Views:
         self.t = np.array([pose.t for pose in poses])[:, None, :]                 # (K, 1, 3)
         self.focal = np.array([[c.fx, c.fy] for c in self.cameras])[:, None, :]   # (K, 1, 2)
         self.principal = np.array([[c.cx, c.cy] for c in self.cameras])[:, None, :]
-        self.size = np.array([[float(c.width), float(c.height)] for c in self.cameras])
-        self.gt_lo = np.array([[b.x_min, b.y_min] for b in self.boxes])           # (K, 2)
-        self.gt_hi = np.array([[b.x_max, b.y_max] for b in self.boxes])
-        self.gt_area = np.array([b.area for b in self.boxes])
+        self.targets = [
+            tuple(map(float, (c.width, c.height, b.x_min, b.y_min, b.x_max, b.y_max, b.area)))
+            for c, b in zip(self.cameras, self.boxes)
+        ]
 
     def loss(self, box: Box3D, z_near: float) -> float:
         """Mean over the views of 1 - GIoU, equal to the per-view scalar loop bit for bit.
 
         The 8 corners move into all K cameras with one matmul.  Views with
-        every corner in front of ``z_near`` are scored as array expressions;
-        the few that cross or sit behind the near plane go through
-        ``project_box3d``, which owns the near-plane clipping.  The terms
-        are summed in view order as Python floats, as the loop does.
+        every corner in front of ``z_near`` take their pixel bounds from one
+        batched projection and are scored on Python floats by
+        ``_view_term``; the few that cross or sit behind the near plane go
+        through ``project_box3d``, which owns the near-plane clipping.  The
+        terms are summed in view order as Python floats, as the loop does.
         """
         cam = (box3d_corners(box) - self.t) @ self.rot                           # (K, 8, 3)
         ahead = cam[:, :, 2] > z_near
         if ahead.all():
-            terms = self._front_terms(cam, slice(None)).tolist()
+            terms = _front_terms(cam, self.focal, self.principal, self.targets)
         else:
             front = ahead.all(axis=1)
-            batched = iter(self._front_terms(cam[front], front).tolist())
+            batched = iter(_front_terms(cam[front], self.focal[front], self.principal[front],
+                                        compress(self.targets, front)))
             terms = [next(batched) if f else self._clipped_term(k, box, z_near)
                      for k, f in enumerate(front.tolist())]
         return sum(terms) / len(terms)
-
-    def _front_terms(self, cam: np.ndarray, sel) -> np.ndarray:
-        """1 - GIoU for the views ``sel``, whose corners ``cam`` are all in front."""
-        uv = cam[:, :, :2] * self.focal[sel] / cam[:, :, 2:] + self.principal[sel]
-        lo = np.maximum(0.0, uv.min(axis=1))
-        hi = np.minimum(self.size[sel], uv.max(axis=1))
-        wh = hi - lo
-        empty = wh <= 0.0
-        off_image = None
-        if empty.any():
-            # The projection misses the image: a zero area keeps its GIoU
-            # finite, and the view is charged the penalty below.
-            off_image = empty.any(axis=1)
-            wh = np.maximum(wh, 0.0)
-        gt_lo, gt_hi = self.gt_lo[sel], self.gt_hi[sel]
-        iwh = np.maximum(0.0, np.minimum(hi, gt_hi) - np.maximum(lo, gt_lo))
-        inter = iwh[:, 0] * iwh[:, 1]
-        union = wh[:, 0] * wh[:, 1] + self.gt_area[sel] - inter
-        ewh = np.maximum(hi, gt_hi) - np.minimum(lo, gt_lo)
-        enclosing = ewh[:, 0] * ewh[:, 1]
-        terms = 1.0 - (inter / union - (enclosing - union) / enclosing)
-        if off_image is not None:
-            terms[off_image] = MISSING_PROJECTION_PENALTY
-        return terms
 
     def _clipped_term(self, k: int, box: Box3D, z_near: float) -> float:
         pred = project_box3d(self.cameras[k], box, z_near=z_near)
@@ -102,15 +85,51 @@ class _Views:
         return 1.0 - giou_2d(pred, self.boxes[k])
 
 
+def _front_terms(cam: np.ndarray, focal: np.ndarray, principal: np.ndarray,
+                 targets) -> list[float]:
+    """``_view_term`` of each view whose corners ``cam`` (k, 8, 3) are all in front."""
+    uv = cam[:, :, :2] * focal / cam[:, :, 2:] + principal
+    return list(map(_view_term, uv.min(axis=1).tolist(), uv.max(axis=1).tolist(), targets))
+
+
+def _view_term(lo, hi, target) -> float:
+    """1 - GIoU of the pixel bounds ``lo`` = (u, v) min, ``hi`` = max against one view's box.
+
+    ``target`` is the view's ``(width, height, x_min, y_min, x_max, y_max,
+    area)``.  The bounds are clipped to the image as ``project_box3d``
+    clips them, and bounds with no area inside the image are charged
+    ``MISSING_PROJECTION_PENALTY``.  The rest is ``giou_2d``'s arithmetic
+    in its order; each conditional picks the same operand as the builtin
+    ``max``/``min`` call it replaces, ties included.
+    """
+    width, height, bx0, by0, bx1, by1, b_area = target
+    u0, v0 = lo
+    u1, v1 = hi
+    x0 = u0 if u0 > 0.0 else 0.0
+    y0 = v0 if v0 > 0.0 else 0.0
+    x1 = u1 if u1 < width else width
+    y1 = v1 if v1 < height else height
+    w, h = x1 - x0, y1 - y0
+    if w <= 0.0 or h <= 0.0:
+        return MISSING_PROJECTION_PENALTY
+    iw = (bx1 if bx1 < x1 else x1) - (bx0 if bx0 > x0 else x0)
+    ih = (by1 if by1 < y1 else y1) - (by0 if by0 > y0 else y0)
+    inter = (iw if iw > 0.0 else 0.0) * (ih if ih > 0.0 else 0.0)
+    union = w * h + b_area - inter
+    enclosing = ((bx1 if bx1 > x1 else x1) - (bx0 if bx0 < x0 else x0)) * (
+        (by1 if by1 > y1 else y1) - (by0 if by0 < y0 else y0)
+    )
+    return 1.0 - (inter / union - (enclosing - union) / enclosing)
+
+
 def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float = 1e-3) -> float:
     """Mean over the track's views of (1 - GIoU(projected box, annotated box))."""
     return _Views(track).loss(box, z_near)
 
 
-def _coordinates(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 3) points as three contiguous 1-D coordinate arrays."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    return tuple(np.ascontiguousarray(col) for col in pts.T)
+def _coordinates(points) -> np.ndarray:
+    """(n, 3) points as one contiguous (3, n) array of x, y and z rows."""
+    return np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 3).T)
 
 
 def l_fit(box: Box3D, points) -> float:
@@ -121,31 +140,45 @@ def l_fit(box: Box3D, points) -> float:
     extent along each box axis, penalizing boxes larger than their
     evidence.
     """
-    return _fit_loss(box, *_coordinates(points))
+    return _fit_loss(box, _coordinates(points))
 
 
-def _fit_loss(box: Box3D, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
-    """``l_fit`` on the points' coordinate arrays."""
-    if len(x) == 0:
+def _fit_loss(box: Box3D, coords: np.ndarray) -> float:
+    """``l_fit`` on the points' (3, n) coordinate rows.
+
+    The rows move into the box frame together: one subtraction of the
+    center, one yaw rotation of the x and y rows, and one chain for the
+    overshoot past each half extent.  Every element sees the operations
+    the per-axis formula applies, in its order, and the squared
+    overshoots add as x + y, then + z, so the result equals the same
+    formula evaluated one point at a time, bit for bit.
+    """
+    n = coords.shape[1]
+    if n == 0:
         raise ValueError("l_fit needs at least one point")
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    dx, dy, lz = x - box.cx, y - box.cy, z - box.cz
-    lx = c * dx + s * dy
-    ly = -s * dx + c * dy
-    ox = np.maximum(np.abs(lx) - 0.5 * box.l, 0.0)
-    oy = np.maximum(np.abs(ly) - 0.5 * box.w, 0.0)
-    oz = np.maximum(np.abs(lz) - 0.5 * box.h, 0.0)
-    outside = np.sqrt(ox**2 + oy**2 + oz**2).mean() / box.diagonal
+    local = coords - np.array([[box.cx], [box.cy], [box.cz]])
+    local[:2] = np.array([[c], [-s]]) * local[0] + np.array([[s], [c]]) * local[1]
+    extents = (box.l, box.w, box.h)
+    over = np.abs(local)
+    over -= np.array([[0.5 * box.l], [0.5 * box.w], [0.5 * box.h]])
+    np.maximum(over, 0.0, out=over)
+    over *= over
+    r = over[0] + over[1]
+    r += over[2]
+    np.sqrt(r, out=r)
+    outside = np.add.reduce(r) / n / box.diagonal
     slack = 0.0
-    for local, extent in ((lx, box.l), (ly, box.w), (lz, box.h)):
-        slack += max(extent - (float(local.max()) - float(local.min())), 0.0) / extent
+    for extent, top, bottom in zip(extents, local.max(axis=1).tolist(),
+                                   local.min(axis=1).tolist()):
+        slack += max(extent - (top - bottom), 0.0) / extent
     return float(outside + slack / 3)
 
 
-def _objective(box: Box3D, views: _Views, coords, cfg: PipelineConfig) -> float:
+def _objective(box: Box3D, views: _Views, coords: np.ndarray, cfg: PipelineConfig) -> float:
     total = 0.0
     if cfg.mu_fit > 0:
-        total += cfg.mu_fit * _fit_loss(box, *coords)
+        total += cfg.mu_fit * _fit_loss(box, coords)
     if cfg.lambda_2d > 0:
         total += cfg.lambda_2d * views.loss(box, cfg.z_near)
     return total
@@ -215,10 +248,10 @@ def _nelder_mead(f, simplex: np.ndarray, budget: int) -> None:
     # scipy sorts the starting simplex twice; argsort need not keep tied
     # values in order, so the second sort is kept too.
     for _ in range(2):
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
     while calls < budget:
-        if np.max(np.abs(sim[1:] - sim[0])) <= 0 and np.max(np.abs(fsim[0] - fsim[1:])) <= 0:
+        if np.abs(sim[1:] - sim[0]).max() <= 0 and np.abs(fsim[0] - fsim[1:]).max() <= 0:
             return
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
@@ -257,7 +290,7 @@ def _nelder_mead(f, simplex: np.ndarray, budget: int) -> None:
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                     fsim[j] = f(sim[j])
                     calls += 1
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
 
 

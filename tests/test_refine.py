@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from boxlift import geometry, refine
 from boxlift.config import PipelineConfig
 from boxlift.errors import ConfigError
 from boxlift.extraction import build_tracks
-from boxlift.geometry import Box2D, Box3D, box3d_corners, iou_3d, project_box3d
+from boxlift.geometry import Box2D, Box3D, box3d_corners, giou_2d, iou_3d, project_box3d
 from boxlift.refine import (
     MISSING_PROJECTION_PENALTY,
+    RefineTrace,
     _nelder_mead,
+    _view_term,
     annotate_track,
     filter_pseudo_label,
     l2d_multiview,
@@ -109,6 +112,58 @@ class TestL2dMultiview:
         assert min(seen.values()) >= 300, seen
 
 
+class TestViewTerm:
+    """``_view_term`` on hand-built pixel bounds, tie and edge cases.
+
+    The reference feeds the same bounds through ``project_box3d``'s image
+    clip (with the silhouette replaced by the two bound corners) and scores
+    them with ``1 - giou_2d``.  The conditionals of ``_view_term`` pick the
+    operand the builtin ``max``/``min`` picks, ties included.  They also
+    give the values of the batched ``np.maximum``/``np.minimum`` they
+    replaced: the two differ only on NaN, which cannot arise because every
+    corner is finite and strictly in front of a positive near plane, and
+    on the sign of a zero tie.  A signed zero cannot reach the returned
+    term: a zero bound is only subtracted from a strictly larger bound, or
+    feeds an intersection of zero area, which enters the term as
+    ``1.0 - (0 / union - ...)``.
+    """
+
+    CAMERA = camera_looking([0.0, 0.0, 1.6], 0.0, width=960, height=600)
+    ANNOTATED = Box2D(100.0, 50.0, 400.0, 300.0)
+    FULL_FRAME = Box2D(0.0, 0.0, 960.0, 600.0)
+
+    @staticmethod
+    def reference(monkeypatch, lo, hi, annotated):
+        monkeypatch.setattr(geometry, "project_box_silhouette",
+                            lambda *args, **kwargs: np.array([lo, hi]))
+        pred = project_box3d(TestViewTerm.CAMERA, Box3D(0, 0, 0, 1, 1, 1, 0))
+        return pred, MISSING_PROJECTION_PENALTY if pred is None else 1.0 - giou_2d(pred, annotated)
+
+    @pytest.mark.parametrize("annotated", [ANNOTATED, FULL_FRAME])
+    @pytest.mark.parametrize("lo,hi,on_image", [
+        ([100.0, 50.0], [400.0, 300.0], True),     # every bound on an annotated edge
+        ([100.0, 20.0], [250.0, 300.0], True),     # left and bottom edges shared
+        ([400.0, 50.0], [500.0, 300.0], True),     # touches the right edge: no overlap
+        ([0.0, 0.0], [50.0, 60.0], True),
+        ([-0.0, -0.0], [50.0, 60.0], True),
+        ([-0.0, 0.0], [960.0, 600.0], True),       # the whole image, exactly
+        ([900.0, 500.0], [960.0, 600.0], True),
+        ([-30.0, -5.0], [1000.0, 700.0], True),    # clipped on every side
+        ([-50.0, 10.0], [0.0, 100.0], False),      # zero width after clipping
+        ([-50.0, 10.0], [-0.0, 100.0], False),
+        ([960.0, 10.0], [1200.0, 100.0], False),
+        ([10.0, 600.0], [100.0, 900.0], False),    # zero height after clipping
+        ([1000.0, 10.0], [1200.0, 100.0], False),  # fully off the image
+        ([10.0, -300.0], [100.0, -20.0], False),
+    ])
+    def test_matches_clip_and_giou(self, monkeypatch, lo, hi, on_image, annotated):
+        pred, expected = self.reference(monkeypatch, lo, hi, annotated)
+        assert (pred is not None) == on_image
+        cam, b = self.CAMERA, annotated
+        target = (float(cam.width), float(cam.height), b.x_min, b.y_min, b.x_max, b.y_max, b.area)
+        assert _view_term(lo, hi, target) == expected
+
+
 class TestLFit:
     def test_matches_row_oracle_exactly(self):
         rng = np.random.default_rng(62)
@@ -186,7 +241,112 @@ class TestNelderMead:
             assert len(seen) == budget
 
 
+def refine_box_oracle(init, track, points, cfg):
+    """``refine_box`` rebuilt from the row and per-view oracles and scipy's Nelder-Mead.
+
+    The objective is ``mu_fit * l_fit_rows + lambda_2d * l2d_multiview_loop``
+    on the box with its extents floored.  The schedule is ``refine_box``'s:
+    score ``init``, run scipy from the documented initial simplex around it
+    with the budget's first half less that evaluation, then restart from
+    the best point with the rest.  Returns the best box, its trace and
+    every objective value in evaluation order.
+    """
+    from scipy.optimize import minimize
+
+    floor = cfg.extent_floor
+    trace = RefineTrace(0, None, math.inf)
+    best_x, values = None, []
+
+    def to_box(x):
+        return Box3D(float(x[0]), float(x[1]), float(x[2]), max(float(x[3]), floor),
+                     max(float(x[4]), floor), max(float(x[5]), floor), float(x[6]))
+
+    def f(x):
+        nonlocal best_x
+        trace.n_evals += 1
+        box = to_box(x)
+        j = (cfg.mu_fit * l_fit_rows(box, points)
+             + cfg.lambda_2d * l2d_multiview_loop(box, track, cfg.z_near))
+        values.append(j)
+        if j < trace.j_final:
+            trace.j_final, best_x = j, np.array(x)
+            trace.improvements.append((trace.n_evals, j))
+        return j
+
+    def leg(x0, budget):
+        steps = [0.25, 0.25, 0.25, 0.1 * x0[3], 0.1 * x0[4], 0.1 * x0[5], math.radians(5.0)]
+        simplex = np.tile(x0, (8, 1))
+        for k, step in enumerate(steps):
+            simplex[k + 1, k] += step
+        minimize(f, x0, method="Nelder-Mead", options={
+            "initial_simplex": simplex, "xatol": 0, "fatol": 0, "maxfev": budget})
+
+    x0 = init.as_array()
+    trace.j_init = f(x0)
+    leg(x0, cfg.refine_budget // 2 - 1)
+    leg(best_x, cfg.refine_budget - trace.n_evals)
+    return to_box(best_x), trace, values
+
+
 class TestRefineBox:
+    @pytest.mark.parametrize("n_views", [12, 1])
+    def test_matches_oracle_end_to_end(self, n_views, monkeypatch):
+        # The 12-view track is static; the 1-view track is its densest
+        # view alone, as the moving path refines.  Twenty stray points 2-6 m
+        # off the box on every axis, like a neighbour caught in the
+        # frustum, keep overshooting on all three axes near the optimum,
+        # so the order the fit term sums them in shows in the values.
+        _, track, gt = scene_track(sigma=0.02, n_frames=12)
+        assert len(track.frame_ids) == 12
+        if n_views == 1:
+            fid = max(track.frame_ids, key=lambda f: len(track.observations[f].points))
+            track = ObjectTrack(track.track_id, track.class_label, {fid: track.observations[fid]})
+        rng = np.random.default_rng(0)
+        stray = gt.center + rng.uniform(2, 6, (20, 3)) * rng.choice([-1, 1], (20, 3))
+        pts = np.concatenate([o.points for o in track.observations.values()] + [stray])
+        init = Box3D(gt.cx + 0.4, gt.cy - 0.3, gt.cz, gt.l * 1.15, gt.w * 0.9, gt.h,
+                     gt.yaw + 0.12)
+        cfg = PipelineConfig(refine_budget=150)
+        values = []
+        objective = refine._objective
+        monkeypatch.setattr(refine, "_objective",
+                            lambda *args: values.append(objective(*args)) or values[-1])
+        box, trace = refine_box(init, track, pts, cfg)
+        expected_box, expected, expected_values = refine_box_oracle(init, track, pts, cfg)
+        assert values == expected_values
+        assert box == expected_box
+        assert (trace.j_init, trace.j_final) == (expected.j_init, expected.j_final)
+        assert trace.improvements == expected.improvements
+        assert trace.n_evals == expected.n_evals == 150
+        assert len(trace.improvements) > 10
+
+    def test_clipped_projection_only_for_straddling_views(self, monkeypatch):
+        # Views with every corner in front of the near plane are scored
+        # from the batched projection; only a straddling view may take the
+        # slower clipped path through project_box3d.  Two cameras see the
+        # box from 12-15 m; the third sits inside it, so the box straddles
+        # its near plane.
+        box = Box3D(0.0, 0.0, 0.8, 4.2, 1.8, 1.5, 0.3)
+        cams = [camera_looking([-15.0, 0.0, 1.6], 0.0), camera_looking([0.0, -12.0, 1.6], 90.0),
+                camera_looking([0.5, 0.0, 1.0], 0.0)]
+        pts = np.random.default_rng(72).uniform(-0.5, 0.5, (200, 3)) * [4.2, 1.8, 1.5] + box.center
+        obs = {fid: Observation(Annotation2D("t", "Car", f"cam{fid}", project_box3d(cam, box)),
+                                cam, pts, np.arange(len(pts)))
+               for fid, cam in enumerate(cams)}
+        track = ObjectTrack("t", "Car", obs)
+        seen = []
+        clip = refine.project_box3d
+        monkeypatch.setattr(refine, "project_box3d",
+                            lambda cam, b, **kw: seen.append(cam) or clip(cam, b, **kw))
+        init = Box3D(box.cx + 0.3, box.cy, box.cz, box.l, box.w * 1.2, box.h, box.yaw)
+        front_only = ObjectTrack("t", "Car", {f: track.observations[f] for f in (0, 1)})
+        cfg = PipelineConfig(refine_budget=150)
+        refine_box(init, front_only, pts, cfg)
+        assert seen == []
+        _, trace = refine_box(init, track, pts, cfg)
+        assert len(seen) == trace.n_evals
+        assert all(cam is cams[2] for cam in seen)
+
     def test_budget_zero_returns_init(self):
         _, track, gt = scene_track(sigma=0.02)
         init = Box3D(gt.cx + 1, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
