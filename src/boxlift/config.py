@@ -166,7 +166,7 @@ class PipelineConfig(JsonConfig):
     extent_floor: Positive = 0.05    # meters; minimum box extent
     lambda_2d: NonNeg = 0.5          # weight of the multi-view 2D loss
     mu_fit: NonNeg = 1.0             # weight of the point-fit loss
-    refine_budget: Count = 2000      # objective evaluations per track
+    refine_budget: PosInt = 2000     # objective evaluations per track
     refine: bool = True
     tau_conf: Gates = field(default_factory=lambda: dict(DEFAULT_TAU_CONF))
     tau_conf_default: Unit = 0.5

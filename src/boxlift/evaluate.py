@@ -1,15 +1,18 @@
 """Oracle-based metrics over synthetic scenes, and report assembly.
 
-Segmentation quality is measured as point-set IoU between extracted /
-cleaned point index sets and the generator's per-point instance ground
-truth; box quality as 3D IoU against ground-truth boxes (yaw handled
-mod pi by the IoU itself).
+Segmentation quality is measured as point-set IoU against the generator's
+per-point instance ground truth.  A point is identified by its frame id
+and its index in that frame's cloud, the pair the aggregate records for
+each of its points; a track's ground-truth points in a frame are its
+span's range without the injected bleed.  Box quality is 3D IoU against
+ground-truth boxes (yaw handled mod pi by the IoU itself).
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
+
+import numpy as np
 
 from .clustering import aggregate_static, dbscan, select_dominant_cluster
 from .config import PipelineConfig
@@ -20,39 +23,34 @@ from .refine import PseudoLabel
 from .scene import Scene
 
 
-def point_set_iou(pred_indices, gt_indices) -> float:
-    """|A ∩ B| / |A ∪ B| over point index sets; 1.0 when both are empty."""
-    a, b = frozenset(pred_indices), frozenset(gt_indices)   # no copy of a frozenset
-    if not a and not b:
-        return 1.0
-    common = len(a & b)
-    return common / (len(a) + len(b) - common)
-
-
 @dataclass(frozen=True)
 class SegmentationInstance:
     track_id: str
-    class_label: str
-    aggregate_ids: frozenset      # (frame_id, point_index) pairs in P_agg
-    cluster_ids: frozenset        # pairs retained in the dominant cluster
-    gt_ids: frozenset             # ground-truth instance pairs over the same frames
+    n_cluster: int                # |C*|
+    iou_aggregate: float          # point-set IoU of P_agg vs ground truth
+    iou_cluster: float            # point-set IoU of C* vs ground truth
 
 
 def segmentation_instances(
     scene: Scene, config: PipelineConfig | None = None
 ) -> list[SegmentationInstance]:
-    """Extraction/clustering point sets for every ground-truth-static track.
+    """Segmentation scores of every ground-truth-static track.
 
-    Requires a synthetic scene (per-point spans).  The ground-truth set for
-    a track covers its annotated frames only: frames no camera annotated
-    contribute no extractable points and would measure annotation coverage
-    rather than extraction quality.
+    Requires a synthetic scene (per-point spans).  A point of the aggregate
+    P_agg is the pair (``point_frame_ids[i]``, ``point_indices[i]``); it is
+    a ground-truth point when its index lies in the track's span for that
+    frame with the bleed excluded, ``[start, start + count - n_bleed)``.
+    The ground-truth set G covers the track's annotated frames only: frames
+    no camera annotated contribute no extractable points and would measure
+    annotation coverage rather than extraction quality.  Each IoU is
+    ``common / (|A| + |G| - common)`` on integer counts.
     """
     if scene.gt_tracks is None:
         raise ConfigError("segmentation metrics need a scene with ground truth")
     cfg = config or PipelineConfig()
-    spans_by_frame = {
-        frame.frame_id: {s.track_id: s for s in (frame.gt_spans or [])}
+    gt_ranges = {
+        frame.frame_id: {s.track_id: (s.start, s.start + s.count - s.n_bleed)
+                         for s in (frame.gt_spans or [])}
         for frame in scene.frames
     }
     out = []
@@ -60,33 +58,24 @@ def segmentation_instances(
         gt = scene.gt_tracks.get(track.track_id)
         if gt is None or not gt.static:
             continue
-        agg_ids = set()
-        gt_ids = set()
-        for fid in track.frame_ids:
-            obs = track.observations[fid]
-            agg_ids.update((fid, int(i)) for i in obs.indices)
-            span = spans_by_frame.get(fid, {}).get(track.track_id)
-            if span is not None:
-                gt_ids.update(
-                    (fid, i) for i in range(span.start, span.start + span.count - span.n_bleed)
-                )
         try:
             inst = aggregate_static(track)
             labels = dbscan(inst.points_agg, cfg.dbscan_eps, cfg.dbscan_min_pts)
             cluster = select_dominant_cluster(inst, labels)
         except BoxliftError:
             continue
-        cluster_ids = {
-            (int(inst.point_frame_ids[i]), int(inst.point_indices[i]))
-            for i in cluster
-        }
+        ranges = {fid: gt_ranges[fid].get(track.track_id, (0, 0)) for fid in track.frame_ids}
+        frames, at = np.unique(inst.point_frame_ids, return_inverse=True)
+        lo, hi = np.array([ranges[fid] for fid in frames.tolist()]).T
+        in_gt = (lo[at] <= inst.point_indices) & (inst.point_indices < hi[at])
+        n_gt = sum(end - start for start, end in ranges.values())
+        common_agg, common_cluster = int(in_gt.sum()), int(in_gt[cluster].sum())
         out.append(
             SegmentationInstance(
                 track_id=track.track_id,
-                class_label=track.class_label,
-                aggregate_ids=frozenset(agg_ids),
-                cluster_ids=frozenset(cluster_ids),
-                gt_ids=frozenset(gt_ids),
+                n_cluster=len(cluster),
+                iou_aggregate=common_agg / (len(in_gt) + n_gt - common_agg),
+                iou_cluster=common_cluster / (len(cluster) + n_gt - common_cluster),
             )
         )
     return out
@@ -94,17 +83,12 @@ def segmentation_instances(
 
 def segmentation_curve(instances: list[SegmentationInstance], thresholds) -> list[dict]:
     """Mean point-set IoU of P_agg and C* vs ground truth per min-point threshold."""
-    scores = [
-        (len(i.cluster_ids), point_set_iou(i.aggregate_ids, i.gt_ids),
-         point_set_iou(i.cluster_ids, i.gt_ids))
-        for i in instances
-    ]
     curve = []
     for threshold in thresholds:
-        retained = [s for s in scores if s[0] >= threshold]
+        retained = [i for i in instances if i.n_cluster >= threshold]
         if retained:
-            mean_agg = sum(s[1] for s in retained) / len(retained)
-            mean_cluster = sum(s[2] for s in retained) / len(retained)
+            mean_agg = sum(i.iou_aggregate for i in retained) / len(retained)
+            mean_cluster = sum(i.iou_cluster for i in retained) / len(retained)
         else:
             mean_agg = mean_cluster = None
         curve.append(
@@ -175,12 +159,15 @@ def frames_histogram(scene: Scene) -> dict:
         by_class.setdefault(classes[tid], []).append(len(fids))
     out = {}
     for cls, counts in sorted(by_class.items()):
+        ordered = sorted(counts)
         hist: dict[str, int] = {}
-        for c in sorted(counts):
+        for c in ordered:
             hist[str(c)] = hist.get(str(c), 0) + 1
+        mid = len(ordered) // 2
+        median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
         out[cls] = {
             "n_tracks": len(counts),
-            "median": float(statistics.median(counts)),
+            "median": float(median),
             "counts": hist,
         }
     return out
@@ -194,8 +181,8 @@ def build_report(
 ) -> dict:
     """Assemble the machine-readable evaluation report for one scene.
 
-    ``instances`` lets callers reuse precomputed segmentation point sets;
-    by default they are derived from the scene on the fly.
+    ``instances`` lets callers reuse precomputed segmentation scores; by
+    default they are derived from the scene on the fly.
     """
     gt_boxes = resolve_gt_boxes(scene, labels)
     if instances is None:

@@ -201,8 +201,8 @@ def objective_value(
 @dataclass
 class RefineTrace:
     n_evals: int
-    j_init: float | None
-    j_final: float | None
+    j_init: float
+    j_final: float
     improvements: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -306,19 +306,17 @@ def refine_box(
     the best point found with the budget's second half.  Extents are
     clamped to ``config.extent_floor`` during the search.  The best
     evaluated box is returned, so the result never scores worse than
-    ``init``; a budget of zero returns ``init`` untouched.  Deterministic.
+    ``init``.  Deterministic.
     """
     cfg = config or PipelineConfig()
     budget = cfg.refine_budget
     extent_floor = cfg.extent_floor
-    if budget <= 0:
-        return init, RefineTrace(0, None, None)
     views = _Views(track)
     coords = _coordinates(points)
     evals = 0
     best_x: np.ndarray | None = None
     best_j = math.inf
-    trace = RefineTrace(0, None, None)
+    improvements: list[tuple[int, float]] = []
 
     def objective(x: np.ndarray) -> float:
         nonlocal evals, best_x, best_j
@@ -327,16 +325,14 @@ def refine_box(
         if j < best_j:
             best_j = j
             best_x = np.array(x, dtype=float)
-            trace.improvements.append((evals, j))
+            improvements.append((evals, j))
         return j
 
     x0 = init.as_array()
-    trace.j_init = objective(x0)
+    j_init = objective(x0)
     _nelder_mead(objective, _initial_simplex(x0), max(1, budget // 2) - evals)
     _nelder_mead(objective, _initial_simplex(best_x), budget - evals)
-    trace.n_evals = evals
-    trace.j_final = best_j
-    return _vec_to_box(best_x, extent_floor), trace
+    return _vec_to_box(best_x, extent_floor), RefineTrace(evals, j_init, best_j, improvements)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from boxlift.clustering import aggregate_static, dbscan, select_dominant_cluster
+from boxlift.errors import BoxliftError
+from boxlift.extraction import build_tracks
 from boxlift.geometry import BOX_EDGES, DEFAULT_Z_NEAR, box3d_corners, giou_2d, project_box3d
 
 
@@ -276,3 +279,35 @@ def decode_rle_loop(rle, width: int, height: int) -> np.ndarray:
         pos += run
         value = not value
     return flat.reshape(height, width)
+
+
+def segmentation_scores_sets(scene, config) -> list[tuple[str, int, float, float]]:
+    """``(track_id, |C*|, IoU(P_agg, G), IoU(C*, G))`` per ground-truth-static
+    track, scored on sets of ``(frame_id, point_index)`` tuples.
+
+    P_agg is rebuilt from each observation's ``indices``, G from every
+    annotated frame's span of the track less its bleed, and C* from the
+    aggregate's provenance at the dominant cluster's positions.
+    """
+    spans = {frame.frame_id: {s.track_id: s for s in frame.gt_spans or []}
+             for frame in scene.frames}
+    out = []
+    for track in build_tracks(scene, config):
+        if not scene.gt_tracks[track.track_id].static:
+            continue
+        agg, gt = set(), set()
+        for fid in track.frame_ids:
+            agg.update((fid, int(i)) for i in track.observations[fid].indices)
+            span = spans[fid].get(track.track_id)
+            if span is not None:
+                gt.update((fid, i) for i in range(span.start, span.start + span.count - span.n_bleed))
+        try:
+            inst = aggregate_static(track)
+            cluster = select_dominant_cluster(
+                inst, dbscan(inst.points_agg, config.dbscan_eps, config.dbscan_min_pts))
+        except BoxliftError:
+            continue
+        kept = {(int(inst.point_frame_ids[i]), int(inst.point_indices[i])) for i in cluster}
+        out.append((track.track_id, len(kept), len(agg & gt) / len(agg | gt),
+                    len(kept & gt) / len(kept | gt)))
+    return out

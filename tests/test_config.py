@@ -46,6 +46,7 @@ CLI_BAD_VALUES = [
     ("lambda_2d", None),
     ("dbscan_min_pts", 0),
     ("refine_budget", -5),
+    ("refine_budget", 0),
     pytest.param("tau_static", 10**400, id="tau_static-10**400"),
 ]
 
@@ -76,8 +77,11 @@ def test_invalid_json_rejected(tmp_path):
 
 
 def test_accepts_integer_valued_floats_and_zero_budget():
-    cfg = PipelineConfig.from_dict({"tau_static": 4, "refine_budget": 0, "min_views": 0})
-    assert cfg.tau_static == 4 and cfg.refine_budget == 0
+    cfg = PipelineConfig.from_dict({"tau_static": 4, "min_views": 0})
+    assert cfg.tau_static == 4 and cfg.min_views == 0
+    # Refinement is switched off by refine=false alone.
+    with pytest.raises(ConfigError, match="refine_budget"):
+        PipelineConfig.from_dict({"refine_budget": 0})
 
 
 def test_dict_round_trip():

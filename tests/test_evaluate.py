@@ -2,47 +2,31 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from boxlift import evaluate
 from boxlift.config import PipelineConfig
 from boxlift.errors import ConfigError
 from boxlift.evaluate import (
     build_report,
     coarse_quality_table,
     frames_histogram,
-    point_set_iou,
     resolve_gt_boxes,
     segmentation_curve,
     segmentation_instances,
 )
 from boxlift.extraction import build_tracks
-from boxlift.geometry import Box3D, iou_3d
+from boxlift.geometry import Box2D, Box3D, iou_3d
 from boxlift.refine import PseudoLabel, QualityRecord, annotate_track
-from boxlift.synthetic import generate_scene
-from support import passing_config
+from boxlift.scene import Annotation2D, Frame, GtSpan, GtTrack, ObjectTrack, Observation, Scene
+from boxlift.synthetic import SceneConfig, generate_scene
+from reference import segmentation_scores_sets
+from support import BENCH, camera_looking, identity_pose, passing_config
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs/report.schema.json").read_text()
 )
-
-
-class TestPointSetIou:
-    def test_identical(self):
-        assert point_set_iou({1, 2, 3}, {1, 2, 3}) == 1.0
-
-    def test_disjoint(self):
-        assert point_set_iou({1, 2}, {3, 4}) == 0.0
-
-    def test_counting(self):
-        a = set(range(80))
-        b = set(range(20, 120))
-        assert point_set_iou(a, b) == pytest.approx(60 / 120)
-
-    def test_both_empty(self):
-        assert point_set_iou(set(), set()) == 1.0
-
-    def test_one_empty(self):
-        assert point_set_iou(set(), {1}) == 0.0
 
 
 def label_for(track_id, box, class_label="Car", source="refined", kept=True,
@@ -124,6 +108,54 @@ class TestSegmentationCurve:
         scene.gt_tracks = None
         with pytest.raises(ConfigError):
             segmentation_instances(scene)
+
+    @pytest.mark.parametrize("name", ["bleed", "static_multiview", "dense_coarse", "corridor"])
+    def test_matches_tuple_set_oracle(self, name):
+        if name == "bleed":
+            scene, cfg = self.make_scene(), PipelineConfig()
+        else:
+            scene = generate_scene(SceneConfig.from_json_file(BENCH / "scenes" / f"{name}.json"))
+            cfg = PipelineConfig.from_json_file(BENCH / "pipeline.json")
+        expected = segmentation_scores_sets(scene, cfg)
+        assert expected
+        assert [(i.track_id, i.n_cluster, i.iou_aggregate, i.iou_cluster)
+                for i in segmentation_instances(scene, cfg)] == expected
+
+    def test_hand_counted_bleed_and_neighbour_points(self, monkeypatch):
+        # Track "a": frame 0's span is [5, 25) with 4 bleed points, so G
+        # holds [5, 21); frame 1's is [0, 12) with 2, so [0, 10); frame 2
+        # is annotated but extracts nothing, and its [3, 9) still counts;
+        # frame 3 is not annotated, so its span does not.  |G| = 32.
+        # The aggregate holds 11 + 10 ground-truth points in one tight
+        # blob, the 4 + 2 bleed points and 4 points of track "b", each of
+        # those 2 m from any other point.  |P_agg| = 31, so IoU(P_agg, G)
+        # = 21 / (31 + 32 - 21); DBSCAN keeps the blob, IoU(C*, G) = 21 / 32.
+        rng = np.random.default_rng(7)
+        blob = iter(rng.uniform(0.0, 0.2, (21, 3)))
+        stray = iter(np.arange(1, 11)[:, None] * [2.0, 0.0, 0.0])
+        frame_indices = {0: (range(10, 21), range(21, 29)), 1: (range(0, 10), range(10, 12)),
+                         2: ((), ())}
+        cam = camera_looking([-10.0, 0.0, 1.0], 0.0)
+        ann = Annotation2D("a", "Car", "cam", Box2D(0, 0, 10, 10))
+        observations = {
+            fid: Observation(ann, cam,
+                             np.array([next(blob) for _ in inside] + [next(stray) for _ in outside]
+                                      ).reshape(-1, 3),
+                             np.array([*inside, *outside], dtype=np.int64))
+            for fid, (inside, outside) in frame_indices.items()
+        }
+        spans = {0: [GtSpan("a", 5, 20, 4), GtSpan("b", 25, 10)], 1: [GtSpan("a", 0, 12, 2)],
+                 2: [GtSpan("a", 3, 6)], 3: [GtSpan("a", 0, 50)]}
+        frames = [Frame(fid, 0.0, identity_pose(), "", [],
+                        np.empty((0, 3), np.float32), gt_spans=spans[fid]) for fid in range(4)]
+        gt = {"a": GtTrack("Car", True, (0.0, 0.0, 0.0), {}),
+              "b": GtTrack("Car", True, (0.0, 0.0, 0.0), {})}
+        monkeypatch.setattr(evaluate, "build_tracks",
+                            lambda scene, cfg: [ObjectTrack("a", "Car", observations)])
+        [inst] = segmentation_instances(Scene("hand", {}, frames, gt))
+        assert (inst.track_id, inst.n_cluster) == ("a", 21)
+        assert inst.iou_aggregate == 21 / 42
+        assert inst.iou_cluster == 21 / 32
 
 
 class TestFramesHistogram:

@@ -254,7 +254,7 @@ def refine_box_oracle(init, track, points, cfg):
     from scipy.optimize import minimize
 
     floor = cfg.extent_floor
-    trace = RefineTrace(0, None, math.inf)
+    trace = RefineTrace(0, math.inf, math.inf)
     best_x, values = None, []
 
     def to_box(x):
@@ -346,14 +346,6 @@ class TestRefineBox:
         _, trace = refine_box(init, track, pts, cfg)
         assert len(seen) == trace.n_evals
         assert all(cam is cams[2] for cam in seen)
-
-    def test_budget_zero_returns_init(self):
-        _, track, gt = scene_track(sigma=0.02)
-        init = Box3D(gt.cx + 1, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
-        pts = np.concatenate([o.points for o in track.observations.values()])
-        out, trace = refine_box(init, track, pts, PipelineConfig(refine_budget=0))
-        assert out == init
-        assert trace.n_evals == 0
 
     def test_never_increases_objective(self):
         rng = np.random.default_rng(62)
