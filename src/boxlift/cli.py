@@ -125,7 +125,7 @@ def _cmd_stats(args) -> int:
         "scene_id": scene.scene_id,
         "n_frames": len(scene.frames),
         "n_points": int(sum(f.n_points for f in scene.frames)),
-        "n_tracks": len({a.track_id for f in scene.frames for a in f.annotations}),
+        "n_tracks": sum(entry["n_tracks"] for entry in hist.values()),
         "frames_per_object": hist,
     }
     if args.report:

@@ -2,9 +2,10 @@
 
 Each field of a config dataclass declares its type and range in its
 annotation: ``Positive`` is a number > 0, ``Unit`` a number in [0, 1],
-``Count`` an integer >= 0, and so on.  ``check_field_types`` reads the
-annotation's row of ``TYPE_CHECKS`` and raises ``ConfigError`` naming the
-key; the manifest and label readers in ``scene_io`` use the same table.
+``Count`` an integer >= 0, ``Centroid`` one of two names, and so on.
+``check_field_types`` reads the annotation's row of ``TYPE_CHECKS`` and
+raises ``ConfigError`` naming the key; the manifest and label readers in
+``scene_io`` use the same table for the records in ``scene``.
 A number must lie within float range.  ``JsonConfig`` is the base of
 ``PipelineConfig`` and of the synthetic scene specs: its ``from_dict``
 rejects unknown and missing keys, naming the section, turns JSON arrays
@@ -43,12 +44,18 @@ def _is_range(v) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)) and v[0] <= v[1]
 
 
-# Field annotations that carry a range; each is checked by its row of
-# TYPE_CHECKS.  Ranges are [lo, hi] pairs with lo <= hi.
+def _one_of(*names):
+    return (lambda v: v in names, " or ".join(map(repr, names)))
+
+
+# Field annotations that carry a range or a set of names; each is checked by
+# its row of TYPE_CHECKS.  Ranges are [lo, hi] pairs with lo <= hi.
 Positive = NonNeg = Unit = float
 Count = PosInt = int
 Range = NonNegRange = PosRange = Vec3 = Ints = tuple
 Gates = dict                        # class name -> number in [0, 1]
+Source = World = Centroid = HullMetric = str
+SOURCES = ("coarse", "refined")     # where a pseudo-label's box comes from
 
 # Field annotation (a string under postponed evaluation) or JSON kind ->
 # (value test, description in the error message).
@@ -75,6 +82,10 @@ TYPE_CHECKS = {
     "Gates": (lambda v: isinstance(v, dict) and all(isinstance(k, str) and _is_unit(g)
                                                     for k, g in v.items()),
               "an object of class names to numbers in [0, 1]"),
+    "Source": _one_of(*SOURCES),
+    "World": _one_of("world"),
+    "Centroid": _one_of("mean", "median"),
+    "HullMetric": _one_of("iou", "coverage"),
     "object": (lambda v: isinstance(v, dict), "an object"),
     "array": (lambda v: isinstance(v, list), "an array"),
 }
@@ -156,13 +167,13 @@ class JsonConfig:
 class PipelineConfig(JsonConfig):
     tau_static: Positive = 0.5       # max pairwise centroid displacement, meters
     mask_conf_min: Unit = 0.6        # below this, fall back to the 2D box
-    centroid: str = "mean"           # "mean" | "median"
+    centroid: Centroid = "mean"
     dbscan_eps: Positive = 0.5       # meters
     dbscan_min_pts: PosInt = 10
     min_cluster_points: Count = 10   # quality gate on |C*|
     min_views: Count = 2
     tau_iou: Unit = 0.6              # geometric verification gate
-    hull_metric: str = "iou"         # "iou" | "coverage" (see verify_geometry)
+    hull_metric: HullMetric = "iou"  # see verify_geometry
     extent_floor: Positive = 0.05    # meters; minimum box extent
     lambda_2d: NonNeg = 0.5          # weight of the multi-view 2D loss
     mu_fit: NonNeg = 1.0             # weight of the point-fit loss
@@ -176,7 +187,3 @@ class PipelineConfig(JsonConfig):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "curve_thresholds", tuple(self.curve_thresholds))
-        if self.centroid not in ("mean", "median"):
-            raise ConfigError(f"centroid must be 'mean' or 'median', got {self.centroid!r}")
-        if self.hull_metric not in ("iou", "coverage"):
-            raise ConfigError(f"hull_metric must be 'iou' or 'coverage', got {self.hull_metric!r}")

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import aggregate_static, dbscan, select_dominant_cluster
-from .config import PipelineConfig
+from .config import SOURCES, PipelineConfig
 from .errors import BoxliftError, ConfigError
 from .extraction import build_tracks
 from .geometry import Box3D, iou_3d
-from .refine import PseudoLabel
-from .scene import Scene
+from .scene import PseudoLabel, Scene
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def build_report(
     if instances is None:
         instances = segmentation_instances(scene, config)
     kept = [lb for lb in labels if lb.kept]
-    by_source = {"coarse": [], "refined": []}
+    by_source = {source: [] for source in SOURCES}
     for lb in kept:
         by_source[lb.source].append(lb)
     drop_reasons: dict[str, int] = {}

@@ -465,13 +465,13 @@ def convex_intersection_area(a: ConvexPolygon2D, b: ConvexPolygon2D) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _footprint_polygon(box: Box3D) -> ConvexPolygon2D:
-    return ConvexPolygon2D(box.footprint())
-
-
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volumetric IoU of two upright boxes, in [0, 1]."""
-    inter_area = convex_intersection_area(_footprint_polygon(a), _footprint_polygon(b))
+    # A footprint is a CCW rectangle by construction, so it is clipped as is.
+    # Extents near float range overflow to inf or NaN, which score IoU 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        clipped = _clip_convex(a.footprint(), b.footprint())
+        inter_area = max(0.0, _polygon_area(clipped)) if len(clipped) >= 3 else 0.0
     z_lo = max(a.cz - 0.5 * a.h, b.cz - 0.5 * b.h)
     z_hi = min(a.cz + 0.5 * a.h, b.cz + 0.5 * b.h)
     inter = inter_area * max(0.0, z_hi - z_lo)

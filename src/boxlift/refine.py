@@ -24,7 +24,7 @@ from .config import PipelineConfig
 from .errors import BoxliftError
 from .extraction import classify_motion, track_centroids
 from .geometry import Box3D, box3d_corners, giou_2d, project_box3d
-from .scene import ObjectTrack
+from .scene import ObjectTrack, PseudoLabel, QualityRecord
 
 # 1 - GIoU is bounded by 2; an absent projection is charged the supremum so
 # the optimizer sees a finite, stable penalty for leaving every frustum.
@@ -364,44 +364,16 @@ def filter_pseudo_label(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QualityRecord:
-    n_points: int
-    n_views: int
-    hull_iou: float | None
-    l2d: float | None
-    fit: float | None
-
-
-@dataclass(frozen=True)
-class PseudoLabel:
-    track_id: str
-    class_label: str = field(metadata={"json": "class"})
-    box: Box3D
-    source: str                        # "coarse" | "refined"
-    quality: QualityRecord
-    kept: bool
-    drop_reason: str | None = None
-    confidence: float | None = None
-    anchor_frame_id: int | None = None # frame whose pose the box was fitted at
-
-    def __post_init__(self):
-        if not self.kept and self.drop_reason is None:
-            raise ValueError("dropped label must carry a drop_reason")
-        if self.kept and self.anchor_frame_id is None:
-            raise ValueError("kept label must carry an anchor_frame_id")
-
-
 # Emitted when a track yields no usable geometry at all; kept is always False.
 _SENTINEL_BOX = Box3D(0.0, 0.0, 0.0, 0.05, 0.05, 0.05, 0.0)
 
 
-def _dropped(track, reason, box=None, quality=None, anchor=None, source="coarse"):
+def _dropped(track, reason, box=None, quality=None, anchor=None):
     return PseudoLabel(
         track_id=track.track_id,
         class_label=track.class_label,
         box=box or _SENTINEL_BOX,
-        source=source,
+        source="coarse",
         quality=quality or QualityRecord(0, track.n_views_with_points, None, None, None),
         kept=False,
         drop_reason=reason,

@@ -1,7 +1,9 @@
-"""In-memory dataset model: scenes, frames, annotations and object tracks.
+"""Dataset model: scenes, frames, annotations, object tracks and pseudo-labels.
 
 Point clouds are stored in the ego frame (as on disk) and transformed to
-world coordinates on first access, using each frame's ego pose.
+world coordinates on first access, using each frame's ego pose.  On disk
+a record is its fields, each checked on load by the ``config.TYPE_CHECKS``
+row its annotation names (see ``scene_io``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import PosInt, Positive, Vec3
+from .config import PosInt, Positive, Source, Vec3, World
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
 
@@ -138,3 +140,32 @@ class ObjectTrack:
     @property
     def n_views_with_points(self) -> int:
         return sum(1 for ob in self.observations.values() if len(ob.points) > 0)
+
+
+@dataclass(frozen=True)
+class QualityRecord:
+    n_points: int
+    n_views: int
+    hull_iou: float | None
+    l2d: float | None
+    fit: float | None
+
+
+@dataclass(frozen=True)
+class PseudoLabel:
+    track_id: str
+    class_label: str = field(metadata={"json": "class"})
+    box: Box3D
+    source: Source
+    quality: QualityRecord
+    kept: bool
+    drop_reason: str | None = None
+    confidence: float | None = None
+    anchor_frame_id: int | None = None # frame whose pose the box was fitted at
+    frame_of_reference: World = "world"
+
+    def __post_init__(self):
+        if not self.kept and self.drop_reason is None:
+            raise ValueError("dropped label must carry a drop_reason")
+        if self.kept and self.anchor_frame_id is None:
+            raise ValueError("kept label must carry an anchor_frame_id")

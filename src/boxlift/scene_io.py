@@ -6,14 +6,15 @@ in the ego frame as little-endian float32 triplets.  All writes go through
 a temp-file + rename so readers never observe partial files.
 
 A record below the top level (camera, annotation, mask, ground-truth span
-and track, label and its quality) is stored as its dataclass: one key per
-field, named by the field or by its ``json`` metadata.  ``_record`` reads
-a record, checking each value against the ``TYPE_CHECKS`` row its
-annotation names unless a reader is given for the field; ``_plain``
-writes it and leaves out a None whose field defaults to None.  A new
-field therefore needs no reader or writer of its own.  Checks against
-other records (span bounds, box keys that are frame ids, a box inside its
-image, one class per track) stay hand-written.
+and track, label and its quality) is stored as its dataclass in ``scene``:
+one key per field, named by the field or by its ``json`` metadata.
+``_record`` reads a record, checking each value against the
+``TYPE_CHECKS`` row its annotation names unless a reader is given for the
+field; ``_plain`` writes it and leaves out a None whose field defaults to
+None.  A new field therefore needs no reader or writer of its own.  Checks
+against other records (span bounds, box keys that are frame ids, a box
+inside its image, one class per track, one label per track) stay
+hand-written.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .config import TYPE_CHECKS
 from .errors import ParseError, SceneIoError
 from .geometry import Box2D, Box3D, Pose
 from .masks import Mask
-from .refine import PseudoLabel, QualityRecord
-from .scene import Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, Scene
+from .scene import (Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, PseudoLabel,
+                    QualityRecord, Scene)
 
 MVPC_MAGIC = b"MVPC"
 MVPC_VERSION = 1
@@ -380,23 +381,9 @@ def load_scene(path) -> Scene:
 # ---------------------------------------------------------------------------
 
 
-def _label_from_dict(d) -> PseudoLabel:
-    """Parse one label record; ParseError locations are JSON pointers into it."""
-    source = _get(d, "source", "/")
-    if source not in ("coarse", "refined"):
-        raise ParseError(f"bad source {source!r}", "/source")
-    if d.get("frame_of_reference", "world") != "world":
-        raise ParseError("frame_of_reference must be 'world'", "/frame_of_reference")
-    return _record(PseudoLabel, d, "/", box=_box3d,
-                   quality=lambda q, path: _record(QualityRecord, q, path))
-
-
 def write_pseudo_labels(labels, path) -> None:
-    lines = [
-        json.dumps({**_plain(lb, box=_box_list, quality=_plain), "frame_of_reference": "world"},
-                   sort_keys=True)
-        for lb in labels
-    ]
+    lines = [json.dumps(_plain(lb, box=_box_list, quality=_plain), sort_keys=True)
+             for lb in labels]
     _atomic_write(Path(path), "".join(line + "\n" for line in lines).encode())
 
 
@@ -413,7 +400,8 @@ def read_pseudo_labels(path) -> list[PseudoLabel]:
         if not line.strip():
             continue
         try:
-            label = _label_from_dict(json.loads(line))
+            label = _record(PseudoLabel, json.loads(line), "/", box=_box3d,
+                            quality=functools.partial(_record, QualityRecord))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", lineno) from exc
         except ParseError as exc:

@@ -57,6 +57,16 @@ def test_bad_value_rejected_naming_key(key, value):
         PipelineConfig.from_dict({key: value})
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("centroid", "mode", "centroid must be 'mean' or 'median', got 'mode'"),
+    ("hull_metric", 3, "hull_metric must be 'iou' or 'coverage', got 3"),
+])
+def test_named_value_rejected_listing_the_names(key, value, message):
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig.from_dict({key: value})
+    assert str(err.value) == message
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="tau_statik"):
         PipelineConfig.from_dict({"tau_statik": 1.0})

@@ -18,8 +18,9 @@ from boxlift.evaluate import (
 )
 from boxlift.extraction import build_tracks
 from boxlift.geometry import Box2D, Box3D, iou_3d
-from boxlift.refine import PseudoLabel, QualityRecord, annotate_track
-from boxlift.scene import Annotation2D, Frame, GtSpan, GtTrack, ObjectTrack, Observation, Scene
+from boxlift.refine import annotate_track
+from boxlift.scene import (Annotation2D, Frame, GtSpan, GtTrack, ObjectTrack, Observation,
+                           PseudoLabel, QualityRecord, Scene)
 from boxlift.synthetic import SceneConfig, generate_scene
 from reference import segmentation_scores_sets
 from support import BENCH, camera_looking, identity_pose, passing_config

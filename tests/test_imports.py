@@ -4,6 +4,7 @@ Every module-level import of ``src/boxlift/<module>.py`` must be used in
 that module, and every private module-level function or class must be
 referenced there.  ``__init__.py`` re-exports names, so it is left out.
 The command line must run on numpy alone: scipy is a test-only dependency.
+The label file's reader and the evaluator do not depend on the optimizer.
 """
 
 from __future__ import annotations
@@ -71,3 +72,22 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an import statement anywhere in the module names, and
+    each ``from`` import's names joined to its module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules |= {base} | {f"{base}.{a.name}" for a in node.names}
+    return modules
+
+
+@pytest.mark.parametrize("name", ["scene_io.py", "evaluate.py"])
+def test_label_io_and_eval_do_not_import_refine(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    assert not [m for m in imported_modules(tree) if "refine" in m.split(".")]

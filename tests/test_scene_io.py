@@ -15,9 +15,9 @@ from boxlift.cli import cli_main
 from boxlift.config import TYPE_CHECKS
 from boxlift.errors import ParseError, SceneIoError
 from boxlift.geometry import Box2D, Box3D
-from boxlift.refine import PseudoLabel, QualityRecord
 from boxlift.masks import Mask
-from boxlift.scene import Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, Scene
+from boxlift.scene import (Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, PseudoLabel,
+                           QualityRecord, Scene)
 from boxlift.scene_io import (
     load_scene,
     read_mvpc,
@@ -387,6 +387,21 @@ MALFORMED_LABELS = [
 ]
 
 
+# A label as annotate_track drops it at each stage, by its drop reason: the
+# quality fields filled so far, and the anchor frame once a box was fitted.
+DROPPED = {
+    "empty": dict(box=Box3D(0, 0, 0, 0.05, 0.05, 0.05, 0),
+                  quality=QualityRecord(0, 0, None, None, None)),
+    "clustering": dict(quality=QualityRecord(0, 4, None, None, None)),
+    "sparse": dict(quality=QualityRecord(7, 4, None, None, None)),
+    "views": dict(quality=QualityRecord(60, 1, None, None, None)),
+    "degenerate": dict(quality=QualityRecord(2, 4, None, None, None)),
+    "verification": dict(quality=QualityRecord(120, 5, 0.41, None, None), anchor_frame_id=3),
+    "confidence": dict(source="refined", quality=QualityRecord(120, 5, 0.83, 2.5, 0.75),
+                       confidence=0.04, anchor_frame_id=3),
+}
+
+
 class TestPseudoLabels:
     def test_empty_list(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -424,6 +439,24 @@ class TestPseudoLabels:
         again = tmp_path / "again.jsonl"
         write_pseudo_labels(read_pseudo_labels(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("reason", DROPPED)
+    def test_dropped_label_rewrites_to_the_same_bytes(self, tmp_path, reason):
+        label = make_label(kept=False, drop_reason=reason, **{
+            "source": "coarse", "confidence": None, "anchor_frame_id": None, **DROPPED[reason]})
+        path, again = tmp_path / "labels.jsonl", tmp_path / "again.jsonl"
+        write_pseudo_labels([label], path)
+        assert read_pseudo_labels(path) == [label]
+        write_pseudo_labels(read_pseudo_labels(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_line_without_frame_of_reference_loads_as_world(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        write_pseudo_labels([make_label()], path)
+        record = json.loads(path.read_text())
+        assert record.pop("frame_of_reference") == "world"
+        path.write_text(json.dumps(record) + "\n")
+        assert read_pseudo_labels(path) == [make_label()]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -691,3 +724,45 @@ def test_every_record_field_has_a_reader(tiny_scene, tiny_labels, monkeypatch):
     for cls, readers in readers_seen.items():
         for f in dataclasses.fields(cls):
             assert f.name in readers or f.type in TYPE_CHECKS, f"{cls.__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("source", "oracle", "expected 'coarse' or 'refined'"),
+    ("frame_of_reference", "camera", "expected 'world'"),
+])
+def test_label_value_outside_its_names_exits_one(tiny_scene, tiny_labels, tmp_path, capsys,
+                                                 key, value, message):
+    first, second = tiny_labels.read_text().splitlines()
+    record = json.loads(second)
+    record[key] = value
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(f"{first}\n{json.dumps(record)}\n")
+    code, err = run_eval(tiny_scene, labels, tmp_path, capsys)
+    assert code == 1, err
+    assert f"error: 2: /{key}: {message}" in err
+
+
+# Finite label boxes whose footprints underflow to repeated corners or whose
+# footprint arithmetic overflows float range.
+EXTREME_BOXES = [[0, 0, 0, 1e-320, 1, 1, 0], [1e308, 0, 0, 1e308, 1, 1, 0],
+                 [0, 0, 0, 1e200, 1e200, 1e200, 0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("box", EXTREME_BOXES, ids=str)
+def test_label_box_with_extreme_extents_scores_zero(tiny_scene, tiny_labels, tmp_path, capsys,
+                                                    box):
+    # The warnings filter turns a numpy overflow warning into an exit 2.
+    first, second = tiny_labels.read_text().splitlines()
+    record = json.loads(first)
+    record["box"] = box
+    means = []
+    for lines in ([second], [json.dumps(record), second]):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(line + "\n" for line in lines))
+        code, err = run_eval(tiny_scene, labels, tmp_path, capsys)
+        assert code == 0, err
+        report = json.loads((tmp_path / "report.json").read_text())
+        jsonschema.validate(report, SCHEMA)
+        means.append(report["iou_by_source"]["coarse"]["overall"]["mean_iou_3d"])
+    assert means[1] == pytest.approx(means[0] / 2)
