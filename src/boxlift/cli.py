@@ -16,7 +16,7 @@ from .config import TYPE_CHECKS, PipelineConfig
 from .errors import BoxliftError
 from .evaluate import build_report, frames_histogram
 from .extraction import build_tracks
-from .refine import annotate_track
+from .refine import annotate_track, stage_tracks
 from .scene_io import load_scene, read_pseudo_labels, save_scene, write_json, write_pseudo_labels
 from .synthetic import SceneConfig, generate_scene
 
@@ -90,18 +90,29 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _annotate(tracks, cfg: PipelineConfig) -> list:
+    """Label ``tracks``: their stages, one lockstep refinement of them all, then each label."""
+    return [annotate_track(track, cfg, staged)
+            for track, staged in zip(tracks, stage_tracks(tracks, cfg))]
+
+
 def _cmd_annotate(args) -> int:
     cfg = _load_pipeline_config(args)
     scene = load_scene(args.dataset)
     tracks = build_tracks(scene, cfg)
     workers = min(args.threads, len(tracks))
     if workers > 1:
-        # The platform's default start method.  Where that is fork (Linux up
-        # to Python 3.13), workers skip the imports that spawn repeats.
+        # Worker i labels tracks i, i + workers, ... in one chunk, so its
+        # tracks refine together; the labels go back in track order.  The
+        # platform's default start method: where that is fork (Linux up to
+        # Python 3.13), workers skip the imports that spawn repeats.
+        labels = [None] * len(tracks)
+        shares = [tracks[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            labels = list(pool.map(annotate_track, tracks, [cfg] * len(tracks)))
+            for i, share in enumerate(pool.map(_annotate, shares, [cfg] * workers)):
+                labels[i::workers] = share
     else:
-        labels = [annotate_track(track, cfg) for track in tracks]
+        labels = _annotate(tracks, cfg)
     write_pseudo_labels(labels, args.out)
     kept = sum(lb.kept for lb in labels)
     print(f"wrote {args.out} ({len(labels)} labels, {kept} kept)", file=sys.stderr)

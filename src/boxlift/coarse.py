@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpread
-from .geometry import (
-    Box3D,
-    ConvexPolygon2D,
-    convex_hull,
-    convex_intersection_area,
-    pca_2d,
-)
+from .geometry import Box3D, _polygon_area, convex_hull, convex_intersection_area, pca_2d
 
 
 def fit_coarse_box(points, extent_floor: float = 0.05) -> tuple[Box3D, bool]:
@@ -76,9 +70,12 @@ def verify_geometry(
     iff it exceeds ``tau_iou``.
     """
     hull = convex_hull(np.asarray(bev_points, dtype=float).reshape(-1, 2))
-    footprint = ConvexPolygon2D(box.footprint())
-    inter = convex_intersection_area(footprint, hull)
-    fp_area = footprint.area
+    # The footprint is a CCW rectangle by construction, so it is clipped as
+    # is.  Extents near float range overflow to inf or NaN, which score 0.
+    footprint = box.footprint()
+    inter = convex_intersection_area(footprint, hull.vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp_area = _polygon_area(footprint)
     if metric == "coverage":
         score = inter / fp_area
     else:

@@ -116,9 +116,10 @@ class Pose:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float).reshape(4).copy()
         t = np.asarray(self.t, dtype=float).reshape(3).copy()
-        norm = np.linalg.norm(q)
-        if not norm > 0:
-            raise ValueError("zero quaternion")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(q)
+        if not 0 < norm < math.inf:
+            raise ValueError(f"quaternion norm must be positive and finite, got {norm}")
         q /= norm
         if q[0] < 0:
             q = -q
@@ -217,10 +218,6 @@ class Box3D:
     def center(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.cz])
 
-    @property
-    def diagonal(self) -> float:
-        return math.sqrt(self.l**2 + self.w**2 + self.h**2)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw])
 
@@ -235,7 +232,7 @@ class Box3D:
 
 # Corner i has sign bits: bit0 -> local x (+l/2 when set), bit1 -> local y,
 # bit2 -> local z.  Edges join corners differing in exactly one bit.
-_CORNER_SIGNS = np.array(
+CORNER_SIGNS = np.array(
     [[1 if i & b else -1 for b in (1, 2, 4)] for i in range(8)], dtype=float
 )
 BOX_EDGES = tuple((i, i ^ b) for i in range(8) for b in (1, 2, 4) if (i ^ b) > i)
@@ -246,7 +243,7 @@ _EDGE_ENDS = np.array(BOX_EDGES).T
 def box3d_corners(box: Box3D) -> np.ndarray:
     """(8, 3) world-frame corners of ``box`` in the sign-bit order above."""
     half = 0.5 * np.array([box.l, box.w, box.h])
-    return (_CORNER_SIGNS * half) @ yaw_rotation(box.yaw).T + box.center
+    return (CORNER_SIGNS * half) @ yaw_rotation(box.yaw).T + box.center
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +449,14 @@ def _clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
     return out
 
 
-def convex_intersection_area(a: ConvexPolygon2D, b: ConvexPolygon2D) -> float:
-    """Area of the intersection of two convex CCW polygons; 0 if disjoint."""
-    clipped = _clip_convex(a.vertices, b.vertices)
-    if len(clipped) < 3:
-        return 0.0
-    return max(0.0, _polygon_area(clipped))
+def convex_intersection_area(a: np.ndarray, b: np.ndarray) -> float:
+    """Area of the intersection of two convex CCW polygons' (n, 2) vertex arrays; 0 if disjoint.
+
+    Coordinates near float range overflow to inf or NaN, which read as 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        clipped = _clip_convex(a, b)
+        return max(0.0, _polygon_area(clipped)) if len(clipped) >= 3 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +468,7 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volumetric IoU of two upright boxes, in [0, 1]."""
     # A footprint is a CCW rectangle by construction, so it is clipped as is.
     # Extents near float range overflow to inf or NaN, which score IoU 0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        clipped = _clip_convex(a.footprint(), b.footprint())
-        inter_area = max(0.0, _polygon_area(clipped)) if len(clipped) >= 3 else 0.0
+    inter_area = convex_intersection_area(a.footprint(), b.footprint())
     z_lo = max(a.cz - 0.5 * a.h, b.cz - 0.5 * b.h)
     z_hi = min(a.cz + 0.5 * a.h, b.cz + 0.5 * b.h)
     inter = inter_area * max(0.0, z_hi - z_lo)

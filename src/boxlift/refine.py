@@ -8,13 +8,20 @@ dominating.  A derivative-free simplex search minimizes the weighted sum;
 the objective is piecewise smooth (min/max and clipping everywhere), so
 no gradients are assumed.  The term weights, evaluation budget, extent
 floor, near plane and confidence gates all come from ``PipelineConfig``.
+
+Tracks are refined in lockstep: each track's search is a generator of the
+points it wants scored, and every round scores the pending point of all
+of them in one batched evaluation (``_Batch``).  The one-track functions
+(``refine_box``, ``objective_value``, ``l_fit``, ``l2d_multiview``) are
+batches of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import cached_property
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .coarse import fit_coarse_box, verify_geometry
 from .config import PipelineConfig
 from .errors import BoxliftError
 from .extraction import classify_motion, track_centroids
-from .geometry import Box3D, box3d_corners, giou_2d, project_box3d
+from .geometry import CORNER_SIGNS, Box3D, giou_2d, normalize_yaw, project_box3d
 from .scene import ObjectTrack, PseudoLabel, QualityRecord
 
 # 1 - GIoU is bounded by 2; an absent projection is charged the supremum so
@@ -37,9 +44,8 @@ class _Views:
     The camera poses and intrinsics are (K, ...) arrays for the one batched
     corner projection; each view's image size and annotated box are a
     tuple of Python floats, ``(width, height, x_min, y_min, x_max, y_max,
-    area)``, for ``_view_term``.  Building the stack costs about as much as
-    one loss evaluation, so ``refine_box`` builds it once and reuses it for
-    every evaluation.
+    area)``, for ``_view_term``.  A job builds its stack once; a batch
+    concatenates the stacks of its jobs.
     """
 
     def __init__(self, track: ObjectTrack):
@@ -56,33 +62,17 @@ class _Views:
             for c, b in zip(self.cameras, self.boxes)
         ]
 
-    def loss(self, box: Box3D, z_near: float) -> float:
-        """Mean over the views of 1 - GIoU, equal to the per-view scalar loop bit for bit.
 
-        The 8 corners move into all K cameras with one matmul.  Views with
-        every corner in front of ``z_near`` take their pixel bounds from one
-        batched projection and are scored on Python floats by
-        ``_view_term``; the few that cross or sit behind the near plane go
-        through ``project_box3d``, which owns the near-plane clipping.  The
-        terms are summed in view order as Python floats, as the loop does.
-        """
-        cam = (box3d_corners(box) - self.t) @ self.rot                           # (K, 8, 3)
-        ahead = cam[:, :, 2] > z_near
-        if ahead.all():
-            terms = _front_terms(cam, self.focal, self.principal, self.targets)
-        else:
-            front = ahead.all(axis=1)
-            batched = iter(_front_terms(cam[front], self.focal[front], self.principal[front],
-                                        compress(self.targets, front)))
-            terms = [next(batched) if f else self._clipped_term(k, box, z_near)
-                     for k, f in enumerate(front.tolist())]
-        return sum(terms) / len(terms)
+class _Job:
+    """What the objective scores for one track: its annotated views and its fit points."""
 
-    def _clipped_term(self, k: int, box: Box3D, z_near: float) -> float:
-        pred = project_box3d(self.cameras[k], box, z_near=z_near)
-        if pred is None:
-            return MISSING_PROJECTION_PENALTY
-        return 1.0 - giou_2d(pred, self.boxes[k])
+    def __init__(self, track: ObjectTrack, points):
+        self.track = track
+        self.coords = _coordinates(points)
+
+    @cached_property
+    def views(self) -> _Views:
+        return _Views(self.track)
 
 
 def _front_terms(cam: np.ndarray, focal: np.ndarray, principal: np.ndarray,
@@ -122,9 +112,151 @@ def _view_term(lo, hi, target) -> float:
     return 1.0 - (inter / union - (enclosing - union) / enclosing)
 
 
+def _bounds(counts: list[int]) -> list[tuple[int, int]]:
+    """Consecutive ``(start, end)`` slices of the given lengths."""
+    ends = list(accumulate(counts))
+    return list(zip([0] + ends[:-1], ends))
+
+
+class _Batch:
+    """The objective's two terms for T jobs, each at its own box, in one pass per call.
+
+    Built once per set of jobs: the fit points are concatenated into one
+    (3, N) array, each job's points a contiguous slice, and the views into
+    one (V, ...) stack, each job's views contiguous and in its view order.
+    ``terms`` takes one box per job as ``_params`` gives it and returns
+    each job's ``l_fit`` and ``l2d_multiview``, equal bit for bit to
+    scoring the job alone:
+
+    - One (T, 10) table holds each box's center, ``math.cos``/``math.sin``
+      of its yaw and its half extents.  One ``np.repeat`` along the
+      contiguous axis expands it to the points (with one job it
+      broadcasts), so every point sees the operations of ``l_fit``'s
+      formula in its order, and the squared overshoots add as x + y, then
+      + z.  The extremes come from ``np.maximum``/``np.minimum.reduceat``;
+      the outside term is ``np.add.reduce`` over each job's own slice, so
+      its pairwise summation order is the single-job one.
+    - One matmul builds every box's corners as ``box3d_corners`` does.
+      They are repeated per view and moved into all V cameras with one
+      more.  Views with every corner in front of ``z_near`` take their
+      pixel bounds from one batched projection and are scored on Python
+      floats by ``_view_term``; the few that cross or sit behind the near
+      plane go through ``project_box3d``, which owns the near-plane
+      clipping.  Each job's terms are summed in view order as Python
+      floats.
+
+    A term that ``fit`` or ``l2d`` switches off is not computed and reads
+    None.
+    """
+
+    def __init__(self, jobs: list[_Job], z_near: float, fit: bool, l2d: bool):
+        self.z_near = z_near
+        self.single = len(jobs) == 1
+        self.fit = fit
+        self.l2d = l2d
+        if fit:
+            counts = [job.coords.shape[1] for job in jobs]
+            if not all(counts):
+                raise ValueError("l_fit needs at least one point")
+            self.coords = (jobs[0].coords if self.single
+                           else np.concatenate([job.coords for job in jobs], axis=1))
+            self.point_counts = np.array(counts)
+            self.point_bounds = _bounds(counts)
+            self.point_starts = np.array([a for a, _ in self.point_bounds])
+        if l2d:
+            views = [job.views for job in jobs]
+            self.cameras = [cam for v in views for cam in v.cameras]
+            self.boxes = [box for v in views for box in v.boxes]
+            self.targets = [target for v in views for target in v.targets]
+            self.rot = np.concatenate([v.rot for v in views])
+            self.t = np.concatenate([v.t for v in views])
+            self.focal = np.concatenate([v.focal for v in views])
+            self.principal = np.concatenate([v.principal for v in views])
+            counts = [len(v.targets) for v in views]
+            self.view_counts = np.array(counts)
+            self.view_bounds = _bounds(counts)
+            self.view_job = [i for i, k in enumerate(counts) for _ in range(k)]
+            self.rot_t = np.zeros((len(jobs), 3, 3))    # yaw_rotation(yaw).T of each box
+            self.rot_t[:, 2, 2] = 1.0
+
+    def terms(self, params: list[tuple]) -> tuple[list, list]:
+        """Each job's ``(l_fit, l2d_multiview)`` at its box ``(cx, cy, cz, l, w, h, yaw)``."""
+        # Columns 3-6 are yaw_rotation(yaw).T's upper 2 x 2 block, row by
+        # row; read column-wise they are the fit's (c, -s) and (s, c) rows.
+        rows = []
+        for cx, cy, cz, l, w, h, yaw in params:
+            c, s = math.cos(yaw), math.sin(yaw)
+            rows.append((cx, cy, cz, c, s, -s, c, 0.5 * l, 0.5 * w, 0.5 * h))
+        table = np.array(rows)
+        fits = self._fit(table, params) if self.fit else [None] * len(params)
+        l2ds = self._l2d(table, params) if self.l2d else [None] * len(params)
+        return fits, l2ds
+
+    def _fit(self, table: np.ndarray, params: list[tuple]) -> list[float]:
+        cols = table.T if self.single else np.repeat(table.T, self.point_counts, axis=1)
+        local = self.coords - cols[:3]
+        local[:2] = cols[3:7:2] * local[0] + cols[4:7:2] * local[1]
+        over = np.abs(local)
+        over -= cols[7:]
+        np.maximum(over, 0.0, out=over)
+        over *= over
+        r = over[0] + over[1]
+        r += over[2]
+        np.sqrt(r, out=r)
+        tops = np.maximum.reduceat(local, self.point_starts, axis=1).T.tolist()
+        bottoms = np.minimum.reduceat(local, self.point_starts, axis=1).T.tolist()
+        fits = []
+        for (a, b), (_, _, _, l, w, h, _), top, bottom in zip(self.point_bounds, params,
+                                                             tops, bottoms):
+            try:
+                diagonal = math.sqrt(l**2 + w**2 + h**2)
+            except OverflowError:       # extents past about 1e154
+                diagonal = math.inf
+            outside = np.add.reduce(r[a:b]) / (b - a) / diagonal
+            slack = 0.0
+            for extent, hi, lo in zip((l, w, h), top, bottom):
+                slack += max(extent - (hi - lo), 0.0) / extent
+            fits.append(float(outside + slack / 3))
+        return fits
+
+    def _l2d(self, table: np.ndarray, params: list[tuple]) -> list[float]:
+        self.rot_t[:, :2, :2] = table[:, 3:7].reshape(-1, 2, 2)
+        corners = (CORNER_SIGNS * table[:, None, 7:]) @ self.rot_t + table[:, None, :3]
+        if not self.single:
+            corners = np.repeat(corners, self.view_counts, axis=0)
+        cam = (corners - self.t) @ self.rot                                      # (V, 8, 3)
+        ahead = cam[:, :, 2] > self.z_near
+        if ahead.all():
+            terms = _front_terms(cam, self.focal, self.principal, self.targets)
+        else:
+            front = ahead.all(axis=1)
+            batched = iter(_front_terms(cam[front], self.focal[front], self.principal[front],
+                                        compress(self.targets, front)))
+            terms = [next(batched) if f else self._clipped_term(v, Box3D(*params[job]))
+                     for v, (f, job) in enumerate(zip(front.tolist(), self.view_job))]
+        return [sum(terms[a:b]) / (b - a) for a, b in self.view_bounds]
+
+    def _clipped_term(self, v: int, box: Box3D) -> float:
+        pred = project_box3d(self.cameras[v], box, z_near=self.z_near)
+        if pred is None:
+            return MISSING_PROJECTION_PENALTY
+        return 1.0 - giou_2d(pred, self.boxes[v])
+
+
+def _params(x, extent_floor: float) -> tuple:
+    """The fields of the box a search point ``x`` stands for: extents floored, yaw wrapped."""
+    cx, cy, cz, l, w, h, yaw = x.tolist()
+    return (cx, cy, cz, max(l, extent_floor), max(w, extent_floor), max(h, extent_floor),
+            normalize_yaw(yaw))
+
+
+def _one_job_terms(box: Box3D, track, points, z_near: float, fit: bool, l2d: bool):
+    return _Batch([_Job(track, points)], z_near, fit, l2d).terms([_params(box.as_array(), 0.0)])
+
+
 def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float = 1e-3) -> float:
     """Mean over the track's views of (1 - GIoU(projected box, annotated box))."""
-    return _Views(track).loss(box, z_near)
+    return _one_job_terms(box, track, (), z_near, False, True)[1][0]
 
 
 def _coordinates(points) -> np.ndarray:
@@ -140,47 +272,16 @@ def l_fit(box: Box3D, points) -> float:
     extent along each box axis, penalizing boxes larger than their
     evidence.
     """
-    return _fit_loss(box, _coordinates(points))
+    return _one_job_terms(box, None, points, 0.0, True, False)[0][0]
 
 
-def _fit_loss(box: Box3D, coords: np.ndarray) -> float:
-    """``l_fit`` on the points' (3, n) coordinate rows.
-
-    The rows move into the box frame together: one subtraction of the
-    center, one yaw rotation of the x and y rows, and one chain for the
-    overshoot past each half extent.  Every element sees the operations
-    the per-axis formula applies, in its order, and the squared
-    overshoots add as x + y, then + z, so the result equals the same
-    formula evaluated one point at a time, bit for bit.
-    """
-    n = coords.shape[1]
-    if n == 0:
-        raise ValueError("l_fit needs at least one point")
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    local = coords - np.array([[box.cx], [box.cy], [box.cz]])
-    local[:2] = np.array([[c], [-s]]) * local[0] + np.array([[s], [c]]) * local[1]
-    extents = (box.l, box.w, box.h)
-    over = np.abs(local)
-    over -= np.array([[0.5 * box.l], [0.5 * box.w], [0.5 * box.h]])
-    np.maximum(over, 0.0, out=over)
-    over *= over
-    r = over[0] + over[1]
-    r += over[2]
-    np.sqrt(r, out=r)
-    outside = np.add.reduce(r) / n / box.diagonal
-    slack = 0.0
-    for extent, top, bottom in zip(extents, local.max(axis=1).tolist(),
-                                   local.min(axis=1).tolist()):
-        slack += max(extent - (top - bottom), 0.0) / extent
-    return float(outside + slack / 3)
-
-
-def _objective(box: Box3D, views: _Views, coords: np.ndarray, cfg: PipelineConfig) -> float:
+def _weighted(fit, l2d, cfg: PipelineConfig) -> float:
+    """The objective from its two terms; a term at weight 0 is skipped, and may be None."""
     total = 0.0
     if cfg.mu_fit > 0:
-        total += cfg.mu_fit * _fit_loss(box, coords)
+        total += cfg.mu_fit * fit
     if cfg.lambda_2d > 0:
-        total += cfg.lambda_2d * views.loss(box, cfg.z_near)
+        total += cfg.lambda_2d * l2d
     return total
 
 
@@ -195,7 +296,9 @@ def objective_value(
     A term is skipped at weight 0, so a pure 2D objective needs no points.
     """
     cfg = config or PipelineConfig()
-    return _objective(box, _Views(track), _coordinates(points), cfg)
+    (fit,), (l2d,) = _one_job_terms(box, track, points, cfg.z_near,
+                                    cfg.mu_fit > 0, cfg.lambda_2d > 0)
+    return _weighted(fit, l2d, cfg)
 
 
 @dataclass
@@ -204,18 +307,6 @@ class RefineTrace:
     j_init: float
     j_final: float
     improvements: list[tuple[int, float]] = field(default_factory=list)
-
-
-def _vec_to_box(x: np.ndarray, extent_floor: float) -> Box3D:
-    return Box3D(
-        float(x[0]),
-        float(x[1]),
-        float(x[2]),
-        max(float(x[3]), extent_floor),
-        max(float(x[4]), extent_floor),
-        max(float(x[5]), extent_floor),
-        float(x[6]),
-    )
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
@@ -229,22 +320,24 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     return simplex
 
 
-def _nelder_mead(f, simplex: np.ndarray, budget: int) -> None:
-    """Minimize ``f`` from the (N + 1, N) ``simplex``, calling it at most ``budget`` times.
+def _nelder_mead(simplex: np.ndarray, budget: int):
+    """Minimize from the (N + 1, N) ``simplex`` with at most ``budget`` evaluations.
 
-    The non-adaptive Nelder-Mead of ``scipy.optimize.minimize`` with
-    ``xatol = fatol = 0``, ported operation for operation: the same vertex
-    arithmetic, comparisons and sorts, so ``f`` sees the same points bit
-    for bit.  It stops when the budget is spent, or when the simplex has
-    collapsed to one point with one value.  ``f`` may be handed a view of
-    a simplex row and must copy any point it keeps.
+    A generator: it yields each point to evaluate and takes the point's
+    value by ``send``.  The non-adaptive Nelder-Mead of
+    ``scipy.optimize.minimize`` with ``xatol = fatol = 0``, ported
+    operation for operation: the same vertex arithmetic, comparisons and
+    sorts, so it asks for the same points bit for bit.  It stops when the
+    budget is spent, or when the simplex has collapsed to one point with
+    one value.  A yielded point may be a view of a simplex row; the caller
+    must copy any point it keeps.
     """
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
     fsim = np.full(n + 1, np.inf)
     calls = min(budget, n + 1)
     for k in range(calls):
-        fsim[k] = f(sim[k])
+        fsim[k] = yield sim[k]
     # scipy sorts the starting simplex twice; argsort need not keep tied
     # values in order, so the second sort is kept too.
     for _ in range(2):
@@ -255,13 +348,13 @@ def _nelder_mead(f, simplex: np.ndarray, budget: int) -> None:
             return
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
+        fxr = yield xr
         calls += 1
         if fxr < fsim[0]:
             if calls == budget:
                 return
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
+            fxe = yield xe
             calls += 1
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
@@ -274,11 +367,11 @@ def _nelder_mead(f, simplex: np.ndarray, budget: int) -> None:
                 return
             if fxr < fsim[-1]:
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
+                fxc = yield xc
                 shrink = not fxc <= fxr
             else:
                 xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
+                fxc = yield xc
                 shrink = not fxc < fsim[-1]
             calls += 1
             if not shrink:
@@ -288,10 +381,76 @@ def _nelder_mead(f, simplex: np.ndarray, budget: int) -> None:
                     if calls == budget:
                         return
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
+                    fsim[j] = yield sim[j]
                     calls += 1
         order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
+
+
+class _Search:
+    """One job's refinement schedule, a point at a time, and its best point so far.
+
+    The schedule scores ``init``, runs Nelder-Mead from the documented
+    initial simplex around it with the budget's first half, then restarts
+    from the best point found with the rest.  ``x`` is the point waiting
+    for its value; ``tell`` records that value and moves ``x`` on.
+    """
+
+    def __init__(self, job: _Job, init: Box3D, budget: int):
+        self.job = job
+        self.evals = 0
+        self.best_x: np.ndarray | None = None
+        self.best_j = math.inf
+        self.best_terms: tuple = (None, None)
+        self.improvements: list[tuple[int, float]] = []
+        self._steps = self._schedule(init.as_array(), budget)
+        self.x = next(self._steps)
+
+    def _schedule(self, x0: np.ndarray, budget: int):
+        self.j_init = yield x0
+        yield from _nelder_mead(_initial_simplex(x0), max(1, budget // 2) - self.evals)
+        yield from _nelder_mead(_initial_simplex(self.best_x), budget - self.evals)
+
+    def tell(self, j: float, terms: tuple) -> bool:
+        """Record the value ``j`` of ``x`` and its terms; False once the schedule has ended."""
+        self.evals += 1
+        if j < self.best_j:
+            self.best_j = j
+            self.best_x = np.array(self.x, dtype=float)
+            self.best_terms = terms
+            self.improvements.append((self.evals, j))
+        try:
+            self.x = self._steps.send(j)
+        except StopIteration:
+            return False
+        return True
+
+    def result(self, extent_floor: float) -> tuple[Box3D, RefineTrace]:
+        trace = RefineTrace(self.evals, self.j_init, self.best_j, self.improvements)
+        return Box3D(*_params(self.best_x, extent_floor)), trace
+
+
+def _refine_all(jobs: list[_Job], inits: list[Box3D], cfg: PipelineConfig) -> list[_Search]:
+    """Run every job's search in lockstep: one batched evaluation per round.
+
+    Each round scores the pending point of every active search in one
+    ``_Batch.terms`` call.  A search whose schedule ends leaves the active
+    set, and the batch is rebuilt for the rest.  A job's values do not
+    depend on the other jobs, so each search evaluates the same points, in
+    the same order, as it would alone.
+    """
+    searches = [_Search(job, init, cfg.refine_budget) for job, init in zip(jobs, inits)]
+    active, batch = searches, None
+    while active:
+        if batch is None:
+            batch = _Batch([s.job for s in active], cfg.z_near, cfg.mu_fit > 0,
+                           cfg.lambda_2d > 0)
+        fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in active])
+        going = [s for s, fit, l2d in zip(active, fits, l2ds)
+                 if s.tell(_weighted(fit, l2d, cfg), (fit, l2d))]
+        if len(going) < len(active):
+            active, batch = going, None
+    return searches
 
 
 def refine_box(
@@ -309,30 +468,7 @@ def refine_box(
     ``init``.  Deterministic.
     """
     cfg = config or PipelineConfig()
-    budget = cfg.refine_budget
-    extent_floor = cfg.extent_floor
-    views = _Views(track)
-    coords = _coordinates(points)
-    evals = 0
-    best_x: np.ndarray | None = None
-    best_j = math.inf
-    improvements: list[tuple[int, float]] = []
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal evals, best_x, best_j
-        evals += 1
-        j = _objective(_vec_to_box(x, extent_floor), views, coords, cfg)
-        if j < best_j:
-            best_j = j
-            best_x = np.array(x, dtype=float)
-            improvements.append((evals, j))
-        return j
-
-    x0 = init.as_array()
-    j_init = objective(x0)
-    _nelder_mead(objective, _initial_simplex(x0), max(1, budget // 2) - evals)
-    _nelder_mead(objective, _initial_simplex(best_x), budget - evals)
-    return _vec_to_box(best_x, extent_floor), RefineTrace(evals, j_init, best_j, improvements)
+    return _refine_all([_Job(track, points)], [init], cfg)[0].result(cfg.extent_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +517,31 @@ def _dropped(track, reason, box=None, quality=None, anchor=None):
     )
 
 
-def annotate_track(track: ObjectTrack, config: PipelineConfig | None = None) -> PseudoLabel:
-    """Run the full per-track pipeline and emit one pseudo-label.
+@dataclass
+class StagedTrack:
+    """A track that passed every stage before refinement, and its box once refined.
 
-    Static tracks: aggregate across frames, clean with DBSCAN, gate on
-    cluster size and view count, fit, verify, then refine against every
-    view's 2D annotation.  Moving tracks: fit on the single densest view,
-    record but do not gate on verification, and refine against that view
-    only; the object moves between frames, so one world-frame box cannot
-    satisfy other timestamps' annotations and including them would drag
-    the box off the anchor frame.  Both paths share one fit-and-verify
-    step.  Every failure path emits a kept=False label whose drop_reason
-    names the stage.
+    ``views`` is the track whose annotations the 2D loss scores (the anchor
+    view alone for a moving track) and ``points`` are the fit points.
+    ``box`` is the coarse box until refinement replaces it, with
+    ``source``, ``trace`` and the objective's terms at the box, ``fit`` and
+    ``l2d``; a term the search skipped at weight 0 stays None.
     """
-    cfg = config or PipelineConfig()
+
+    box: Box3D
+    views: ObjectTrack
+    points: np.ndarray
+    n_views: int
+    hull_iou: float
+    anchor: int
+    source: str = "coarse"
+    trace: RefineTrace | None = None
+    fit: float | None = None
+    l2d: float | None = None
+
+
+def _stage(track: ObjectTrack, cfg: PipelineConfig) -> PseudoLabel | StagedTrack:
+    """The per-track stages up to refinement: the track's dropped label, or its coarse box."""
     centroids = track_centroids(track, cfg.centroid)
     if len(centroids) == 0:
         return _dropped(track, "empty")
@@ -442,17 +589,68 @@ def annotate_track(track: ObjectTrack, config: PipelineConfig | None = None) -> 
             quality=QualityRecord(n_points, n_views, hull_iou, None, None),
             anchor=anchor,
         )
+    return StagedTrack(box, loss_track, fit_points, n_views, hull_iou, anchor)
 
-    source = "coarse"
+
+def stage_tracks(
+    tracks: list[ObjectTrack], config: PipelineConfig | None = None
+) -> list[PseudoLabel | StagedTrack]:
+    """Run each track's stages up to refinement, then refine every survivor together.
+
+    Entry i is track i's dropped label or its ``StagedTrack``.  With
+    ``config.refine`` the survivors' searches run in lockstep, one batched
+    objective evaluation per round, and each staged box is replaced by its
+    refined one.  ``annotate_track`` turns an entry into the label.
+    """
+    cfg = config or PipelineConfig()
+    staged = [_stage(track, cfg) for track in tracks]
     if cfg.refine:
-        box, _ = refine_box(box, loss_track, fit_points, cfg)
-        source = "refined"
+        live = [s for s in staged if isinstance(s, StagedTrack)]
+        jobs = [_Job(s.views, s.points) for s in live]
+        for s, search in zip(live, _refine_all(jobs, [s.box for s in live], cfg)):
+            s.box, s.trace = search.result(cfg.extent_floor)
+            s.fit, s.l2d = search.best_terms
+            s.source = "refined"
+    return staged
 
-    final_l2d = l2d_multiview(box, loss_track, z_near=cfg.z_near)
-    final_fit = l_fit(box, fit_points)
+
+def annotate_track(
+    track: ObjectTrack,
+    config: PipelineConfig | None = None,
+    staged: PseudoLabel | StagedTrack | None = None,
+) -> PseudoLabel:
+    """Run the full per-track pipeline and emit one pseudo-label.
+
+    Static tracks: aggregate across frames, clean with DBSCAN, gate on
+    cluster size and view count, fit, verify, then refine against every
+    view's 2D annotation.  Moving tracks: fit on the single densest view,
+    record but do not gate on verification, and refine against that view
+    only; the object moves between frames, so one world-frame box cannot
+    satisfy other timestamps' annotations and including them would drag
+    the box off the anchor frame.  Both paths share one fit-and-verify
+    step.  Every failure path emits a kept=False label whose drop_reason
+    names the stage.
+
+    ``staged`` is the track's entry of ``stage_tracks``, which refines many
+    tracks together; without it the track is staged alone.  The label's
+    confidence comes from the objective's terms at the final box.
+    """
+    cfg = config or PipelineConfig()
+    if staged is None:
+        staged = stage_tracks([track], cfg)[0]
+    if isinstance(staged, PseudoLabel):
+        return staged
+    box = staged.box
+    final_l2d = staged.l2d
+    if final_l2d is None:
+        final_l2d = l2d_multiview(box, staged.views, z_near=cfg.z_near)
+    final_fit = staged.fit
+    if final_fit is None:
+        final_fit = l_fit(box, staged.points)
     j_final = cfg.mu_fit * final_fit + cfg.lambda_2d * final_l2d
     confidence = math.exp(-j_final)
-    quality = QualityRecord(n_points, n_views, hull_iou, final_l2d, final_fit)
+    quality = QualityRecord(len(staged.points), staged.n_views, staged.hull_iou,
+                            final_l2d, final_fit)
 
     # No classifier runs here, so the predicted class is the annotated one;
     # the class check can only fire for callers that pass a real prediction.
@@ -461,10 +659,10 @@ def annotate_track(track: ObjectTrack, config: PipelineConfig | None = None) -> 
         track_id=track.track_id,
         class_label=track.class_label,
         box=box,
-        source=source,
+        source=staged.source,
         quality=quality,
         kept=reason is None,
         drop_reason=reason,
         confidence=confidence,
-        anchor_frame_id=anchor,
+        anchor_frame_id=staged.anchor,
     )

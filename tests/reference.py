@@ -225,7 +225,8 @@ def l_fit_rows(box, points) -> float:
     local[:, 2] = d[:, 2]
     half = 0.5 * np.array([box.l, box.w, box.h])
     overshoot = np.maximum(np.abs(local) - half, 0.0)
-    outside = np.sqrt((overshoot**2).sum(axis=1)).mean() / box.diagonal
+    diagonal = math.sqrt(box.l**2 + box.w**2 + box.h**2)
+    outside = np.sqrt((overshoot**2).sum(axis=1)).mean() / diagonal
     observed = local.max(axis=0) - local.min(axis=0)
     extents = np.array([box.l, box.w, box.h])
     slack = (np.maximum(extents - observed, 0.0) / extents).mean()

@@ -488,8 +488,8 @@ def prop_intersection_bounded_symmetric():
     for _ in range(N_CASES):
         a = convex_hull(rng.uniform(-3, 3, (10, 2)))
         b = convex_hull(rng.uniform(-3, 3, (10, 2)))
-        ab = convex_intersection_area(a, b)
-        assert abs(ab - convex_intersection_area(b, a)) < 1e-9
+        ab = convex_intersection_area(a.vertices, b.vertices)
+        assert abs(ab - convex_intersection_area(b.vertices, a.vertices)) < 1e-9
         assert -1e-12 <= ab <= min(a.area, b.area) + 1e-9
 
 

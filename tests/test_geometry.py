@@ -283,7 +283,7 @@ class TestConvexIntersection:
     def square(self, x0=0.0, y0=0.0, side=1.0):
         return ConvexPolygon2D(
             [[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]]
-        )
+        ).vertices
 
     def test_self_intersection(self):
         s = self.square()
@@ -300,7 +300,7 @@ class TestConvexIntersection:
         rot = np.array(
             [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
         )
-        rotated = ConvexPolygon2D((s.vertices - c) @ rot.T + c)
+        rotated = ConvexPolygon2D((s - c) @ rot.T + c).vertices
         area = convex_intersection_area(s, rotated)
         assert area == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-9)
 
@@ -312,8 +312,8 @@ class TestConvexIntersection:
         for _ in range(100):
             a = convex_hull(rng.uniform(-3, 3, (12, 2)))
             b = convex_hull(rng.uniform(-3, 3, (12, 2)))
-            ab = convex_intersection_area(a, b)
-            ba = convex_intersection_area(b, a)
+            ab = convex_intersection_area(a.vertices, b.vertices)
+            ba = convex_intersection_area(b.vertices, a.vertices)
             assert ab == pytest.approx(ba, abs=1e-9)
             assert ab <= min(a.area, b.area) + 1e-9
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -214,6 +215,17 @@ def nelder_mead_oracle_points(f, simplex, budget):
     return seen
 
 
+def run_nelder_mead(f, simplex, budget):
+    """Drive the ``_nelder_mead`` generator with ``f`` until it ends."""
+    search = _nelder_mead(simplex, budget)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration:
+        pass
+
+
 class TestNelderMead:
     @pytest.mark.parametrize("dim", [7, 9])
     @pytest.mark.parametrize("kind", ["quadratic", "kinked", "steps"])
@@ -231,7 +243,7 @@ class TestNelderMead:
         simplex = np.tile(rng.uniform(-0.5, 0.5, dim), (dim + 1, 1))
         simplex[1:] += np.diag(rng.uniform(0.1, 0.4, dim))
         seen = []
-        _nelder_mead(lambda x: seen.append(np.array(x)) or f(x), simplex, budget)
+        run_nelder_mead(lambda x: seen.append(np.array(x)) or f(x), simplex, budget)
         expected = nelder_mead_oracle_points(f, simplex, budget)
         assert len(seen) == len(expected)
         assert all((p == q).all() for p, q in zip(seen, expected))
@@ -241,15 +253,16 @@ class TestNelderMead:
             assert len(seen) == budget
 
 
-def refine_box_oracle(init, track, points, cfg):
+def refine_box_oracle(init, track, points, cfg, objective=None):
     """``refine_box`` rebuilt from the row and per-view oracles and scipy's Nelder-Mead.
 
     The objective is ``mu_fit * l_fit_rows + lambda_2d * l2d_multiview_loop``
-    on the box with its extents floored.  The schedule is ``refine_box``'s:
-    score ``init``, run scipy from the documented initial simplex around it
-    with the budget's first half less that evaluation, then restart from
-    the best point with the rest.  Returns the best box, its trace and
-    every objective value in evaluation order.
+    on the box with its extents floored, or ``objective(box)`` when given.
+    The schedule is ``refine_box``'s: score ``init``, run scipy from the
+    documented initial simplex around it with the budget's first half less
+    that evaluation, then restart from the best point with the rest.
+    Returns the best box, its trace and every objective value in
+    evaluation order.
     """
     from scipy.optimize import minimize
 
@@ -265,8 +278,11 @@ def refine_box_oracle(init, track, points, cfg):
         nonlocal best_x
         trace.n_evals += 1
         box = to_box(x)
-        j = (cfg.mu_fit * l_fit_rows(box, points)
-             + cfg.lambda_2d * l2d_multiview_loop(box, track, cfg.z_near))
+        if objective is not None:
+            j = objective(box)
+        else:
+            j = (cfg.mu_fit * l_fit_rows(box, points)
+                 + cfg.lambda_2d * l2d_multiview_loop(box, track, cfg.z_near))
         values.append(j)
         if j < trace.j_final:
             trace.j_final, best_x = j, np.array(x)
@@ -308,8 +324,8 @@ class TestRefineBox:
                      gt.yaw + 0.12)
         cfg = PipelineConfig(refine_budget=150)
         values = []
-        objective = refine._objective
-        monkeypatch.setattr(refine, "_objective",
+        objective = refine._weighted
+        monkeypatch.setattr(refine, "_weighted",
                             lambda *args: values.append(objective(*args)) or values[-1])
         box, trace = refine_box(init, track, pts, cfg)
         expected_box, expected, expected_values = refine_box_oracle(init, track, pts, cfg)
@@ -427,6 +443,113 @@ class TestRefineBox:
         out, _ = refine_box(init, track, pts,
                             PipelineConfig(refine_budget=200, extent_floor=0.05))
         assert out.l >= 0.05 and out.w >= 0.05 and out.h >= 0.05
+
+
+def straddled_track():
+    """A static track seen by two far cameras and one inside the box, so it straddles that near plane."""
+    box = Box3D(0.0, 0.0, 0.8, 4.2, 1.8, 1.5, 0.3)
+    cams = [camera_looking([-15.0, 0.0, 1.6], 0.0), camera_looking([0.0, -12.0, 1.6], 90.0),
+            camera_looking([0.5, 0.0, 1.0], 0.0)]
+    pts = np.random.default_rng(72).uniform(-0.5, 0.5, (200, 3)) * [4.2, 1.8, 1.5] + box.center
+    obs = {fid: Observation(Annotation2D("t", "Car", f"cam{fid}", project_box3d(cam, box)),
+                            cam, pts, np.arange(len(pts)))
+           for fid, cam in enumerate(cams)}
+    return box, cams, pts, ObjectTrack("t", "Car", obs)
+
+
+class TestLockstep:
+    """Tracks refined together equal each track refined alone, and the scipy oracle."""
+
+    def test_mixed_batch_matches_oracle(self, monkeypatch):
+        # One static 12-view track, one moving track refined on its single
+        # anchor view, the straddled 3-view track and a track with no points,
+        # which is dropped before refinement.  Point counts differ.
+        # The static track's centroid wanders by up to 10 m as the views
+        # change, hence the loose motion threshold.
+        cfg = PipelineConfig(refine_budget=150, tau_static=10.0)
+        _, multi, _ = scene_track(sigma=0.02, n_frames=12)
+        scene = generate_scene(passing_config(68, n_cars=3, sigma=0.02, static=False, n_frames=10))
+        moving = next(t for t in build_tracks(scene)
+                      if len(refine._stage(t, cfg).views.frame_ids) == 1)
+        _, cams, _, straddled = straddled_track()
+        empty = ObjectTrack("e", "Car", {0: Observation(
+            Annotation2D("e", "Car", "cam0", Box2D(0, 0, 10, 10)), cams[0],
+            np.empty((0, 3)), np.empty(0, dtype=int))})
+        tracks = [multi, empty, moving, straddled]
+        clipped = []
+        clip = refine.project_box3d
+        monkeypatch.setattr(refine, "project_box3d",
+                            lambda cam, b, **kw: clipped.append(cam) or clip(cam, b, **kw))
+        staged = refine.stage_tracks(tracks, cfg)
+        coarse = refine.stage_tracks(tracks, dataclasses.replace(cfg, refine=False))
+        assert staged[1].drop_reason == "empty"
+        live = (0, 2, 3)
+        assert [len(staged[i].views.frame_ids) for i in live] == [12, 1, 3]
+        assert len({len(staged[i].points) for i in live}) == 3
+        assert clipped and all(cam is cams[2] for cam in clipped)
+        for i in live:
+            expected_box, expected, _ = refine_box_oracle(
+                coarse[i].box, coarse[i].views, coarse[i].points, cfg)
+            trace = staged[i].trace
+            assert staged[i].box == expected_box
+            assert (trace.j_init, trace.j_final) == (expected.j_init, expected.j_final)
+            assert trace.improvements == expected.improvements
+            assert trace.n_evals == expected.n_evals == 150
+        labels = [annotate_track(t, cfg, s) for t, s in zip(tracks, staged)]
+        assert labels == [annotate_track(t, cfg) for t in tracks]
+
+    def test_search_that_ends_early_leaves_the_others_running(self, monkeypatch):
+        # A stub objective per track.  The simplex collapses onto the kink's
+        # non-smooth minimum before the budget is spent, and the other two
+        # searches go on in a batch rebuilt without it.  "flat" is constant
+        # near the start, so every step shrinks the simplex, yet rounding
+        # keeps it from collapsing.
+        objectives = {
+            "flat": lambda b: float(math.floor(max(abs(b.cx), abs(b.cy), abs(b.cz)) / 50)),
+            "bowl": lambda b: (b.cx - 1) ** 2 + (b.cy + 2) ** 2 + (b.l - 3) ** 2 + b.yaw ** 2,
+            "kink": lambda b: abs(b.cx - 0.3) + abs(b.w - 1.1) + math.sin(3 * b.cz),
+        }
+        built = []
+
+        class StubBatch:
+            def __init__(self, jobs, z_near, fit, l2d):
+                self.objectives = [objectives[job.track.track_id] for job in jobs]
+                built.append([job.track.track_id for job in jobs])
+
+            def terms(self, params):
+                return ([f(Box3D(*p)) for f, p in zip(self.objectives, params)],
+                        [None] * len(params))
+
+        monkeypatch.setattr(refine, "_Batch", StubBatch)
+        cfg = PipelineConfig(refine_budget=2000, mu_fit=1.0, lambda_2d=0.0)
+        names = ["bowl", "flat", "kink"]
+        observations = straddled_track()[3].observations
+        tracks = [ObjectTrack(name, "Car", observations) for name in names]
+        init = Box3D(0.2, -0.1, 0.4, 4.0, 1.8, 1.5, 0.1)
+        jobs = [refine._Job(track, np.zeros((1, 3))) for track in tracks]
+        searches = refine._refine_all(jobs, [init] * 3, cfg)
+        assert built == [names, ["bowl", "flat"]]
+        for name, search in zip(names, searches):
+            box, trace = search.result(cfg.extent_floor)
+            expected_box, expected, _ = refine_box_oracle(init, None, None, cfg, objectives[name])
+            assert box == expected_box
+            assert (trace.j_init, trace.j_final) == (expected.j_init, expected.j_final)
+            assert trace.improvements == expected.improvements
+            assert trace.n_evals == expected.n_evals
+            assert (trace.n_evals < 2000) == (name == "kink")
+
+    def test_zero_fit_points_raise(self):
+        _, _, pts, track = straddled_track()
+        init = Box3D(0.3, 0.0, 0.8, 4.2, 2.0, 1.5, 0.3)
+        none = np.empty((0, 3))
+        with pytest.raises(ValueError):
+            refine_box(init, track, none, PipelineConfig(mu_fit=1.0, refine_budget=20))
+        with pytest.raises(ValueError):
+            refine._refine_all([refine._Job(track, pts), refine._Job(track, none)],
+                               [init, init], PipelineConfig(mu_fit=1.0, refine_budget=20))
+        _, trace = refine_box(init, track, none,
+                              PipelineConfig(mu_fit=0.0, refine_budget=20))
+        assert trace.n_evals == 20
 
 
 class TestFilter:

@@ -566,6 +566,29 @@ class TestInputContract:
         assert code == 1, err
         assert f"error: {where}: expected a finite number" in err
 
+    @pytest.mark.parametrize("q", [[1e300, 0, 0, 0], [0, 1e200, -1e200, 0]])
+    def test_quaternion_norm_past_float_range_exits_one_naming_pose(self, tiny_scene, tmp_path,
+                                                                    capsys, q):
+        # The norm overflows to inf, which would scale q to zeros.
+        edit = set_key(lambda m: m["frames"][0], "world_from_ego", {"q": q, "t": [0, 0, 0]})
+        code, err = annotate_edited(tiny_scene, tmp_path, edit, capsys)
+        assert code == 1, err
+        assert "error: /frames/0/world_from_ego: quaternion norm" in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("floor", [1e200, 1e308])
+    def test_extent_floor_past_float_range_never_exits_two(self, tiny_scene, tmp_path, capsys,
+                                                          floor):
+        # Every box is wider than 1e154 m: its footprint area, its diagonal
+        # and its projection overflow.  Refinement runs too.
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"extent_floor": floor}))
+        code = cli_main(["annotate", "--dataset", str(tiny_scene), "--config", str(config),
+                         "--out", str(tmp_path / "labels.jsonl")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        assert "Traceback" not in err
+
     def test_track_with_two_classes_names_annotation(self, tiny_scene, tmp_path, capsys):
         ann, where = first_annotation(1)
         code, err = annotate_edited(tiny_scene, tmp_path, set_key(ann, "class", "Pedestrian"),
