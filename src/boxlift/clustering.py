@@ -4,12 +4,13 @@ Aggregation unions the per-frame extracted points of a static track into
 one world-frame cloud; DBSCAN separates the object body from stray
 background points that leaked through the 2D annotation, and the largest
 cluster is kept for box fitting.  DBSCAN finds its eps-neighbour pairs
-with a voxel hash of cell size eps: each occupied cell is compared with
-itself and with 13 of its 26 neighbour cells, so every pair of points in
-touching cells is tested once.  The points' coordinates are copied into
-three arrays in cell order, so a cell is one contiguous run in each and
-the distance test reads 1-D gathers; only the close pairs are mapped
-back to input indices.
+with a voxel hash of cell size eps, sorted by x-y column and then by z,
+so the cells z-1..z+1 of a column hold one contiguous range of points.
+Each point is compared with the later points of its own cell and the
+next z cell, and with one such range in each of 4 neighbour columns:
+every pair of points in touching cells is tested once, and the cost
+grows with the points in each point's 3 x 3-column block.  Only the
+close pairs are mapped back to input indices.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ def aggregate_static(track: ObjectTrack) -> AggregatedInstance:
     )
 
 
-# The cell offsets o > (0, 0, 0): one of each neighbour pair (o, -o).
-_HALF_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-                 if (dx, dy, dz) > (0, 0, 0)]
+# The x-y column offsets (dx, dy) > (0, 0): one of each neighbour pair.
+_HALF_COLUMNS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def _squeeze(coords: np.ndarray) -> np.ndarray:
@@ -83,13 +83,20 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     cells: two points within eps are never more than one cell apart.
     Cell coordinates are squeezed per axis and keyed in two steps (x-y
     column, then z), so the keys fit in int64 for any coordinate range.
-    The coordinates are copied into three arrays in cell order, so each
-    cell's points are one contiguous run and a candidate pair is two
-    positions in those runs.  Its squared distance is dx*dx + dy*dy + dz*dz
-    on 1-D gathers, the same sum in the same order as a row reduction.
-    Candidates are filtered offset by offset, with the arithmetic done in
-    place, and only the close pairs are mapped back to input indices, so
-    only the close pairs of all offsets are held at once.
+    The coordinates are copied into three arrays in cell order: a column's
+    cells follow each other by z, so the points of any run of its cells
+    are one contiguous range of positions.
+
+    Each point is compared with one range of later positions per range
+    set: the rest of its own cell and the next z cell, and, for each of
+    the 4 column offsets in ``_HALF_COLUMNS``, cells z-1..z+1 of that
+    column.  Two ``searchsorted`` calls per cell find a range; squeezing
+    keeps z in [1, z_span - 2], so z-1 and z+2 stay inside the column.
+    Each unordered pair of touching cells is covered once.  A candidate's
+    squared distance is dx*dx + dy*dy + dz*dz on 1-D gathers, the same sum
+    in the same order as a row reduction.  One range set's candidates are
+    held at a time, and only the close pairs are mapped back to input
+    indices.
     """
     cells = np.floor(pts / (eps * (1 + 2.0**-20))).astype(np.int64)
     x, y, z = (_squeeze(cells[:, axis]) for axis in range(3))
@@ -97,42 +104,44 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     columns, column_of = np.unique(x * y_span + y, return_inverse=True)
     keys, cell_of = np.unique(column_of * z_span + z, return_inverse=True)
     order = np.argsort(cell_of, kind="stable")     # point indices grouped by cell
-    px, py, pz = (np.ascontiguousarray(pts[order, axis]) for axis in range(3))
+    coords = [np.ascontiguousarray(pts[order, axis]) for axis in range(3)]
     counts = np.bincount(cell_of)
-    starts = np.cumsum(counts) - counts
-    cell_column, cell_z = columns[keys // z_span], keys % z_span
+    bounds = np.concatenate([[0], np.cumsum(counts)])   # cell c is bounds[c]:bounds[c + 1]
+    cell_column, cell_z = keys // z_span, keys % z_span
     eps2 = eps * eps
     found_i, found_j = [], []
-    for offset in [(0, 0, 0)] + _HALF_OFFSETS:
-        column, in_columns = _find(columns, cell_column + offset[0] * y_span + offset[1])
-        other, in_keys = _find(keys, column * z_span + cell_z + offset[2])
-        a = np.flatnonzero(in_columns & in_keys)
-        b = other[a]
-        # All (point of cell a, point of cell b) candidates, enumerated flat:
-        # candidate k of cell pair p is point k // width of a, k % width of b.
-        sizes = counts[a] * counts[b]
-        pair = np.repeat(np.arange(len(a)), sizes)
-        rank = np.arange(len(pair))
-        rank -= np.repeat(np.cumsum(sizes) - sizes, sizes)
-        width = counts[b][pair]
-        pi, pj = np.divmod(rank, width, out=(rank, width))
-        pi += starts[a][pair]
-        pj += starts[b][pair]
-        del pair
-        if offset == (0, 0, 0):
-            upper = pi < pj
-            pi, pj = pi[upper], pj[upper]
-        dist2 = px[pi]
-        dist2 -= px[pj]
-        dist2 *= dist2
-        for c in (py, pz):
-            delta = c[pi]
-            delta -= c[pj]
+    for half in (None,) + _HALF_COLUMNS:
+        if half is None:
+            lo = np.arange(1, len(pts) + 1)
+            hi = np.repeat(bounds[np.searchsorted(keys, keys + 2)], counts)
+        else:
+            column, present = _find(columns, columns + half[0] * y_span + half[1])
+            base = column[cell_column] * z_span + cell_z
+            cell_lo = bounds[np.searchsorted(keys, base - 1)]
+            cell_hi = np.where(present[cell_column], bounds[np.searchsorted(keys, base + 2)],
+                               cell_lo)
+            lo, hi = np.repeat(cell_lo, counts), np.repeat(cell_hi, counts)
+        # Candidate k is point i = searchsorted(ends, k, "right") and
+        # position pj[k] of its range.
+        sizes = hi - lo
+        ends = np.cumsum(sizes)
+        pj = np.arange(ends[-1])
+        pj += np.repeat(lo - (ends - sizes), sizes)
+        del lo, hi
+        # (b - a)**2 == (a - b)**2 exactly, so the sign of a delta is free.
+        dist2 = None
+        for c in coords:
+            delta = c.take(pj)
+            delta -= np.repeat(c, sizes)
             delta *= delta
-            dist2 += delta
-        close = dist2 <= eps2
+            if dist2 is None:
+                dist2 = delta
+            else:
+                dist2 += delta
+        del delta
+        close = np.flatnonzero(dist2 <= eps2)
         del dist2
-        found_i.append(order[pi[close]])
+        found_i.append(order[np.searchsorted(ends, close, side="right")])
         found_j.append(order[pj[close]])
     return np.concatenate(found_i), np.concatenate(found_j)
 

@@ -385,18 +385,58 @@ class ConvexPolygon2D:
         return _polygon_area(self.vertices)
 
 
+# Hulls of more distinct points than this drop the octagon's interior first.
+_PREFILTER_MIN = 16
+
+
+def _candidates(pts: np.ndarray) -> np.ndarray:
+    """Mask of the rows that may be hull vertices (Akl and Toussaint, 1978).
+
+    A row strictly inside the octagon of the 8 directional extremes (min
+    and max of x, y, x + y and x - y) is not a vertex.  "Strictly" means
+    past every non-degenerate edge by 2**-20 of the edge's L1 length times
+    the cloud's span, far above the rounding of the test, so a dropped row
+    is inside in exact arithmetic too.  Coordinates past 2**500 could
+    overflow the test, so then no row is dropped.
+    """
+    if not np.abs(pts).max() < 2.0**500:
+        return np.ones(len(pts), dtype=bool)
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    # The extremes in counter-clockwise order, starting at min x.
+    a = pts[[x.argmin(), s.argmin(), y.argmin(), d.argmax(),
+             x.argmax(), s.argmax(), y.argmax(), d.argmin()]]
+    e = np.roll(a, -1, axis=0) - a
+    span = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    margin = 2.0**-20 * span * np.abs(e).sum(axis=1)
+    cross = e[:, :1] * (y - a[:, 1:]) - e[:, 1:] * (x - a[:, :1])       # (8, n)
+    inside = (cross > margin[:, None]) | ~e.any(axis=1)[:, None]
+    return ~inside.all(axis=0)
+
+
 def convex_hull(points) -> ConvexPolygon2D:
     """Monotone-chain hull, CCW, collinear boundary points removed.
 
-    Raises DegenerateHull for fewer than 3 distinct points or an
-    all-collinear input.
+    Rows are sorted by x, then y, and deduplicated (the rows and order of
+    ``np.unique(axis=0)``, without loading ``numpy.ma``).  Above
+    ``_PREFILTER_MIN`` distinct rows, the rows strictly inside the octagon
+    of directional extremes are dropped first (``_candidates``); the chain
+    then runs on what is left, on Python floats: the same float64
+    arithmetic as on numpy scalars, without their per-operation overhead.
+
+    Raises DegenerateHull for fewer than 3 distinct points, an
+    all-collinear input, or vertices ``ConvexPolygon2D`` rejects (such as
+    two within 1e-9 of each other).
     """
-    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[distinct]
     if len(pts) < 3:
         raise DegenerateHull(f"{len(pts)} distinct points")
-    # np.unique sorts rows lexicographically, which is the order we need.
-    # The chain runs on Python floats: the same float64 arithmetic as on
-    # numpy scalars, without their per-operation overhead.
+    if len(pts) > _PREFILTER_MIN:
+        pts = pts[_candidates(pts)]
     rows = pts.tolist()
 
     def half(chain_pts):
@@ -416,7 +456,10 @@ def convex_hull(points) -> ConvexPolygon2D:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateHull("all points collinear")
-    return ConvexPolygon2D(np.array(hull))
+    try:
+        return ConvexPolygon2D(np.array(hull))
+    except ValueError as exc:
+        raise DegenerateHull(str(exc)) from None
 
 
 def _clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:

@@ -251,7 +251,10 @@ def _params(x, extent_floor: float) -> tuple:
 
 
 def _one_job_terms(box: Box3D, track, points, z_near: float, fit: bool, l2d: bool):
-    return _Batch([_Job(track, points)], z_near, fit, l2d).terms([_params(box.as_array(), 0.0)])
+    batch = _Batch([_Job(track, points)], z_near, fit, l2d)
+    # Boxes near float range overflow to inf or NaN terms, which score as such.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return batch.terms([_params(box.as_array(), 0.0)])
 
 
 def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float = 1e-3) -> float:
@@ -441,15 +444,18 @@ def _refine_all(jobs: list[_Job], inits: list[Box3D], cfg: PipelineConfig) -> li
     """
     searches = [_Search(job, init, cfg.refine_budget) for job, init in zip(jobs, inits)]
     active, batch = searches, None
-    while active:
-        if batch is None:
-            batch = _Batch([s.job for s in active], cfg.z_near, cfg.mu_fit > 0,
-                           cfg.lambda_2d > 0)
-        fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in active])
-        going = [s for s, fit, l2d in zip(active, fits, l2ds)
-                 if s.tell(_weighted(fit, l2d, cfg), (fit, l2d))]
-        if len(going) < len(active):
-            active, batch = going, None
+    # Boxes and simplices near float range overflow to inf or NaN values,
+    # which compare as such; the search needs no warning for them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active:
+            if batch is None:
+                batch = _Batch([s.job for s in active], cfg.z_near, cfg.mu_fit > 0,
+                               cfg.lambda_2d > 0)
+            fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in active])
+            going = [s for s, fit, l2d in zip(active, fits, l2ds)
+                     if s.tell(_weighted(fit, l2d, cfg), (fit, l2d))]
+            if len(going) < len(active):
+                active, batch = going, None
     return searches
 
 

@@ -139,10 +139,15 @@ def single_view_track(points: np.ndarray, camera: CameraModel, box2d,
 
 
 @functools.lru_cache(maxsize=None)
+def bench_tracks(name: str) -> tuple[ObjectTrack, ...]:
+    """The tracks of ``gen`` on a bench scene (``bench/scenes/<name>.json``),
+    extracted with the bench pipeline config.  Only reads the bench files."""
+    scene = generate_scene(SceneConfig.from_json_file(BENCH / "scenes" / f"{name}.json"))
+    return tuple(build_tracks(scene, PipelineConfig.from_json_file(BENCH / "pipeline.json")))
+
+
+@functools.lru_cache(maxsize=None)
 def dense_coarse_instances() -> tuple[AggregatedInstance, ...]:
-    """The aggregated instance of each track of ``gen`` on the dense_coarse
-    bench scene (2.7k-3.7k points each), extracted with the bench pipeline
-    config.  Only reads the bench files."""
-    scene = generate_scene(SceneConfig.from_json_file(BENCH / "scenes" / "dense_coarse.json"))
-    cfg = PipelineConfig.from_json_file(BENCH / "pipeline.json")
-    return tuple(aggregate_static(track) for track in build_tracks(scene, cfg))
+    """The aggregated instance of each track of the dense_coarse bench scene
+    (2.7k-3.7k points each)."""
+    return tuple(aggregate_static(track) for track in bench_tracks("dense_coarse"))

@@ -85,6 +85,31 @@ class TestAggregate:
             assert len(faces) >= 3
 
 
+def range_edge_clouds() -> list[tuple[np.ndarray, float, int]]:
+    """(points, eps, min_pts) at the edges of the contiguous-range pair
+    search: cells are a hair wider than eps, sorted by x-y column, then z."""
+    rng = np.random.default_rng(52)
+    # One column with z cells 0, 1, 3 and 7 apart by gaps of 1, 2 and 4.
+    z = np.repeat([0.1, 0.95, 1.05, 1.9, 3.3, 3.95, 7.5, 7.9], 3) + rng.uniform(0, 0.05, 24)
+    column = np.column_stack([rng.uniform(0, 0.9, (24, 2)), z])
+    # A 4 x 4 x 4 lattice at exactly eps: 0 and eps share a cell, so pairs
+    # at eps cross column and z boundaries and also lie inside one cell.
+    lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3) * 0.5
+    # The column right of the first holds cells only at z - 2 and z + 2.
+    gap = np.array([[0.5, 0.5, 2.5], [0.5, 0.5, 2.6], [1.5, 0.5, 0.5], [1.5, 0.5, 4.5],
+                    [1.5, 0.5, 4.6], [1.6, 0.5, 0.6]])
+    one_cell = rng.uniform(0, 0.4, (60, 3))
+    return [
+        (column, 1.0, 3),
+        (lattice, 0.5, 5),
+        (lattice + 1e3, 0.5, 7),
+        (gap, 1.0, 2),
+        (np.array([[1.0, 2.0, 3.0]]), 0.5, 1),
+        (one_cell, 0.5, 10),
+        (one_cell, 0.5, 61),
+    ]
+
+
 class TestDbscan:
     def test_two_blobs(self):
         rng = np.random.default_rng(42)
@@ -139,6 +164,7 @@ class TestDbscan:
         cases.append((np.concatenate([dup, dup, dup[:7]]), 0.3, 3))
         # Fewer points than min_pts: everything is noise.
         cases.append((rng.uniform(-0.1, 0.1, (4, 3)), 0.5, 5))
+        cases += range_edge_clouds()
         for pts, eps, min_pts in cases:
             mine = dbscan(pts, eps, min_pts)
             ref = brute_force_dbscan(pts, eps, min_pts)
@@ -197,6 +223,7 @@ class TestNeighbourPairs:
             (rng.integers(-3, 4, (300, 3)) * 0.25, 0.25),
             (dense_coarse_instances()[0].points_agg, 0.5),
         ]
+        clouds += [(pts, eps) for pts, eps, _ in range_edge_clouds()]
         for pts, eps in clouds:
             i, j = _neighbour_pairs(pts, eps)
             assert not (i == j).any()

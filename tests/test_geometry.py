@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from boxlift.geometry import (
     CameraModel,
     ConvexPolygon2D,
     Pose,
+    _candidates,
     box3d_corners,
     convex_hull,
     convex_intersection_area,
@@ -30,7 +32,7 @@ from reference import (
     monotone_chain_hull,
     point_in_convex_polygon,
 )
-from support import dense_coarse_instances, identity_pose, transform_box3d
+from support import bench_tracks, dense_coarse_instances, identity_pose, transform_box3d
 
 
 def random_pose(rng):
@@ -267,6 +269,35 @@ class TestConvexHull:
             cluster = select_dominant_cluster(inst, dbscan(inst.points_agg, 0.5, 10))
             clouds.append(inst.points_agg[:, :2])
             clouds.append(inst.points_agg[cluster, :2])
+        # Above the prefilter cutoff, where the chain sees only the points
+        # outside the octagon of directional extremes.  On a circle every
+        # point is a vertex, and far from the origin the turns between
+        # neighbours come down to the last bits.
+        for _ in range(40):
+            n = int(rng.integers(17, 501))
+            theta = rng.uniform(0, 2 * math.pi, n)
+            circle = rng.uniform(0.5, 20) * np.column_stack([np.cos(theta), np.sin(theta)])
+            clouds.append(rng.uniform(-1e4, 1e4, 2) + circle)
+        # 40 x 40 lattices, square and turned 45 degrees: hull edges lie on
+        # the octagon's edges, with collinear points along them.
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(40.0), np.arange(40.0)))
+        for spacing in (1.0, 0.1, 0.25):
+            clouds.append(np.column_stack([i, j]) * spacing)
+            clouds.append(np.column_stack([i + j, i - j]) * spacing + rng.uniform(-100, 100, 2))
+        # Lines of 100+ points, exact and jittered by about 1e-12.
+        for _ in range(10):
+            t = rng.uniform(-10, 10, (int(rng.integers(100, 400)), 1))
+            line = rng.normal(size=2) + t * rng.normal(size=2)
+            clouds.append(line)
+            clouds.append(line + rng.normal(0, 1e-12, line.shape))
+        # Many exact duplicates of a few points.
+        for _ in range(10):
+            base = rng.normal(0, 5, (int(rng.integers(3, 40)), 2))
+            clouds.append(base[rng.integers(0, len(base), 400)])
+        # Every per-frame observation of the three bench scenes.
+        for name in ("static_multiview", "dense_coarse", "corridor"):
+            for track in bench_tracks(name):
+                clouds += [obs.points[:, :2] for obs in track.observations.values()]
         n_degenerate = 0
         for pts in clouds:
             ref = monotone_chain_hull(pts)
@@ -277,6 +308,46 @@ class TestConvexHull:
             else:
                 assert np.array_equal(convex_hull(pts).vertices, ref)
         assert 0 < n_degenerate < len(clouds) // 2
+
+    def test_near_duplicate_vertices_raise_degenerate_hull(self):
+        # (0, 1) and (1e-10, 1 + 1e-10) are both vertices, 1.4e-10 apart.
+        with pytest.raises(DegenerateHull, match="duplicate consecutive vertices"):
+            convex_hull([[0, 0], [1, 0], [1, 1], [0, 1], [1e-10, 1 + 1e-10]])
+
+    def test_tiny_circles_far_out_match_or_raise_degenerate_hull(self):
+        # Vertices closer than ConvexPolygon2D's 1e-9 make the hull
+        # degenerate; every other hull is the scalar chain's.
+        rng = np.random.default_rng(7)
+        n_degenerate = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 60))
+            theta = rng.uniform(0, 2 * math.pi, n)
+            circle = 10.0 ** rng.uniform(-9, -5) * np.column_stack([np.cos(theta), np.sin(theta)])
+            pts = rng.uniform(-1e3, 1e3, 2) + circle
+            ref = monotone_chain_hull(pts)
+            try:
+                ConvexPolygon2D(ref)
+            except ValueError:
+                n_degenerate += 1
+                with pytest.raises(DegenerateHull):
+                    convex_hull(pts)
+            else:
+                assert np.array_equal(convex_hull(pts).vertices, ref)
+        assert 0 < n_degenerate < 300
+
+    @pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**490, 2.0**510, 1e300])
+    def test_prefilter_near_float_range_warns_nothing(self, scale):
+        # Past 2**500 the prefilter drops nothing rather than overflow.
+        rng = np.random.default_rng(8)
+        pts = rng.normal(0, 1, (300, 2)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keep = _candidates(pts)
+        assert keep.sum() < 100 if scale < 2.0**500 else keep.all()
+        # Below 1e-9 every vertex is a near-duplicate, and near 1e300 the
+        # polygon's own checks overflow.
+        if 1.0 <= scale < 1e300:
+            assert np.array_equal(convex_hull(pts).vertices, monotone_chain_hull(pts))
 
 
 class TestConvexIntersection:

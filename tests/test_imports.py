@@ -3,13 +3,15 @@
 Every module-level import of ``src/boxlift/<module>.py`` must be used in
 that module, and every private module-level function or class must be
 referenced there.  ``__init__.py`` re-exports names, so it is left out.
-The command line must run on numpy alone: scipy is a test-only dependency.
-The label file's reader and the evaluator do not depend on the optimizer.
+The command line must run on numpy alone: scipy is a test-only dependency,
+and no command loads ``numpy.ma``.  The label file's reader and the
+evaluator do not depend on the optimizer.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +74,45 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+COMMANDS_TWICE = """
+import json, sys
+from boxlift.cli import cli_main
+root, bench = sys.argv[1:]
+
+def run(out):
+    return [cli_main(args) for args in (
+        ["gen", "--config", f"{bench}/scenes/tiny.json", "--out", f"{out}/scene"],
+        ["annotate", "--dataset", f"{out}/scene", "--config", f"{bench}/pipeline.json",
+         "--out", f"{out}/labels.jsonl"],
+        ["eval", "--dataset", f"{out}/scene", "--labels", f"{out}/labels.jsonl",
+         "--config", f"{bench}/pipeline.json", "--report", f"{out}/report.json"],
+        ["stats", "--dataset", f"{out}/scene", "--report", f"{out}/stats.json"],
+    )]
+
+codes = run(f"{root}/plain")
+loaded = "numpy.ma" in sys.modules
+sys.modules["numpy.ma"] = None      # any import of it now raises ImportError
+print(json.dumps([codes, loaded, run(f"{root}/no_ma")]))
+"""
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # numpy's unique(axis=0) imports numpy.ma (about 12 ms).  gen, annotate,
+    # eval and stats on tiny must not load it, and must write the same
+    # files where it cannot be imported.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    bench = PACKAGE.parents[1] / "bench"
+    out = subprocess.run([sys.executable, "-c", COMMANDS_TWICE, str(tmp_path), str(bench)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[0, 0, 0, 0], False, [0, 0, 0, 0]]
+    plain = sorted(p.relative_to(tmp_path / "plain") for p in (tmp_path / "plain").rglob("*"))
+    assert plain == sorted(p.relative_to(tmp_path / "no_ma") for p in (tmp_path / "no_ma").rglob("*"))
+    for rel in plain:
+        if (tmp_path / "plain" / rel).is_file():
+            assert (tmp_path / "plain" / rel).read_bytes() == (tmp_path / "no_ma" / rel).read_bytes()
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -690,6 +690,21 @@ class TestAnnotateTrack:
         assert keep_rate > 0.5
         assert mean_iou >= 0.7
 
+    def test_near_duplicate_hull_vertices_drop_as_degenerate(self):
+        # The cluster's hull has the vertices (0, 1) and (1e-10, 1 + 1e-10),
+        # which ConvexPolygon2D rejects as duplicates.
+        bev = [[0, 0], [1, 0], [1, 1], [0, 1], [1e-10, 1 + 1e-10]]
+        pts = np.array([[x, y, z] for z in (0.0, 1.0) for x, y in bev])
+        cam = camera_looking([-10.0, 0.5, 0.5], 0.0)
+        ann = Annotation2D("t", "Car", "cam", Box2D(0, 0, 100, 100))
+        track = ObjectTrack("t", "Car", {fid: Observation(ann, cam, pts, np.arange(len(pts)))
+                                         for fid in (0, 1)})
+        cfg = PipelineConfig(dbscan_eps=2.0, dbscan_min_pts=1)
+        staged = refine._stage(track, cfg)
+        assert (staged.kept, staged.drop_reason) == (False, "degenerate")
+        assert staged.quality.n_points == len(bev) * 4
+        assert annotate_track(track, cfg).drop_reason == "degenerate"
+
     def test_verification_failure_drops_with_coarse_box(self):
         # strict tau forces the verification gate to fire
         scene = generate_scene(passing_config(70, n_cars=1, sigma=0.02))

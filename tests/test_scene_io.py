@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -588,6 +589,21 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert code in (0, 1), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("no_refine", [[], ["--no-refine"]], ids=["refine", "no_refine"])
+    def test_extent_floor_past_float_range_warns_nothing(self, tiny_scene, tmp_path, capsys,
+                                                         no_refine):
+        # Boxes, simplices and projections overflow to inf or NaN, which
+        # score as such without a numpy warning on stderr.
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"extent_floor": 1e308}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["annotate", "--dataset", str(tiny_scene), "--config", str(config),
+                             "--out", str(tmp_path / "labels.jsonl"), *no_refine])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        assert "Warning" not in err
 
     def test_track_with_two_classes_names_annotation(self, tiny_scene, tmp_path, capsys):
         ann, where = first_annotation(1)
