@@ -35,7 +35,7 @@ def segmentation_instances(
 ) -> list[SegmentationInstance]:
     """Segmentation scores of every ground-truth-static track.
 
-    Requires a synthetic scene (per-point spans).  A point of the aggregate
+    Only those tracks are extracted.  Requires a synthetic scene (per-point spans).  A point of the aggregate
     P_agg is the pair (``point_frame_ids[i]``, ``point_indices[i]``); it is
     a ground-truth point when its index lies in the track's span for that
     frame with the bleed excluded, ``[start, start + count - n_bleed)``.
@@ -52,11 +52,9 @@ def segmentation_instances(
                          for s in (frame.gt_spans or [])}
         for frame in scene.frames
     }
+    static_ids = {tid for tid, gt in scene.gt_tracks.items() if gt.static}
     out = []
-    for track in build_tracks(scene, cfg):
-        gt = scene.gt_tracks.get(track.track_id)
-        if gt is None or not gt.static:
-            continue
+    for track in build_tracks(scene, cfg, static_ids):
         try:
             inst = aggregate_static(track)
             labels = dbscan(inst.points_agg, cfg.dbscan_eps, cfg.dbscan_min_pts)

@@ -3,20 +3,60 @@
 Extraction keeps a LiDAR point for an annotation when its projection into
 the annotation's camera lands inside the instance mask; when the mask is
 missing or its confidence is below the configured floor, the 2D box is
-used instead.  Motion is classified from the per-frame centroids of the
-extracted points in the world frame.
+used instead.  Each frame is projected once per camera that annotated it,
+and each annotation of that camera is tested on the shared pixel
+coordinates; a mask is tested on its run-length encoding, so no bitmap is
+decoded.  A coordinate that overflows is infinite and lands in no image.
+Motion is classified from the per-frame centroids of the extracted points
+in the world frame.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
 from .geometry import CameraModel, project_points
-from .masks import decode_mask
+from .masks import decode_mask, mask_contains
 from .scene import Annotation2D, Observation, ObjectTrack, Scene
+
+# Extraction decodes no mask.  The name stays bound because the benchmark's
+# tracer wraps ``boxlift.extraction.decode_mask`` (bench/tracer.py).
+_KEPT_FOR_TRACER = (decode_mask,)
+
+
+def _front_pixels(
+    camera: CameraModel, points_world: np.ndarray, z_near: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n,) mask of the points in front of the near plane, and their pixel u and v."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        uv, front = project_points(camera, points_world, z_near=z_near)
+    return front, uv[front, 0], uv[front, 1]
+
+
+def _hits(u: np.ndarray, v: np.ndarray, annotation: Annotation2D,
+          mask_conf_min: float) -> np.ndarray:
+    """Which pixels ``(u, v)`` lie in the annotation's mask, or else in its box.
+
+    Mask bounds are tested on the floats, in the mask's own width and
+    height, so no out-of-image coordinate reaches the integer cast.
+    """
+    mask = annotation.mask
+    use_mask = mask is not None and (
+        annotation.mask_confidence is None or annotation.mask_confidence >= mask_conf_min
+    )
+    if not use_mask:
+        box = annotation.box
+        return (u >= box.x_min) & (u <= box.x_max) & (v >= box.y_min) & (v <= box.y_max)
+    inside = (u >= 0) & (u < mask.width) & (v >= 0) & (v < mask.height)
+    pixels = (np.floor(v[inside]).astype(np.int64) * mask.width
+              + np.floor(u[inside]).astype(np.int64))
+    hit = np.zeros(len(u), dtype=bool)
+    hit[inside] = mask_contains(mask, pixels)
+    return hit
 
 
 def extraction_mask(
@@ -26,27 +66,16 @@ def extraction_mask(
     mask_conf_min: float = 0.6,
     z_near: float = 1e-3,
 ) -> np.ndarray:
-    """Boolean keep-mask over ``points_world`` for one annotation."""
-    uv, valid = project_points(camera, points_world, z_near=z_near)
-    keep = valid.copy()
-    if not keep.any():
-        return keep
-    mask = annotation.mask
-    use_mask = mask is not None and (
-        annotation.mask_confidence is None or annotation.mask_confidence >= mask_conf_min
-    )
-    u, v = uv[valid, 0], uv[valid, 1]
-    if use_mask:
-        bitmap = decode_mask(mask)
-        c = np.floor(u).astype(np.int64)
-        r = np.floor(v).astype(np.int64)
-        in_bounds = (c >= 0) & (c < mask.width) & (r >= 0) & (r < mask.height)
-        hit = np.zeros(len(u), dtype=bool)
-        hit[in_bounds] = bitmap[r[in_bounds], c[in_bounds]]
-    else:
-        box = annotation.box
-        hit = (u >= box.x_min) & (u <= box.x_max) & (v >= box.y_min) & (v <= box.y_max)
-    keep[valid] = hit
+    """Boolean keep-mask over ``points_world`` for one annotation.
+
+    The test ``build_tracks`` applies, for one annotation alone: project
+    the points into ``camera``, then keep those in front of the near plane
+    whose pixel lies in the mask, or in the box when the mask is missing or
+    its confidence is below ``mask_conf_min``.
+    """
+    front, u, v = _front_pixels(camera, points_world, z_near)
+    keep = front.copy()
+    keep[front] = _hits(u, v, annotation, mask_conf_min)
     return keep
 
 
@@ -88,22 +117,37 @@ def track_centroids(track: ObjectTrack, mode: str = "mean") -> np.ndarray:
     return np.array(rows).reshape(-1, 3)
 
 
-def build_tracks(scene: Scene, config: PipelineConfig | None = None) -> list[ObjectTrack]:
-    """Group annotations by track id and run extraction for each observation.
+def build_tracks(
+    scene: Scene,
+    config: PipelineConfig | None = None,
+    track_ids: Collection[str] | None = None,
+) -> list[ObjectTrack]:
+    """Group annotations by track id and extract each observation's points.
 
-    Returns the tracks sorted by track id.  Each observation carries the
-    world-posed camera that produced its annotation.
+    Each frame is posed and projected once per camera that annotated it
+    (only the annotations of ``track_ids``, when given), and every such
+    annotation keeps the points ``extraction_mask`` would keep, in
+    ascending index order.  Returns the tracks sorted by track id.  Each
+    observation carries the world-posed camera that produced its
+    annotation.
     """
     cfg = config or PipelineConfig()
     observations: dict[str, dict[int, Observation]] = {}
     for frame in scene.frames:
-        pts = frame.points_world
+        by_camera: dict[str, list[Annotation2D]] = {}
         for ann in frame.annotations:
-            cam = scene.cameras[ann.camera_id].world_camera(frame.world_from_ego)
-            idx = np.flatnonzero(extraction_mask(cam, pts, ann, cfg.mask_conf_min, cfg.z_near))
-            observations.setdefault(ann.track_id, {})[frame.frame_id] = Observation(
-                ann, cam, pts[idx], idx
-            )
+            if track_ids is None or ann.track_id in track_ids:
+                by_camera.setdefault(ann.camera_id, []).append(ann)
+        for camera_id, anns in by_camera.items():
+            cam = scene.cameras[camera_id].world_camera(frame.world_from_ego)
+            pts = frame.points_world
+            front, u, v = _front_pixels(cam, pts, cfg.z_near)
+            front_idx = np.flatnonzero(front)
+            for ann in anns:
+                idx = front_idx[_hits(u, v, ann, cfg.mask_conf_min)]
+                observations.setdefault(ann.track_id, {})[frame.frame_id] = Observation(
+                    ann, cam, pts[idx], idx
+                )
     # The loader guarantees that every annotation of a track names one class.
     return [
         ObjectTrack(tid, next(iter(obs.values())).annotation.class_label, obs)

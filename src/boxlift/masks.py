@@ -52,6 +52,16 @@ def decode_mask(mask: Mask) -> np.ndarray:
     return _decode_cached(mask)
 
 
+def mask_contains(mask: Mask, pixels: np.ndarray) -> np.ndarray:
+    """Foreground flags of row-major pixel indices, read from the runs.
+
+    Pixel ``p`` lies in run ``k`` when ``k`` run ends are at or below it;
+    runs alternate from background, so odd ``k`` is foreground.  No bitmap
+    is decoded.  Every index must lie in ``[0, width * height)``.
+    """
+    return np.searchsorted(np.cumsum(mask.rle), pixels, side="right") % 2 == 1
+
+
 def encode_mask(bitmap: np.ndarray) -> Mask:
     """Encode a (height, width) bool bitmap row-major, background first."""
     bmp = np.asarray(bitmap, dtype=bool)

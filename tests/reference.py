@@ -14,7 +14,9 @@ import numpy as np
 from boxlift.clustering import aggregate_static, dbscan, select_dominant_cluster
 from boxlift.errors import BoxliftError
 from boxlift.extraction import build_tracks
-from boxlift.geometry import BOX_EDGES, DEFAULT_Z_NEAR, box3d_corners, giou_2d, project_box3d
+from boxlift.geometry import (BOX_EDGES, DEFAULT_Z_NEAR, box3d_corners, giou_2d,
+                              project_box3d, project_points)
+from boxlift.masks import decode_mask
 
 
 def brute_force_dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -280,6 +282,36 @@ def decode_rle_loop(rle, width: int, height: int) -> np.ndarray:
         pos += run
         value = not value
     return flat.reshape(height, width)
+
+
+def extraction_per_annotation(scene, config) -> dict[str, dict[int, tuple]]:
+    """``{track_id: {frame_id: (indices, camera)}}``, extracted one annotation
+    at a time: pose the annotation's camera, project the whole frame, then
+    index the decoded mask bitmap at the floored pixel (or test the box when
+    the mask is missing or below ``config.mask_conf_min``)."""
+    out: dict[str, dict[int, tuple]] = {}
+    for frame in scene.frames:
+        pts = frame.points_world
+        for ann in frame.annotations:
+            cam = scene.cameras[ann.camera_id].world_camera(frame.world_from_ego)
+            uv, valid = project_points(cam, pts, z_near=config.z_near)
+            u, v = uv[valid, 0], uv[valid, 1]
+            mask = ann.mask
+            if mask is not None and (ann.mask_confidence is None
+                                     or ann.mask_confidence >= config.mask_conf_min):
+                bitmap = decode_mask(mask)
+                c = np.floor(u).astype(np.int64)
+                r = np.floor(v).astype(np.int64)
+                in_bounds = (c >= 0) & (c < mask.width) & (r >= 0) & (r < mask.height)
+                hit = np.zeros(len(u), dtype=bool)
+                hit[in_bounds] = bitmap[r[in_bounds], c[in_bounds]]
+            else:
+                box = ann.box
+                hit = (u >= box.x_min) & (u <= box.x_max) & (v >= box.y_min) & (v <= box.y_max)
+            keep = valid.copy()
+            keep[valid] = hit
+            out.setdefault(ann.track_id, {})[frame.frame_id] = (np.flatnonzero(keep), cam)
+    return out
 
 
 def segmentation_scores_sets(scene, config) -> list[tuple[str, int, float, float]]:

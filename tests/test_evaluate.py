@@ -122,6 +122,23 @@ class TestSegmentationCurve:
         assert [(i.track_id, i.n_cluster, i.iou_aggregate, i.iou_cluster)
                 for i in segmentation_instances(scene, cfg)] == expected
 
+    @pytest.mark.parametrize("name", ["tiny", "static_multiview", "dense_coarse", "corridor"])
+    def test_extracting_static_tracks_only_changes_nothing(self, name, monkeypatch):
+        scene = generate_scene(SceneConfig.from_json_file(BENCH / "scenes" / f"{name}.json"))
+        cfg = PipelineConfig.from_json_file(BENCH / "pipeline.json")
+        static_only = segmentation_instances(scene, cfg)
+        asked = []
+
+        def every_track_then_filter(scene, cfg, track_ids):
+            asked.append(set(track_ids))
+            return [t for t in build_tracks(scene, cfg) if t.track_id in track_ids]
+
+        monkeypatch.setattr(evaluate, "build_tracks", every_track_then_filter)
+        assert segmentation_instances(scene, cfg) == static_only
+        assert asked == [{tid for tid, gt in scene.gt_tracks.items() if gt.static}]
+        if name == "corridor":
+            assert len(asked[0]) < len(scene.gt_tracks)
+
     def test_hand_counted_bleed_and_neighbour_points(self, monkeypatch):
         # Track "a": frame 0's span is [5, 25) with 4 bleed points, so G
         # holds [5, 21); frame 1's is [0, 12) with 2, so [0, 10); frame 2
@@ -152,7 +169,7 @@ class TestSegmentationCurve:
         gt = {"a": GtTrack("Car", True, (0.0, 0.0, 0.0), {}),
               "b": GtTrack("Car", True, (0.0, 0.0, 0.0), {})}
         monkeypatch.setattr(evaluate, "build_tracks",
-                            lambda scene, cfg: [ObjectTrack("a", "Car", observations)])
+                            lambda scene, cfg, track_ids: [ObjectTrack("a", "Car", observations)])
         [inst] = segmentation_instances(Scene("hand", {}, frames, gt))
         assert (inst.track_id, inst.n_cluster) == ("a", 21)
         assert inst.iou_aggregate == 21 / 42

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boxlift.config import PipelineConfig
 from boxlift.extraction import (
     build_tracks,
     classify_motion,
@@ -13,9 +14,9 @@ from boxlift.geometry import Box2D, Pose
 from boxlift.masks import Mask, encode_mask
 from boxlift.refine import annotate_track
 from boxlift.scene import Annotation2D, CameraRigEntry, Frame, Scene
-from boxlift.synthetic import generate_scene
-from reference import point_in_mask, project_point
-from support import CAM_BASE, camera_looking, identity_pose, passing_config
+from boxlift.synthetic import SceneConfig, generate_scene
+from reference import extraction_per_annotation, point_in_mask, project_point
+from support import BENCH, CAM_BASE, camera_looking, identity_pose, passing_config
 
 
 def make_frame(points_world, frame_id=0):
@@ -232,3 +233,99 @@ class TestBuildTracks:
             assert obs.indices.shape == (0,) and obs.indices.dtype == np.int64
         label = annotate_track(tracks[1])
         assert not label.kept and label.drop_reason == "empty"
+
+
+def assert_matches_per_annotation(scene, cfg, track_ids=None):
+    """``build_tracks`` (and ``extraction_mask`` for each annotation) keeps
+    exactly the points, and poses exactly the cameras, of the per-annotation
+    oracle."""
+    expected = extraction_per_annotation(scene, cfg)
+    if track_ids is not None:
+        expected = {tid: obs for tid, obs in expected.items() if tid in track_ids}
+    tracks = build_tracks(scene, cfg, track_ids)
+    assert [t.track_id for t in tracks] == sorted(expected)
+    frames = {f.frame_id: f for f in scene.frames}
+    for track in tracks:
+        assert list(track.observations) == list(expected[track.track_id])
+        for fid, obs in track.observations.items():
+            idx, cam = expected[track.track_id][fid]
+            pts = frames[fid].points_world
+            assert obs.indices.dtype == np.int64
+            assert np.array_equal(obs.indices, idx)
+            assert np.array_equal(obs.points, pts[idx])
+            pose, expected_pose = obs.camera.world_from_camera, cam.world_from_camera
+            assert np.array_equal(pose.q, expected_pose.q)
+            assert np.array_equal(pose.t, expected_pose.t)
+            keep = extraction_mask(cam, pts, obs.annotation, cfg.mask_conf_min, cfg.z_near)
+            assert np.array_equal(np.flatnonzero(keep), idx)
+    return tracks
+
+
+# A 10 x 5 image seen by cameras whose axes are the world's: with fx = fy = 10,
+# cx = cy = 0 and every point at depth 10, a point (x, y, 10) lands exactly on
+# pixel (x - camera x, y).
+WIDTH, HEIGHT = 10, 5
+
+
+def grid_frame(frame_id, annotations, depths=(10.0,)):
+    xs = [-0.5, -1e-3, 0.0, 0.5, 1.0, 2.0, 3.5, 4.0, 6.0, 9.0, 9.999, 10.0, 10.5, 11.0, 1e12]
+    ys = [-0.25, 0.0, 1.0, 2.5, 4.0, 4.75, 5.0, 6.0, -1e12]
+    pts = [(x, y, z) for z in depths for x in xs for y in ys]
+    frame = make_frame(pts, frame_id)
+    frame.annotations.extend(annotations)
+    return frame
+
+
+def axis_camera(x):
+    return CameraRigEntry(10.0, 10.0, 0.0, 0.0, WIDTH, HEIGHT,
+                          Pose.from_matrix(np.eye(3), np.array([x, 0.0, 0.0])))
+
+
+class TestBuildTracksMatchesPerAnnotation:
+    @pytest.mark.parametrize("name", ["tiny", "static_multiview", "dense_coarse", "corridor"])
+    def test_bench_scenes(self, name):
+        scene = generate_scene(SceneConfig.from_json_file(BENCH / "scenes" / f"{name}.json"))
+        cfg = PipelineConfig.from_json_file(BENCH / "pipeline.json")
+        tracks = assert_matches_per_annotation(scene, cfg)
+        assert sum(len(t.observations) for t in tracks) == sum(
+            len(f.annotations) for f in scene.frames)
+        assert_matches_per_annotation(scene, cfg, {t.track_id for t in tracks[::2]})
+
+    @pytest.mark.parametrize("cfg", [PipelineConfig(), PipelineConfig(mask_conf_min=0.4),
+                                     PipelineConfig(mask_conf_min=1.0, z_near=10.0)],
+                             ids=["default", "conf-0.4", "conf-1-z-10"])
+    def test_hand_built_edges(self, cfg):
+        n = WIDTH * HEIGHT
+        rng = np.random.default_rng(40)
+        box = Box2D(2.0, 1.0, 4.0, 4.0)
+        whole = Box2D(0.0, 0.0, WIDTH, HEIGHT)
+
+        def ann(track_id, camera_id, rle=None, confidence=None, box2d=box):
+            mask = None if rle is None else Mask(tuple(rle), WIDTH, HEIGHT)
+            return Annotation2D(track_id, "Car", camera_id, box2d, mask, confidence)
+
+        frames = [
+            # Two annotations of camera a, one of camera b, in one frame.
+            grid_frame(0, [ann("lead-zero", "a", (0, 3, n - 3), 0.9),
+                           ann("last-fg", "b", (n - 12, 12), 0.9),
+                           ann("box", "a")]),
+            # Points behind, on and just past the near plane of either config.
+            grid_frame(1, [ann("lead-zero", "a", (0, n), 0.6),
+                           ann("last-fg", "a", (n,), 0.9),
+                           ann("box", "b", box2d=whole),
+                           ann("zero-runs", "a", (5, 0, 3, 0, 0, 22, n - 30), None)],
+                       depths=(-10.0, 0.0, 1e-4, 1e-3, 2e-3, 10.0, 20.0)),
+            # Masks below and at the confidence floor, and a random mask.
+            grid_frame(2, [ann("lead-zero", "b", (0, 7, n - 7), 0.5),
+                           ann("last-fg", "b", (3, n - 3), 0.4),
+                           ann("zero-runs", "a", encode_mask(rng.random((HEIGHT, WIDTH)) < 0.5)
+                               .rle, 1.0)]),
+            make_frame(np.empty((0, 3)), 3),
+        ]
+        frames[3].annotations.append(ann("box", "a", (0, n), 1.0))
+        scene = Scene("hand", {"a": axis_camera(0.0), "b": axis_camera(1.5)}, frames)
+        tracks = assert_matches_per_annotation(scene, cfg)
+        assert [t.track_id for t in tracks] == ["box", "last-fg", "lead-zero", "zero-runs"]
+        assert any(len(ob.indices) for t in tracks for ob in t.observations.values())
+        assert_matches_per_annotation(scene, cfg, {"lead-zero", "box"})
+        assert build_tracks(scene, cfg, set()) == []

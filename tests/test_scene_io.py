@@ -605,6 +605,29 @@ class TestInputContract:
         assert code in (0, 1), err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("value", [1e300, 1.79e308, -1e300])
+    @pytest.mark.parametrize("key", ["fx", "cx", "cy", "t"])
+    def test_extreme_camera_number_warns_nothing(self, tiny_scene, tmp_path, capsys, key, value):
+        # Projected coordinates overflow to inf, or pass the integer range:
+        # they land in no image, without a numpy warning on stderr.  A
+        # negative fx is refused on load.
+        camera = lambda m: m["cameras"]["cam_front"]  # noqa: E731
+        if key == "t":
+            edit = set_key(lambda m: camera(m)["ego_from_camera"]["t"], 0, value)
+        else:
+            edit = set_key(camera, key, value)
+        scene, labels = edited_scene(tiny_scene, tmp_path, edit), tmp_path / "labels.jsonl"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            codes = [cli_main(["annotate", "--dataset", str(scene), "--out", str(labels)])]
+            if codes == [0]:
+                codes.append(cli_main(["eval", "--dataset", str(scene), "--labels", str(labels),
+                                       "--report", str(tmp_path / "report.json")]))
+        err = capsys.readouterr().err
+        assert codes == ([1] if (key, value) == ("fx", -1e300) else [0, 0]), err
+        assert "Warning" not in err and "Traceback" not in err
+
     def test_track_with_two_classes_names_annotation(self, tiny_scene, tmp_path, capsys):
         ann, where = first_annotation(1)
         code, err = annotate_edited(tiny_scene, tmp_path, set_key(ann, "class", "Pedestrian"),
