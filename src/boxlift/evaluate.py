@@ -35,10 +35,11 @@ def segmentation_instances(
 ) -> list[SegmentationInstance]:
     """Segmentation scores of every ground-truth-static track.
 
-    Only those tracks are extracted.  Requires a synthetic scene (per-point spans).  A point of the aggregate
-    P_agg is the pair (``point_frame_ids[i]``, ``point_indices[i]``); it is
-    a ground-truth point when its index lies in the track's span for that
-    frame with the bleed excluded, ``[start, start + count - n_bleed)``.
+    Only those tracks are extracted.  Requires a synthetic scene (per-point
+    spans).  A point of the aggregate P_agg is the pair
+    (``point_frame_ids[i]``, ``point_indices[i]``); it is a ground-truth
+    point when its index lies in the track's span for that frame with the
+    bleed excluded, ``[start, start + count - n_bleed)``.
     The ground-truth set G covers the track's annotated frames only: frames
     no camera annotated contribute no extractable points and would measure
     annotation coverage rather than extraction quality.  Each IoU is
