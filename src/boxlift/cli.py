@@ -7,6 +7,7 @@ go to stderr; reports and labels go to files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 import traceback
@@ -150,7 +151,31 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _keep_freed_buffers() -> None:
+    """Ask glibc's malloc to keep freed memory in the heap for this process.
+
+    DBSCAN's pair search allocates numpy temporaries of several MB, one
+    after another.  By default glibc gives such a buffer back to the kernel
+    when it is freed (it was its own mmap, or the heap top is trimmed), and
+    the kernel zero-fills fresh pages at the next allocation.  Raising the
+    trim threshold to 256 MiB and the mmap threshold to glibc's 64-bit
+    maximum of 32 MiB lets freed buffers be reused.  Both are set: setting
+    one turns off glibc's dynamic adjustment of the other, and either alone
+    faults more than neither.  Each command is a fresh process, so the
+    memory goes back when it exits; forked ``--threads`` workers inherit
+    the setting.  Where the C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)      # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+
+
 def cli_main(argv=None) -> int:
+    _keep_freed_buffers()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,8 +9,9 @@ so the cells z-1..z+1 of a column hold one contiguous range of points.
 Each point is compared with the later points of its own cell and the
 next z cell, and with one such range in each of 4 neighbour columns:
 every pair of points in touching cells is tested once, and the cost
-grows with the points in each point's 3 x 3-column block.  Only the
-close pairs are mapped back to input indices.
+grows with the points in each point's 3 x 3-column block.  Clusters are
+joined on the points' positions in that cell order too; only the
+finished labels go back to input order.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ def _find(sorted_keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
     return at, sorted_keys[at] == targets
 
 
-def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair i != j with squared distance <= eps**2, each pair once.
+def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair i != j with squared distance <= eps**2, each pair once,
+    as positions in cell order: returns ``(i, j, order)``, where position
+    ``p`` is input point ``order[p]``.
 
     Points are binned into cells a hair wider than eps (by 2**-20), which
     absorbs the rounding of the division for coordinates up to about 1e9
@@ -95,8 +98,7 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     Each unordered pair of touching cells is covered once.  A candidate's
     squared distance is dx*dx + dy*dy + dz*dz on 1-D gathers, the same sum
     in the same order as a row reduction.  One range set's candidates are
-    held at a time, and only the close pairs are mapped back to input
-    indices.
+    held at a time.
     """
     cells = np.floor(pts / (eps * (1 + 2.0**-20))).astype(np.int64)
     x, y, z = (_squeeze(cells[:, axis]) for axis in range(3))
@@ -141,9 +143,9 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
         del delta
         close = np.flatnonzero(dist2 <= eps2)
         del dist2
-        found_i.append(order[np.searchsorted(ends, close, side="right")])
-        found_j.append(order[pj[close]])
-    return np.concatenate(found_i), np.concatenate(found_j)
+        found_i.append(np.searchsorted(ends, close, side="right"))
+        found_j.append(pj[close])
+    return np.concatenate(found_i), np.concatenate(found_j), order
 
 
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
@@ -152,14 +154,17 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     Neighbours are the points within eps, boundary included, found as
     pairs with a voxel hash (see ``_neighbour_pairs``); a point is core
     when its neighbours, itself included, number at least ``min_pts``.
-    Core points joined by a pair form a cluster: every core point takes
-    the lowest index in its cluster, by min-label propagation along the
-    core-core pairs with pointer jumping.  All work is array operations
-    over the pairs, with no per-point Python loop.
+    Core points joined by a pair form a cluster.  Clusters are found by
+    min-label propagation with pointer jumping along the core-core pairs,
+    on the points' positions in cell order, where a pair's two ends lie
+    close in memory; after each round the pairs whose ends share a root
+    are dropped.  All work is array operations over the pairs, with no
+    per-point Python loop.
 
     Labeling is deterministic for a fixed input order: cluster ids are
-    assigned in order of each cluster's first core point, and a border
-    point joins the cluster of its lowest-index core neighbor.
+    assigned in order of each cluster's first core point (its lowest
+    input index), and a border point joins the cluster of its
+    lowest-index core neighbor.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -170,32 +175,35 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     labels = np.full(n, NOISE, dtype=np.int64)
     if n == 0:
         return labels
-    i, j = _neighbour_pairs(pts, eps)
+    i, j, order = _neighbour_pairs(pts, eps)
     core = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n) >= min_pts
-    # Each non-core point's lowest-index core neighbour, found first so that
-    # only the core-core pairs are held through the propagation loop.
+    # Each non-core point's lowest-index core neighbour, by input index,
+    # found first so that only the core-core pairs are held through the
+    # propagation loop.
     border = core[i] != core[j]
     nearest_core = np.full(n, n)
-    np.minimum.at(nearest_core, np.where(core[i], j, i)[border], np.where(core[i], i, j)[border])
+    np.minimum.at(nearest_core, order[np.where(core[i], j, i)[border]],
+                  order[np.where(core[i], i, j)[border]])
     linked = core[i] & core[j]
     ci, cj = i[linked], j[linked]
     del i, j, border, linked
     root = np.arange(n)
-    while True:
+    while len(ci):
         ri, rj = root[ci], root[cj]
         low = np.minimum(ri, rj)
-        hooked = root.copy()
-        np.minimum.at(hooked, ri, low)
-        np.minimum.at(hooked, rj, low)
-        jumped = hooked[hooked]
-        while not np.array_equal(jumped, hooked):
-            hooked, jumped = jumped, jumped[jumped]
-        if np.array_equal(hooked, root):
-            break
-        root = hooked
-    # A cluster's root is its first core point, so ranking roots orders clusters.
-    first = core & (root == np.arange(n))
-    labels[core] = (np.cumsum(first) - 1)[root[core]]
+        np.minimum.at(root, ri, low)
+        np.minimum.at(root, rj, low)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+        apart = root[ci] != root[cj]
+        ci, cj = ci[apart], cj[apart]
+    # Clusters are numbered in order of their lowest input index.
+    lowest = np.full(n, n)
+    np.minimum.at(lowest, root[core], order[core])
+    first = np.zeros(n, dtype=bool)
+    first[lowest[lowest < n]] = True
+    labels[order[core]] = (np.cumsum(first) - 1)[lowest[root[core]]]
     joined = nearest_core < n
     labels[joined] = labels[nearest_core[joined]]
     return labels

@@ -347,7 +347,9 @@ def _nelder_mead(simplex: np.ndarray, budget: int):
         order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
     while calls < budget:
-        if np.abs(sim[1:] - sim[0]).max() <= 0 and np.abs(fsim[0] - fsim[1:]).max() <= 0:
+        # fsim is sorted with NaN last, so this is scipy's max |fsim[0] - fsim[1:]| <= 0,
+        # and it is cheaper than the vertex test, which runs only when it holds.
+        if fsim[-1] - fsim[0] <= 0 and np.abs(sim[1:] - sim[0]).max() <= 0:
             return
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]

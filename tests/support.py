@@ -151,3 +151,10 @@ def dense_coarse_instances() -> tuple[AggregatedInstance, ...]:
     """The aggregated instance of each track of the dense_coarse bench scene
     (2.7k-3.7k points each)."""
     return tuple(aggregate_static(track) for track in bench_tracks("dense_coarse"))
+
+
+@functools.lru_cache(maxsize=None)
+def corridor_instances() -> tuple[AggregatedInstance, ...]:
+    """The aggregated instance of each track of the corridor bench scene
+    (0.7k-1.9k points each, 3 to 24 clusters at the bench eps and min_pts)."""
+    return tuple(aggregate_static(track) for track in bench_tracks("corridor"))

@@ -1,8 +1,13 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from boxlift import cli
 from boxlift.cli import cli_main
 from boxlift.scene_io import read_pseudo_labels
 from support import passing_config
@@ -236,3 +241,82 @@ def test_unusable_path_exits_one_naming_it(tmp_path, capsys, tiny, command, make
     assert err.startswith("error: ") and str(bad) in err, err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# The two mallopt calls each command makes: M_TRIM_THRESHOLD to 256 MiB,
+# then M_MMAP_THRESHOLD to 32 MiB.
+MALLOPTS = [("mallopt", -1, 256 << 20), ("mallopt", -3, 32 << 20)]
+
+
+class RecordingLibc:
+    """Stands in for ``ctypes.CDLL(None)``; records its ``mallopt`` calls."""
+
+    def __init__(self, events):
+        def mallopt(param, value):
+            events.append(("mallopt", param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def raising(exc):
+    """A ``ctypes.CDLL`` that cannot load: it raises ``exc``."""
+    def load(name):
+        raise exc
+    return load
+
+
+IMPORT_PROBE = """
+import ctypes
+calls = []
+ctypes.CDLL = lambda *args, **kwargs: calls.append(args) or ctypes.cdll.LoadLibrary(*args)
+import boxlift, boxlift.cli
+print(calls)
+"""
+
+
+class TestAllocatorPolicy:
+    def test_import_calls_nothing(self):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_each_command_sets_it_before_running(self, monkeypatch, tiny):
+        events = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: RecordingLibc(events))
+        stats = cli._cmd_stats
+        monkeypatch.setattr(cli, "_cmd_stats", lambda args: events.append("stats") or stats(args))
+        for _ in range(2):
+            assert run("stats", "--dataset", tiny[0]) == 0
+        assert events == (MALLOPTS + ["stats"]) * 2
+
+    @pytest.mark.parametrize("libc", [
+        pytest.param(lambda name: object(), id="no-mallopt"),
+        pytest.param(raising(OSError("no libc")), id="oserror"),
+        pytest.param(raising(TypeError("no handle")), id="typeerror"),
+    ])
+    def test_outputs_do_not_depend_on_it(self, monkeypatch, tmp_path, libc):
+        def commands(out):
+            return [run(*argv.format(out=out, bench=ROOT / "bench").split()) for argv in (
+                "gen --config {bench}/scenes/tiny.json --out {out}/scene",
+                "annotate --dataset {out}/scene --out {out}/labels.jsonl"
+                " --config {bench}/pipeline.json",
+                "annotate --dataset {out}/scene --out {out}/labels_t2.jsonl"
+                " --config {bench}/pipeline.json --threads 2",
+                "eval --dataset {out}/scene --labels {out}/labels.jsonl"
+                " --config {bench}/pipeline.json --report {out}/report.json",
+                "stats --dataset {out}/scene --report {out}/stats.json",
+                "annotate --dataset {out}/missing --out {out}/none.jsonl",
+            )]
+
+        codes = commands(tmp_path / "policy")
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        assert commands(tmp_path / "no_policy") == codes == [0, 0, 0, 0, 0, 1]
+        files = sorted(p.relative_to(tmp_path / "policy") for p in (tmp_path / "policy").rglob("*"))
+        assert files == sorted(p.relative_to(tmp_path / "no_policy")
+                               for p in (tmp_path / "no_policy").rglob("*"))
+        for rel in files:
+            if (tmp_path / "policy" / rel).is_file():
+                assert (tmp_path / "policy" / rel).read_bytes() == \
+                    (tmp_path / "no_policy" / rel).read_bytes()

@@ -17,7 +17,9 @@ from boxlift.geometry import Box2D
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import generate_scene
 from reference import brute_force_dbscan
-from support import camera_looking, dense_coarse_instances, face_ids, passing_config
+from support import (
+    camera_looking, corridor_instances, dense_coarse_instances, face_ids, passing_config,
+)
 
 
 def relabel_canonical(labels):
@@ -165,6 +167,36 @@ class TestDbscan:
         # Fewer points than min_pts: everything is noise.
         cases.append((rng.uniform(-0.1, 0.1, (4, 3)), 0.5, 5))
         cases += range_edge_clouds()
+        # The bench scenes' aggregates, shuffled so that input order says
+        # nothing about cell order: cluster ids and border points must
+        # still follow input indices.
+        for inst in dense_coarse_instances() + corridor_instances():
+            cases.append((rng.permutation(inst.points_agg), 0.5, 10))
+        # Random walks with steps just under eps, and a helix: each is one
+        # chain that takes 3 to 5 rounds of hooking and pointer jumping.
+        for seed in (0, 3):
+            steps = np.random.default_rng(seed).normal(size=(300, 3))
+            steps *= 0.45 / np.linalg.norm(steps, axis=1)[:, None]
+            cases.append((np.cumsum(steps, axis=0), 0.5, 2))
+        t = np.linspace(0, 12 * np.pi, 400)
+        cases.append((np.column_stack([np.cos(t), np.sin(t), 0.05 * t]), 0.2, 2))
+        # Many small components in shuffled order: 200 tight triples on a
+        # wide grid, then every other point of them, 100 pairs and 100 lone
+        # points, which min_pts 2 splits into clusters and noise.
+        grid = np.stack(np.meshgrid(np.arange(10), np.arange(10), np.arange(2)), -1)
+        triples = np.repeat(grid.reshape(-1, 3) * 3.0, 3, axis=0) + rng.normal(0, 0.05, (600, 3))
+        cases.append((rng.permutation(triples), 0.5, 3))
+        cases.append((rng.permutation(triples[::2]), 0.5, 2))
+        cases.append((rng.permutation(triples[::2]), 0.5, 1))
+        # Duplicates: one point 40 times, and a cloud with every point twice
+        # in shuffled order.
+        cases.append((np.tile([[0.3, -1.2, 4.0]], (40, 1)), 0.1, 40))
+        cloud = rng.uniform(-2, 2, (150, 3))
+        cases.append((rng.permutation(np.concatenate([cloud, cloud])), 0.4, 4))
+        # min_pts 1 makes every point core; min_pts above n makes all noise.
+        cases.append((rng.uniform(-2, 2, (200, 3)), 0.3, 1))
+        cases.append((rng.uniform(-0.2, 0.2, (200, 3)), 0.5, 201))
+        cases.append((dense_coarse_instances()[0].points_agg, 0.5, 1))
         for pts, eps, min_pts in cases:
             mine = dbscan(pts, eps, min_pts)
             ref = brute_force_dbscan(pts, eps, min_pts)
@@ -225,7 +257,10 @@ class TestNeighbourPairs:
         ]
         clouds += [(pts, eps) for pts, eps, _ in range_edge_clouds()]
         for pts, eps in clouds:
-            i, j = _neighbour_pairs(pts, eps)
+            i, j, order = _neighbour_pairs(pts, eps)
+            # Positions in cell order: position p is input point order[p].
+            assert np.array_equal(np.sort(order), np.arange(len(pts)))
+            i, j = order[i], order[j]
             assert not (i == j).any()
             found = np.sort(np.column_stack([i, j]), axis=1)
             found = found[np.lexsort((found[:, 1], found[:, 0]))]

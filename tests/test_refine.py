@@ -252,6 +252,40 @@ class TestNelderMead:
         else:
             assert len(seen) == budget
 
+    @pytest.mark.parametrize("values", [
+        [1.5] * 8,
+        [0.0] * 4 + [-0.0] * 4,
+        [np.inf] * 8,
+        [-np.inf] * 8,
+        [-np.inf] * 4 + [np.inf] * 4,
+        [3.0] * 7 + [np.inf],
+        [-np.inf] + [3.0] * 7,
+        [np.nan] * 8,
+        [2.0] * 7 + [np.nan],
+        [np.nan] + [2.0] * 7,
+        [np.inf] * 7 + [np.nan],
+        [0.0] * 7 + [5e-324],
+        [1.0] * 7 + [np.nextafter(1.0, 2.0)],
+        [1e308] * 4 + [-1e308] * 4,
+    ])
+    def test_stops_on_values_as_scipy_does(self, values):
+        # All 8 vertices coincide, so only the values decide whether the
+        # search stops after scoring them.  The sorted-value spread must
+        # agree with scipy's max |fsim[0] - fsim[1:]| <= 0 on every case,
+        # NaN (sorted last), infinities and overflowing spreads included.
+        with np.errstate(invalid="ignore", over="ignore"):
+            fsim = np.asarray(values)[np.argsort(values)]
+            expected = np.abs(fsim[0] - fsim[1:]).max() <= 0
+            search = _nelder_mead(np.zeros((8, 7)), 100)
+            next(search)
+            try:
+                for value in values:
+                    search.send(value)
+                stopped = False
+            except StopIteration:
+                stopped = True
+        assert stopped == expected
+
 
 def refine_box_oracle(init, track, points, cfg, objective=None):
     """``refine_box`` rebuilt from the row and per-view oracles and scipy's Nelder-Mead.
