@@ -92,7 +92,7 @@ def _cmd_gen(args) -> int:
 
 
 def _annotate(tracks, cfg: PipelineConfig) -> list:
-    """Label ``tracks``: their stages, one lockstep refinement of them all, then each label."""
+    """Label ``tracks``: their stages, one lockstep refinement and scoring, then each label."""
     return [annotate_track(track, cfg, staged)
             for track, staged in zip(tracks, stage_tracks(tracks, cfg))]
 

@@ -63,11 +63,13 @@ _HALF_COLUMNS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def _squeeze(coords: np.ndarray) -> np.ndarray:
-    """Integer coordinates renumbered from 1 with every gap wider than 2
-    closed to 2: neighbouring values stay 1 apart, the rest stay apart,
-    and the range is at most twice the number of distinct values."""
+    """Integer-valued float coordinates, infinities included, renumbered
+    from 1 as int64 with every gap wider than 2 closed to 2: neighbouring
+    values stay 1 apart, the rest stay apart, and the range is at most
+    twice the number of distinct values."""
     values, inverse = np.unique(coords, return_inverse=True)
-    return np.concatenate([[1], 1 + np.cumsum(np.minimum(np.diff(values), 2))])[inverse]
+    gaps = np.minimum(np.diff(values), 2).astype(np.int64)
+    return np.concatenate([[1], 1 + np.cumsum(gaps)])[inverse]
 
 
 def _find(sorted_keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +102,11 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
     in the same order as a row reduction.  One range set's candidates are
     held at a time.
     """
-    cells = np.floor(pts / (eps * (1 + 2.0**-20))).astype(np.int64)
-    x, y, z = (_squeeze(cells[:, axis]) for axis in range(3))
+    # A tiny eps takes the quotients past int64 range, or to inf; they are
+    # squeezed as floats, and only the squeezed values, below 2n, are cast.
+    with np.errstate(over="ignore"):
+        cells = np.floor(pts / (eps * (1 + 2.0**-20)))
+        x, y, z = (_squeeze(cells[:, axis]) for axis in range(3))
     y_span, z_span = int(y.max()) + 2, int(z.max()) + 2
     columns, column_of = np.unique(x * y_span + y, return_inverse=True)
     keys, cell_of = np.unique(column_of * z_span + z, return_inverse=True)

@@ -175,16 +175,10 @@ def build_report(
     scene: Scene,
     labels: list[PseudoLabel],
     config: PipelineConfig,
-    instances: list[SegmentationInstance] | None = None,
 ) -> dict:
-    """Assemble the machine-readable evaluation report for one scene.
-
-    ``instances`` lets callers reuse precomputed segmentation scores; by
-    default they are derived from the scene on the fly.
-    """
+    """Assemble the machine-readable evaluation report for one scene."""
     gt_boxes = resolve_gt_boxes(scene, labels)
-    if instances is None:
-        instances = segmentation_instances(scene, config)
+    instances = segmentation_instances(scene, config)
     kept = [lb for lb in labels if lb.kept]
     by_source = {source: [] for source in SOURCES}
     for lb in kept:

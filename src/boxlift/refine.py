@@ -232,11 +232,15 @@ class _Batch:
             front = ahead.all(axis=1)
             batched = iter(_front_terms(cam[front], self.focal[front], self.principal[front],
                                         compress(self.targets, front)))
-            terms = [next(batched) if f else self._clipped_term(v, Box3D(*params[job]))
+            terms = [next(batched) if f else self._clipped_term(v, params[job])
                      for v, (f, job) in enumerate(zip(front.tolist(), self.view_job))]
         return [sum(terms[a:b]) / (b - a) for a, b in self.view_bounds]
 
-    def _clipped_term(self, v: int, box: Box3D) -> float:
+    def _clipped_term(self, v: int, params: tuple) -> float:
+        try:
+            box = Box3D(*params)
+        except ValueError:      # a NaN extent, from a simplex past float range
+            return math.nan
         pred = project_box3d(self.cameras[v], box, z_near=self.z_near)
         if pred is None:
             return MISSING_PROJECTION_PENALTY
@@ -406,7 +410,6 @@ class _Search:
         self.evals = 0
         self.best_x: np.ndarray | None = None
         self.best_j = math.inf
-        self.best_terms: tuple = (None, None)
         self.improvements: list[tuple[int, float]] = []
         self._steps = self._schedule(init.as_array(), budget)
         self.x = next(self._steps)
@@ -416,13 +419,12 @@ class _Search:
         yield from _nelder_mead(_initial_simplex(x0), max(1, budget // 2) - self.evals)
         yield from _nelder_mead(_initial_simplex(self.best_x), budget - self.evals)
 
-    def tell(self, j: float, terms: tuple) -> bool:
-        """Record the value ``j`` of ``x`` and its terms; False once the schedule has ended."""
+    def tell(self, j: float) -> bool:
+        """Record the value ``j`` of ``x``; False once the schedule has ended."""
         self.evals += 1
         if j < self.best_j:
             self.best_j = j
             self.best_x = np.array(self.x, dtype=float)
-            self.best_terms = terms
             self.improvements.append((self.evals, j))
         try:
             self.x = self._steps.send(j)
@@ -455,7 +457,7 @@ def _refine_all(jobs: list[_Job], inits: list[Box3D], cfg: PipelineConfig) -> li
                                cfg.lambda_2d > 0)
             fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in active])
             going = [s for s, fit, l2d in zip(active, fits, l2ds)
-                     if s.tell(_weighted(fit, l2d, cfg), (fit, l2d))]
+                     if s.tell(_weighted(fit, l2d, cfg))]
             if len(going) < len(active):
                 active, batch = going, None
     return searches
@@ -484,21 +486,13 @@ def refine_box(
 # ---------------------------------------------------------------------------
 
 
-def filter_pseudo_label(
-    predicted_class: str,
-    annotation_class: str,
-    confidence: float,
-    config: PipelineConfig,
-) -> str | None:
+def filter_pseudo_label(class_label: str, confidence: float, config: PipelineConfig) -> str | None:
     """Drop reason for a label, or None to keep it.
 
-    A class mismatch drops first ("class"); then a confidence below the
-    class's ``tau_conf`` gate, or ``tau_conf_default`` for unlisted
-    classes, drops it ("confidence").
+    A confidence below the class's ``tau_conf`` gate, or
+    ``tau_conf_default`` for unlisted classes, drops it ("confidence").
     """
-    if predicted_class != annotation_class:
-        return "class"
-    if confidence < config.tau_conf.get(predicted_class, config.tau_conf_default):
+    if confidence < config.tau_conf.get(class_label, config.tau_conf_default):
         return "confidence"
     return None
 
@@ -531,9 +525,9 @@ class StagedTrack:
 
     ``views`` is the track whose annotations the 2D loss scores (the anchor
     view alone for a moving track) and ``points`` are the fit points.
-    ``box`` is the coarse box until refinement replaces it, with
-    ``source``, ``trace`` and the objective's terms at the box, ``fit`` and
-    ``l2d``; a term the search skipped at weight 0 stays None.
+    ``box`` is the coarse box until refinement replaces it and sets
+    ``trace``.  ``fit`` and ``l2d`` are the objective's terms at the final
+    box.
     """
 
     box: Box3D
@@ -542,7 +536,6 @@ class StagedTrack:
     n_views: int
     hull_iou: float
     anchor: int
-    source: str = "coarse"
     trace: RefineTrace | None = None
     fit: float | None = None
     l2d: float | None = None
@@ -603,22 +596,29 @@ def _stage(track: ObjectTrack, cfg: PipelineConfig) -> PseudoLabel | StagedTrack
 def stage_tracks(
     tracks: list[ObjectTrack], config: PipelineConfig | None = None
 ) -> list[PseudoLabel | StagedTrack]:
-    """Run each track's stages up to refinement, then refine every survivor together.
+    """Run each track's stages up to refinement, then refine and score every survivor together.
 
     Entry i is track i's dropped label or its ``StagedTrack``.  With
     ``config.refine`` the survivors' searches run in lockstep, one batched
     objective evaluation per round, and each staged box is replaced by its
-    refined one.  ``annotate_track`` turns an entry into the label.
+    refined one.  One more batched evaluation then scores both terms at
+    every final box.  ``annotate_track`` turns an entry into the label.
     """
     cfg = config or PipelineConfig()
     staged = [_stage(track, cfg) for track in tracks]
+    live = [s for s in staged if isinstance(s, StagedTrack)]
+    if not live:
+        return staged
+    jobs = [_Job(s.views, s.points) for s in live]
     if cfg.refine:
-        live = [s for s in staged if isinstance(s, StagedTrack)]
-        jobs = [_Job(s.views, s.points) for s in live]
         for s, search in zip(live, _refine_all(jobs, [s.box for s in live], cfg)):
             s.box, s.trace = search.result(cfg.extent_floor)
-            s.fit, s.l2d = search.best_terms
-            s.source = "refined"
+    # Boxes near float range overflow to inf or NaN terms, which score as such.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits, l2ds = _Batch(jobs, cfg.z_near, True, True).terms(
+            [_params(s.box.as_array(), 0.0) for s in live])
+    for s, fit, l2d in zip(live, fits, l2ds):
+        s.fit, s.l2d = fit, l2d
     return staged
 
 
@@ -641,33 +641,22 @@ def annotate_track(
 
     ``staged`` is the track's entry of ``stage_tracks``, which refines many
     tracks together; without it the track is staged alone.  The label's
-    confidence comes from the objective's terms at the final box.
+    confidence is ``exp(-J)`` of the objective's terms at the final box.
     """
     cfg = config or PipelineConfig()
     if staged is None:
         staged = stage_tracks([track], cfg)[0]
     if isinstance(staged, PseudoLabel):
         return staged
-    box = staged.box
-    final_l2d = staged.l2d
-    if final_l2d is None:
-        final_l2d = l2d_multiview(box, staged.views, z_near=cfg.z_near)
-    final_fit = staged.fit
-    if final_fit is None:
-        final_fit = l_fit(box, staged.points)
-    j_final = cfg.mu_fit * final_fit + cfg.lambda_2d * final_l2d
-    confidence = math.exp(-j_final)
+    confidence = math.exp(-_weighted(staged.fit, staged.l2d, cfg))
     quality = QualityRecord(len(staged.points), staged.n_views, staged.hull_iou,
-                            final_l2d, final_fit)
-
-    # No classifier runs here, so the predicted class is the annotated one;
-    # the class check can only fire for callers that pass a real prediction.
-    reason = filter_pseudo_label(track.class_label, track.class_label, confidence, cfg)
+                            staged.l2d, staged.fit)
+    reason = filter_pseudo_label(track.class_label, confidence, cfg)
     return PseudoLabel(
         track_id=track.track_id,
         class_label=track.class_label,
-        box=box,
-        source=staged.source,
+        box=staged.box,
+        source="coarse" if staged.trace is None else "refined",
         quality=quality,
         kept=reason is None,
         drop_reason=reason,

@@ -22,7 +22,6 @@ from boxlift.evaluate import (
     SegmentationInstance,
     build_report,
     segmentation_curve,
-    segmentation_instances,
 )
 from boxlift.extraction import build_tracks, classify_motion, track_centroids
 from boxlift.geometry import (
@@ -325,15 +324,11 @@ def test_c07_filter_truth_table():
     classes = ["Car", "Pedestrian", "Bicycle", "Bus"]
     failures = 0
     for _ in range(1000):
-        predicted = classes[rng.integers(len(classes))]
-        annotated = predicted if rng.random() < 0.5 else classes[rng.integers(len(classes))]
+        cls = classes[rng.integers(len(classes))]
         confidence = float(rng.uniform(0, 1))
-        got = filter_pseudo_label(predicted, annotated, confidence, cfg)
-        if predicted != annotated:
-            expect_reason = "class"
-        else:
-            tau = {"Car": 0.5, "Pedestrian": 0.4}.get(predicted, 0.5)
-            expect_reason = None if confidence >= tau else "confidence"
+        got = filter_pseudo_label(cls, confidence, cfg)
+        tau = {"Car": 0.5, "Pedestrian": 0.4}.get(cls, 0.5)
+        expect_reason = None if confidence >= tau else "confidence"
         if got != expect_reason:
             failures += 1
     verdict(7, "pseudo-label filter truth table", failures == 0,
@@ -814,8 +809,8 @@ def prop_filter_monotone():
     for _ in range(N_CASES):
         cls = classes[rng.integers(len(classes))]
         c1, c2 = sorted(rng.uniform(0, 1, 2))
-        if filter_pseudo_label(cls, cls, c1, cfg) is None:
-            assert filter_pseudo_label(cls, cls, c2, cfg) is None
+        if filter_pseudo_label(cls, c1, cfg) is None:
+            assert filter_pseudo_label(cls, c2, cfg) is None
 
 
 def prop_refine_weight_scale_invariance():
@@ -847,8 +842,7 @@ def _report_pool():
             scene = generate_scene(passing_config(seed, n_cars=3, n_frames=6,
                                                   sigma=0.02, density=4.0))
             labels = [annotate_track(t, cfg) for t in build_tracks(scene)]
-            instances = segmentation_instances(scene, cfg)
-            pool.append((scene, labels, cfg, instances))
+            pool.append((scene, labels, cfg))
         _REPORT_POOL = pool
     return _REPORT_POOL
 
@@ -858,10 +852,10 @@ def prop_report_schema_and_idempotence():
     validator = jsonschema.Draft7Validator(SCHEMA)
     pool = _report_pool()
     for k in range(N_CASES):
-        scene, labels, cfg, instances = pool[k % len(pool)]
+        scene, labels, cfg = pool[k % len(pool)]
         subset = [lb for lb in labels if rng.random() < 0.7] or labels[:1]
-        r1 = build_report(scene, subset, cfg, instances=instances)
-        r2 = build_report(scene, subset, cfg, instances=instances)
+        r1 = build_report(scene, subset, cfg)
+        r2 = build_report(scene, subset, cfg)
         assert r1 == r2
         serialized = json.loads(json.dumps(r1))
         validator.validate(serialized)

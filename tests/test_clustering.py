@@ -202,6 +202,26 @@ class TestDbscan:
             ref = brute_force_dbscan(pts, eps, min_pts)
             assert np.array_equal(mine, ref)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_matches_brute_force_at_tiny_eps(self, eps):
+        # The cell quotients pass int64 range, and at 5e-324 overflow to
+        # inf: only exact duplicates are neighbours, and each distinct
+        # point keeps a cell of its own.  A cast of an out-of-range quotient
+        # would warn, and would put every point in one cell.
+        rng = np.random.default_rng(52)
+        cloud = rng.uniform(-3, 3, (60, 3))
+        far = rng.uniform(-1e6, 1e6, (30, 3))
+        lattice = rng.integers(-2, 3, (80, 3)) * 0.5
+        for pts, min_pts in ((np.concatenate([cloud, cloud[:40], cloud[:20]]), 2),
+                             (np.concatenate([far, far[:10]]), 2),
+                             (lattice, 3),
+                             (cloud, 1)):
+            pts = rng.permutation(pts)
+            labels = dbscan(pts, eps, min_pts)
+            assert labels.max() >= 0
+            assert np.array_equal(labels, brute_force_dbscan(pts, eps, min_pts))
+
     def test_matches_brute_force_on_crowded_cells(self):
         # About 1,500 points in a 1.2 m cube at eps 0.5: each cell holds
         # hundreds of points.  Neighbour counts run from about 60 in the

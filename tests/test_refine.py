@@ -491,25 +491,29 @@ def straddled_track():
     return box, cams, pts, ObjectTrack("t", "Car", obs)
 
 
+def mixed_tracks(cfg):
+    """One static 12-view track, a track with no points, which is dropped
+    before refinement, one moving track refined on its single anchor view,
+    and the straddled 3-view track, with its cameras.  Point counts differ.
+    The static track's centroid wanders by up to 10 m as the views change,
+    so ``cfg.tau_static`` must be loose."""
+    _, multi, _ = scene_track(sigma=0.02, n_frames=12)
+    scene = generate_scene(passing_config(68, n_cars=3, sigma=0.02, static=False, n_frames=10))
+    moving = next(t for t in build_tracks(scene)
+                  if len(refine._stage(t, cfg).views.frame_ids) == 1)
+    _, cams, _, straddled = straddled_track()
+    empty = ObjectTrack("e", "Car", {0: Observation(
+        Annotation2D("e", "Car", "cam0", Box2D(0, 0, 10, 10)), cams[0],
+        np.empty((0, 3)), np.empty(0, dtype=int))})
+    return [multi, empty, moving, straddled], cams
+
+
 class TestLockstep:
     """Tracks refined together equal each track refined alone, and the scipy oracle."""
 
     def test_mixed_batch_matches_oracle(self, monkeypatch):
-        # One static 12-view track, one moving track refined on its single
-        # anchor view, the straddled 3-view track and a track with no points,
-        # which is dropped before refinement.  Point counts differ.
-        # The static track's centroid wanders by up to 10 m as the views
-        # change, hence the loose motion threshold.
         cfg = PipelineConfig(refine_budget=150, tau_static=10.0)
-        _, multi, _ = scene_track(sigma=0.02, n_frames=12)
-        scene = generate_scene(passing_config(68, n_cars=3, sigma=0.02, static=False, n_frames=10))
-        moving = next(t for t in build_tracks(scene)
-                      if len(refine._stage(t, cfg).views.frame_ids) == 1)
-        _, cams, _, straddled = straddled_track()
-        empty = ObjectTrack("e", "Car", {0: Observation(
-            Annotation2D("e", "Car", "cam0", Box2D(0, 0, 10, 10)), cams[0],
-            np.empty((0, 3)), np.empty(0, dtype=int))})
-        tracks = [multi, empty, moving, straddled]
+        tracks, cams = mixed_tracks(cfg)
         clipped = []
         clip = refine.project_box3d
         monkeypatch.setattr(refine, "project_box3d",
@@ -531,6 +535,26 @@ class TestLockstep:
             assert trace.n_evals == expected.n_evals == 150
         labels = [annotate_track(t, cfg, s) for t, s in zip(tracks, staged)]
         assert labels == [annotate_track(t, cfg) for t in tracks]
+
+    @pytest.mark.parametrize("weights", [{}, {"refine": False}, {"lambda_2d": 0.0},
+                                         {"mu_fit": 0.0}],
+                             ids=["refined", "coarse", "no_2d", "no_fit"])
+    def test_staged_terms_score_the_final_box(self, weights):
+        # The scoring pass gives every survivor both terms at its final box,
+        # a term at weight 0 included, and the label records them.
+        cfg = PipelineConfig(refine_budget=40, tau_static=10.0, **weights)
+        tracks, _ = mixed_tracks(cfg)
+        staged = refine.stage_tracks(tracks, cfg)
+        assert staged[1].drop_reason == "empty"
+        for i in (0, 2, 3):
+            s = staged[i]
+            assert s.fit == l_fit(s.box, s.points)
+            assert s.l2d == l2d_multiview(s.box, s.views, cfg.z_near)
+            label = annotate_track(tracks[i], cfg, s)
+            assert (label.quality.fit, label.quality.l2d) == (s.fit, s.l2d)
+            assert label.confidence == math.exp(-(cfg.mu_fit * s.fit + cfg.lambda_2d * s.l2d))
+            assert label.source == ("refined" if cfg.refine else "coarse")
+            assert (s.trace is None) == (not cfg.refine)
 
     def test_search_that_ends_early_leaves_the_others_running(self, monkeypatch):
         # A stub objective per track.  The simplex collapses onto the kink's
@@ -591,17 +615,13 @@ class TestFilter:
 
     def test_published_examples(self):
         cfg = PipelineConfig()
-        assert filter_pseudo_label("Car", "Car", 0.6, cfg) is None
-        assert filter_pseudo_label("Car", "Pedestrian", 0.99, cfg) == "class"
-        assert filter_pseudo_label("Pedestrian", "Pedestrian", 0.39, cfg) == "confidence"
+        assert filter_pseudo_label("Car", 0.6, cfg) is None
+        assert filter_pseudo_label("Pedestrian", 0.39, cfg) == "confidence"
 
     def test_unknown_class_uses_default(self):
         cfg = PipelineConfig()
-        assert filter_pseudo_label("Bus", "Bus", 0.45, cfg) == "confidence"
-        assert filter_pseudo_label("Bus", "Bus", 0.55, cfg) is None
-
-    def test_class_check_precedes_confidence(self):
-        assert filter_pseudo_label("Car", "Pedestrian", 0.0, PipelineConfig()) == "class"
+        assert filter_pseudo_label("Bus", 0.45, cfg) == "confidence"
+        assert filter_pseudo_label("Bus", 0.55, cfg) is None
 
     def test_monotone_in_confidence(self):
         rng = np.random.default_rng(63)
@@ -609,8 +629,8 @@ class TestFilter:
         for _ in range(200):
             cls = rng.choice(["Car", "Pedestrian", "Bus"])
             c1, c2 = sorted(rng.uniform(0, 1, 2))
-            if filter_pseudo_label(cls, cls, c1, cfg) is None:
-                assert filter_pseudo_label(cls, cls, c2, cfg) is None
+            if filter_pseudo_label(cls, c1, cfg) is None:
+                assert filter_pseudo_label(cls, c2, cfg) is None
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import shutil
 import warnings
 from pathlib import Path
@@ -8,12 +10,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from boxlift import scene_io
 from boxlift.cli import cli_main
-from boxlift.config import TYPE_CHECKS
+from boxlift.config import TYPE_CHECKS, PipelineConfig
 from boxlift.errors import ParseError, SceneIoError
 from boxlift.geometry import Box2D, Box3D
 from boxlift.masks import Mask
@@ -577,7 +579,7 @@ class TestInputContract:
         assert "error: /frames/0/world_from_ego: quaternion norm" in err
         assert "Warning" not in err
 
-    @pytest.mark.parametrize("floor", [1e200, 1e308])
+    @pytest.mark.parametrize("floor", [1e200, 1e308, 1.79e308])
     def test_extent_floor_past_float_range_never_exits_two(self, tiny_scene, tmp_path, capsys,
                                                           floor):
         # Every box is wider than 1e154 m: its footprint area, its diagonal
@@ -640,6 +642,61 @@ class TestInputContract:
         code, err = annotate_edited(tiny_scene, tmp_path, set_key(ANN_0, "mask", mask), capsys)
         assert code == 1, err
         assert f"error: {ANN_0_PATH}/mask: 10x10 mask on the 800x450 image" in err
+
+
+# Numbers at the edges of float range, and the first integer a float cannot
+# step past by one.
+EXTREME_NUMBERS = [5e-324, 1e-300, 1e300, 1.79e308, 2**53]
+FLOAT_CONFIG_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)
+                     if f.type in ("Positive", "NonNeg", "Unit")]
+# Key paths of the tiny scene's manifest numbers: camera intrinsics and
+# mount, ego poses, 2D boxes and ground-truth boxes.
+MANIFEST_NUMBERS = [
+    *[("cameras", cam, key) for cam in ("cam_front", "cam_left") for key in ("fx", "cx", "cy")],
+    *[("cameras", cam, "ego_from_camera", "t", i) for cam in ("cam_front", "cam_left")
+      for i in range(3)],
+    *[("frames", f, "world_from_ego", key, i) for f in range(3)
+      for key, n in (("q", 4), ("t", 3)) for i in range(n)],
+    *[("frames", f, "annotations", 0, "box", i) for f in range(3) for i in range(4)],
+    *[("gt_tracks", track, "boxes", "0", i) for track in ("obj-000", "obj-001")
+      for i in range(7)],
+]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(
+    st.tuples(st.sampled_from(FLOAT_CONFIG_KEYS), st.sampled_from(EXTREME_NUMBERS)),
+    st.tuples(st.sampled_from(MANIFEST_NUMBERS),
+              st.sampled_from(EXTREME_NUMBERS + [-v for v in EXTREME_NUMBERS]))))
+@example(case=("extent_floor", 1.79e308))
+@example(case=("dbscan_eps", 1e-300))
+@example(case=("dbscan_eps", 5e-324))
+def test_extreme_number_never_exits_two_or_warns(tiny_scene, tmp_path, capsys, case):
+    # One config key or one manifest number at an edge of float range:
+    # annotate, then eval of its labels, exit 0 or 1 without a traceback,
+    # and nothing overflows into a numpy warning on stderr.
+    target, value = case
+    config = {"refine_budget": 100}
+    scene = tiny_scene
+    if isinstance(target, str):
+        config[target] = value
+    else:
+        *parents, key = target
+        scene = edited_scene(tiny_scene, tmp_path, set_key(
+            lambda m: functools.reduce(operator.getitem, parents, m), key, value))
+    (tmp_path / "pipeline.json").write_text(json.dumps(config))
+    common = ["--dataset", str(scene), "--config", str(tmp_path / "pipeline.json")]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        codes = [cli_main(["annotate", *common, "--out", str(tmp_path / "labels.jsonl")])]
+        if codes == [0]:
+            codes.append(cli_main(["eval", *common, "--labels", str(tmp_path / "labels.jsonl"),
+                                   "--report", str(tmp_path / "report.json")]))
+    err = capsys.readouterr().err
+    assert set(codes) <= {0, 1}, err
+    assert "Traceback" not in err and "Warning" not in err, err
 
 
 # Values a manifest field may be replaced with: wrong types, null, empty
