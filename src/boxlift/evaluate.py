@@ -104,8 +104,8 @@ def resolve_gt_boxes(scene: Scene, labels) -> dict[str, Box3D]:
     """Ground-truth box per kept label, taken at the label's anchor frame.
 
     Raises ConfigError naming any label track ids missing from the scene's
-    ground truth, or a kept label's track and anchor frame that has no
-    ground-truth box.
+    ground truth, a label whose class is not its ground-truth track's, or
+    a kept label's track and anchor frame that has no ground-truth box.
     """
     if scene.gt_tracks is None:
         raise ConfigError("scene has no ground-truth tracks")
@@ -114,15 +114,20 @@ def resolve_gt_boxes(scene: Scene, labels) -> dict[str, Box3D]:
         raise ConfigError(f"labels reference unknown track ids: {', '.join(missing)}")
     out = {}
     for lb in labels:
+        gt = scene.gt_tracks[lb.track_id]
+        if lb.class_label != gt.class_label:
+            raise ConfigError(
+                f"track {lb.track_id!r} is labelled {lb.class_label!r} but its ground truth "
+                f"is {gt.class_label!r}"
+            )
         if not lb.kept:
             continue
-        boxes = scene.gt_tracks[lb.track_id].boxes
-        if lb.anchor_frame_id not in boxes:
+        if lb.anchor_frame_id not in gt.boxes:
             raise ConfigError(
                 f"track {lb.track_id!r} has no ground-truth box at its anchor frame "
                 f"{lb.anchor_frame_id}"
             )
-        out[lb.track_id] = boxes[lb.anchor_frame_id]
+        out[lb.track_id] = gt.boxes[lb.anchor_frame_id]
     return out
 
 

@@ -9,18 +9,19 @@ the objective is piecewise smooth (min/max and clipping everywhere), so
 no gradients are assumed.  The term weights, evaluation budget, extent
 floor, near plane and confidence gates all come from ``PipelineConfig``.
 
-Tracks are refined in lockstep: each track's search is a generator of the
-points it wants scored, and every round scores the pending point of all
-of them in one batched evaluation (``_Batch``).  The one-track functions
-(``refine_box``, ``objective_value``, ``l_fit``, ``l2d_multiview``) are
-batches of one.
+``stage_tracks`` stacks the views and fit points of every track that
+reaches refinement once, in one ``_Batch``.  The tracks are refined in
+lockstep: each track's search is a generator of the points it wants
+scored, every round scores the pending point of all of them in one
+``_Batch.terms`` call, and one more call scores every final box.  The
+one-track functions (``refine_box``, ``objective_value``, ``l_fit``,
+``l2d_multiview``) stack one track.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, compress
 
 import numpy as np
@@ -36,43 +37,6 @@ from .scene import ObjectTrack, PseudoLabel, QualityRecord
 # 1 - GIoU is bounded by 2; an absent projection is charged the supremum so
 # the optimizer sees a finite, stable penalty for leaving every frustum.
 MISSING_PROJECTION_PENALTY = 2.0
-
-
-class _Views:
-    """A track's K annotated views, stacked for the batched 2D loss.
-
-    The camera poses and intrinsics are (K, ...) arrays for the one batched
-    corner projection; each view's image size and annotated box are a
-    tuple of Python floats, ``(width, height, x_min, y_min, x_max, y_max,
-    area)``, for ``_view_term``.  A job builds its stack once; a batch
-    concatenates the stacks of its jobs.
-    """
-
-    def __init__(self, track: ObjectTrack):
-        views = [track.observations[fid] for fid in track.frame_ids]
-        self.cameras = [ob.camera for ob in views]
-        self.boxes = [ob.annotation.box for ob in views]
-        poses = [cam.world_from_camera for cam in self.cameras]
-        self.rot = np.array([pose.rotation_matrix for pose in poses])             # (K, 3, 3)
-        self.t = np.array([pose.t for pose in poses])[:, None, :]                 # (K, 1, 3)
-        self.focal = np.array([[c.fx, c.fy] for c in self.cameras])[:, None, :]   # (K, 1, 2)
-        self.principal = np.array([[c.cx, c.cy] for c in self.cameras])[:, None, :]
-        self.targets = [
-            tuple(map(float, (c.width, c.height, b.x_min, b.y_min, b.x_max, b.y_max, b.area)))
-            for c, b in zip(self.cameras, self.boxes)
-        ]
-
-
-class _Job:
-    """What the objective scores for one track: its annotated views and its fit points."""
-
-    def __init__(self, track: ObjectTrack, points):
-        self.track = track
-        self.coords = _coordinates(points)
-
-    @cached_property
-    def views(self) -> _Views:
-        return _Views(self.track)
 
 
 def _front_terms(cam: np.ndarray, focal: np.ndarray, principal: np.ndarray,
@@ -119,68 +83,76 @@ def _bounds(counts: list[int]) -> list[tuple[int, int]]:
 
 
 class _Batch:
-    """The objective's two terms for T jobs, each at its own box, in one pass per call.
+    """The objective's two terms for T tracks, each at its own box, in one pass per call.
 
-    Built once per set of jobs: the fit points are concatenated into one
-    (3, N) array, each job's points a contiguous slice, and the views into
-    one (V, ...) stack, each job's views contiguous and in its view order.
-    ``terms`` takes one box per job as ``_params`` gives it and returns
-    each job's ``l_fit`` and ``l2d_multiview``, equal bit for bit to
-    scoring the job alone:
+    ``tracks`` gives each track's annotated views and ``points`` its fit
+    points.  The constructor stacks them once: the points into one (3, N)
+    array, each track's points a contiguous slice, and the views into one
+    (V, ...) stack of camera poses and intrinsics, each track's views
+    contiguous and in its view order.  Each view's image size and
+    annotated box are also kept as a tuple of Python floats, ``(width,
+    height, x_min, y_min, x_max, y_max, area)``, for ``_view_term``.
+    ``terms`` takes one box per track as ``_params`` gives it and returns
+    each track's ``l_fit`` and ``l2d_multiview``, equal bit for bit to
+    scoring the track alone:
 
     - One (T, 10) table holds each box's center, ``math.cos``/``math.sin``
       of its yaw and its half extents.  One ``np.repeat`` along the
-      contiguous axis expands it to the points (with one job it
-      broadcasts), so every point sees the operations of ``l_fit``'s
-      formula in its order, and the squared overshoots add as x + y, then
-      + z.  The extremes come from ``np.maximum``/``np.minimum.reduceat``;
-      the outside term is ``np.add.reduce`` over each job's own slice, so
-      its pairwise summation order is the single-job one.
+      contiguous axis expands it to the points, so every point sees the
+      operations of ``l_fit``'s formula in its order, and the squared
+      overshoots add as x + y, then + z.  The extremes come from
+      ``np.maximum``/``np.minimum.reduceat``; the outside term is
+      ``np.add.reduce`` over each track's own slice, so its pairwise
+      summation order is the single-track one.
     - One matmul builds every box's corners as ``box3d_corners`` does.
       They are repeated per view and moved into all V cameras with one
       more.  Views with every corner in front of ``z_near`` take their
       pixel bounds from one batched projection and are scored on Python
       floats by ``_view_term``; the few that cross or sit behind the near
       plane go through ``project_box3d``, which owns the near-plane
-      clipping.  Each job's terms are summed in view order as Python
+      clipping.  Each track's terms are summed in view order as Python
       floats.
 
-    A term that ``fit`` or ``l2d`` switches off is not computed and reads
-    None.
+    A term that ``fit`` or ``l2d`` switches off is neither stacked nor
+    computed, and reads None; its ``points`` or ``tracks`` entries are
+    not read.
     """
 
-    def __init__(self, jobs: list[_Job], z_near: float, fit: bool, l2d: bool):
+    def __init__(self, tracks, points, z_near: float, fit: bool = True, l2d: bool = True):
         self.z_near = z_near
-        self.single = len(jobs) == 1
         self.fit = fit
         self.l2d = l2d
         if fit:
-            counts = [job.coords.shape[1] for job in jobs]
+            coords = [_coordinates(p) for p in points]
+            counts = [c.shape[1] for c in coords]
             if not all(counts):
                 raise ValueError("l_fit needs at least one point")
-            self.coords = (jobs[0].coords if self.single
-                           else np.concatenate([job.coords for job in jobs], axis=1))
+            self.coords = np.concatenate(coords, axis=1)
             self.point_counts = np.array(counts)
             self.point_bounds = _bounds(counts)
             self.point_starts = np.array([a for a, _ in self.point_bounds])
         if l2d:
-            views = [job.views for job in jobs]
-            self.cameras = [cam for v in views for cam in v.cameras]
-            self.boxes = [box for v in views for box in v.boxes]
-            self.targets = [target for v in views for target in v.targets]
-            self.rot = np.concatenate([v.rot for v in views])
-            self.t = np.concatenate([v.t for v in views])
-            self.focal = np.concatenate([v.focal for v in views])
-            self.principal = np.concatenate([v.principal for v in views])
-            counts = [len(v.targets) for v in views]
+            views = [[t.observations[fid] for fid in t.frame_ids] for t in tracks]
+            counts = [len(v) for v in views]
+            self.cameras = [ob.camera for v in views for ob in v]
+            self.boxes = [ob.annotation.box for v in views for ob in v]
+            poses = [cam.world_from_camera for cam in self.cameras]
+            self.rot = np.array([pose.rotation_matrix for pose in poses])             # (V, 3, 3)
+            self.t = np.array([pose.t for pose in poses])[:, None, :]                 # (V, 1, 3)
+            self.focal = np.array([[c.fx, c.fy] for c in self.cameras])[:, None, :]   # (V, 1, 2)
+            self.principal = np.array([[c.cx, c.cy] for c in self.cameras])[:, None, :]
+            self.targets = [
+                tuple(map(float, (c.width, c.height, b.x_min, b.y_min, b.x_max, b.y_max, b.area)))
+                for c, b in zip(self.cameras, self.boxes)
+            ]
             self.view_counts = np.array(counts)
             self.view_bounds = _bounds(counts)
-            self.view_job = [i for i, k in enumerate(counts) for _ in range(k)]
-            self.rot_t = np.zeros((len(jobs), 3, 3))    # yaw_rotation(yaw).T of each box
+            self.view_track = [i for i, k in enumerate(counts) for _ in range(k)]
+            self.rot_t = np.zeros((len(tracks), 3, 3))  # yaw_rotation(yaw).T of each box
             self.rot_t[:, 2, 2] = 1.0
 
     def terms(self, params: list[tuple]) -> tuple[list, list]:
-        """Each job's ``(l_fit, l2d_multiview)`` at its box ``(cx, cy, cz, l, w, h, yaw)``."""
+        """Each track's ``(l_fit, l2d_multiview)`` at its box ``(cx, cy, cz, l, w, h, yaw)``."""
         # Columns 3-6 are yaw_rotation(yaw).T's upper 2 x 2 block, row by
         # row; read column-wise they are the fit's (c, -s) and (s, c) rows.
         rows = []
@@ -193,7 +165,7 @@ class _Batch:
         return fits, l2ds
 
     def _fit(self, table: np.ndarray, params: list[tuple]) -> list[float]:
-        cols = table.T if self.single else np.repeat(table.T, self.point_counts, axis=1)
+        cols = np.repeat(table.T, self.point_counts, axis=1)
         local = self.coords - cols[:3]
         local[:2] = cols[3:7:2] * local[0] + cols[4:7:2] * local[1]
         over = np.abs(local)
@@ -222,8 +194,7 @@ class _Batch:
     def _l2d(self, table: np.ndarray, params: list[tuple]) -> list[float]:
         self.rot_t[:, :2, :2] = table[:, 3:7].reshape(-1, 2, 2)
         corners = (CORNER_SIGNS * table[:, None, 7:]) @ self.rot_t + table[:, None, :3]
-        if not self.single:
-            corners = np.repeat(corners, self.view_counts, axis=0)
+        corners = np.repeat(corners, self.view_counts, axis=0)
         cam = (corners - self.t) @ self.rot                                      # (V, 8, 3)
         ahead = cam[:, :, 2] > self.z_near
         if ahead.all():
@@ -232,8 +203,8 @@ class _Batch:
             front = ahead.all(axis=1)
             batched = iter(_front_terms(cam[front], self.focal[front], self.principal[front],
                                         compress(self.targets, front)))
-            terms = [next(batched) if f else self._clipped_term(v, params[job])
-                     for v, (f, job) in enumerate(zip(front.tolist(), self.view_job))]
+            terms = [next(batched) if f else self._clipped_term(v, params[i])
+                     for v, (f, i) in enumerate(zip(front.tolist(), self.view_track))]
         return [sum(terms[a:b]) / (b - a) for a, b in self.view_bounds]
 
     def _clipped_term(self, v: int, params: tuple) -> float:
@@ -254,8 +225,8 @@ def _params(x, extent_floor: float) -> tuple:
             normalize_yaw(yaw))
 
 
-def _one_job_terms(box: Box3D, track, points, z_near: float, fit: bool, l2d: bool):
-    batch = _Batch([_Job(track, points)], z_near, fit, l2d)
+def _one_track_terms(box: Box3D, track, points, z_near: float, fit: bool, l2d: bool):
+    batch = _Batch([track], [points], z_near, fit, l2d)
     # Boxes near float range overflow to inf or NaN terms, which score as such.
     with np.errstate(over="ignore", invalid="ignore"):
         return batch.terms([_params(box.as_array(), 0.0)])
@@ -263,7 +234,7 @@ def _one_job_terms(box: Box3D, track, points, z_near: float, fit: bool, l2d: boo
 
 def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float = 1e-3) -> float:
     """Mean over the track's views of (1 - GIoU(projected box, annotated box))."""
-    return _one_job_terms(box, track, (), z_near, False, True)[1][0]
+    return _one_track_terms(box, track, (), z_near, False, True)[1][0]
 
 
 def _coordinates(points) -> np.ndarray:
@@ -279,7 +250,7 @@ def l_fit(box: Box3D, points) -> float:
     extent along each box axis, penalizing boxes larger than their
     evidence.
     """
-    return _one_job_terms(box, None, points, 0.0, True, False)[0][0]
+    return _one_track_terms(box, None, points, 0.0, True, False)[0][0]
 
 
 def _weighted(fit, l2d, cfg: PipelineConfig) -> float:
@@ -303,8 +274,8 @@ def objective_value(
     A term is skipped at weight 0, so a pure 2D objective needs no points.
     """
     cfg = config or PipelineConfig()
-    (fit,), (l2d,) = _one_job_terms(box, track, points, cfg.z_near,
-                                    cfg.mu_fit > 0, cfg.lambda_2d > 0)
+    (fit,), (l2d,) = _one_track_terms(box, track, points, cfg.z_near,
+                                      cfg.mu_fit > 0, cfg.lambda_2d > 0)
     return _weighted(fit, l2d, cfg)
 
 
@@ -397,7 +368,7 @@ def _nelder_mead(simplex: np.ndarray, budget: int):
 
 
 class _Search:
-    """One job's refinement schedule, a point at a time, and its best point so far.
+    """One track's refinement schedule, a point at a time, and its best point so far.
 
     The schedule scores ``init``, runs Nelder-Mead from the documented
     initial simplex around it with the budget's first half, then restarts
@@ -405,8 +376,7 @@ class _Search:
     for its value; ``tell`` records that value and moves ``x`` on.
     """
 
-    def __init__(self, job: _Job, init: Box3D, budget: int):
-        self.job = job
+    def __init__(self, init: Box3D, budget: int):
         self.evals = 0
         self.best_x: np.ndarray | None = None
         self.best_j = math.inf
@@ -437,29 +407,25 @@ class _Search:
         return Box3D(*_params(self.best_x, extent_floor)), trace
 
 
-def _refine_all(jobs: list[_Job], inits: list[Box3D], cfg: PipelineConfig) -> list[_Search]:
-    """Run every job's search in lockstep: one batched evaluation per round.
+def _refine_all(batch: _Batch, inits: list[Box3D], cfg: PipelineConfig) -> list[_Search]:
+    """Run one search per track of ``batch`` in lockstep, from its box in ``inits``.
 
-    Each round scores the pending point of every active search in one
-    ``_Batch.terms`` call.  A search whose schedule ends leaves the active
-    set, and the batch is rebuilt for the rest.  A job's values do not
-    depend on the other jobs, so each search evaluates the same points, in
-    the same order, as it would alone.
+    Each round scores the pending point of every search in one
+    ``batch.terms`` call, until every schedule has ended.  A search that
+    has ended is scored again at its last point, and that value is not
+    passed on, so the batch never changes.  A track's values do not
+    depend on the other tracks, so each search evaluates the same points,
+    in the same order, as it would alone.
     """
-    searches = [_Search(job, init, cfg.refine_budget) for job, init in zip(jobs, inits)]
-    active, batch = searches, None
+    searches = [_Search(init, cfg.refine_budget) for init in inits]
+    going = [True] * len(searches)
     # Boxes and simplices near float range overflow to inf or NaN values,
     # which compare as such; the search needs no warning for them.
     with np.errstate(over="ignore", invalid="ignore"):
-        while active:
-            if batch is None:
-                batch = _Batch([s.job for s in active], cfg.z_near, cfg.mu_fit > 0,
-                               cfg.lambda_2d > 0)
-            fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in active])
-            going = [s for s, fit, l2d in zip(active, fits, l2ds)
-                     if s.tell(_weighted(fit, l2d, cfg))]
-            if len(going) < len(active):
-                active, batch = going, None
+        while any(going):
+            fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in searches])
+            going = [g and s.tell(_weighted(fit, l2d, cfg))
+                     for g, s, fit, l2d in zip(going, searches, fits, l2ds)]
     return searches
 
 
@@ -478,7 +444,8 @@ def refine_box(
     ``init``.  Deterministic.
     """
     cfg = config or PipelineConfig()
-    return _refine_all([_Job(track, points)], [init], cfg)[0].result(cfg.extent_floor)
+    batch = _Batch([track], [points], cfg.z_near, cfg.mu_fit > 0, cfg.lambda_2d > 0)
+    return _refine_all(batch, [init], cfg)[0].result(cfg.extent_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -598,25 +565,27 @@ def stage_tracks(
 ) -> list[PseudoLabel | StagedTrack]:
     """Run each track's stages up to refinement, then refine and score every survivor together.
 
-    Entry i is track i's dropped label or its ``StagedTrack``.  With
-    ``config.refine`` the survivors' searches run in lockstep, one batched
-    objective evaluation per round, and each staged box is replaced by its
-    refined one.  One more batched evaluation then scores both terms at
-    every final box.  ``annotate_track`` turns an entry into the label.
+    Entry i is track i's dropped label or its ``StagedTrack``.  The
+    survivors' views and fit points are stacked once, in one ``_Batch``
+    that scores both terms; the search skips a term at weight 0.  With
+    ``config.refine`` their searches run in lockstep on it, one
+    batched objective evaluation per round, and each staged box is
+    replaced by its refined one.  One more evaluation of the same batch
+    then scores both terms at every final box.  ``annotate_track`` turns
+    an entry into the label.
     """
     cfg = config or PipelineConfig()
     staged = [_stage(track, cfg) for track in tracks]
     live = [s for s in staged if isinstance(s, StagedTrack)]
     if not live:
         return staged
-    jobs = [_Job(s.views, s.points) for s in live]
+    batch = _Batch([s.views for s in live], [s.points for s in live], cfg.z_near)
     if cfg.refine:
-        for s, search in zip(live, _refine_all(jobs, [s.box for s in live], cfg)):
+        for s, search in zip(live, _refine_all(batch, [s.box for s in live], cfg)):
             s.box, s.trace = search.result(cfg.extent_floor)
     # Boxes near float range overflow to inf or NaN terms, which score as such.
     with np.errstate(over="ignore", invalid="ignore"):
-        fits, l2ds = _Batch(jobs, cfg.z_near, True, True).terms(
-            [_params(s.box.as_array(), 0.0) for s in live])
+        fits, l2ds = batch.terms([_params(s.box.as_array(), 0.0) for s in live])
     for s, fit, l2d in zip(live, fits, l2ds):
         s.fit, s.l2d = fit, l2d
     return staged

@@ -167,5 +167,7 @@ class PseudoLabel:
     def __post_init__(self):
         if not self.kept and self.drop_reason is None:
             raise ValueError("dropped label must carry a drop_reason")
+        if self.kept and self.drop_reason is not None:
+            raise ValueError("kept label must not carry a drop_reason")
         if self.kept and self.anchor_frame_id is None:
             raise ValueError("kept label must carry an anchor_frame_id")

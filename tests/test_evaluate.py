@@ -231,6 +231,17 @@ class TestReport:
         with pytest.raises(ConfigError, match=f"track {tid!r} .* anchor frame 7"):
             resolve_gt_boxes(scene, [label_for(tid, box, anchor=7)])
 
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "dropped"])
+    def test_resolve_rejects_a_class_other_than_the_ground_truth(self, kept):
+        scene = generate_scene(passing_config(85, n_cars=1, n_frames=3))
+        tid = next(iter(scene.gt_tracks))
+        assert scene.gt_tracks[tid].class_label == "Car"
+        label = label_for(tid, Box3D(0, 0, 0, 4, 2, 1.5, 0), class_label="Pedestrian",
+                          kept=kept)
+        with pytest.raises(ConfigError, match=f"track {tid!r} is labelled 'Pedestrian' but "
+                                              f"its ground truth is 'Car'"):
+            resolve_gt_boxes(scene, [label])
+
     def test_resolve_names_missing_ids(self):
         scene = generate_scene(passing_config(86, n_cars=1, n_frames=3))
         label = label_for("phantom-7", Box3D(0, 0, 0, 1, 1, 1, 0))

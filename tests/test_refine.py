@@ -518,8 +518,14 @@ class TestLockstep:
         clip = refine.project_box3d
         monkeypatch.setattr(refine, "project_box3d",
                             lambda cam, b, **kw: clipped.append(cam) or clip(cam, b, **kw))
+        built = []
+        batch = refine._Batch
+        monkeypatch.setattr(refine, "_Batch",
+                            lambda *args, **kw: built.append(args) or batch(*args, **kw))
         staged = refine.stage_tracks(tracks, cfg)
+        assert [len(views) for views, *_ in built] == [3]      # one batch of the 3 survivors
         coarse = refine.stage_tracks(tracks, dataclasses.replace(cfg, refine=False))
+        assert [len(views) for views, *_ in built] == [3, 3]
         assert staged[1].drop_reason == "empty"
         live = (0, 2, 3)
         assert [len(staged[i].views.frame_ids) for i in live] == [12, 1, 3]
@@ -556,37 +562,27 @@ class TestLockstep:
             assert label.source == ("refined" if cfg.refine else "coarse")
             assert (s.trace is None) == (not cfg.refine)
 
-    def test_search_that_ends_early_leaves_the_others_running(self, monkeypatch):
+    def test_search_that_ends_early_leaves_the_others_running(self):
         # A stub objective per track.  The simplex collapses onto the kink's
         # non-smooth minimum before the budget is spent, and the other two
-        # searches go on in a batch rebuilt without it.  "flat" is constant
-        # near the start, so every step shrinks the simplex, yet rounding
-        # keeps it from collapsing.
+        # searches go on; the kink is scored again at its last point, but
+        # not told.  "flat" is constant near the start, so every step
+        # shrinks the simplex, yet rounding keeps it from collapsing.
         objectives = {
             "flat": lambda b: float(math.floor(max(abs(b.cx), abs(b.cy), abs(b.cz)) / 50)),
             "bowl": lambda b: (b.cx - 1) ** 2 + (b.cy + 2) ** 2 + (b.l - 3) ** 2 + b.yaw ** 2,
             "kink": lambda b: abs(b.cx - 0.3) + abs(b.w - 1.1) + math.sin(3 * b.cz),
         }
-        built = []
+        names = ["bowl", "flat", "kink"]
 
         class StubBatch:
-            def __init__(self, jobs, z_near, fit, l2d):
-                self.objectives = [objectives[job.track.track_id] for job in jobs]
-                built.append([job.track.track_id for job in jobs])
-
             def terms(self, params):
-                return ([f(Box3D(*p)) for f, p in zip(self.objectives, params)],
+                return ([objectives[name](Box3D(*p)) for name, p in zip(names, params)],
                         [None] * len(params))
 
-        monkeypatch.setattr(refine, "_Batch", StubBatch)
         cfg = PipelineConfig(refine_budget=2000, mu_fit=1.0, lambda_2d=0.0)
-        names = ["bowl", "flat", "kink"]
-        observations = straddled_track()[3].observations
-        tracks = [ObjectTrack(name, "Car", observations) for name in names]
         init = Box3D(0.2, -0.1, 0.4, 4.0, 1.8, 1.5, 0.1)
-        jobs = [refine._Job(track, np.zeros((1, 3))) for track in tracks]
-        searches = refine._refine_all(jobs, [init] * 3, cfg)
-        assert built == [names, ["bowl", "flat"]]
+        searches = refine._refine_all(StubBatch(), [init] * 3, cfg)
         for name, search in zip(names, searches):
             box, trace = search.result(cfg.extent_floor)
             expected_box, expected, _ = refine_box_oracle(init, None, None, cfg, objectives[name])
@@ -603,8 +599,7 @@ class TestLockstep:
         with pytest.raises(ValueError):
             refine_box(init, track, none, PipelineConfig(mu_fit=1.0, refine_budget=20))
         with pytest.raises(ValueError):
-            refine._refine_all([refine._Job(track, pts), refine._Job(track, none)],
-                               [init, init], PipelineConfig(mu_fit=1.0, refine_budget=20))
+            refine._Batch([track, track], [pts, none], 1e-3)
         _, trace = refine_box(init, track, none,
                               PipelineConfig(mu_fit=0.0, refine_budget=20))
         assert trace.n_evals == 20

@@ -384,6 +384,7 @@ MALFORMED_LABELS = [
     ("/anchor_frame_id", 2.5, "/anchor_frame_id"),
     ("/track_id", 7, "/track_id"),
     ("/drop_reason", 5, "/drop_reason"),
+    ("/drop_reason", "confidence", "kept label must not carry a drop_reason"),
     ("/anchor_frame_id", MISSING, "kept label must carry an anchor_frame_id"),
     ("/class", 5, "/class"),
     ("/quality/fit", MISSING, "/quality: missing key 'fit'"),
@@ -813,6 +814,20 @@ def test_kept_label_without_gt_box_at_its_anchor_exits_one(tiny_scene, tiny_labe
     assert code == 1, err
     assert (f"track {label.track_id!r} has no ground-truth box at its anchor frame "
             f"{label.anchor_frame_id}") in err
+
+
+def test_label_of_another_class_than_its_ground_truth_exits_one(tiny_scene, tiny_labels,
+                                                                tmp_path, capsys):
+    first, second = tiny_labels.read_text().splitlines()
+    record = json.loads(second)
+    assert record["kept"] and record["class"] == "Car"
+    record["class"] = "Pedestrian"
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(f"{first}\n{json.dumps(record)}\n")
+    code, err = run_eval(tiny_scene, labels, tmp_path, capsys)
+    assert code == 1, err
+    assert (f"track {record['track_id']!r} is labelled 'Pedestrian' but its ground truth "
+            f"is 'Car'") in err
 
 
 def test_second_label_for_a_track_exits_one(tiny_scene, tiny_labels, tmp_path, capsys):
