@@ -51,7 +51,7 @@ def _one_of(*names):
 # Field annotations that carry a range or a set of names; each is checked by
 # its row of TYPE_CHECKS.  Ranges are [lo, hi] pairs with lo <= hi.
 Positive = NonNeg = Unit = float
-Count = PosInt = int
+Count = PosInt = Budget = int
 Range = NonNegRange = PosRange = Vec3 = Ints = tuple
 Gates = dict                        # class name -> number in [0, 1]
 Source = World = Centroid = HullMetric = str
@@ -69,6 +69,7 @@ TYPE_CHECKS = {
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "Count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "PosInt": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "Budget": (lambda v: _is_int(v) and 1 <= v <= 100_000, "an integer in [1, 100000]"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "bool | None": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
@@ -177,7 +178,7 @@ class PipelineConfig(JsonConfig):
     extent_floor: Positive = 0.05    # meters; minimum box extent
     lambda_2d: NonNeg = 0.5          # weight of the multi-view 2D loss
     mu_fit: NonNeg = 1.0             # weight of the point-fit loss
-    refine_budget: PosInt = 2000     # objective evaluations per track
+    refine_budget: Budget = 2000     # objective evaluations per track
     refine: bool = True
     tau_conf: Gates = field(default_factory=lambda: dict(DEFAULT_TAU_CONF))
     tau_conf_default: Unit = 0.5

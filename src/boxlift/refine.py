@@ -469,50 +469,41 @@ def filter_pseudo_label(class_label: str, confidence: float, config: PipelineCon
 # ---------------------------------------------------------------------------
 
 
-# Emitted when a track yields no usable geometry at all; kept is always False.
+# The box of a track dropped before it has a coarse box; kept is always False.
 _SENTINEL_BOX = Box3D(0.0, 0.0, 0.0, 0.05, 0.05, 0.05, 0.0)
-
-
-def _dropped(track, reason, box=None, quality=None, anchor=None):
-    return PseudoLabel(
-        track_id=track.track_id,
-        class_label=track.class_label,
-        box=box or _SENTINEL_BOX,
-        source="coarse",
-        quality=quality or QualityRecord(0, track.n_views_with_points, None, None, None),
-        kept=False,
-        drop_reason=reason,
-        anchor_frame_id=anchor,
-    )
 
 
 @dataclass
 class StagedTrack:
-    """A track that passed every stage before refinement, and its box once refined.
+    """One track's staging record, from which ``annotate_track`` builds its label.
 
-    ``views`` is the track whose annotations the 2D loss scores (the anchor
-    view alone for a moving track) and ``points`` are the fit points.
-    ``box`` is the coarse box until refinement replaces it and sets
-    ``trace``.  ``fit`` and ``l2d`` are the objective's terms at the final
-    box.
+    A track dropped before refinement carries its stage's ``drop_reason``
+    and the counts that stage reached, and, past the coarse fit, its
+    ``box``, ``hull_iou`` and ``anchor``.  A survivor's ``views`` is the
+    track whose annotations the 2D loss scores (the anchor view alone for
+    a moving track) and ``points`` are the fit points.  ``box`` is the
+    coarse box until refinement replaces it and sets ``trace``.  ``fit``
+    and ``l2d`` are the objective's terms at the final box.
     """
 
-    box: Box3D
-    views: ObjectTrack
-    points: np.ndarray
+    drop_reason: str | None
+    n_points: int
     n_views: int
-    hull_iou: float
-    anchor: int
+    box: Box3D = _SENTINEL_BOX
+    hull_iou: float | None = None
+    anchor: int | None = None
+    views: ObjectTrack | None = None
+    points: np.ndarray | None = None
     trace: RefineTrace | None = None
     fit: float | None = None
     l2d: float | None = None
 
 
-def _stage(track: ObjectTrack, cfg: PipelineConfig) -> PseudoLabel | StagedTrack:
-    """The per-track stages up to refinement: the track's dropped label, or its coarse box."""
+def _stage(track: ObjectTrack, cfg: PipelineConfig) -> StagedTrack:
+    """The per-track stages up to refinement, as the track's ``StagedTrack``."""
     centroids = track_centroids(track, cfg.centroid)
     if len(centroids) == 0:
-        return _dropped(track, "empty")
+        return StagedTrack("empty", 0, track.n_views_with_points)
     verdict = classify_motion(centroids, cfg.tau_static)
 
     if verdict.is_static:
@@ -521,15 +512,14 @@ def _stage(track: ObjectTrack, cfg: PipelineConfig) -> PseudoLabel | StagedTrack
         try:
             cluster = select_dominant_cluster(inst, labels)
         except BoxliftError:
-            return _dropped(track, "clustering")
+            return StagedTrack("clustering", 0, track.n_views_with_points)
         fit_points = inst.points_agg[cluster]
         n_views = inst.n_views
         anchor = track.frame_ids[0]
         loss_track = track
         gate = quality_gate(cluster, inst, cfg.min_cluster_points, cfg.min_views)
         if not gate.passed:
-            return _dropped(track, gate.reason,
-                            quality=QualityRecord(cluster.size, n_views, None, None, None))
+            return StagedTrack(gate.reason, cluster.size, n_views)
     else:
         anchor = max(
             track.frame_ids, key=lambda fid: (len(track.observations[fid].points), -fid)
@@ -545,38 +535,30 @@ def _stage(track: ObjectTrack, cfg: PipelineConfig) -> PseudoLabel | StagedTrack
         box, _ = fit_coarse_box(fit_points, cfg.extent_floor)
         geometry = verify_geometry(box, fit_points[:, :2], cfg.tau_iou, cfg.hull_metric)
     except BoxliftError:
-        return _dropped(track, "degenerate",
-                        quality=QualityRecord(n_points, n_views, None, None, None))
+        return StagedTrack("degenerate", n_points, n_views)
     hull_iou = geometry.hull_iou
     # A moving fit is single-view: its hull IoU is recorded, not gated on.
     if verdict.is_static and not geometry.verified:
-        return _dropped(
-            track,
-            "verification",
-            box=box,
-            quality=QualityRecord(n_points, n_views, hull_iou, None, None),
-            anchor=anchor,
-        )
-    return StagedTrack(box, loss_track, fit_points, n_views, hull_iou, anchor)
+        return StagedTrack("verification", n_points, n_views, box, hull_iou, anchor)
+    return StagedTrack(None, n_points, n_views, box, hull_iou, anchor, loss_track, fit_points)
 
 
 def stage_tracks(
     tracks: list[ObjectTrack], config: PipelineConfig | None = None
-) -> list[PseudoLabel | StagedTrack]:
+) -> list[StagedTrack]:
     """Run each track's stages up to refinement, then refine and score every survivor together.
 
-    Entry i is track i's dropped label or its ``StagedTrack``.  The
-    survivors' views and fit points are stacked once, in one ``_Batch``
-    that scores both terms; the search skips a term at weight 0.  With
-    ``config.refine`` their searches run in lockstep on it, one
-    batched objective evaluation per round, and each staged box is
-    replaced by its refined one.  One more evaluation of the same batch
-    then scores both terms at every final box.  ``annotate_track`` turns
-    an entry into the label.
+    Entry i is track i's ``StagedTrack``; the survivors are the entries
+    with no ``drop_reason``.  Their views and fit points are stacked once,
+    in one ``_Batch`` that scores both terms; the search skips a term at
+    weight 0.  With ``config.refine`` their searches run in lockstep on
+    it, one batched objective evaluation per round, and each staged box
+    is replaced by its refined one.  One more evaluation of the same
+    batch then scores both terms at every final box.
     """
     cfg = config or PipelineConfig()
     staged = [_stage(track, cfg) for track in tracks]
-    live = [s for s in staged if isinstance(s, StagedTrack)]
+    live = [s for s in staged if s.drop_reason is None]
     if not live:
         return staged
     batch = _Batch([s.views for s in live], [s.points for s in live], cfg.z_near)
@@ -594,7 +576,7 @@ def stage_tracks(
 def annotate_track(
     track: ObjectTrack,
     config: PipelineConfig | None = None,
-    staged: PseudoLabel | StagedTrack | None = None,
+    staged: StagedTrack | None = None,
 ) -> PseudoLabel:
     """Run the full per-track pipeline and emit one pseudo-label.
 
@@ -605,28 +587,29 @@ def annotate_track(
     only; the object moves between frames, so one world-frame box cannot
     satisfy other timestamps' annotations and including them would drag
     the box off the anchor frame.  Both paths share one fit-and-verify
-    step.  Every failure path emits a kept=False label whose drop_reason
-    names the stage.
+    step.
 
     ``staged`` is the track's entry of ``stage_tracks``, which refines many
-    tracks together; without it the track is staged alone.  The label's
-    confidence is ``exp(-J)`` of the objective's terms at the final box.
+    tracks together; without it the track is staged alone.  Every label is
+    built here from that record.  A track dropped before refinement keeps
+    its stage's ``drop_reason`` and has no confidence; otherwise the
+    confidence is ``exp(-J)`` of the objective's terms at the final box,
+    and ``filter_pseudo_label`` keeps or drops the label on it.
     """
     cfg = config or PipelineConfig()
     if staged is None:
         staged = stage_tracks([track], cfg)[0]
-    if isinstance(staged, PseudoLabel):
-        return staged
-    confidence = math.exp(-_weighted(staged.fit, staged.l2d, cfg))
-    quality = QualityRecord(len(staged.points), staged.n_views, staged.hull_iou,
-                            staged.l2d, staged.fit)
-    reason = filter_pseudo_label(track.class_label, confidence, cfg)
+    reason, confidence = staged.drop_reason, None
+    if reason is None:
+        confidence = math.exp(-_weighted(staged.fit, staged.l2d, cfg))
+        reason = filter_pseudo_label(track.class_label, confidence, cfg)
     return PseudoLabel(
         track_id=track.track_id,
         class_label=track.class_label,
         box=staged.box,
         source="coarse" if staged.trace is None else "refined",
-        quality=quality,
+        quality=QualityRecord(staged.n_points, staged.n_views, staged.hull_iou,
+                              staged.l2d, staged.fit),
         kept=reason is None,
         drop_reason=reason,
         confidence=confidence,

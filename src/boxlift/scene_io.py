@@ -26,7 +26,7 @@ import os
 import struct
 import typing
 from dataclasses import MISSING
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -278,6 +278,11 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
             raise ParseError("frame ids and timestamps must be strictly increasing", path)
         last = (frame_id, timestamp)
         rel = _str(fr, "pointcloud", path)
+        # save_scene writes the cloud back to this path, so it must stay inside the directory.
+        cloud = PurePosixPath(rel)
+        if cloud.is_absolute() or ".." in cloud.parts:
+            raise ParseError("must be a relative path inside the scene directory",
+                             f"{path}/pointcloud")
         annotations = [
             _record(Annotation2D, a, f"{path}/annotations/{k}", box=_box2d,
                     mask=lambda m, p: None if m is None else _record(Mask, m, p))

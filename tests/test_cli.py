@@ -1,6 +1,8 @@
 import ctypes
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +243,51 @@ def test_unusable_path_exits_one_naming_it(tmp_path, capsys, tiny, command, make
     assert err.startswith("error: ") and str(bad) in err, err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def copied_scene(tiny, tmp_path):
+    """A copy of the tiny scene and its manifest's path."""
+    scene = tmp_path / "scene"
+    shutil.copytree(tiny[0], scene)
+    return scene, scene / "scene.json"
+
+
+class TestInputFiles:
+    """Malformed inputs that exit 1 with the documented message."""
+
+    def test_mvpc_of_another_version_exits_one_naming_file(self, tmp_path, capsys, tiny):
+        scene, manifest = copied_scene(tiny, tmp_path)
+        cloud = scene / json.loads(manifest.read_text())["frames"][0]["pointcloud"]
+        data = bytearray(cloud.read_bytes())
+        data[4:6] = struct.pack("<H", 2)
+        cloud.write_bytes(data)
+        capsys.readouterr()
+        assert run("annotate", "--dataset", scene, "--out", tmp_path / "l.jsonl",
+                   "--no-refine") == 1
+        assert capsys.readouterr().err == f"error: {cloud}: unsupported MVPC version 2\n"
+
+    def test_manifest_that_is_not_an_object_exits_one(self, tmp_path, capsys, tiny):
+        scene, manifest = copied_scene(tiny, tmp_path)
+        manifest.write_text("[1]")
+        capsys.readouterr()
+        assert run("stats", "--dataset", scene) == 1
+        assert capsys.readouterr().err == "error: /: manifest must be a JSON object\n"
+
+    def test_missing_label_file_exits_one_naming_it(self, tmp_path, capsys, tiny):
+        missing = tmp_path / "missing.jsonl"
+        capsys.readouterr()
+        assert run("eval", "--dataset", tiny[0], "--labels", missing,
+                   "--report", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == f"error: missing label file: {missing}\n"
+
+    def test_blank_label_lines_are_skipped(self, tmp_path, tiny):
+        lines = tiny[1].read_text().splitlines(keepends=True)
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n" + "   \n".join(lines) + " \t \n\n")
+        for labels, report in ((tiny[1], "clean.json"), (padded, "padded.json")):
+            assert run("eval", "--dataset", tiny[0], "--labels", labels,
+                       "--report", tmp_path / report) == 0
+        assert (tmp_path / "clean.json").read_bytes() == (tmp_path / "padded.json").read_bytes()
 
 
 # The two mallopt calls each command makes: M_TRIM_THRESHOLD to 256 MiB,

@@ -34,6 +34,7 @@ BAD_VALUES = [
     ("hull_metric", 3),
     ("z_near", 0.0),
     pytest.param("tau_static", 10**400, id="tau_static-10**400"),
+    ("refine_budget", 10**11),
 ]
 
 # One value per kind of check, run through the CLI: it must exit 1, not crash.
@@ -48,6 +49,7 @@ CLI_BAD_VALUES = [
     ("refine_budget", -5),
     ("refine_budget", 0),
     pytest.param("tau_static", 10**400, id="tau_static-10**400"),
+    ("refine_budget", 10**11),
 ]
 
 

@@ -749,10 +749,11 @@ class TestAnnotateTrack:
         track = ObjectTrack("t", "Car", {fid: Observation(ann, cam, pts, np.arange(len(pts)))
                                          for fid in (0, 1)})
         cfg = PipelineConfig(dbscan_eps=2.0, dbscan_min_pts=1)
+        label = annotate_track(track, cfg)
+        assert (label.kept, label.drop_reason) == (False, "degenerate")
+        assert label.quality.n_points == len(bev) * 4
         staged = refine._stage(track, cfg)
-        assert (staged.kept, staged.drop_reason) == (False, "degenerate")
-        assert staged.quality.n_points == len(bev) * 4
-        assert annotate_track(track, cfg).drop_reason == "degenerate"
+        assert (staged.drop_reason, staged.n_points) == ("degenerate", len(bev) * 4)
 
     def test_verification_failure_drops_with_coarse_box(self):
         # strict tau forces the verification gate to fire

@@ -231,6 +231,11 @@ MALFORMED_MANIFESTS = [
     (set_key(lambda m: m["cameras"]["cam"], "fx", 0), "/cameras/cam/fx"),
     (annotate_twice, "/frames/0/annotations/1/track_id"),
     (add_gt_track({**GOOD_GT_TRACK, "boxes": {"5": BOX}}), "/gt_tracks/t/boxes/5"),
+    # save_scene writes each cloud back to its path, so a path leaving the
+    # scene directory would let a re-save overwrite a file elsewhere.
+    (set_key(lambda m: m["frames"][0], "pointcloud", "/outside/f1.mvpc"), "/frames/0/pointcloud"),
+    (set_key(lambda m: m["frames"][0], "pointcloud", "../outside/f1.mvpc"),
+     "/frames/0/pointcloud"),
 ]
 
 
