@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import os
+import pickle
+import signal
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import TYPE_CHECKS, PipelineConfig
 from .errors import BoxliftError
@@ -58,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ann.add_argument("--out", required=True, help="output labels JSONL")
     ann.add_argument("--config", default=None, help="pipeline config JSON")
     ann.add_argument("--no-refine", action="store_true", help="emit coarse boxes only")
-    ann.add_argument("--threads", type=_int_option("PosInt"), default=1, help="worker processes")
+    ann.add_argument("--threads", type=_int_option("PosInt"), default=1, metavar="N",
+                     help="label in N processes, at most one per track: this one and N-1 "
+                          "forked children (one process where there is no fork)")
     ann.set_defaults(func=_cmd_annotate)
 
     ev = sub.add_parser("eval", help="evaluate labels against scene ground truth")
@@ -97,23 +101,89 @@ def _annotate(tracks, cfg: PipelineConfig) -> list:
             for track, staged in zip(tracks, stage_tracks(tracks, cfg))]
 
 
+def _label_share(share, cfg: PipelineConfig, write_fd: int) -> None:
+    """In a forked child: label ``share`` and pickle the labels, or the
+    exception that stopped them, down ``write_fd``.
+
+    The child's traceback goes along as a note on the exception; an
+    exception that would not survive unpickling goes as a RuntimeError
+    holding that traceback.
+    """
+    try:
+        result = _annotate(share, cfg)
+    except BaseException as exc:        # the parent re-raises it
+        note = f"in --threads child {os.getpid()}:\n{traceback.format_exc()}"
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        try:
+            result = pickle.loads(pickle.dumps(exc))
+        except Exception:
+            result = RuntimeError(note)
+    with os.fdopen(write_fd, "wb") as pipe:
+        pickle.dump(result, pipe)
+
+
+def _annotate_forked(tracks, cfg: PipelineConfig, workers: int) -> list:
+    """Label ``tracks`` in this process and ``workers - 1`` forked children.
+
+    Share i is tracks i, i + workers, ...; each share refines together.
+    Shares 1.. go to children, which inherit the tracks and send their
+    labels back as one pickle each; this process labels share 0 meanwhile,
+    reads each pipe to EOF and puts the labels back in track order.  A
+    child's exception is raised here.  Once any share fails, the children
+    still labelling are killed, since their labels are no longer wanted;
+    every child is reaped before this returns or raises.
+    """
+    children = []                       # (pid, read end of its pipe)
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # The child leaves by os._exit, which skips what it inherited
+                # and must not run: this function's finally, atexit hooks and
+                # unflushed stdio buffers.
+                try:
+                    os.close(read_fd)   # keep only this pipe's write end
+                    for _, pipe in children:
+                        pipe.close()
+                    _label_share(tracks[i::workers], cfg, write_fd)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        labels = [None] * len(tracks)
+        labels[::workers] = _annotate(tracks[::workers], cfg)
+        for i, (pid, pipe) in enumerate(children, 1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"--threads child {pid} ended without a result")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            labels[i::workers] = result
+        return labels
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def _cmd_annotate(args) -> int:
     cfg = _load_pipeline_config(args)
     scene = load_scene(args.dataset)
     tracks = build_tracks(scene, cfg)
-    workers = min(args.threads, len(tracks))
-    if workers > 1:
-        # Worker i labels tracks i, i + workers, ... in one chunk, so its
-        # tracks refine together; the labels go back in track order.  The
-        # platform's default start method: where that is fork (Linux up to
-        # Python 3.13), workers skip the imports that spawn repeats.
-        labels = [None] * len(tracks)
-        shares = [tracks[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, share in enumerate(pool.map(_annotate, shares, [cfg] * workers)):
-                labels[i::workers] = share
-    else:
-        labels = _annotate(tracks, cfg)
+    # Without fork (not POSIX) the command runs in one process.
+    workers = min(args.threads, len(tracks)) if hasattr(os, "fork") else 1
+    labels = _annotate_forked(tracks, cfg, workers) if workers > 1 else _annotate(tracks, cfg)
     write_pseudo_labels(labels, args.out)
     kept = sum(lb.kept for lb in labels)
     print(f"wrote {args.out} ({len(labels)} labels, {kept} kept)", file=sys.stderr)
@@ -162,8 +232,9 @@ def _keep_freed_buffers() -> None:
     maximum of 32 MiB lets freed buffers be reused.  Both are set: setting
     one turns off glibc's dynamic adjustment of the other, and either alone
     faults more than neither.  Each command is a fresh process, so the
-    memory goes back when it exits; forked ``--threads`` workers inherit
-    the setting.  Where the C library has no ``mallopt`` this does nothing.
+    memory goes back when it exits; the children ``--threads`` forks
+    inherit the setting.  Where the C library has no ``mallopt`` this does
+    nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -5,12 +5,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from boxlift import cli
 from boxlift.cli import cli_main
+from boxlift.errors import ConfigError
 from boxlift.scene_io import read_pseudo_labels
 from support import passing_config
 
@@ -288,6 +290,152 @@ class TestInputFiles:
             assert run("eval", "--dataset", tiny[0], "--labels", labels,
                        "--report", tmp_path / report) == 0
         assert (tmp_path / "clean.json").read_bytes() == (tmp_path / "padded.json").read_bytes()
+
+
+def no_children_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def fail_share(monkeypatch, in_parent, fail):
+    """Make ``cli._annotate`` call ``fail()`` instead of labelling, either in
+    this process (share 0) or in the forked children (shares 1..)."""
+    parent, annotate = os.getpid(), cli._annotate
+
+    def labelled(tracks, cfg):
+        if (os.getpid() == parent) == in_parent:
+            return fail()
+        return annotate(tracks, cfg)
+
+    monkeypatch.setattr(cli, "_annotate", labelled)
+
+
+def raise_(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but unpickling calls ``__init__`` with one argument and fails."""
+
+    def __init__(self, what, how):
+        super().__init__(f"{what} {how}")
+
+
+# A probe that leaves output in stdout's buffer and registers an atexit hook
+# before running the CLI: each must show once, from this process, never
+# from a forked child.
+PENDING_OUTPUT_PROBE = """
+import atexit, sys
+sys.stdout.write("pending")
+atexit.register(lambda: sys.stderr.write("atexit\\n"))
+from boxlift.cli import main
+main()
+"""
+
+
+class TestForkedShares:
+    """``annotate --threads N``: share 0 here, shares 1.. in forked children."""
+
+    def annotate(self, tiny, out, threads):
+        return run("annotate", "--dataset", tiny[0], "--out", out, "--no-refine",
+                   "--threads", threads)
+
+    @pytest.mark.parametrize("in_parent", [False, True], ids=["child", "parent"])
+    def test_input_error_in_a_share_exits_one(self, monkeypatch, capsys, tmp_path, tiny,
+                                              in_parent):
+        fail_share(monkeypatch, in_parent, raise_(ConfigError("share refused")))
+        capsys.readouterr()
+        assert self.annotate(tiny, tmp_path / "l.jsonl", 2) == 1
+        err = capsys.readouterr().err
+        assert err == "error: share refused\n"
+        assert not (tmp_path / "l.jsonl").exists()
+        assert no_children_left()
+
+    @pytest.mark.parametrize("in_parent", [False, True], ids=["child", "parent"])
+    def test_internal_error_in_a_share_exits_two(self, monkeypatch, capsys, tmp_path, tiny,
+                                                 in_parent):
+        fail_share(monkeypatch, in_parent, raise_(ZeroDivisionError("share broke")))
+        capsys.readouterr()
+        assert self.annotate(tiny, tmp_path / "l.jsonl", 3) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "ZeroDivisionError: share broke" in err
+        if not in_parent and sys.version_info >= (3, 11):     # exception notes print from 3.11
+            assert "in --threads child" in err and "in fail" in err
+        assert not (tmp_path / "l.jsonl").exists()
+        assert no_children_left()
+
+    def test_exception_that_does_not_unpickle_arrives_as_text(self, monkeypatch, capsys,
+                                                              tmp_path, tiny):
+        fail_share(monkeypatch, False, raise_(TwoArgumentError("share", "broke")))
+        capsys.readouterr()
+        assert self.annotate(tiny, tmp_path / "l.jsonl", 2) == 2
+        err = capsys.readouterr().err
+        assert "RuntimeError: in --threads child" in err
+        assert "TwoArgumentError: share broke" in err
+        assert no_children_left()
+
+    def test_child_that_dies_without_a_result_exits_two(self, monkeypatch, capsys, tmp_path,
+                                                        tiny):
+        fail_share(monkeypatch, False, lambda: os._exit(0))
+        capsys.readouterr()
+        assert self.annotate(tiny, tmp_path / "l.jsonl", 2) == 2
+        assert "ended without a result" in capsys.readouterr().err
+        assert no_children_left()
+
+    def test_parent_failure_stops_the_children(self, monkeypatch, tmp_path, tiny):
+        # Three shares: the children would label for 30 s, and this process
+        # fails at once; neither child may hold up the exit.
+        parent = os.getpid()
+
+        def labelled(tracks, cfg):
+            if os.getpid() == parent:
+                raise ConfigError("share refused")
+            time.sleep(30)
+            return [None] * len(tracks)
+
+        monkeypatch.setattr(cli, "build_tracks", lambda scene, cfg: ["a", "b", "c"])
+        monkeypatch.setattr(cli, "_annotate", labelled)
+        start = time.monotonic()
+        assert self.annotate(tiny, tmp_path / "l.jsonl", 3) == 1
+        assert time.monotonic() - start < 10
+        assert no_children_left()
+
+    @pytest.mark.parametrize("probe", [["-m", "boxlift.cli"], ["-c", PENDING_OUTPUT_PROBE]],
+                             ids=["plain", "pending-output"])
+    def test_children_leave_no_output(self, tmp_path, tiny, probe):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "l.jsonl"
+        proc = subprocess.run([sys.executable, *probe, "annotate", "--dataset", str(tiny[0]),
+                               "--out", str(out), "--no-refine", "--threads", "3"],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        wrote = f"wrote {out} (2 labels, 2 kept)"
+        if probe[0] == "-m":
+            assert (proc.stdout, proc.stderr.splitlines()) == ("", [wrote])
+        else:
+            assert (proc.stdout, proc.stderr.splitlines()) == ("pending", [wrote, "atexit"])
+        assert out.read_bytes() == tiny[1].read_bytes()
+
+    def test_without_fork_runs_in_one_process(self, monkeypatch, tmp_path, tiny):
+        calls, annotate = [], cli._annotate
+
+        def labelled(tracks, cfg):
+            calls.append((os.getpid(), len(tracks)))
+            return annotate(tracks, cfg)
+
+        monkeypatch.setattr(cli, "_annotate", labelled)
+        monkeypatch.delattr(os, "fork")
+        assert self.annotate(tiny, tmp_path / "l.jsonl", 4) == 0
+        assert calls == [(os.getpid(), 2)]
+        assert (tmp_path / "l.jsonl").read_bytes() == tiny[1].read_bytes()
+        assert no_children_left()
 
 
 # The two mallopt calls each command makes: M_TRIM_THRESHOLD to 256 MiB,

@@ -4,8 +4,9 @@ Every module-level import of ``src/boxlift/<module>.py`` must be used in
 that module, and every private module-level function or class must be
 referenced there.  ``__init__.py`` re-exports names, so it is left out.
 The command line must run on numpy alone: scipy is a test-only dependency,
-and no command loads ``numpy.ma``.  The label file's reader and the
-evaluator do not depend on the optimizer.
+no command loads ``numpy.ma``, and ``annotate --threads`` needs no process
+pool.  The label file's reader and the evaluator do not depend on the
+optimizer.
 """
 
 from __future__ import annotations
@@ -68,12 +69,25 @@ def test_every_private_definition_is_referenced(path):
     assert not dead, f"{path.name} defines but never references {dead}"
 
 
-def test_cli_import_loads_no_scipy():
+def cli_import_loads(*packages: str) -> list[str]:
+    """The modules of ``packages`` that ``import boxlift.cli`` loads in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    probe = "import sys, boxlift.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+    probe = ("import sys, boxlift.cli; "
+             f"print(json.dumps([m for m in sys.modules if m.split('.')[0] in {packages!r}]))")
+    out = subprocess.run([sys.executable, "-c", "import json; " + probe],
+                         env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    assert cli_import_loads("scipy") == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # annotate --threads forks its children itself; the executor and
+    # multiprocessing imports cost about 20 ms per command.
+    assert cli_import_loads("concurrent", "multiprocessing") == []
 
 
 COMMANDS_TWICE = """
