@@ -54,8 +54,11 @@ Positive = NonNeg = Unit = float
 Count = PosInt = Budget = int
 Range = NonNegRange = PosRange = Vec3 = Ints = tuple
 Gates = dict                        # class name -> number in [0, 1]
-Source = World = Centroid = HullMetric = str
+Source = DropReason = World = Centroid = HullMetric = str
 SOURCES = ("coarse", "refined")     # where a pseudo-label's box comes from
+# The stage that dropped a pseudo-label, in pipeline order.
+DROP_REASONS = ("empty", "clustering", "sparse", "views", "degenerate", "verification",
+                "confidence")
 
 # Field annotation (a string under postponed evaluation) or JSON kind ->
 # (value test, description in the error message).
@@ -84,6 +87,8 @@ TYPE_CHECKS = {
                                                     for k, g in v.items()),
               "an object of class names to numbers in [0, 1]"),
     "Source": _one_of(*SOURCES),
+    "DropReason | None": (lambda v: v is None or v in DROP_REASONS,
+                          f"null or {_one_of(*DROP_REASONS)[1]}"),
     "World": _one_of("world"),
     "Centroid": _one_of("mean", "median"),
     "HullMetric": _one_of("iou", "coverage"),

@@ -35,8 +35,9 @@ def segmentation_instances(
 ) -> list[SegmentationInstance]:
     """Segmentation scores of every ground-truth-static track.
 
-    Only those tracks are extracted.  Requires a synthetic scene (per-point
-    spans).  A point of the aggregate P_agg is the pair
+    Only those tracks are extracted.  Requires a synthetic scene: ground
+    truth, and spans in every frame (ConfigError names the first frame
+    without them).  A point of the aggregate P_agg is the pair
     (``point_frame_ids[i]``, ``point_indices[i]``); it is a ground-truth
     point when its index lies in the track's span for that frame with the
     bleed excluded, ``[start, start + count - n_bleed)``.
@@ -47,10 +48,14 @@ def segmentation_instances(
     """
     if scene.gt_tracks is None:
         raise ConfigError("segmentation metrics need a scene with ground truth")
+    for frame in scene.frames:
+        if frame.gt_spans is None:
+            raise ConfigError(f"frame {frame.frame_id} has no gt_spans; segmentation metrics "
+                              f"need every frame's ground-truth spans")
     cfg = config or PipelineConfig()
     gt_ranges = {
         frame.frame_id: {s.track_id: (s.start, s.start + s.count - s.n_bleed)
-                         for s in (frame.gt_spans or [])}
+                         for s in frame.gt_spans}
         for frame in scene.frames
     }
     static_ids = {tid for tid, gt in scene.gt_tracks.items() if gt.static}

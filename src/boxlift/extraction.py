@@ -139,7 +139,7 @@ def build_tracks(
             if track_ids is None or ann.track_id in track_ids:
                 by_camera.setdefault(ann.camera_id, []).append(ann)
         for camera_id, anns in by_camera.items():
-            cam = scene.cameras[camera_id].world_camera(frame.world_from_ego)
+            cam = scene.cameras[camera_id].posed(frame.world_from_ego)
             pts = frame.points_world
             front, u, v = _front_pixels(cam, pts, cfg.z_near)
             front_idx = np.flatnonzero(front)

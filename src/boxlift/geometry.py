@@ -5,7 +5,8 @@ Conventions
 * World and ego frames are right-handed, +z up; yaw rotates about +z.
 * Camera frames follow the computer-vision convention: +z forward along
   the optical axis, +x right, +y down.  Pixels have their origin at the
-  top-left image corner, u right, v down.
+  top-left image corner, u right, v down.  A scene's ``CameraModel`` sits
+  in the ego frame; ``posed`` places it in the world at a frame's ego pose.
 * A 3D box is (cx, cy, cz, l, w, h, yaw): center, full extents and a
   rotation about the vertical axis.  ``l`` runs along the box's local x
   axis (the heading), ``w`` along local y, ``h`` along z.  Box fitting
@@ -18,11 +19,12 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
+from .config import PosInt, Positive
 from .errors import DegenerateHull, DegenerateSpread
 
 # Depth below which a point counts as behind the camera (meters).
@@ -253,19 +255,24 @@ def box3d_corners(box: Box3D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera: intrinsics plus a world_from_camera pose."""
+    """Pinhole camera: intrinsics plus a pose from camera coordinates into the
+    frame the camera sits in (the ego frame on disk, the world once posed)."""
 
-    fx: float
-    fy: float
+    fx: Positive
+    fy: Positive
     cx: float
     cy: float
-    width: int
-    height: int
-    world_from_camera: Pose
+    width: PosInt
+    height: PosInt
+    pose: Pose = field(metadata={"json": "ego_from_camera"})
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0 and self.width > 0 and self.height > 0):
             raise ValueError("invalid camera intrinsics")
+
+    def posed(self, world_from_ego: Pose) -> CameraModel:
+        """This ego-frame camera in the world, at the ego pose ``world_from_ego``."""
+        return replace(self, pose=world_from_ego.compose(self.pose))
 
 
 def project_points(
@@ -275,9 +282,8 @@ def project_points(
 
     Pixel rows with an invalid (behind-camera) point are filled with NaN.
     """
-    pose = camera.world_from_camera
     pts = np.asarray(points_world, float).reshape(-1, 3)
-    cam = (pts - pose.t) @ pose.rotation_matrix
+    cam = (pts - camera.pose.t) @ camera.pose.rotation_matrix
     valid = cam[:, 2] > z_near
     uv = np.full((len(pts), 2), np.nan)
     z = cam[valid, 2]
@@ -295,8 +301,7 @@ def project_box_silhouette(
     near plane, then the points where edges cross it.  The silhouette of
     the box in the image is the convex hull of these points.
     """
-    pose = camera.world_from_camera
-    x, y, z = ((box3d_corners(box) - pose.t) @ pose.rotation_matrix).T
+    x, y, z = ((box3d_corners(box) - camera.pose.t) @ camera.pose.rotation_matrix).T
     front = z > z_near
     if not front.any():
         return np.empty((0, 2))

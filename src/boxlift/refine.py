@@ -136,9 +136,8 @@ class _Batch:
             counts = [len(v) for v in views]
             self.cameras = [ob.camera for v in views for ob in v]
             self.boxes = [ob.annotation.box for v in views for ob in v]
-            poses = [cam.world_from_camera for cam in self.cameras]
-            self.rot = np.array([pose.rotation_matrix for pose in poses])             # (V, 3, 3)
-            self.t = np.array([pose.t for pose in poses])[:, None, :]                 # (V, 1, 3)
+            self.rot = np.array([c.pose.rotation_matrix for c in self.cameras])       # (V, 3, 3)
+            self.t = np.array([c.pose.t for c in self.cameras])[:, None, :]           # (V, 1, 3)
             self.focal = np.array([[c.fx, c.fy] for c in self.cameras])[:, None, :]   # (V, 1, 2)
             self.principal = np.array([[c.cx, c.cy] for c in self.cameras])[:, None, :]
             self.targets = [

@@ -1,7 +1,8 @@
 """Dataset model: scenes, frames, annotations, object tracks and pseudo-labels.
 
 Point clouds are stored in the ego frame (as on disk) and transformed to
-world coordinates on first access, using each frame's ego pose.  On disk
+world coordinates on first access, using each frame's ego pose; cameras
+are ego-frame ``CameraModel``s, posed in the world per observation.  On disk
 a record is its fields, each checked on load by the ``config.TYPE_CHECKS``
 row its annotation names (see ``scene_io``).
 """
@@ -13,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import PosInt, Positive, Source, Vec3, World
+from .config import Count, DropReason, Source, Vec3, World
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
 
@@ -40,31 +41,6 @@ class GtSpan:
     start: int
     count: int
     n_bleed: int = 0
-
-
-@dataclass(frozen=True)
-class CameraRigEntry:
-    """An ego-mounted camera: intrinsics plus the mount pose."""
-
-    fx: Positive
-    fy: Positive
-    cx: float
-    cy: float
-    width: PosInt
-    height: PosInt
-    ego_from_camera: Pose
-
-    def world_camera(self, world_from_ego: Pose) -> CameraModel:
-        """This camera as a world-posed model, for the given ego pose."""
-        return CameraModel(
-            fx=self.fx,
-            fy=self.fy,
-            cx=self.cx,
-            cy=self.cy,
-            width=self.width,
-            height=self.height,
-            world_from_camera=world_from_ego.compose(self.ego_from_camera),
-        )
 
 
 @dataclass(eq=False)
@@ -101,7 +77,7 @@ class GtTrack:
 @dataclass(eq=False)
 class Scene:
     scene_id: str
-    cameras: dict[str, CameraRigEntry]
+    cameras: dict[str, CameraModel]      # ego-frame cameras
     frames: list[Frame]
     gt_tracks: dict[str, GtTrack] | None = None
     generator: dict | None = None        # synthetic provenance (config echo, seed)
@@ -144,8 +120,8 @@ class ObjectTrack:
 
 @dataclass(frozen=True)
 class QualityRecord:
-    n_points: int
-    n_views: int
+    n_points: Count
+    n_views: Count
     hull_iou: float | None
     l2d: float | None
     fit: float | None
@@ -159,7 +135,7 @@ class PseudoLabel:
     source: Source
     quality: QualityRecord
     kept: bool
-    drop_reason: str | None = None
+    drop_reason: DropReason | None = None
     confidence: float | None = None
     anchor_frame_id: int | None = None # frame whose pose the box was fitted at
     frame_of_reference: World = "world"

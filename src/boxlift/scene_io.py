@@ -6,7 +6,8 @@ in the ego frame as little-endian float32 triplets.  All writes go through
 a temp-file + rename so readers never observe partial files.
 
 A record below the top level (camera, annotation, mask, ground-truth span
-and track, label and its quality) is stored as its dataclass in ``scene``:
+and track, label and its quality) is stored as its dataclass (the camera
+``geometry.CameraModel``, the mask ``masks.Mask``, the rest in ``scene``):
 one key per field, named by the field or by its ``json`` metadata.
 ``_record`` reads a record, checking each value against the
 ``TYPE_CHECKS`` row its annotation names unless a reader is given for the
@@ -32,10 +33,9 @@ import numpy as np
 
 from .config import TYPE_CHECKS
 from .errors import ParseError, SceneIoError
-from .geometry import Box2D, Box3D, Pose
+from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
-from .scene import (Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, PseudoLabel,
-                    QualityRecord, Scene)
+from .scene import Annotation2D, Frame, GtSpan, GtTrack, PseudoLabel, QualityRecord, Scene
 
 MVPC_MAGIC = b"MVPC"
 MVPC_VERSION = 1
@@ -225,7 +225,7 @@ def scene_to_manifest(scene: Scene) -> dict:
     manifest: dict = {
         "scene_id": scene.scene_id,
         "cameras": {
-            cid: _plain(cam, ego_from_camera=Pose.to_dict)
+            cid: _plain(cam, pose=Pose.to_dict)
             for cid, cam in sorted(scene.cameras.items())
         },
         "frames": [
@@ -264,7 +264,7 @@ def save_scene(scene: Scene, directory) -> Path:
 
 def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     cameras = {
-        cid: _record(CameraRigEntry, cam, f"/cameras/{cid}", ego_from_camera=_pose)
+        cid: _record(CameraModel, cam, f"/cameras/{cid}", pose=_pose)
         for cid, cam in _check(_get(manifest, "cameras", "/"), "object", "/cameras").items()
     }
     frames = []

@@ -28,10 +28,10 @@ from .config import (
 )
 from .errors import ConfigError, DegenerateHull
 from .geometry import (
-    Box3D, Pose, convex_hull, project_box3d, project_box_silhouette, yaw_rotation,
+    Box3D, CameraModel, Pose, convex_hull, project_box3d, project_box_silhouette, yaw_rotation,
 )
 from .masks import encode_mask, rasterize_convex_polygon
-from .scene import Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, Scene
+from .scene import Annotation2D, Frame, GtSpan, GtTrack, Scene
 
 # Camera axes in the ego frame: +z optical axis forward (+x ego), +x right
 # (-y ego), +y down (-z ego).
@@ -50,17 +50,11 @@ class CameraSpec(JsonConfig):
     mount_yaw_deg: float = 0.0
     mount_offset: Vec3 = (0.0, 0.0, 0.0)
 
-    def rig_entry(self) -> CameraRigEntry:
+    def rig_entry(self) -> CameraModel:
+        """This camera in the ego frame."""
         rz = yaw_rotation(math.radians(self.mount_yaw_deg))
-        return CameraRigEntry(
-            fx=self.fx,
-            fy=self.fy,
-            cx=self.cx,
-            cy=self.cy,
-            width=self.width,
-            height=self.height,
-            ego_from_camera=Pose.from_matrix(rz @ _CAM_BASE, np.asarray(self.mount_offset, float)),
-        )
+        mount = Pose.from_matrix(rz @ _CAM_BASE, np.asarray(self.mount_offset, float))
+        return CameraModel(self.fx, self.fy, self.cx, self.cy, self.width, self.height, mount)
 
 
 @dataclass(frozen=True)
@@ -284,12 +278,12 @@ def _ray_box_exit(
     return np.where(np.isfinite(t_far) & (t_far > 0), np.maximum(t_far, fallback), fallback)
 
 
-def _silhouette_mask(camera, box, width, height):
+def _silhouette_mask(camera, box):
     try:
         hull = convex_hull(project_box_silhouette(camera, box))
     except DegenerateHull:
         return None
-    bitmap = rasterize_convex_polygon(hull.vertices, width, height)
+    bitmap = rasterize_convex_polygon(hull.vertices, camera.width, camera.height)
     if not bitmap.any():
         return None
     return encode_mask(bitmap)
@@ -335,7 +329,7 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
             # Annotation draws no random numbers, so it may share this loop.
             best = None
             for cid in sorted(rig):
-                cam = rig[cid].world_camera(ego)
+                cam = rig[cid].posed(ego)
                 proj = project_box3d(cam, box)
                 if proj is None:
                     continue
@@ -347,7 +341,7 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
             _, cid, cam, proj = best
             mask = None
             if cfg.emit_masks:
-                mask = _silhouette_mask(cam, box, rig[cid].width, rig[cid].height)
+                mask = _silhouette_mask(cam, box)
             annotations.append(
                 Annotation2D(
                     track_id=obj.track_id,

@@ -175,7 +175,7 @@ def clipped_silhouette_loop(camera, box, z_near: float) -> np.ndarray:
     end plus the crossing point, interpolated from the lower-index corner.
     Returns the (n, 2) pixels of every kept point, duplicates included.
     """
-    pose = camera.world_from_camera
+    pose = camera.pose
     cam_pts = (box3d_corners(box) - pose.t) @ pose.rotation_matrix
     kept = []
     for i, j in BOX_EDGES:
@@ -240,7 +240,7 @@ def project_point(camera, p_world, z_near: float = DEFAULT_Z_NEAR) -> tuple[floa
 
     Points projecting outside the image are still returned.
     """
-    pose = camera.world_from_camera
+    pose = camera.pose
     p = pose.rotation_matrix.T @ (np.asarray(p_world, float) - pose.t)
     if p[2] <= z_near:
         return None
@@ -293,7 +293,7 @@ def extraction_per_annotation(scene, config) -> dict[str, dict[int, tuple]]:
     for frame in scene.frames:
         pts = frame.points_world
         for ann in frame.annotations:
-            cam = scene.cameras[ann.camera_id].world_camera(frame.world_from_ego)
+            cam = scene.cameras[ann.camera_id].posed(frame.world_from_ego)
             uv, valid = project_points(cam, pts, z_near=config.z_near)
             u, v = uv[valid, 0], uv[valid, 1]
             mask = ann.mask

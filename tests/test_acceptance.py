@@ -534,7 +534,7 @@ def prop_generator_self_consistency():
     for scene in _consistency_scenes():
         for frame in scene.frames:
             for ann in frame.annotations:
-                cam = scene.cameras[ann.camera_id].world_camera(frame.world_from_ego)
+                cam = scene.cameras[ann.camera_id].posed(frame.world_from_ego)
                 gt = scene.gt_tracks[ann.track_id].boxes[frame.frame_id]
                 proj = project_box3d(cam, gt)
                 assert proj is not None

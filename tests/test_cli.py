@@ -282,6 +282,31 @@ class TestInputFiles:
                    "--report", tmp_path / "r.json") == 1
         assert capsys.readouterr().err == f"error: missing label file: {missing}\n"
 
+    @pytest.mark.parametrize("spans", [None, []], ids=["absent", "empty"])
+    def test_gt_spans_key_is_required_and_may_be_empty(self, tmp_path, capsys, tiny, spans):
+        # Without a frame's spans its tracks would score a segmentation IoU
+        # of 0 (exit 1); an empty list is a frame that holds no object
+        # points (exit 0).
+        scene, manifest = copied_scene(tiny, tmp_path)
+        data = json.loads(manifest.read_text())
+        frame = data["frames"][1]
+        if spans is None:
+            del frame["gt_spans"]
+        else:
+            frame["gt_spans"] = spans
+        manifest.write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        code = run("eval", "--dataset", scene, "--labels", tiny[1], "--report", report)
+        err = capsys.readouterr().err
+        if spans is None:
+            assert code == 1
+            assert err == (f"error: frame {frame['frame_id']} has no gt_spans; segmentation "
+                           f"metrics need every frame's ground-truth spans\n")
+            assert not report.exists()
+        else:
+            assert code == 0, err
+
     def test_blank_label_lines_are_skipped(self, tmp_path, tiny):
         lines = tiny[1].read_text().splitlines(keepends=True)
         padded = tmp_path / "padded.jsonl"

@@ -110,6 +110,12 @@ class TestSegmentationCurve:
         with pytest.raises(ConfigError):
             segmentation_instances(scene)
 
+    def test_needs_every_frames_spans(self):
+        scene = self.make_scene()
+        scene.frames[3].gt_spans = scene.frames[5].gt_spans = None
+        with pytest.raises(ConfigError, match=f"frame {scene.frames[3].frame_id} has no gt_spans"):
+            segmentation_instances(scene)
+
     @pytest.mark.parametrize("name", ["bleed", "static_multiview", "dense_coarse", "corridor"])
     def test_matches_tuple_set_oracle(self, name):
         if name == "bleed":

@@ -10,10 +10,10 @@ from boxlift.extraction import (
     extraction_mask,
     track_centroids,
 )
-from boxlift.geometry import Box2D, Pose
+from boxlift.geometry import Box2D, CameraModel, Pose
 from boxlift.masks import Mask, encode_mask
 from boxlift.refine import annotate_track
-from boxlift.scene import Annotation2D, CameraRigEntry, Frame, Scene
+from boxlift.scene import Annotation2D, Frame, Scene
 from boxlift.synthetic import SceneConfig, generate_scene
 from reference import extraction_per_annotation, point_in_mask, project_point
 from support import BENCH, CAM_BASE, camera_looking, identity_pose, passing_config
@@ -200,10 +200,10 @@ class TestBuildTracks:
         for track in tracks:
             for fid, obs in track.observations.items():
                 rig = scene.cameras[obs.annotation.camera_id]
-                expected = rig.world_camera(frames[fid].world_from_ego).world_from_camera
+                expected = rig.posed(frames[fid].world_from_ego).pose
                 assert obs.camera.fx == rig.fx and obs.camera.width == rig.width
-                assert np.array_equal(obs.camera.world_from_camera.t, expected.t)
-                assert np.array_equal(obs.camera.world_from_camera.q, expected.q)
+                assert np.array_equal(obs.camera.pose.t, expected.t)
+                assert np.array_equal(obs.camera.pose.q, expected.q)
 
     def test_median_centroid_mode(self):
         scene = generate_scene(passing_config(38, n_cars=1, n_frames=4))
@@ -222,8 +222,8 @@ class TestBuildTracks:
         full.annotations.append(Annotation2D("a", "Car", "cam", box))
         empty.annotations += [Annotation2D("a", "Car", "cam", box),
                               Annotation2D("b", "Car", "cam", box)]
-        rig = CameraRigEntry(500, 500, 400, 225, 800, 450,
-                             Pose.from_matrix(CAM_BASE, np.zeros(3)))
+        rig = CameraModel(500, 500, 400, 225, 800, 450,
+                          Pose.from_matrix(CAM_BASE, np.zeros(3)))
         tracks = build_tracks(Scene("s", {"cam": rig}, [full, empty]))
         assert [t.track_id for t in tracks] == ["a", "b"]
         assert len(tracks[0].observations[0].points) == 2
@@ -253,7 +253,7 @@ def assert_matches_per_annotation(scene, cfg, track_ids=None):
             assert obs.indices.dtype == np.int64
             assert np.array_equal(obs.indices, idx)
             assert np.array_equal(obs.points, pts[idx])
-            pose, expected_pose = obs.camera.world_from_camera, cam.world_from_camera
+            pose, expected_pose = obs.camera.pose, cam.pose
             assert np.array_equal(pose.q, expected_pose.q)
             assert np.array_equal(pose.t, expected_pose.t)
             keep = extraction_mask(cam, pts, obs.annotation, cfg.mask_conf_min, cfg.z_near)
@@ -277,8 +277,8 @@ def grid_frame(frame_id, annotations, depths=(10.0,)):
 
 
 def axis_camera(x):
-    return CameraRigEntry(10.0, 10.0, 0.0, 0.0, WIDTH, HEIGHT,
-                          Pose.from_matrix(np.eye(3), np.array([x, 0.0, 0.0])))
+    return CameraModel(10.0, 10.0, 0.0, 0.0, WIDTH, HEIGHT,
+                       Pose.from_matrix(np.eye(3), np.array([x, 0.0, 0.0])))
 
 
 class TestBuildTracksMatchesPerAnnotation:

@@ -42,7 +42,7 @@ def random_view_track(rng, k):
 
 
 def view_kind(cam, box, z_near):
-    pose = cam.world_from_camera
+    pose = cam.pose
     n_front = int((((box3d_corners(box) - pose.t) @ pose.rotation_matrix)[:, 2] > z_near).sum())
     if n_front == 0:
         return "behind"

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from boxlift import scene_io
 from boxlift.cli import cli_main
-from boxlift.config import TYPE_CHECKS, PipelineConfig
+from boxlift.config import DROP_REASONS, TYPE_CHECKS, PipelineConfig
 from boxlift.errors import ParseError, SceneIoError
-from boxlift.geometry import Box2D, Box3D
+from boxlift.geometry import Box2D, Box3D, CameraModel
 from boxlift.masks import Mask
-from boxlift.scene import (Annotation2D, CameraRigEntry, Frame, GtSpan, GtTrack, PseudoLabel,
-                           QualityRecord, Scene)
+from boxlift.scene import (Annotation2D, Frame, GtSpan, GtTrack, PseudoLabel, QualityRecord,
+                           Scene)
 from boxlift.scene_io import (
     load_scene,
     read_mvpc,
@@ -34,7 +34,7 @@ from support import identity_pose, passing_config
 
 
 def minimal_scene(points=None):
-    cam = CameraRigEntry(500, 500, 400, 225, 800, 450, identity_pose())
+    cam = CameraModel(500, 500, 400, 225, 800, 450, identity_pose())
     pts = np.zeros((0, 3), dtype="<f4") if points is None else points
     frame = Frame(
         frame_id=0,
@@ -55,8 +55,8 @@ def assert_scene_equal(a: Scene, b: Scene):
         assert (ca.fx, ca.fy, ca.cx, ca.cy, ca.width, ca.height) == (
             cb.fx, cb.fy, cb.cx, cb.cy, cb.width, cb.height,
         )
-        assert np.array_equal(ca.ego_from_camera.q, cb.ego_from_camera.q)
-        assert np.array_equal(ca.ego_from_camera.t, cb.ego_from_camera.t)
+        assert np.array_equal(ca.pose.q, cb.pose.q)
+        assert np.array_equal(ca.pose.t, cb.pose.t)
     assert len(a.frames) == len(b.frames)
     for fa, fb in zip(a.frames, b.frames):
         assert fa.frame_id == fb.frame_id
@@ -393,6 +393,8 @@ MALFORMED_LABELS = [
     ("/anchor_frame_id", MISSING, "kept label must carry an anchor_frame_id"),
     ("/class", 5, "/class"),
     ("/quality/fit", MISSING, "/quality: missing key 'fit'"),
+    ("/drop_reason", "banana", "/drop_reason: expected null or 'empty' or 'clustering'"),
+    ("/quality/n_points", -5, "/quality/n_points: expected an integer >= 0"),
 ]
 
 
@@ -448,6 +450,9 @@ class TestPseudoLabels:
         again = tmp_path / "again.jsonl"
         write_pseudo_labels(read_pseudo_labels(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_dropped_cases_cover_every_drop_reason(self):
+        assert tuple(DROPPED) == DROP_REASONS
 
     @pytest.mark.parametrize("reason", DROPPED)
     def test_dropped_label_rewrites_to_the_same_bytes(self, tmp_path, reason):
@@ -655,10 +660,11 @@ class TestInputContract:
 EXTREME_NUMBERS = [5e-324, 1e-300, 1e300, 1.79e308, 2**53]
 FLOAT_CONFIG_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)
                      if f.type in ("Positive", "NonNeg", "Unit")]
-# Key paths of the tiny scene's manifest numbers: camera intrinsics and
-# mount, ego poses, 2D boxes and ground-truth boxes.
+# Key paths of the tiny scene's manifest numbers: camera intrinsics, image
+# size and mount, ego poses, 2D boxes and ground-truth boxes.
 MANIFEST_NUMBERS = [
-    *[("cameras", cam, key) for cam in ("cam_front", "cam_left") for key in ("fx", "cx", "cy")],
+    *[("cameras", cam, key) for cam in ("cam_front", "cam_left")
+      for key in ("fx", "cx", "cy", "width", "height")],
     *[("cameras", cam, "ego_from_camera", "t", i) for cam in ("cam_front", "cam_left")
       for i in range(3)],
     *[("frames", f, "world_from_ego", key, i) for f in range(3)
@@ -678,6 +684,8 @@ MANIFEST_NUMBERS = [
 @example(case=("extent_floor", 1.79e308))
 @example(case=("dbscan_eps", 1e-300))
 @example(case=("dbscan_eps", 5e-324))
+@example(case=(("cameras", "cam_front", "width"), 2**62))
+@example(case=(("cameras", "cam_left", "height"), 2**31))
 def test_extreme_number_never_exits_two_or_warns(tiny_scene, tmp_path, capsys, case):
     # One config key or one manifest number at an edge of float range:
     # annotate, then eval of its labels, exit 0 or 1 without a traceback,
@@ -858,7 +866,7 @@ def test_every_record_field_has_a_reader(tiny_scene, tiny_labels, monkeypatch):
     monkeypatch.setattr(scene_io, "_record", spy)
     load_scene(tiny_scene)
     read_pseudo_labels(tiny_labels)
-    assert set(readers_seen) == {Annotation2D, Mask, CameraRigEntry, GtSpan, GtTrack,
+    assert set(readers_seen) == {Annotation2D, Mask, CameraModel, GtSpan, GtTrack,
                                  QualityRecord, PseudoLabel}
     for cls, readers in readers_seen.items():
         for f in dataclasses.fields(cls):
