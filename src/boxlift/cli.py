@@ -15,8 +15,10 @@ import signal
 import sys
 import traceback
 
+import numpy as np
+
 from .config import TYPE_CHECKS, PipelineConfig
-from .errors import BoxliftError
+from .errors import BoxliftError, ConfigError
 from .evaluate import build_report, frames_histogram
 from .extraction import build_tracks
 from .refine import annotate_track, stage_tracks
@@ -87,11 +89,19 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_gen(args) -> int:
+    """Generate and save a scene.  A config whose numbers overflow (points
+    past float32 range included) or that numpy refuses is an input error, and
+    nothing is written."""
     cfg = SceneConfig.from_json_file(args.config)
-    scene = generate_scene(cfg, seed=args.seed)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            scene = generate_scene(cfg, seed=args.seed)
+    except (ArithmeticError, ValueError, MemoryError) as exc:
+        raise ConfigError(f"{args.config}: cannot generate this scene: {exc}") from exc
     out = save_scene(scene, args.out)
-    n_tracks = len(scene.gt_tracks or {})
-    print(f"wrote {out} ({len(scene.frames)} frames, {n_tracks} tracks)", file=sys.stderr)
+    crowded = len(scene.generator.get("crowded", ()))
+    print(f"wrote {out} ({len(scene.frames)} frames, {len(scene.gt_tracks)} tracks, "
+          f"{crowded} placed without clearance)", file=sys.stderr)
     return 0
 
 

@@ -76,7 +76,6 @@ TYPE_CHECKS = {
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "bool | None": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "Range": (_is_range, "finite numbers [lo, hi], lo <= hi"),
     "NonNegRange": (lambda v: _is_range(v) and v[0] >= 0, "finite numbers [lo, hi], 0 <= lo <= hi"),
     "PosRange": (lambda v: _is_range(v) and v[0] > 0, "finite numbers [lo, hi], 0 < lo <= hi"),

@@ -4,12 +4,19 @@ Objects are boxes on the ground plane observed by an ego vehicle moving
 along a configured trajectory.  Per frame, LiDAR-style points are sampled
 uniformly on the box faces whose outward normal faces the sensor
 (back-face culling), jittered with Gaussian noise, and stored in the ego
-frame.  2D annotations are produced by projecting each ground-truth box
-through the exact projection code the pipeline uses, so annotation boxes
-match ``project_box3d`` of the ground-truth box bit for bit.  Instance
-masks are the rasterized silhouette of the projected box corners.  A
-configurable fraction of "bleed" outliers is pushed along the sensor ray
-past the surface to mimic camera/LiDAR misalignment noise.
+frame.  Every rig camera is posed once per frame.  Each object is
+annotated in the camera where its ground-truth box projects largest (ties
+go to the greater camera id), through the exact projection code the
+pipeline uses, so annotation boxes match ``project_box3d`` of the
+ground-truth box bit for bit.  Instance masks are the rasterized
+silhouette of the projected box corners.  A configurable fraction of
+"bleed" outliers is pushed along the sensor ray past the surface to mimic
+camera/LiDAR misalignment noise.
+
+Objects are placed by rejection sampling against the clearance that
+``PlacementSpec`` asks for.  That clearance is a target: an object whose
+500 samples all miss it keeps its last sample, and its id is recorded
+under ``crowded`` in the scene's generator record.
 
 Generation is deterministic: every random draw comes from one seeded
 generator in a fixed traversal order (object setup, then frames x objects
@@ -87,9 +94,11 @@ class PlacementSpec(JsonConfig):
     x_range: Range = (8.0, 40.0)
     y_range: Range = (-10.0, 10.0)
     min_separation: float = 6.0         # BEV meters between object centers
-    # Silhouettes of distinct objects must stay this far apart in bearing
-    # from every ego position, so one object's mask never swallows another
-    # object's points (inter-object occlusion is not modelled).
+    # Silhouettes of distinct objects should stay this far apart in bearing
+    # from every ego position, so one object's mask does not swallow another
+    # object's points (inter-object occlusion is not modelled).  Like the two
+    # distances, this clearance is a target: an object placed without it is
+    # recorded as crowded.
     min_angular_margin_deg: float = 3.0
     min_sensor_distance: float = 3.0    # BEV meters from ego to any object edge
 
@@ -176,11 +185,12 @@ def _placement_ok(
     return True
 
 
-def _setup_objects(cfg: SceneConfig, rng: np.random.Generator) -> list[_ObjectState]:
+def _setup_objects(cfg: SceneConfig, rng: np.random.Generator):
+    """The objects, and the ids of the crowded ones (placed without clearance)."""
     objects: list[_ObjectState] = []
+    crowded: list[str] = []
     times = np.arange(cfg.n_frames) * cfg.dt
     sensors = np.array([cfg.ego.pose_at(t).t[:2] for t in times])
-    k = 0
     for spec in cfg.objects:
         for _ in range(spec.count):
             l = _uniform(rng, spec.length_range)
@@ -196,33 +206,16 @@ def _setup_objects(cfg: SceneConfig, rng: np.random.Generator) -> list[_ObjectSt
                 speed = _uniform(rng, spec.speed_range)
                 velocity = speed * np.array([math.cos(heading), math.sin(heading), 0.0])
             radius = 0.5 * math.hypot(l, w)
-            pos = None
+            track_id = f"obj-{len(objects):03d}"
             for _ in range(500):
-                cand = np.array(
-                    [
-                        rng.uniform(*cfg.placement.x_range),
-                        rng.uniform(*cfg.placement.y_range),
-                        0.5 * h,
-                    ]
-                )
-                if _placement_ok(cfg, times, sensors, cand, velocity, radius, objects):
-                    pos = cand
+                pos = np.array([rng.uniform(*cfg.placement.x_range),
+                                rng.uniform(*cfg.placement.y_range), 0.5 * h])
+                if _placement_ok(cfg, times, sensors, pos, velocity, radius, objects):
                     break
-            if pos is None:
-                pos = cand  # crowded config: accept the last sample
-            objects.append(
-                _ObjectState(
-                    track_id=f"obj-{k:03d}",
-                    spec=spec,
-                    size=(l, w, h),
-                    yaw=heading,
-                    center0=pos,
-                    velocity=velocity,
-                    static=static,
-                )
-            )
-            k += 1
-    return objects
+            else:
+                crowded.append(track_id)
+            objects.append(_ObjectState(track_id, spec, (l, w, h), heading, pos, velocity, static))
+    return objects, crowded
 
 
 # Face f covers axis f // 2, positive side when f % 2 == 1.
@@ -294,13 +287,14 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     rig = {spec.camera_id: spec.rig_entry() for spec in cfg.cameras}
-    objects = _setup_objects(cfg, rng)
+    objects, crowded = _setup_objects(cfg, rng)
 
     frames: list[Frame] = []
     for i in range(cfg.n_frames):
         t = i * cfg.dt
         ego = cfg.ego.pose_at(t)
         sensor = ego.t
+        cameras = [(cid, rig[cid].posed(ego)) for cid in sorted(rig)]
         chunks: list[np.ndarray] = []
         spans: list[GtSpan] = []
         annotations: list[Annotation2D] = []
@@ -327,18 +321,11 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
                 spans.append(GtSpan(obj.track_id, cursor, len(pts), n_bleed))
                 cursor += len(pts)
             # Annotation draws no random numbers, so it may share this loop.
-            best = None
-            for cid in sorted(rig):
-                cam = rig[cid].posed(ego)
-                proj = project_box3d(cam, box)
-                if proj is None:
-                    continue
-                key = (proj.area, cid)
-                if best is None or key > best[0]:
-                    best = (key, cid, cam, proj)
-            if best is None:
+            views = [(cid, cam, proj) for cid, cam in cameras
+                     if (proj := project_box3d(cam, box)) is not None]
+            if not views:
                 continue
-            _, cid, cam, proj = best
+            cid, cam, proj = max(views, key=lambda view: (view[2].area, view[0]))
             mask = None
             if cfg.emit_masks:
                 mask = _silhouette_mask(cam, box)
@@ -362,7 +349,6 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
             )
             chunks.append(bg)
         points_world = np.concatenate(chunks) if chunks else np.empty((0, 3))
-        ego_points = ego.inverse().apply(points_world).astype("<f4") if len(points_world) else np.empty((0, 3), dtype="<f4")
         frames.append(
             Frame(
                 frame_id=i,
@@ -370,7 +356,7 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
                 world_from_ego=ego,
                 pointcloud=f"pc/frame_{i:06d}.mvpc",
                 annotations=annotations,
-                points_ego=ego_points,
+                points_ego=ego.inverse().apply(points_world).astype("<f4"),
                 gt_spans=spans,
             )
         )
@@ -389,5 +375,6 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
         cameras=rig,
         frames=frames,
         gt_tracks=gt_tracks,
-        generator={"seed": int(seed), "config": cfg.to_dict()},
+        generator={"seed": int(seed), "config": cfg.to_dict(),
+                   **({"crowded": crowded} if crowded else {})},
     )

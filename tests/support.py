@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,41 @@ from boxlift.synthetic import (
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+TINY_CONFIG = BENCH / "scenes" / "tiny.json"
+
+# Edits of the tiny bench scene config, (key path, value), that gen cannot
+# build: numpy refuses a range or an array of at least 10**13 elements, or a
+# number overflows on its way into a point cloud.
+UNBUILDABLE_TINY_EDITS = [
+    (("placement", "y_range"), [-1e308, 1e308]),
+    (("objects", 0, "length_range"), [1e308, 1e308]),
+    (("n_background",), 10**13),
+    (("n_frames",), 10**13),
+    (("objects", 0, "density"), 1e15),
+    (("cameras", 0, "width"), 10**11),
+    (("cameras", 0, "height"), 10**11),
+    (("dt",), 1e300),
+    (("ego", "velocity", 0), 1e308),
+    (("objects", 0, "sigma"), 1e308),
+    (("bleed_offset_range",), [0, 1e308]),
+]
 
 # Camera axes in the world/ego frame when yaw = 0: optical axis +x, image
 # x-axis -y (right), image y-axis -z (down).
 CAM_BASE = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+
+def edited_tiny_config(path, value) -> dict:
+    """The tiny bench scene config with the value at key ``path`` set to
+    ``value``.  Setting one end of a [lo, hi] range moves the other end with
+    it where lo <= hi needs that."""
+    config = json.loads(TINY_CONFIG.read_text())
+    *parents, key = path
+    node = functools.reduce(operator.getitem, parents, config)
+    node[key] = value
+    if isinstance(key, int) and len(node) == 2:
+        node[1 - key] = (max if key == 0 else min)(node[1 - key], value)
+    return config
 
 
 def transform_box3d(box: Box3D, yaw: float, translation=(0.0, 0.0, 0.0)) -> Box3D:

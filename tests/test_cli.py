@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from boxlift import cli
 from boxlift.cli import cli_main
 from boxlift.errors import ConfigError
 from boxlift.scene_io import read_pseudo_labels
-from support import passing_config
+from support import UNBUILDABLE_TINY_EDITS, edited_tiny_config, passing_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
@@ -90,6 +91,36 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {start}") and also in err, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path,value", UNBUILDABLE_TINY_EDITS,
+                             ids=[".".join(map(str, path)) for path, _ in UNBUILDABLE_TINY_EDITS])
+    def test_scene_it_cannot_build_exits_one_naming_config(self, tmp_path, capsys, path, value):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(edited_tiny_config(path, value)))
+        out = tmp_path / "scene"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("gen", "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: cannot generate this scene: "), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,crowded", [
+        ("corridor", [f"obj-{k:03d}" for k in range(6, 12)]),
+        ("tiny", []),
+    ])
+    def test_records_objects_placed_without_clearance(self, tmp_path, capsys, name, crowded):
+        out = tmp_path / "scene"
+        capsys.readouterr()
+        assert run("gen", "--config", ROOT / "bench" / "scenes" / f"{name}.json",
+                   "--out", out) == 0
+        generator = json.loads((out / "scene.json").read_text())["generator"]
+        # The key is there only when some object is crowded.
+        assert generator.get("crowded", []) == crowded
+        assert ("crowded" in generator) == bool(crowded)
+        assert f"tracks, {len(crowded)} placed without clearance)" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one(self, tmp_path, capsys):
         assert run("gen", "--bogus") == 1

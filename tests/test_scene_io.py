@@ -4,8 +4,8 @@ import json
 import math
 import operator
 import shutil
+import typing
 import warnings
-from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from boxlift import scene_io
 from boxlift.cli import cli_main
-from boxlift.config import DROP_REASONS, TYPE_CHECKS, PipelineConfig
+from boxlift.config import DROP_REASONS, TYPE_CHECKS, JsonConfig, PipelineConfig
 from boxlift.errors import ParseError, SceneIoError
 from boxlift.geometry import Box2D, Box3D, CameraModel
 from boxlift.masks import Mask
@@ -30,7 +30,8 @@ from boxlift.scene_io import (
     write_pseudo_labels,
 )
 from boxlift.synthetic import SceneConfig, generate_scene
-from support import identity_pose, passing_config
+from support import (TINY_CONFIG, UNBUILDABLE_TINY_EDITS, edited_tiny_config, identity_pose,
+                     passing_config)
 
 
 def minimal_scene(points=None):
@@ -523,9 +524,6 @@ class TestAnnotationModel:
 # the input contract, end to end on the generated tiny bench scene
 # ---------------------------------------------------------------------------
 
-TINY_CONFIG = Path(__file__).resolve().parent.parent / "bench" / "scenes" / "tiny.json"
-
-
 @pytest.fixture(scope="module")
 def tiny_scene(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny") / "scene"
@@ -713,6 +711,54 @@ def test_extreme_number_never_exits_two_or_warns(tiny_scene, tmp_path, capsys, c
     assert "Traceback" not in err and "Warning" not in err, err
 
 
+def scene_config_numbers(cls=SceneConfig, path=()):
+    """Key paths of the numbers of a scene config: each float field and each
+    element of a vector or [lo, hi] range, in nested specs too (the first of
+    a list of them)."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint, args = hints[f.name], typing.get_args(hints[f.name])
+        if f.type in ("float", "Positive", "NonNeg", "Unit"):
+            yield path + (f.name,)
+        elif f.type in ("Vec3", "Range", "NonNegRange", "PosRange"):
+            yield from (path + (f.name, i) for i in range(3 if f.type == "Vec3" else 2))
+        elif dataclasses.is_dataclass(hint):
+            yield from scene_config_numbers(hint, path + (f.name,))
+        elif args and dataclasses.is_dataclass(args[0]):
+            yield from scene_config_numbers(args[0], path + (f.name, 0))
+
+
+def with_examples(cases):
+    """Hypothesis's @example(case=...) for each of ``cases``."""
+    return lambda test: functools.reduce(lambda t, case: example(case=case)(t), cases, test)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.tuples(st.sampled_from(list(scene_config_numbers())),
+                      st.sampled_from(EXTREME_NUMBERS + [-v for v in EXTREME_NUMBERS])))
+@with_examples(UNBUILDABLE_TINY_EDITS)
+def test_extreme_scene_config_number_never_exits_two_or_warns(tmp_path, capsys, case):
+    # One number of the tiny scene config at an edge of float range: gen
+    # exits 0 with a scene that loads, or 1 writing nothing, without a
+    # traceback, and nothing overflows into a numpy warning on stderr.
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(edited_tiny_config(*case)))
+    out = tmp_path / "scene"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main(["gen", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    assert "Traceback" not in err and "Warning" not in err, err
+    if code == 0:
+        load_scene(out)
+    else:
+        assert not out.exists()
+
+
 # Values a manifest field may be replaced with: wrong types, null, empty
 # containers, out-of-range and non-finite numbers.
 FUZZ_VALUES = [None, "x", "", True, [], {}, 0, -1, 0.5, math.nan, math.inf, -math.inf]
@@ -871,6 +917,11 @@ def test_every_record_field_has_a_reader(tiny_scene, tiny_labels, monkeypatch):
     for cls, readers in readers_seen.items():
         for f in dataclasses.fields(cls):
             assert f.name in readers or f.type in TYPE_CHECKS, f"{cls.__name__}.{f.name}"
+    # Conversely, every row is named by the annotation of a record or config
+    # field, or is a JSON kind that scene_io checks by name.
+    named = {f.type for cls in [*readers_seen, *JsonConfig.__subclasses__()]
+             for f in dataclasses.fields(cls)}
+    assert set(TYPE_CHECKS) - named == {"object", "array"}
 
 
 @pytest.mark.parametrize("key,value,message", [

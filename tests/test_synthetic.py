@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from boxlift.errors import ConfigError
-from boxlift.geometry import project_box3d
+from boxlift.geometry import CameraModel, project_box3d
 from boxlift.scene_io import save_scene
 from boxlift.synthetic import EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig, generate_scene
 from reference import points_in_box3d
-from support import face_ids, passing_config
+from support import BENCH, face_ids, passing_config
 
 
 def scene_bytes(tmp_path, scene, name):
@@ -46,6 +46,29 @@ class TestSelfConsistency:
                 assert proj.as_array().tolist() == ann.box.as_array().tolist()
                 checked += 1
         assert checked > 10
+
+    def test_annotating_camera_sees_the_largest_projection(self):
+        # Ties in area go to the greater camera id.
+        scene = generate_scene(SceneConfig.from_json_file(BENCH / "scenes" / "tiny.json"))
+        checked = 0
+        for frame in scene.frames:
+            for ann in frame.annotations:
+                gt = scene.gt_tracks[ann.track_id].boxes[frame.frame_id]
+                projections = {cid: project_box3d(cam.posed(frame.world_from_ego), gt)
+                               for cid, cam in scene.cameras.items()}
+                areas = {cid: proj.area for cid, proj in projections.items() if proj is not None}
+                assert ann.camera_id == max(areas, key=lambda cid: (areas[cid], cid))
+                checked += 1
+        assert checked == 6
+
+    def test_each_camera_is_posed_once_per_frame(self, monkeypatch):
+        calls = []
+        posed = CameraModel.posed
+        monkeypatch.setattr(CameraModel, "posed",
+                            lambda cam, pose: calls.append(cam) or posed(cam, pose))
+        cfg = SceneConfig.from_json_file(BENCH / "scenes" / "corridor.json")
+        generate_scene(cfg)
+        assert len(calls) == len(cfg.cameras) * cfg.n_frames == 64
 
     def test_annotation_box_within_image(self):
         scene = generate_scene(passing_config(14, n_cars=3, n_frames=6))
