@@ -15,8 +15,6 @@ import signal
 import sys
 import traceback
 
-import numpy as np
-
 from .config import TYPE_CHECKS, PipelineConfig
 from .errors import BoxliftError, ConfigError
 from .evaluate import build_report, frames_histogram
@@ -89,14 +87,12 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_gen(args) -> int:
-    """Generate and save a scene.  A config whose numbers overflow (points
-    past float32 range included) or that numpy refuses is an input error, and
-    nothing is written."""
+    """Generate and save a scene.  A scene that numpy or memory refuses, or whose
+    poses or points leave the loader's range, is an input error: nothing is written."""
     cfg = SceneConfig.from_json_file(args.config)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            scene = generate_scene(cfg, seed=args.seed)
-    except (ArithmeticError, ValueError, MemoryError) as exc:
+        scene = generate_scene(cfg, seed=args.seed)
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{args.config}: cannot generate this scene: {exc}") from exc
     out = save_scene(scene, args.out)
     crowded = len(scene.generator.get("crowded", ()))

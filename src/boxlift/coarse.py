@@ -70,12 +70,10 @@ def verify_geometry(
     iff it exceeds ``tau_iou``.
     """
     hull = convex_hull(np.asarray(bev_points, dtype=float).reshape(-1, 2))
-    # The footprint is a CCW rectangle by construction, so it is clipped as
-    # is.  Extents near float range overflow to inf or NaN, which score 0.
+    # The footprint is a CCW rectangle by construction, so it is clipped as is.
     footprint = box.footprint()
     inter = convex_intersection_area(footprint, hull.vertices)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fp_area = _polygon_area(footprint)
+    fp_area = _polygon_area(footprint)
     if metric == "coverage":
         score = inter / fp_area
     else:

@@ -1,22 +1,23 @@
 """Pipeline configuration: every tunable threshold in one place.
 
 Each field of a config dataclass declares its type and range in its
-annotation: ``Positive`` is a number > 0, ``Unit`` a number in [0, 1],
-``Count`` an integer >= 0, ``Centroid`` one of two names, and so on.
+annotation: ``Unit`` is a number in [0, 1], ``Count`` an integer >= 0,
+``Length`` metres in [1e-6, 1e4] (a physical range of ``RANGES``, within
+which no sum or product the pipeline forms leaves float range), and so on.
 ``check_field_types`` reads the annotation's row of ``TYPE_CHECKS`` and
 raises ``ConfigError`` naming the key; the manifest and label readers in
 ``scene_io`` use the same table for the records in ``scene``.
-A number must lie within float range.  ``JsonConfig`` is the base of
-``PipelineConfig`` and of the synthetic scene specs: its ``from_dict``
-rejects unknown and missing keys, naming the section, turns JSON arrays
-into tuples and builds nested specs from their annotations; ``to_dict`` is
-its inverse.
+``JsonConfig`` is the base of ``PipelineConfig`` and of the synthetic
+scene specs: its ``from_dict`` rejects unknown and missing keys, naming
+the section, turns JSON arrays into tuples and builds nested specs from
+their annotations; ``to_dict`` is its inverse.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field
@@ -40,19 +41,48 @@ def _is_unit(v) -> bool:
     return _is_real(v) and 0 <= v <= 1
 
 
-def _is_range(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)) and v[0] <= v[1]
-
-
 def _one_of(*names):
     return (lambda v: v in names, " or ".join(map(repr, names)))
 
 
+# Physical ranges: kind -> (least, greatest, unit, shape), each number in
+# [least, greatest] (integer bounds: an integer; least ulp(0.0): (0, ...]).
+# A value is one number (shape 1), a [lo, hi] pair, lo <= hi (2), or three
+# numbers (3).  Real rigs lie well inside: lengths from 1 µm to 10 km,
+# positions within 1e7 m (UTM-style world coordinates), speeds up to ten
+# times a car's, intrinsics within 1e6 px and images up to 20000 px across.
+RANGES = {
+    "Length": (1e-6, 1e4, "m", 1), "LengthRange": (1e-6, 1e4, "m", 2),
+    "Distance": (0.0, 1e4, "m", 1), "DistanceRange": (0.0, 1e4, "m", 2),
+    "Position": (-1e7, 1e7, "m", 1), "PositionRange": (-1e7, 1e7, "m", 2),
+    "Point": (-1e7, 1e7, "m", 3), "Seconds": (1e-6, 1e4, "s", 1),
+    "Velocity": (-1e3, 1e3, "m/s", 3), "SpeedRange": (0.0, 1e3, "m/s", 2),
+    "Focal": (math.ulp(0.0), 1e6, "px", 1), "Principal": (-1e6, 1e6, "px", 1),
+    "ImageSize": (1, 20_000, "px", 1), "Density": (math.ulp(0.0), 1e4, "points per m^2", 1),
+    "Weight": (0.0, 1e3, "", 1), "Budget": (1, 100_000, "", 1),
+}
+
+
+def _ranged(least, greatest, unit, shape):
+    """The TYPE_CHECKS row of a RANGES entry."""
+    integer = isinstance(least, int) and isinstance(greatest, int)
+    bounds = f"{'(0' if least == math.ulp(0.0) else f'[{least:g}'}, {greatest:g}] {unit}".rstrip()
+
+    def number(v) -> bool:
+        return (_is_int(v) if integer else _is_real(v)) and least <= v <= greatest
+
+    if shape == 1:
+        return number, f"{'an integer' if integer else 'a finite number'} in {bounds}"
+    many = "three finite numbers" if shape == 3 else "finite numbers [lo, hi], lo <= hi"
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) == shape and all(map(number, v))
+            and (shape == 3 or v[0] <= v[1]), f"{many}, each in {bounds}")
+
+
 # Field annotations that carry a range or a set of names; each is checked by
-# its row of TYPE_CHECKS.  Ranges are [lo, hi] pairs with lo <= hi.
-Positive = NonNeg = Unit = float
-Count = PosInt = Budget = int
-Range = NonNegRange = PosRange = Vec3 = Ints = tuple
+# its row of TYPE_CHECKS.
+Unit = Length = Distance = Position = Seconds = Focal = Principal = Density = Weight = float
+Count = PosInt = Budget = ImageSize = int
+LengthRange = DistanceRange = PositionRange = SpeedRange = Point = Velocity = Ints = tuple
 Gates = dict                        # class name -> number in [0, 1]
 Source = DropReason = World = Centroid = HullMetric = str
 SOURCES = ("coarse", "refined")     # where a pseudo-label's box comes from
@@ -65,22 +95,15 @@ DROP_REASONS = ("empty", "clustering", "sparse", "views", "degenerate", "verific
 TYPE_CHECKS = {
     "float": (_is_real, "a finite number"),
     "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
-    "Positive": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
-    "NonNeg": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
     "Unit": (_is_unit, "a number in [0, 1]"),
     "int": (_is_int, "an integer"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "Count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "PosInt": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "Budget": (lambda v: _is_int(v) and 1 <= v <= 100_000, "an integer in [1, 100000]"),
+    **{kind: _ranged(*bounds) for kind, bounds in RANGES.items()},
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "bool | None": (lambda v: v is None or isinstance(v, bool), "true, false or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "Range": (_is_range, "finite numbers [lo, hi], lo <= hi"),
-    "NonNegRange": (lambda v: _is_range(v) and v[0] >= 0, "finite numbers [lo, hi], 0 <= lo <= hi"),
-    "PosRange": (lambda v: _is_range(v) and v[0] > 0, "finite numbers [lo, hi], 0 < lo <= hi"),
-    "Vec3": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_real, v)),
-             "three finite numbers"),
     "Ints": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
     "Gates": (lambda v: isinstance(v, dict) and all(isinstance(k, str) and _is_unit(g)
                                                     for k, g in v.items()),
@@ -170,23 +193,23 @@ class JsonConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig(JsonConfig):
-    tau_static: Positive = 0.5       # max pairwise centroid displacement, meters
+    tau_static: Length = 0.5         # max pairwise centroid displacement, meters
     mask_conf_min: Unit = 0.6        # below this, fall back to the 2D box
     centroid: Centroid = "mean"
-    dbscan_eps: Positive = 0.5       # meters
+    dbscan_eps: Length = 0.5         # meters
     dbscan_min_pts: PosInt = 10
     min_cluster_points: Count = 10   # quality gate on |C*|
     min_views: Count = 2
     tau_iou: Unit = 0.6              # geometric verification gate
     hull_metric: HullMetric = "iou"  # see verify_geometry
-    extent_floor: Positive = 0.05    # meters; minimum box extent
-    lambda_2d: NonNeg = 0.5          # weight of the multi-view 2D loss
-    mu_fit: NonNeg = 1.0             # weight of the point-fit loss
+    extent_floor: Length = 0.05      # meters; minimum box extent
+    lambda_2d: Weight = 0.5          # weight of the multi-view 2D loss
+    mu_fit: Weight = 1.0             # weight of the point-fit loss
     refine_budget: Budget = 2000     # objective evaluations per track
     refine: bool = True
     tau_conf: Gates = field(default_factory=lambda: dict(DEFAULT_TAU_CONF))
     tau_conf_default: Unit = 0.5
-    z_near: Positive = 1e-3          # meters; camera near plane
+    z_near: Length = 1e-3            # meters; camera near plane
     curve_thresholds: Ints = (0, 5, 10, 25, 50, 100, 200)
 
     def __post_init__(self):

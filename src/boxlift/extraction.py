@@ -6,9 +6,9 @@ missing or its confidence is below the configured floor, the 2D box is
 used instead.  Each frame is projected once per camera that annotated it,
 and each annotation of that camera is tested on the shared pixel
 coordinates; a mask is tested on its run-length encoding, so no bitmap is
-decoded.  A coordinate that overflows is infinite and lands in no image.
-Motion is classified from the per-frame centroids of the extracted points
-in the world frame.
+decoded.  Cameras, poses and points lie in their ``config.RANGES``, so no
+projection overflows.  Motion is classified from the per-frame centroids
+of the extracted points in the world frame.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ def _front_pixels(
     camera: CameraModel, points_world: np.ndarray, z_near: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n,) mask of the points in front of the near plane, and their pixel u and v."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        uv, front = project_points(camera, points_world, z_near=z_near)
+    uv, front = project_points(camera, points_world, z_near=z_near)
     return front, uv[front, 0], uv[front, 1]
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import PosInt, Positive
+from .config import Focal, ImageSize, Principal
 from .errors import DegenerateHull, DegenerateSpread
 
 # Depth below which a point counts as behind the camera (meters).
@@ -258,17 +258,13 @@ class CameraModel:
     """Pinhole camera: intrinsics plus a pose from camera coordinates into the
     frame the camera sits in (the ego frame on disk, the world once posed)."""
 
-    fx: Positive
-    fy: Positive
-    cx: float
-    cy: float
-    width: PosInt
-    height: PosInt
+    fx: Focal
+    fy: Focal
+    cx: Principal
+    cy: Principal
+    width: ImageSize
+    height: ImageSize
     pose: Pose = field(metadata={"json": "ego_from_camera"})
-
-    def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0 and self.width > 0 and self.height > 0):
-            raise ValueError("invalid camera intrinsics")
 
     def posed(self, world_from_ego: Pose) -> CameraModel:
         """This ego-frame camera in the world, at the ego pose ``world_from_ego``."""

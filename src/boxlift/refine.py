@@ -179,10 +179,7 @@ class _Batch:
         fits = []
         for (a, b), (_, _, _, l, w, h, _), top, bottom in zip(self.point_bounds, params,
                                                              tops, bottoms):
-            try:
-                diagonal = math.sqrt(l**2 + w**2 + h**2)
-            except OverflowError:       # extents past about 1e154
-                diagonal = math.inf
+            diagonal = math.sqrt(l**2 + w**2 + h**2)
             outside = np.add.reduce(r[a:b]) / (b - a) / diagonal
             slack = 0.0
             for extent, hi, lo in zip((l, w, h), top, bottom):
@@ -207,11 +204,7 @@ class _Batch:
         return [sum(terms[a:b]) / (b - a) for a, b in self.view_bounds]
 
     def _clipped_term(self, v: int, params: tuple) -> float:
-        try:
-            box = Box3D(*params)
-        except ValueError:      # a NaN extent, from a simplex past float range
-            return math.nan
-        pred = project_box3d(self.cameras[v], box, z_near=self.z_near)
+        pred = project_box3d(self.cameras[v], Box3D(*params), z_near=self.z_near)
         if pred is None:
             return MISSING_PROJECTION_PENALTY
         return 1.0 - giou_2d(pred, self.boxes[v])
@@ -225,10 +218,7 @@ def _params(x, extent_floor: float) -> tuple:
 
 
 def _one_track_terms(box: Box3D, track, points, z_near: float, fit: bool, l2d: bool):
-    batch = _Batch([track], [points], z_near, fit, l2d)
-    # Boxes near float range overflow to inf or NaN terms, which score as such.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return batch.terms([_params(box.as_array(), 0.0)])
+    return _Batch([track], [points], z_near, fit, l2d).terms([_params(box.as_array(), 0.0)])
 
 
 def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float = 1e-3) -> float:
@@ -418,13 +408,10 @@ def _refine_all(batch: _Batch, inits: list[Box3D], cfg: PipelineConfig) -> list[
     """
     searches = [_Search(init, cfg.refine_budget) for init in inits]
     going = [True] * len(searches)
-    # Boxes and simplices near float range overflow to inf or NaN values,
-    # which compare as such; the search needs no warning for them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while any(going):
-            fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in searches])
-            going = [g and s.tell(_weighted(fit, l2d, cfg))
-                     for g, s, fit, l2d in zip(going, searches, fits, l2ds)]
+    while any(going):
+        fits, l2ds = batch.terms([_params(s.x, cfg.extent_floor) for s in searches])
+        going = [g and s.tell(_weighted(fit, l2d, cfg))
+                 for g, s, fit, l2d in zip(going, searches, fits, l2ds)]
     return searches
 
 
@@ -564,9 +551,7 @@ def stage_tracks(
     if cfg.refine:
         for s, search in zip(live, _refine_all(batch, [s.box for s in live], cfg)):
             s.box, s.trace = search.result(cfg.extent_floor)
-    # Boxes near float range overflow to inf or NaN terms, which score as such.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fits, l2ds = batch.terms([_params(s.box.as_array(), 0.0) for s in live])
+    fits, l2ds = batch.terms([_params(s.box.as_array(), 0.0) for s in live])
     for s, fit, l2d in zip(live, fits, l2ds):
         s.fit, s.l2d = fit, l2d
     return staged

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Count, DropReason, Source, Vec3, World
+from .config import Count, DropReason, Source, Velocity, World
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
 
@@ -70,7 +70,7 @@ class GtTrack:
 
     class_label: str = field(metadata={"json": "class"})
     static: bool
-    velocity: Vec3
+    velocity: Velocity
     boxes: dict[int, Box3D]              # frame_id -> world-frame box
 
 

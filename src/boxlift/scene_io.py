@@ -31,7 +31,7 @@ from pathlib import Path, PurePosixPath
 
 import numpy as np
 
-from .config import TYPE_CHECKS
+from .config import RANGES, TYPE_CHECKS
 from .errors import ParseError, SceneIoError
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
@@ -81,8 +81,9 @@ def read_mvpc(path) -> np.ndarray:
     if len(data) != expected:
         raise ParseError(f"expected {expected} bytes, found {len(data)}", str(path))
     points = np.frombuffer(data, dtype="<f4", offset=10).reshape(count, 3).copy()
-    if not np.isfinite(points).all():
-        raise ParseError("non-finite point coordinates", str(path))
+    # One reduction: NaN fails the comparison, and so does an infinity.
+    if not np.abs(points).max(initial=0.0) <= RANGES["Position"][1]:
+        raise ParseError(f"point coordinates must be {TYPE_CHECKS['Position'][1]}", str(path))
     return points
 
 
@@ -117,15 +118,11 @@ def _str(obj: dict, key: str, path: str) -> str:
     return _check(_get(obj, key, path), "str", f"{path.rstrip('/')}/{key}")
 
 
-def _num(value, path: str) -> float:
-    return float(_check(value, "float", path))
-
-
-def _numbers(values, n: int, path: str, shape: str) -> tuple[float, ...]:
-    """A JSON array of exactly ``n`` numbers; ``shape`` names them in the error."""
+def _numbers(values, n: int, path: str, shape: str, kind: str = "float") -> tuple[float, ...]:
+    """A JSON array of exactly ``n`` numbers of the ``kind`` row, ``shape`` in errors."""
     if not (isinstance(values, list) and len(values) == n):
         raise ParseError(f"expected {shape}", path)
-    return tuple(_num(v, f"{path}/{k}") for k, v in enumerate(values))
+    return tuple(float(_check(v, kind, f"{path}/{k}")) for k, v in enumerate(values))
 
 
 @functools.cache
@@ -181,7 +178,7 @@ def _plain(record, **writers) -> dict:
 
 def _pose(obj, path: str) -> Pose:
     q = _numbers(_get(obj, "q", path), 4, f"{path}/q", "[w, x, y, z]")
-    t = _numbers(_get(obj, "t", path), 3, f"{path}/t", "[x, y, z]")
+    t = _numbers(_get(obj, "t", path), 3, f"{path}/t", "[x, y, z]", "Position")
     return _build(Pose, path, q, t)
 
 
@@ -273,7 +270,7 @@ def manifest_to_scene(manifest: dict, directory: Path) -> Scene:
     for i, fr in enumerate(_check(_get(manifest, "frames", "/"), "array", "/frames")):
         path = f"/frames/{i}"
         frame_id = _check(_get(fr, "frame_id", path), "int", f"{path}/frame_id")
-        timestamp = _num(_get(fr, "timestamp", path), f"{path}/timestamp")
+        timestamp = float(_check(_get(fr, "timestamp", path), "float", f"{path}/timestamp"))
         if last is not None and (frame_id <= last[0] or timestamp <= last[1]):
             raise ParseError("frame ids and timestamps must be strictly increasing", path)
         last = (frame_id, timestamp)

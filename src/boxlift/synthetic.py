@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    Count, JsonConfig, NonNeg, NonNegRange, PosInt, Positive, PosRange, Range, Unit, Vec3,
+    RANGES, Count, Density, Distance, DistanceRange, Focal, ImageSize, JsonConfig, LengthRange,
+    Point, PosInt, PositionRange, Principal, Seconds, SpeedRange, Unit, Velocity,
 )
 from .errors import ConfigError, DegenerateHull
 from .geometry import (
@@ -48,14 +49,14 @@ _CAM_BASE = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 @dataclass(frozen=True)
 class CameraSpec(JsonConfig):
     camera_id: str
-    fx: Positive = 500.0
-    fy: Positive = 500.0
-    cx: float = 400.0
-    cy: float = 225.0
-    width: PosInt = 800
-    height: PosInt = 450
+    fx: Focal = 500.0
+    fy: Focal = 500.0
+    cx: Principal = 400.0
+    cy: Principal = 225.0
+    width: ImageSize = 800
+    height: ImageSize = 450
     mount_yaw_deg: float = 0.0
-    mount_offset: Vec3 = (0.0, 0.0, 0.0)
+    mount_offset: Point = (0.0, 0.0, 0.0)
 
     def rig_entry(self) -> CameraModel:
         """This camera in the ego frame."""
@@ -66,8 +67,8 @@ class CameraSpec(JsonConfig):
 
 @dataclass(frozen=True)
 class EgoSpec(JsonConfig):
-    start: Vec3 = (0.0, 0.0, 1.8)
-    velocity: Vec3 = (4.0, 0.0, 0.0)    # m/s
+    start: Point = (0.0, 0.0, 1.8)
+    velocity: Velocity = (4.0, 0.0, 0.0)  # m/s
     yaw0: float = 0.0
     yaw_rate: float = 0.0               # rad/s
 
@@ -80,41 +81,41 @@ class EgoSpec(JsonConfig):
 class ObjectClassSpec(JsonConfig):
     class_label: str
     count: Count
-    length_range: PosRange
-    width_range: PosRange
-    height_range: PosRange
-    speed_range: NonNegRange = (1.0, 4.0)   # moving objects only, m/s
+    length_range: LengthRange
+    width_range: LengthRange
+    height_range: LengthRange
+    speed_range: SpeedRange = (1.0, 4.0)    # moving objects only, m/s
     static: bool | None = None          # None: sample from static_fraction
-    density: Positive = 8.0             # surface points per m^2 per frame
-    sigma: NonNeg = 0.02                # sensor noise std, meters
+    density: Density = 8.0              # surface points per m^2 per frame
+    sigma: Distance = 0.02              # sensor noise std, meters
 
 
 @dataclass(frozen=True)
 class PlacementSpec(JsonConfig):
-    x_range: Range = (8.0, 40.0)
-    y_range: Range = (-10.0, 10.0)
-    min_separation: float = 6.0         # BEV meters between object centers
+    x_range: PositionRange = (8.0, 40.0)
+    y_range: PositionRange = (-10.0, 10.0)
+    min_separation: Distance = 6.0      # BEV meters between object centers
     # Silhouettes of distinct objects should stay this far apart in bearing
     # from every ego position, so one object's mask does not swallow another
     # object's points (inter-object occlusion is not modelled).  Like the two
     # distances, this clearance is a target: an object placed without it is
     # recorded as crowded.
     min_angular_margin_deg: float = 3.0
-    min_sensor_distance: float = 3.0    # BEV meters from ego to any object edge
+    min_sensor_distance: Distance = 3.0  # BEV meters from ego to any object edge
 
 
 @dataclass(frozen=True)
 class SceneConfig(JsonConfig):
     scene_id: str = "synthetic"
     n_frames: PosInt = 10
-    dt: Positive = 0.5                  # seconds between frames
+    dt: Seconds = 0.5                   # seconds between frames
     seed: Count = 0
     cameras: tuple[CameraSpec, ...] = (CameraSpec("cam_front"),)
     ego: EgoSpec = EgoSpec()
     objects: tuple[ObjectClassSpec, ...] = ()
     static_fraction: Unit = 0.74
     bleed_fraction: Unit = 0.02         # share of points turned into outliers
-    bleed_offset_range: NonNegRange = (0.0, 0.5)  # meters past the surface, along the ray
+    bleed_offset_range: DistanceRange = (0.0, 0.5)  # meters past the surface, along the ray
     placement: PlacementSpec = PlacementSpec()
     emit_masks: bool = True
     mask_confidence: Unit = 1.0
@@ -349,6 +350,10 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
             )
             chunks.append(bg)
         points_world = np.concatenate(chunks) if chunks else np.empty((0, 3))
+        points_ego = ego.inverse().apply(points_world).astype("<f4")
+        # The loader refuses an ego pose or a cloud coordinate out of this range.
+        if not np.abs(points_ego).max(initial=np.abs(ego.t).max()) <= RANGES["Position"][1]:
+            raise ValueError(f"frame {i} puts the ego or a point out of the position range")
         frames.append(
             Frame(
                 frame_id=i,
@@ -356,7 +361,7 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None) -> Scene:
                 world_from_ego=ego,
                 pointcloud=f"pc/frame_{i:06d}.mvpc",
                 annotations=annotations,
-                points_ego=ego.inverse().apply(points_world).astype("<f4"),
+                points_ego=points_ego,
                 gt_spans=spans,
             )
         )

@@ -26,6 +26,11 @@ def brute_force_dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     eps; clusters are connected components of the core-to-core adjacency;
     a border point joins the cluster of its lowest-index core neighbor.
     Cluster ids count up in order of each cluster's first core point.
+
+    Exact only for eps above about 1e-150: it compares squared distances
+    with eps * eps, and below about 2e-162 both underflow to 0, so any two
+    points that close count as neighbours.  A pipeline ``dbscan_eps`` is at
+    least 1e-6.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)

@@ -23,13 +23,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 TINY_CONFIG = BENCH / "scenes" / "tiny.json"
 
 # Edits of the tiny bench scene config, (key path, value), that gen cannot
-# build: numpy refuses a range or an array of at least 10**13 elements, or a
-# number overflows on its way into a point cloud.
-UNBUILDABLE_TINY_EDITS = [
+# build.  A value out of its key's range is refused on load, naming the key.
+OUT_OF_RANGE_TINY_EDITS = [
     (("placement", "y_range"), [-1e308, 1e308]),
     (("objects", 0, "length_range"), [1e308, 1e308]),
-    (("n_background",), 10**13),
-    (("n_frames",), 10**13),
     (("objects", 0, "density"), 1e15),
     (("cameras", 0, "width"), 10**11),
     (("cameras", 0, "height"), 10**11),
@@ -37,6 +34,14 @@ UNBUILDABLE_TINY_EDITS = [
     (("ego", "velocity", 0), 1e308),
     (("objects", 0, "sigma"), 1e308),
     (("bleed_offset_range",), [0, 1e308]),
+]
+# Values in range that gen refuses, naming the config: numpy refuses an array
+# of at least 10**13 elements, and an ego 1e7 m out puts poses and points
+# past the position range the loader accepts.
+UNBUILDABLE_TINY_EDITS = [
+    (("n_background",), 10**13),
+    (("n_frames",), 10**13),
+    (("ego", "start", 0), 1e7),
 ]
 
 # Camera axes in the world/ego frame when yaw = 0: optical axis +x, image

@@ -15,7 +15,8 @@ from boxlift import cli
 from boxlift.cli import cli_main
 from boxlift.errors import ConfigError
 from boxlift.scene_io import read_pseudo_labels
-from support import UNBUILDABLE_TINY_EDITS, edited_tiny_config, passing_config
+from support import (OUT_OF_RANGE_TINY_EDITS, UNBUILDABLE_TINY_EDITS, edited_tiny_config,
+                     passing_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
@@ -92,9 +93,12 @@ class TestGen:
         assert err.startswith(f"error: {start}") and also in err, err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("path,value", UNBUILDABLE_TINY_EDITS,
-                             ids=[".".join(map(str, path)) for path, _ in UNBUILDABLE_TINY_EDITS])
+    @pytest.mark.parametrize("path,value", OUT_OF_RANGE_TINY_EDITS + UNBUILDABLE_TINY_EDITS,
+                             ids=[".".join(map(str, path)) for path, _ in
+                                  OUT_OF_RANGE_TINY_EDITS + UNBUILDABLE_TINY_EDITS])
     def test_scene_it_cannot_build_exits_one_naming_config(self, tmp_path, capsys, path, value):
+        # A value out of its range is refused on load, naming the key; gen
+        # refuses the others, naming the config.
         config = tmp_path / "tiny.json"
         config.write_text(json.dumps(edited_tiny_config(path, value)))
         out = tmp_path / "scene"
@@ -103,7 +107,11 @@ class TestGen:
             warnings.simplefilter("error", RuntimeWarning)
             assert run("gen", "--config", config, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {config}: cannot generate this scene: "), err
+        if (path, value) in OUT_OF_RANGE_TINY_EDITS:
+            key = next(k for k in reversed(path) if isinstance(k, str))
+            assert err.startswith(f"error: {key} must be "), err
+        else:
+            assert err.startswith(f"error: {config}: cannot generate this scene: "), err
         assert "Traceback" not in err
         assert not out.exists()
 

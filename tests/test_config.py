@@ -35,6 +35,12 @@ BAD_VALUES = [
     ("z_near", 0.0),
     pytest.param("tau_static", 10**400, id="tau_static-10**400"),
     ("refine_budget", 10**11),
+    ("tau_static", 1e300),
+    ("dbscan_eps", 1e-7),
+    ("extent_floor", 1.79e308),
+    ("z_near", 2e4),
+    ("lambda_2d", 1e4),
+    ("mu_fit", 1e308),
 ]
 
 # One value per kind of check, run through the CLI: it must exit 1, not crash.
@@ -50,6 +56,7 @@ CLI_BAD_VALUES = [
     ("refine_budget", 0),
     pytest.param("tau_static", 10**400, id="tau_static-10**400"),
     ("refine_budget", 10**11),
+    ("extent_floor", 1e308),
 ]
 
 

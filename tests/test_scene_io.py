@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from boxlift import scene_io
 from boxlift.cli import cli_main
-from boxlift.config import DROP_REASONS, TYPE_CHECKS, JsonConfig, PipelineConfig
+from boxlift.config import DROP_REASONS, RANGES, TYPE_CHECKS, JsonConfig, PipelineConfig
 from boxlift.errors import ParseError, SceneIoError
 from boxlift.geometry import Box2D, Box3D, CameraModel
 from boxlift.masks import Mask
@@ -30,8 +30,8 @@ from boxlift.scene_io import (
     write_pseudo_labels,
 )
 from boxlift.synthetic import SceneConfig, generate_scene
-from support import (TINY_CONFIG, UNBUILDABLE_TINY_EDITS, edited_tiny_config, identity_pose,
-                     passing_config)
+from support import (OUT_OF_RANGE_TINY_EDITS, TINY_CONFIG, UNBUILDABLE_TINY_EDITS,
+                     edited_tiny_config, identity_pose, passing_config)
 
 
 def minimal_scene(points=None):
@@ -591,21 +591,23 @@ class TestInputContract:
     @pytest.mark.parametrize("floor", [1e200, 1e308, 1.79e308])
     def test_extent_floor_past_float_range_never_exits_two(self, tiny_scene, tmp_path, capsys,
                                                           floor):
-        # Every box is wider than 1e154 m: its footprint area, its diagonal
-        # and its projection overflow.  Refinement runs too.
+        # Boxes wider than 1e154 m would overflow their footprint area, their
+        # diagonal and their projection: the config is refused on load.
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"extent_floor": floor}))
-        code = cli_main(["annotate", "--dataset", str(tiny_scene), "--config", str(config),
-                         "--out", str(tmp_path / "labels.jsonl")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["annotate", "--dataset", str(tiny_scene), "--config", str(config),
+                             "--out", str(tmp_path / "labels.jsonl")])
         err = capsys.readouterr().err
-        assert code in (0, 1), err
-        assert "Traceback" not in err
+        assert code == 1, err
+        assert err.startswith("error: extent_floor must be a finite number in [1e-06, 10000] m")
 
     @pytest.mark.parametrize("no_refine", [[], ["--no-refine"]], ids=["refine", "no_refine"])
     def test_extent_floor_past_float_range_warns_nothing(self, tiny_scene, tmp_path, capsys,
                                                          no_refine):
-        # Boxes, simplices and projections overflow to inf or NaN, which
-        # score as such without a numpy warning on stderr.
+        # The config is refused on load whether or not refinement would run,
+        # before any box could overflow into a numpy warning on stderr.
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"extent_floor": 1e308}))
         with warnings.catch_warnings():
@@ -613,30 +615,51 @@ class TestInputContract:
             code = cli_main(["annotate", "--dataset", str(tiny_scene), "--config", str(config),
                              "--out", str(tmp_path / "labels.jsonl"), *no_refine])
         err = capsys.readouterr().err
-        assert code in (0, 1), err
-        assert "Warning" not in err
+        assert code == 1, err
+        assert "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", [1e300, 1.79e308, -1e300])
     @pytest.mark.parametrize("key", ["fx", "cx", "cy", "t"])
     def test_extreme_camera_number_warns_nothing(self, tiny_scene, tmp_path, capsys, key, value):
-        # Projected coordinates overflow to inf, or pass the integer range:
-        # they land in no image, without a numpy warning on stderr.  A
-        # negative fx is refused on load.
+        # Intrinsics past 1e6 px and a mount past 1e7 m are refused on load,
+        # naming the number.
         camera = lambda m: m["cameras"]["cam_front"]  # noqa: E731
         if key == "t":
             edit = set_key(lambda m: camera(m)["ego_from_camera"]["t"], 0, value)
+            where = "/cameras/cam_front/ego_from_camera/t/0"
         else:
             edit = set_key(camera, key, value)
-        scene, labels = edited_scene(tiny_scene, tmp_path, edit), tmp_path / "labels.jsonl"
+            where = f"/cameras/cam_front/{key}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, err = annotate_edited(tiny_scene, tmp_path, edit, capsys)
+        assert code == 1, err
+        assert f"error: {where}: expected a finite number in " in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("coordinate,code", [(1e7, 0), (-1e7, 0), (1.0000001e7, 1)])
+    def test_cloud_coordinate_at_the_position_edge(self, tiny_scene, tmp_path, capsys,
+                                                   coordinate, code):
+        # A point 1e7 m from its ego is annotated without a numpy warning; a
+        # point past that is refused on load, naming its cloud.
+        scene = edited_scene(tiny_scene, tmp_path, lambda m: None)
+        cloud = scene / "pc" / "frame_000000.mvpc"
+        points = read_mvpc(cloud)
+        points[0] = coordinate
+        write_mvpc(cloud, points)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            codes = [cli_main(["annotate", "--dataset", str(scene), "--out", str(labels)])]
-            if codes == [0]:
-                codes.append(cli_main(["eval", "--dataset", str(scene), "--labels", str(labels),
+            codes = [cli_main(["annotate", "--dataset", str(scene),
+                               "--out", str(tmp_path / "labels.jsonl")])]
+            if code == 0:
+                codes.append(cli_main(["eval", "--dataset", str(scene),
+                                       "--labels", str(tmp_path / "labels.jsonl"),
                                        "--report", str(tmp_path / "report.json")]))
         err = capsys.readouterr().err
-        assert codes == ([1] if (key, value) == ("fx", -1e300) else [0, 0]), err
+        assert codes == [code] * len(codes), err
+        if code:
+            assert f"error: {cloud}: point coordinates must be a finite number in " in err
         assert "Warning" not in err and "Traceback" not in err
 
     def test_track_with_two_classes_names_annotation(self, tiny_scene, tmp_path, capsys):
@@ -656,13 +679,13 @@ class TestInputContract:
 # Numbers at the edges of float range, and the first integer a float cannot
 # step past by one.
 EXTREME_NUMBERS = [5e-324, 1e-300, 1e300, 1.79e308, 2**53]
-FLOAT_CONFIG_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)
-                     if f.type in ("Positive", "NonNeg", "Unit")]
+FLOAT_CONFIG_KEYS = [name for name, hint in typing.get_type_hints(PipelineConfig).items()
+                     if hint is float]
 # Key paths of the tiny scene's manifest numbers: camera intrinsics, image
 # size and mount, ego poses, 2D boxes and ground-truth boxes.
 MANIFEST_NUMBERS = [
     *[("cameras", cam, key) for cam in ("cam_front", "cam_left")
-      for key in ("fx", "cx", "cy", "width", "height")],
+      for key in ("fx", "fy", "cx", "cy", "width", "height")],
     *[("cameras", cam, "ego_from_camera", "t", i) for cam in ("cam_front", "cam_left")
       for i in range(3)],
     *[("frames", f, "world_from_ego", key, i) for f in range(3)
@@ -671,6 +694,33 @@ MANIFEST_NUMBERS = [
     *[("gt_tracks", track, "boxes", "0", i) for track in ("obj-000", "obj-001")
       for i in range(7)],
 ]
+CAMERA_KINDS = {f.name: f.type for f in dataclasses.fields(CameraModel)}
+
+
+def manifest_kind(path) -> str | None:
+    """The ``RANGES`` kind of the manifest number at ``path``, if it has one."""
+    if path[-2] == "t":
+        return "Position"
+    return CAMERA_KINDS.get(path[-1]) if path[0] == "cameras" else None
+
+
+def range_edges(paths_and_kinds):
+    """(path, value) for each path whose kind has a ``RANGES`` row, at the
+    least and the greatest value of that range."""
+    return [(path, edge) for path, kind in paths_and_kinds if kind in RANGES
+            for edge in RANGES[kind][:2]]
+
+
+def with_examples(cases):
+    """Hypothesis's @example(case=...) for each of ``cases``."""
+    return lambda test: functools.reduce(lambda t, case: example(case=case)(t), cases, test)
+
+
+# Each pipeline key and manifest number that has a range, at both ends of it;
+# refine_budget is left out, as its greatest value runs for seconds.
+RANGE_EDGES = range_edges(
+    [(f.name, f.type) for f in dataclasses.fields(PipelineConfig) if f.type != "Budget"]
+    + [(path, manifest_kind(path)) for path in MANIFEST_NUMBERS])
 
 
 @settings(max_examples=100, derandomize=True, deadline=None,
@@ -679,15 +729,16 @@ MANIFEST_NUMBERS = [
     st.tuples(st.sampled_from(FLOAT_CONFIG_KEYS), st.sampled_from(EXTREME_NUMBERS)),
     st.tuples(st.sampled_from(MANIFEST_NUMBERS),
               st.sampled_from(EXTREME_NUMBERS + [-v for v in EXTREME_NUMBERS]))))
+@with_examples(RANGE_EDGES)
 @example(case=("extent_floor", 1.79e308))
 @example(case=("dbscan_eps", 1e-300))
 @example(case=("dbscan_eps", 5e-324))
 @example(case=(("cameras", "cam_front", "width"), 2**62))
 @example(case=(("cameras", "cam_left", "height"), 2**31))
 def test_extreme_number_never_exits_two_or_warns(tiny_scene, tmp_path, capsys, case):
-    # One config key or one manifest number at an edge of float range:
-    # annotate, then eval of its labels, exit 0 or 1 without a traceback,
-    # and nothing overflows into a numpy warning on stderr.
+    # One config key or one manifest number at an edge of float range or of
+    # its own range: annotate, then eval of its labels, exit 0 or 1 without
+    # a traceback, and nothing overflows into a numpy warning on stderr.
     target, value = case
     config = {"refine_budget": 100}
     scene = tiny_scene
@@ -712,36 +763,34 @@ def test_extreme_number_never_exits_two_or_warns(tiny_scene, tmp_path, capsys, c
 
 
 def scene_config_numbers(cls=SceneConfig, path=()):
-    """Key paths of the numbers of a scene config: each float field and each
-    element of a vector or [lo, hi] range, in nested specs too (the first of
-    a list of them)."""
+    """(key path, annotation) of the numbers of a scene config: each float or
+    ranged integer field and each element of a vector or [lo, hi] range, in
+    nested specs too (the first of a list of them)."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         hint, args = hints[f.name], typing.get_args(hints[f.name])
-        if f.type in ("float", "Positive", "NonNeg", "Unit"):
-            yield path + (f.name,)
-        elif f.type in ("Vec3", "Range", "NonNegRange", "PosRange"):
-            yield from (path + (f.name, i) for i in range(3 if f.type == "Vec3" else 2))
+        if hint is float or f.type in RANGES and hint is int:
+            yield path + (f.name,), f.type
+        elif hint is tuple:
+            n = 2 if f.type.endswith("Range") else 3
+            yield from ((path + (f.name, i), f.type) for i in range(n))
         elif dataclasses.is_dataclass(hint):
             yield from scene_config_numbers(hint, path + (f.name,))
         elif args and dataclasses.is_dataclass(args[0]):
             yield from scene_config_numbers(args[0], path + (f.name, 0))
 
 
-def with_examples(cases):
-    """Hypothesis's @example(case=...) for each of ``cases``."""
-    return lambda test: functools.reduce(lambda t, case: example(case=case)(t), cases, test)
-
-
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.tuples(st.sampled_from(list(scene_config_numbers())),
+@given(case=st.tuples(st.sampled_from([path for path, _ in scene_config_numbers()]),
                       st.sampled_from(EXTREME_NUMBERS + [-v for v in EXTREME_NUMBERS])))
-@with_examples(UNBUILDABLE_TINY_EDITS)
+@with_examples(OUT_OF_RANGE_TINY_EDITS + UNBUILDABLE_TINY_EDITS
+               + range_edges(scene_config_numbers()))
 def test_extreme_scene_config_number_never_exits_two_or_warns(tmp_path, capsys, case):
-    # One number of the tiny scene config at an edge of float range: gen
-    # exits 0 with a scene that loads, or 1 writing nothing, without a
-    # traceback, and nothing overflows into a numpy warning on stderr.
+    # One number of the tiny scene config at an edge of float range or of
+    # its own range: gen exits 0 with a scene that loads, or 1 writing
+    # nothing, without a traceback, and nothing overflows into a numpy
+    # warning on stderr.
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(edited_tiny_config(*case)))
     out = tmp_path / "scene"
@@ -918,10 +967,28 @@ def test_every_record_field_has_a_reader(tiny_scene, tiny_labels, monkeypatch):
         for f in dataclasses.fields(cls):
             assert f.name in readers or f.type in TYPE_CHECKS, f"{cls.__name__}.{f.name}"
     # Conversely, every row is named by the annotation of a record or config
-    # field, or is a JSON kind that scene_io checks by name.
+    # field, or is a kind that scene_io checks by name (pose and cloud
+    # coordinates are positions).
     named = {f.type for cls in [*readers_seen, *JsonConfig.__subclasses__()]
              for f in dataclasses.fields(cls)}
-    assert set(TYPE_CHECKS) - named == {"object", "array"}
+    assert set(TYPE_CHECKS) - named == {"object", "array", "Position"}
+
+
+# Numbers of the configs and cameras that have no physical range: angles in
+# degrees or radians, and the yaw rate.
+ANGLES = {"mount_yaw_deg", "yaw0", "yaw_rate", "min_angular_margin_deg"}
+
+
+def test_every_numeric_field_names_a_range():
+    # A number that no range bounds could again reach float range inside
+    # the pipeline.  Fractions in [0, 1] and integer counts cannot: a count
+    # too large for memory is refused where it is allocated.
+    for cls in [CameraModel, *JsonConfig.__subclasses__()]:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if hints[f.name] in (float, int, tuple):
+                assert (f.type in RANGES or f.type in ("Unit", "Count", "PosInt", "Ints")
+                        or f.name in ANGLES), f"{cls.__name__}.{f.name}: {f.type}"
 
 
 @pytest.mark.parametrize("key,value,message", [

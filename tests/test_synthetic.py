@@ -8,7 +8,7 @@ from boxlift.geometry import CameraModel, project_box3d
 from boxlift.scene_io import save_scene
 from boxlift.synthetic import EgoSpec, ObjectClassSpec, PlacementSpec, SceneConfig, generate_scene
 from reference import points_in_box3d
-from support import BENCH, face_ids, passing_config
+from support import BENCH, edited_tiny_config, face_ids, passing_config
 
 
 def scene_bytes(tmp_path, scene, name):
@@ -276,6 +276,23 @@ class TestConfig:
         for config, key in bad:
             with pytest.raises(ConfigError, match=key):
                 SceneConfig.from_dict(config)
+
+    @pytest.mark.parametrize("path,value,key", [
+        (("dt",), 1e300, "dt"),
+        (("ego", "velocity", 0), 1e308, "velocity"),
+    ], ids=["dt", "ego.velocity"])
+    def test_library_config_out_of_range_raises_naming_key(self, path, value, key):
+        # Building the config refuses the value, so generate_scene, called
+        # as a library, never sees it.
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            SceneConfig.from_dict(edited_tiny_config(path, value))
+
+    def test_scene_past_the_position_range_raises(self):
+        # An ego that starts 1e7 m out is in range, but its scene puts poses
+        # and points past the range the loader accepts.
+        cfg = SceneConfig.from_dict(edited_tiny_config(("ego", "start", 0), 1e7))
+        with pytest.raises(ValueError, match="out of the position range"):
+            generate_scene(cfg)
 
     def test_static_fraction_drives_mix(self):
         cfg = SceneConfig(
