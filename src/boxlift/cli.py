@@ -132,6 +132,7 @@ def _annotate_forked(tracks, cfg: PipelineConfig, workers: int) -> list:
     """Label ``tracks`` in this process and ``workers - 1`` forked children.
 
     Share i is tracks i, i + workers, ...; each share refines together.
+    With one worker nothing is forked and this process labels every track.
     Shares 1.. go to children, which inherit the tracks and send their
     labels back as one pickle each; this process labels share 0 meanwhile,
     reads each pipe to EOF and puts the labels back in track order.  A
@@ -187,9 +188,10 @@ def _cmd_annotate(args) -> int:
     cfg = _load_pipeline_config(args)
     scene = load_scene(args.dataset)
     tracks = build_tracks(scene, cfg)
-    # Without fork (not POSIX) the command runs in one process.
-    workers = min(args.threads, len(tracks)) if hasattr(os, "fork") else 1
-    labels = _annotate_forked(tracks, cfg, workers) if workers > 1 else _annotate(tracks, cfg)
+    # Without fork (not POSIX) the command runs in one process.  A scene
+    # with no tracks still takes one worker, so the shares' step is not 0.
+    workers = max(1, min(args.threads, len(tracks))) if hasattr(os, "fork") else 1
+    labels = _annotate_forked(tracks, cfg, workers)
     write_pseudo_labels(labels, args.out)
     kept = sum(lb.kept for lb in labels)
     print(f"wrote {args.out} ({len(labels)} labels, {kept} kept)", file=sys.stderr)

@@ -240,12 +240,8 @@ class GateResult:
     reason: str | None = None
 
 
-def quality_gate(
-    cluster: np.ndarray,
-    inst: AggregatedInstance,
-    min_points: int = 10,
-    min_views: int = 2,
-) -> GateResult:
+def quality_gate(cluster: np.ndarray, inst: AggregatedInstance, min_points: int,
+                 min_views: int) -> GateResult:
     """Reject instances whose clean cluster is too sparse or too few-viewed."""
     if cluster.size < min_points:
         return GateResult(False, "sparse")

@@ -22,7 +22,7 @@ from .errors import DegenerateSpread
 from .geometry import Box3D, _polygon_area, convex_hull, convex_intersection_area, pca_2d
 
 
-def fit_coarse_box(points, extent_floor: float = 0.05) -> tuple[Box3D, bool]:
+def fit_coarse_box(points, extent_floor: float) -> tuple[Box3D, bool]:
     """Fit a box to >= 3 world points; returns (box, clamped).
 
     Extents below ``extent_floor`` are clamped to it and flagged rather
@@ -54,12 +54,7 @@ class CoarseBoxResult:
     verified: bool
 
 
-def verify_geometry(
-    box: Box3D,
-    bev_points,
-    tau_iou: float = 0.6,
-    metric: str = "iou",
-) -> CoarseBoxResult:
+def verify_geometry(box: Box3D, bev_points, tau_iou: float, metric: str) -> CoarseBoxResult:
     """Shape-consistency check of a fitted box against its point hull.
 
     ``metric`` selects the score: "iou" is area(footprint ∩ hull) over

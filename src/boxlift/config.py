@@ -1,5 +1,10 @@
 """Pipeline configuration: every tunable threshold in one place.
 
+``PipelineConfig`` is the only place a pipeline value is set.  The stage
+functions take their thresholds, and the entry points their config, with
+no default; the one default config is the one the CLI builds when
+``--config`` is absent.
+
 Each field of a config dataclass declares its type and range in its
 annotation: ``Unit`` is a number in [0, 1], ``Count`` an integer >= 0,
 ``Length`` metres in [1e-6, 1e4] (a physical range of ``RANGES``, within
@@ -26,6 +31,8 @@ from .errors import ConfigError
 
 # Class-specific confidence gates for pseudo-label filtering.
 DEFAULT_TAU_CONF = {"Car": 0.5, "Pedestrian": 0.4}
+# Depth below which a point counts as behind the camera (meters).
+DEFAULT_Z_NEAR = 1e-3
 
 
 def _is_int(v) -> bool:
@@ -96,6 +103,7 @@ TYPE_CHECKS = {
     "float": (_is_real, "a finite number"),
     "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
     "Unit": (_is_unit, "a number in [0, 1]"),
+    "Unit | None": (lambda v: v is None or _is_unit(v), "a number in [0, 1] or null"),
     "int": (_is_int, "an integer"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "Count": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
@@ -154,12 +162,13 @@ def _from_json(hint, value, key: str):
     (``EgoSpec``, ``tuple[CameraSpec, ...]``) built by its ``from_dict``, any
     other array as a tuple."""
     if isinstance(hint, type) and issubclass(hint, JsonConfig):
-        return hint.from_dict(value, key)
+        return hint.from_dict(value, key, nested=True)
     args = typing.get_args(hint)
     if args and isinstance(args[0], type) and issubclass(args[0], JsonConfig):
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be an array, got {value!r}")
-        return tuple(args[0].from_dict(v, f"{key}[{i}]") for i, v in enumerate(value))
+        return tuple(args[0].from_dict(v, f"{key}[{i}]", nested=True)
+                     for i, v in enumerate(value))
     return tuple(value) if isinstance(value, list) else value
 
 
@@ -170,7 +179,9 @@ class JsonConfig:
         check_field_types(self)
 
     @classmethod
-    def from_dict(cls, d, section: str = "config"):
+    def from_dict(cls, d, section: str = "config", nested: bool = False):
+        """The config of the JSON object ``d``; a bad value of a ``nested``
+        section's spec is named with the section (``cameras[1]: fx must be ...``)."""
         if not isinstance(d, dict):
             raise ConfigError(f"{section} must be an object, got {d!r}")
         fields = dataclasses.fields(cls)
@@ -181,7 +192,13 @@ class JsonConfig:
             if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{f.name} is missing from {section}")
         hints = typing.get_type_hints(cls)
-        return cls(**{key: _from_json(hints[key], value, key) for key, value in d.items()})
+        values = {key: _from_json(hints[key], value, key) for key, value in d.items()}
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            if not nested:
+                raise
+            raise ConfigError(f"{section}: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path):
@@ -209,7 +226,7 @@ class PipelineConfig(JsonConfig):
     refine: bool = True
     tau_conf: Gates = field(default_factory=lambda: dict(DEFAULT_TAU_CONF))
     tau_conf_default: Unit = 0.5
-    z_near: Length = 1e-3            # meters; camera near plane
+    z_near: Length = DEFAULT_Z_NEAR  # meters; camera near plane
     curve_thresholds: Ints = (0, 5, 10, 25, 50, 100, 200)
 
     def __post_init__(self):

@@ -30,9 +30,7 @@ class SegmentationInstance:
     iou_cluster: float            # point-set IoU of C* vs ground truth
 
 
-def segmentation_instances(
-    scene: Scene, config: PipelineConfig | None = None
-) -> list[SegmentationInstance]:
+def segmentation_instances(scene: Scene, config: PipelineConfig) -> list[SegmentationInstance]:
     """Segmentation scores of every ground-truth-static track.
 
     Only those tracks are extracted.  Requires a synthetic scene: ground
@@ -52,7 +50,6 @@ def segmentation_instances(
         if frame.gt_spans is None:
             raise ConfigError(f"frame {frame.frame_id} has no gt_spans; segmentation metrics "
                               f"need every frame's ground-truth spans")
-    cfg = config or PipelineConfig()
     gt_ranges = {
         frame.frame_id: {s.track_id: (s.start, s.start + s.count - s.n_bleed)
                          for s in frame.gt_spans}
@@ -60,10 +57,10 @@ def segmentation_instances(
     }
     static_ids = {tid for tid, gt in scene.gt_tracks.items() if gt.static}
     out = []
-    for track in build_tracks(scene, cfg, static_ids):
+    for track in build_tracks(scene, config, static_ids):
         try:
             inst = aggregate_static(track)
-            labels = dbscan(inst.points_agg, cfg.dbscan_eps, cfg.dbscan_min_pts)
+            labels = dbscan(inst.points_agg, config.dbscan_eps, config.dbscan_min_pts)
             cluster = select_dominant_cluster(inst, labels)
         except BoxliftError:
             continue

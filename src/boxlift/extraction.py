@@ -58,13 +58,8 @@ def _hits(u: np.ndarray, v: np.ndarray, annotation: Annotation2D,
     return hit
 
 
-def extraction_mask(
-    camera: CameraModel,
-    points_world: np.ndarray,
-    annotation: Annotation2D,
-    mask_conf_min: float = 0.6,
-    z_near: float = 1e-3,
-) -> np.ndarray:
+def extraction_mask(camera: CameraModel, points_world: np.ndarray, annotation: Annotation2D,
+                    mask_conf_min: float, z_near: float) -> np.ndarray:
     """Boolean keep-mask over ``points_world`` for one annotation.
 
     The test ``build_tracks`` applies, for one annotation alone: project
@@ -86,7 +81,7 @@ class MotionVerdict:
     low_evidence: bool = False        # single observation: nothing to compare
 
 
-def classify_motion(centroids, tau_static: float = 0.5) -> MotionVerdict:
+def classify_motion(centroids, tau_static: float) -> MotionVerdict:
     """Static iff the max pairwise centroid distance stays below tau_static.
 
     A single observation carries no motion evidence and defaults to static
@@ -102,7 +97,7 @@ def classify_motion(centroids, tau_static: float = 0.5) -> MotionVerdict:
     return MotionVerdict(disp < tau_static, disp, len(c))
 
 
-def track_centroids(track: ObjectTrack, mode: str = "mean") -> np.ndarray:
+def track_centroids(track: ObjectTrack, mode: str) -> np.ndarray:
     """Per-frame world centroids of the extracted points, frame order.
 
     Frames whose extraction came up empty are skipped.
@@ -116,11 +111,8 @@ def track_centroids(track: ObjectTrack, mode: str = "mean") -> np.ndarray:
     return np.array(rows).reshape(-1, 3)
 
 
-def build_tracks(
-    scene: Scene,
-    config: PipelineConfig | None = None,
-    track_ids: Collection[str] | None = None,
-) -> list[ObjectTrack]:
+def build_tracks(scene: Scene, config: PipelineConfig,
+                 track_ids: Collection[str] | None = None) -> list[ObjectTrack]:
     """Group annotations by track id and extract each observation's points.
 
     Each frame is posed and projected once per camera that annotated it
@@ -130,7 +122,6 @@ def build_tracks(
     observation carries the world-posed camera that produced its
     annotation.
     """
-    cfg = config or PipelineConfig()
     observations: dict[str, dict[int, Observation]] = {}
     for frame in scene.frames:
         by_camera: dict[str, list[Annotation2D]] = {}
@@ -140,10 +131,10 @@ def build_tracks(
         for camera_id, anns in by_camera.items():
             cam = scene.cameras[camera_id].posed(frame.world_from_ego)
             pts = frame.points_world
-            front, u, v = _front_pixels(cam, pts, cfg.z_near)
+            front, u, v = _front_pixels(cam, pts, config.z_near)
             front_idx = np.flatnonzero(front)
             for ann in anns:
-                idx = front_idx[_hits(u, v, ann, cfg.mask_conf_min)]
+                idx = front_idx[_hits(u, v, ann, config.mask_conf_min)]
                 observations.setdefault(ann.track_id, {})[frame.frame_id] = Observation(
                     ann, cam, pts[idx], idx
                 )

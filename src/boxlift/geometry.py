@@ -24,11 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Focal, ImageSize, Principal
+from .config import DEFAULT_Z_NEAR, Focal, ImageSize, Principal
 from .errors import DegenerateHull, DegenerateSpread
-
-# Depth below which a point counts as behind the camera (meters).
-DEFAULT_Z_NEAR = 1e-3
 
 
 def normalize_yaw(yaw: float) -> float:

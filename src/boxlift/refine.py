@@ -7,13 +7,16 @@ box, and the per-object mean keeps instances visible in many frames from
 dominating.  A derivative-free simplex search minimizes the weighted sum;
 the objective is piecewise smooth (min/max and clipping everywhere), so
 no gradients are assumed.  The term weights, evaluation budget, extent
-floor, near plane and confidence gates all come from ``PipelineConfig``.
+floor, near plane and confidence gates all come from ``PipelineConfig``:
+each function that reads one takes the config, or the value, with no
+default.
 
 ``stage_tracks`` stacks the views and fit points of every track that
 reaches refinement once, in one ``_Batch``.  The tracks are refined in
 lockstep: each track's search is a generator of the points it wants
 scored, every round scores the pending point of all of them in one
-``_Batch.terms`` call, and one more call scores every final box.  The
+``_Batch.terms`` call, and one more call scores every final box.
+``annotate_track`` builds each track's label from its staged record.  The
 one-track functions (``refine_box``, ``objective_value``, ``l_fit``,
 ``l2d_multiview``) stack one track.
 """
@@ -221,7 +224,7 @@ def _one_track_terms(box: Box3D, track, points, z_near: float, fit: bool, l2d: b
     return _Batch([track], [points], z_near, fit, l2d).terms([_params(box.as_array(), 0.0)])
 
 
-def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float = 1e-3) -> float:
+def l2d_multiview(box: Box3D, track: ObjectTrack, z_near: float) -> float:
     """Mean over the track's views of (1 - GIoU(projected box, annotated box))."""
     return _one_track_terms(box, track, (), z_near, False, True)[1][0]
 
@@ -252,20 +255,14 @@ def _weighted(fit, l2d, cfg: PipelineConfig) -> float:
     return total
 
 
-def objective_value(
-    box: Box3D,
-    track: ObjectTrack,
-    points,
-    config: PipelineConfig | None = None,
-) -> float:
+def objective_value(box: Box3D, track: ObjectTrack, points, config: PipelineConfig) -> float:
     """``mu_fit * l_fit + lambda_2d * l2d_multiview`` with the config's weights.
 
     A term is skipped at weight 0, so a pure 2D objective needs no points.
     """
-    cfg = config or PipelineConfig()
-    (fit,), (l2d,) = _one_track_terms(box, track, points, cfg.z_near,
-                                      cfg.mu_fit > 0, cfg.lambda_2d > 0)
-    return _weighted(fit, l2d, cfg)
+    (fit,), (l2d,) = _one_track_terms(box, track, points, config.z_near,
+                                      config.mu_fit > 0, config.lambda_2d > 0)
+    return _weighted(fit, l2d, config)
 
 
 @dataclass
@@ -415,12 +412,8 @@ def _refine_all(batch: _Batch, inits: list[Box3D], cfg: PipelineConfig) -> list[
     return searches
 
 
-def refine_box(
-    init: Box3D,
-    track: ObjectTrack,
-    points,
-    config: PipelineConfig | None = None,
-) -> tuple[Box3D, RefineTrace]:
+def refine_box(init: Box3D, track: ObjectTrack, points,
+               config: PipelineConfig) -> tuple[Box3D, RefineTrace]:
     """Minimize ``objective_value`` within ``config.refine_budget`` evaluations.
 
     Nelder-Mead from the documented initial simplex, restarted once from
@@ -429,9 +422,8 @@ def refine_box(
     evaluated box is returned, so the result never scores worse than
     ``init``.  Deterministic.
     """
-    cfg = config or PipelineConfig()
-    batch = _Batch([track], [points], cfg.z_near, cfg.mu_fit > 0, cfg.lambda_2d > 0)
-    return _refine_all(batch, [init], cfg)[0].result(cfg.extent_floor)
+    batch = _Batch([track], [points], config.z_near, config.mu_fit > 0, config.lambda_2d > 0)
+    return _refine_all(batch, [init], config)[0].result(config.extent_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +478,17 @@ class StagedTrack:
 
 
 def _stage(track: ObjectTrack, cfg: PipelineConfig) -> StagedTrack:
-    """The per-track stages up to refinement, as the track's ``StagedTrack``."""
+    """The per-track stages up to refinement, as the track's ``StagedTrack``.
+
+    A static track is aggregated across frames, cleaned with DBSCAN, gated
+    on cluster size and view count, fitted and verified; its 2D loss
+    scores every view.  A moving track is fitted on its single densest
+    view, and its verification is recorded but not gated on; its 2D loss
+    scores that view only, since the object moves between frames, so one
+    world-frame box cannot satisfy other timestamps' annotations and
+    including them would drag the box off the anchor frame.  Both paths
+    share one fit-and-verify step.
+    """
     centroids = track_centroids(track, cfg.centroid)
     if len(centroids) == 0:
         return StagedTrack("empty", 0, track.n_views_with_points)
@@ -529,9 +531,7 @@ def _stage(track: ObjectTrack, cfg: PipelineConfig) -> StagedTrack:
     return StagedTrack(None, n_points, n_views, box, hull_iou, anchor, loss_track, fit_points)
 
 
-def stage_tracks(
-    tracks: list[ObjectTrack], config: PipelineConfig | None = None
-) -> list[StagedTrack]:
+def stage_tracks(tracks: list[ObjectTrack], config: PipelineConfig) -> list[StagedTrack]:
     """Run each track's stages up to refinement, then refine and score every survivor together.
 
     Entry i is track i's ``StagedTrack``; the survivors are the entries
@@ -542,51 +542,32 @@ def stage_tracks(
     is replaced by its refined one.  One more evaluation of the same
     batch then scores both terms at every final box.
     """
-    cfg = config or PipelineConfig()
-    staged = [_stage(track, cfg) for track in tracks]
+    staged = [_stage(track, config) for track in tracks]
     live = [s for s in staged if s.drop_reason is None]
     if not live:
         return staged
-    batch = _Batch([s.views for s in live], [s.points for s in live], cfg.z_near)
-    if cfg.refine:
-        for s, search in zip(live, _refine_all(batch, [s.box for s in live], cfg)):
-            s.box, s.trace = search.result(cfg.extent_floor)
+    batch = _Batch([s.views for s in live], [s.points for s in live], config.z_near)
+    if config.refine:
+        for s, search in zip(live, _refine_all(batch, [s.box for s in live], config)):
+            s.box, s.trace = search.result(config.extent_floor)
     fits, l2ds = batch.terms([_params(s.box.as_array(), 0.0) for s in live])
     for s, fit, l2d in zip(live, fits, l2ds):
         s.fit, s.l2d = fit, l2d
     return staged
 
 
-def annotate_track(
-    track: ObjectTrack,
-    config: PipelineConfig | None = None,
-    staged: StagedTrack | None = None,
-) -> PseudoLabel:
-    """Run the full per-track pipeline and emit one pseudo-label.
+def annotate_track(track: ObjectTrack, config: PipelineConfig, staged: StagedTrack) -> PseudoLabel:
+    """The track's pseudo-label, built from ``staged``, its entry of ``stage_tracks``.
 
-    Static tracks: aggregate across frames, clean with DBSCAN, gate on
-    cluster size and view count, fit, verify, then refine against every
-    view's 2D annotation.  Moving tracks: fit on the single densest view,
-    record but do not gate on verification, and refine against that view
-    only; the object moves between frames, so one world-frame box cannot
-    satisfy other timestamps' annotations and including them would drag
-    the box off the anchor frame.  Both paths share one fit-and-verify
-    step.
-
-    ``staged`` is the track's entry of ``stage_tracks``, which refines many
-    tracks together; without it the track is staged alone.  Every label is
-    built here from that record.  A track dropped before refinement keeps
-    its stage's ``drop_reason`` and has no confidence; otherwise the
-    confidence is ``exp(-J)`` of the objective's terms at the final box,
-    and ``filter_pseudo_label`` keeps or drops the label on it.
+    A track dropped before refinement keeps its stage's ``drop_reason``
+    and has no confidence; otherwise the confidence is ``exp(-J)`` of the
+    objective's terms at the final box, and ``filter_pseudo_label`` keeps
+    or drops the label on it.
     """
-    cfg = config or PipelineConfig()
-    if staged is None:
-        staged = stage_tracks([track], cfg)[0]
     reason, confidence = staged.drop_reason, None
     if reason is None:
-        confidence = math.exp(-_weighted(staged.fit, staged.l2d, cfg))
-        reason = filter_pseudo_label(track.class_label, confidence, cfg)
+        confidence = math.exp(-_weighted(staged.fit, staged.l2d, config))
+        reason = filter_pseudo_label(track.class_label, confidence, config)
     return PseudoLabel(
         track_id=track.track_id,
         class_label=track.class_label,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Count, DropReason, Source, Velocity, World
+from .config import Count, DropReason, Source, Unit, Velocity, World
 from .geometry import Box2D, Box3D, CameraModel, Pose
 from .masks import Mask
 
@@ -26,7 +26,7 @@ class Annotation2D:
     camera_id: str
     box: Box2D
     mask: Mask | None = None
-    mask_confidence: float | None = None
+    mask_confidence: Unit | None = None
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class ObjectTrack:
 class QualityRecord:
     n_points: Count
     n_views: Count
-    hull_iou: float | None
+    hull_iou: Unit | None
     l2d: float | None
     fit: float | None
 
@@ -136,7 +136,7 @@ class PseudoLabel:
     quality: QualityRecord
     kept: bool
     drop_reason: DropReason | None = None
-    confidence: float | None = None
+    confidence: Unit | None = None
     anchor_frame_id: int | None = None # frame whose pose the box was fitted at
     frame_of_reference: World = "world"
 

@@ -7,8 +7,9 @@ uniformly on the box faces whose outward normal faces the sensor
 frame.  Every rig camera is posed once per frame.  Each object is
 annotated in the camera where its ground-truth box projects largest (ties
 go to the greater camera id), through the exact projection code the
-pipeline uses, so annotation boxes match ``project_box3d`` of the
-ground-truth box bit for bit.  Instance masks are the rasterized
+pipeline uses at the near plane ``DEFAULT_Z_NEAR``, the default of
+``PipelineConfig.z_near``, so annotation boxes match ``project_box3d`` of
+the ground-truth box bit for bit.  Instance masks are the rasterized
 silhouette of the projected box corners.  A configurable fraction of
 "bleed" outliers is pushed along the sensor ray past the surface to mimic
 camera/LiDAR misalignment noise.

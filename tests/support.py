@@ -20,6 +20,8 @@ from boxlift.synthetic import (
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# The pipeline's default config, whose values the tests pass to the stages.
+DEFAULTS = PipelineConfig()
 TINY_CONFIG = BENCH / "scenes" / "tiny.json"
 
 # Edits of the tiny bench scene config, (key path, value), that gen cannot

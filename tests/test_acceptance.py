@@ -42,6 +42,7 @@ from boxlift.refine import (
     l2d_multiview,
     objective_value,
     refine_box,
+    stage_tracks,
 )
 from boxlift.scene import Annotation2D, ObjectTrack
 from boxlift.scene_io import scene_to_manifest
@@ -54,7 +55,7 @@ from boxlift.synthetic import (
     generate_scene,
 )
 from reference import brute_force_dbscan, mc_iou_3d, point_in_convex_polygon
-from support import passing_config, transform_box3d, two_view_track
+from support import DEFAULTS, passing_config, transform_box3d, two_view_track
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs/report.schema.json").read_text()
@@ -82,7 +83,7 @@ def static_track_pool(seeds, sigma=0.02, bleed=0.0, offsets=(1.0, 4.0), n_cars=3
             passing_config(seed, n_cars=n_cars, n_frames=10, sigma=sigma,
                            bleed_fraction=bleed, bleed_offset_range=offsets)
         )
-        for track in build_tracks(scene):
+        for track in build_tracks(scene, DEFAULTS):
             inst = aggregate_static(track)
             labels = dbscan(inst.points_agg, 0.5, 10)
             cluster = select_dominant_cluster(inst, labels)
@@ -168,7 +169,7 @@ def test_c03_coarse_fit_recovery():
     for _scene, _track, gt, inst, cluster in clean:
         if inst.n_views < 5 or cluster.size < 200:
             continue
-        box, _ = fit_coarse_box(inst.points_agg[cluster])
+        box, _ = fit_coarse_box(inst.points_agg[cluster], DEFAULTS.extent_floor)
         ious.append(iou_3d(box, gt))
     mean_clean = float(np.mean(ious))
 
@@ -176,8 +177,8 @@ def test_c03_coarse_fit_recovery():
     bled = static_track_pool(range(400, 434), sigma=0.02, bleed=0.02)
     cluster_ious, raw_ious = [], []
     for _scene, _track, gt, inst, cluster in bled:
-        box_c, _ = fit_coarse_box(inst.points_agg[cluster])
-        box_r, _ = fit_coarse_box(inst.points_agg)
+        box_c, _ = fit_coarse_box(inst.points_agg[cluster], DEFAULTS.extent_floor)
+        box_r, _ = fit_coarse_box(inst.points_agg, DEFAULTS.extent_floor)
         cluster_ious.append(iou_3d(box_c, gt))
         raw_ious.append(iou_3d(box_r, gt))
     elapsed = time.monotonic() - t0
@@ -275,11 +276,11 @@ def test_c06_l2d_exactness_and_averaging():
             passing_config(seed, n_cars=3, n_frames=8, sigma=0.0, static=None,
                            static_fraction=0.6)
         )
-        for track in build_tracks(scene):
+        for track in build_tracks(scene, DEFAULTS):
             gt_boxes = scene.gt_tracks[track.track_id].boxes
             n_tracks += 1
             if scene.gt_tracks[track.track_id].static:
-                worst = max(worst, abs(l2d_multiview(gt_boxes[0], track)))
+                worst = max(worst, abs(l2d_multiview(gt_boxes[0], track, DEFAULTS.z_near)))
             else:
                 # a moving object's ground truth is per frame
                 for fid in track.frame_ids:
@@ -287,13 +288,13 @@ def test_c06_l2d_exactness_and_averaging():
                         track.track_id, track.class_label,
                         {fid: track.observations[fid]},
                     )
-                    worst = max(worst, abs(l2d_multiview(gt_boxes[fid], single)))
+                    worst = max(worst, abs(l2d_multiview(gt_boxes[fid], single, DEFAULTS.z_near)))
 
     # averaging identity: adding a view combines as a weighted mean, 1e-12
     rng = np.random.default_rng(106)
     scene = generate_scene(passing_config(610, n_cars=2, n_frames=8, sigma=0.02))
     identity_err = 0.0
-    for track in build_tracks(scene):
+    for track in build_tracks(scene, DEFAULTS):
         fids = track.frame_ids
         for _ in range(25):
             box = random_box(rng, center_spread=8.0)
@@ -302,10 +303,10 @@ def test_c06_l2d_exactness_and_averaging():
             new = ObjectTrack(track.track_id, track.class_label,
                               {fids[-1]: track.observations[fids[-1]]})
             n = len(fids) - 1
-            combined = (n * l2d_multiview(box, sub)
-                        + l2d_multiview(box, new)) / (n + 1)
+            combined = (n * l2d_multiview(box, sub, DEFAULTS.z_near)
+                        + l2d_multiview(box, new, DEFAULTS.z_near)) / (n + 1)
             identity_err = max(
-                identity_err, abs(l2d_multiview(box, track) - combined)
+                identity_err, abs(l2d_multiview(box, track, DEFAULTS.z_near) - combined)
             )
     ok = worst <= 1e-9 and identity_err <= 1e-12 and n_tracks >= 15
     verdict(6, "multi-view 2D loss exactness", ok,
@@ -367,7 +368,7 @@ def test_c08_motion_classification():
             placement=PlacementSpec(x_range=(25.0, 55.0), y_range=(-12.0, 12.0)),
         )
         scene = generate_scene(cfg)
-        for track in build_tracks(scene):
+        for track in build_tracks(scene, DEFAULTS):
             gt = scene.gt_tracks[track.track_id]
             fids = [f for f in track.frame_ids if len(track.observations[f].points) > 0]
             if len(fids) < 2:
@@ -375,7 +376,7 @@ def test_c08_motion_classification():
             gt_centers = np.array(
                 [[gt.boxes[f].cx, gt.boxes[f].cy, gt.boxes[f].cz] for f in fids]
             )
-            cents = track_centroids(track)
+            cents = track_centroids(track, DEFAULTS.centroid)
             errors = cents - gt_centers
             sigma_c = float(np.linalg.norm(errors - errors.mean(axis=0), axis=1).max())
             diff = gt_centers[:, None, :] - gt_centers[None, :, :]
@@ -593,7 +594,8 @@ def prop_extraction_order_independence():
         ann = Annotation2D("t", "Car", "cam", Box2D(5, 5, 60, 40))
         perm = rng.permutation(50)
         assert np.array_equal(
-            extraction_mask(cam, pts, ann)[perm], extraction_mask(cam, pts[perm], ann)
+            extraction_mask(cam, pts, ann, DEFAULTS.mask_conf_min, DEFAULTS.z_near)[perm],
+            extraction_mask(cam, pts[perm], ann, DEFAULTS.mask_conf_min, DEFAULTS.z_near),
         )
 
 
@@ -624,8 +626,8 @@ def prop_mask_shrink_monotone():
                              mask=encode_mask(big), mask_confidence=1.0)
         ann_s = Annotation2D("t", "Car", "cam", Box2D(0, 0, 64, 48),
                              mask=encode_mask(small), mask_confidence=1.0)
-        keep_b = extraction_mask(cam, pts, ann_b)
-        keep_s = extraction_mask(cam, pts, ann_s)
+        keep_b = extraction_mask(cam, pts, ann_b, DEFAULTS.mask_conf_min, DEFAULTS.z_near)
+        keep_s = extraction_mask(cam, pts, ann_s, DEFAULTS.mask_conf_min, DEFAULTS.z_near)
         assert not np.any(keep_s & ~keep_b)
 
 
@@ -678,7 +680,7 @@ def prop_fit_contains_points():
     for _ in range(N_CASES):
         pts = rng.normal(0, 1.0, (int(rng.integers(3, 40)), 3)) * rng.uniform(0.3, 3.0, 3)
         try:
-            box, _ = fit_coarse_box(pts)
+            box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
         except DegenerateSpread:
             continue
         footprint = box.footprint()
@@ -691,13 +693,14 @@ def prop_fit_contains_points():
 def prop_fit_equivariant():
     rng = np.random.default_rng(1017)
     base = rng.normal(size=(30, 3)) * np.array([2.0, 0.8, 0.5])
-    box0, _ = fit_coarse_box(base)
+    box0, _ = fit_coarse_box(base, DEFAULTS.extent_floor)
     for _ in range(N_CASES):
         phi = rng.uniform(-math.pi, math.pi)
         t2 = rng.uniform(-10, 10, 2)
         c, s = math.cos(phi), math.sin(phi)
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-        box1, _ = fit_coarse_box(base @ rot.T + np.array([t2[0], t2[1], 0.0]))
+        box1, _ = fit_coarse_box(base @ rot.T + np.array([t2[0], t2[1], 0.0]),
+                                 DEFAULTS.extent_floor)
         expect = rot[:2, :2] @ np.array([box0.cx, box0.cy]) + t2
         assert abs(box1.cx - expect[0]) < 1e-6 and abs(box1.cy - expect[1]) < 1e-6
         assert np.allclose((box1.l, box1.w, box1.h), (box0.l, box0.w, box0.h), atol=1e-6)
@@ -711,13 +714,13 @@ def prop_hull_iou_unit_interval():
             # hull == footprint: score exactly 1
             box = random_box(rng, 2.0)
             bev = np.repeat(box.footprint(), 2, axis=0)
-            result = verify_geometry(box, bev)
+            result = verify_geometry(box, bev, DEFAULTS.tau_iou, DEFAULTS.hull_metric)
             assert abs(result.hull_iou - 1.0) < 1e-9
         else:
             pts = rng.normal(0, 1.0, (int(rng.integers(4, 30)), 3))
             try:
-                box, _ = fit_coarse_box(pts)
-                result = verify_geometry(box, pts[:, :2])
+                box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
+                result = verify_geometry(box, pts[:, :2], DEFAULTS.tau_iou, DEFAULTS.hull_metric)
             except (DegenerateSpread, DegenerateHull):
                 continue
             assert 0.0 <= result.hull_iou <= 1.0
@@ -742,7 +745,7 @@ def _refine_pool():
         for seed in (1200, 1201, 1202):
             scene = generate_scene(passing_config(seed, n_cars=2, n_frames=6,
                                                   sigma=0.02, density=4.0))
-            for track in build_tracks(scene):
+            for track in build_tracks(scene, DEFAULTS):
                 inst = aggregate_static(track)
                 labels = dbscan(inst.points_agg, 0.5, 10)
                 cluster = select_dominant_cluster(inst, labels)
@@ -757,14 +760,14 @@ def prop_l2d_gt_zero():
     for seed in range(1300, 1312):
         scene = generate_scene(passing_config(seed, n_cars=6, n_frames=14,
                                               sigma=0.0, density=2.0))
-        for track in build_tracks(scene):
+        for track in build_tracks(scene, DEFAULTS):
             gt = scene.gt_tracks[track.track_id].boxes[0]
             for fid in track.frame_ids:
                 single = ObjectTrack(track.track_id, track.class_label,
                                      {fid: track.observations[fid]})
-                assert abs(l2d_multiview(gt, single)) <= 1e-12
+                assert abs(l2d_multiview(gt, single, DEFAULTS.z_near)) <= 1e-12
                 checked += 1
-            assert abs(l2d_multiview(gt, track)) <= 1e-12
+            assert abs(l2d_multiview(gt, track, DEFAULTS.z_near)) <= 1e-12
     assert checked >= N_CASES, f"only {checked} view terms"
 
 
@@ -797,9 +800,9 @@ def prop_l2d_averaging_identity():
         new = ObjectTrack(track.track_id, track.class_label,
                           {fids[-1]: track.observations[fids[-1]]})
         n = len(fids) - 1
-        combined = (n * l2d_multiview(box, sub)
-                    + l2d_multiview(box, new)) / (n + 1)
-        assert abs(l2d_multiview(box, track) - combined) <= 1e-12
+        combined = (n * l2d_multiview(box, sub, DEFAULTS.z_near)
+                    + l2d_multiview(box, new, DEFAULTS.z_near)) / (n + 1)
+        assert abs(l2d_multiview(box, track, DEFAULTS.z_near) - combined) <= 1e-12
 
 
 def prop_filter_monotone():
@@ -841,7 +844,8 @@ def _report_pool():
         for seed in (1400, 1401):
             scene = generate_scene(passing_config(seed, n_cars=3, n_frames=6,
                                                   sigma=0.02, density=4.0))
-            labels = [annotate_track(t, cfg) for t in build_tracks(scene)]
+            labels = [annotate_track(t, cfg, stage_tracks([t], cfg)[0])
+                      for t in build_tracks(scene, DEFAULTS)]
             pool.append((scene, labels, cfg))
         _REPORT_POOL = pool
     return _REPORT_POOL

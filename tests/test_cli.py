@@ -24,12 +24,14 @@ CAR = {"class_label": "Car", "count": 1, "length_range": [4, 4], "width_range": 
        "height_range": [1.5, 1.5]}
 
 # (scene config, start of the error message, text it must also contain): a
-# bad value leads with its key; a missing or unknown key is named with its
-# section.
+# bad value leads with its key, after its section when it has one; a missing
+# or unknown key is named with its section.
 BAD_SCENE_CONFIGS = [
-    pytest.param({"cameras": [{"camera_id": "c", "height": 0}]}, "height ", "", id="height"),
-    pytest.param({"cameras": [{"camera_id": "c", "width": 0}]}, "width ", "", id="width"),
-    pytest.param({"objects": [dict(CAR, count=-1)]}, "count ", "", id="count"),
+    pytest.param({"cameras": [{"camera_id": "c", "height": 0}]}, "cameras[0]: height ", "",
+                 id="height"),
+    pytest.param({"cameras": [{"camera_id": "c", "width": 0}]}, "cameras[0]: width ", "",
+                 id="width"),
+    pytest.param({"objects": [dict(CAR, count=-1)]}, "objects[0]: count ", "", id="count"),
     pytest.param({"cameras": []}, "cameras ", "", id="no-camera"),
     pytest.param({"cameras": [{"camera_id": "c"}, {"camera_id": "c"}]}, "cameras ", "'c'",
                  id="duplicate-camera-id"),
@@ -38,7 +40,7 @@ BAD_SCENE_CONFIGS = [
                  id="unknown-camera-key"),
     pytest.param({"ego": {"spd": 4.0}}, "ego: ", "spd", id="unknown-ego-key"),
     pytest.param({"dt": 10**400}, "dt ", "", id="dt-past-float-range"),
-    pytest.param({"objects": [dict(CAR, length_range=[0, 0])]}, "length_range ", "",
+    pytest.param({"objects": [dict(CAR, length_range=[0, 0])]}, "objects[0]: length_range ", "",
                  id="zero-length-range"),
 ]
 
@@ -97,8 +99,9 @@ class TestGen:
                              ids=[".".join(map(str, path)) for path, _ in
                                   OUT_OF_RANGE_TINY_EDITS + UNBUILDABLE_TINY_EDITS])
     def test_scene_it_cannot_build_exits_one_naming_config(self, tmp_path, capsys, path, value):
-        # A value out of its range is refused on load, naming the key; gen
-        # refuses the others, naming the config.
+        # A value out of its range is refused on load, naming the key after
+        # its section (objects[0]: ...); gen refuses the others, naming the
+        # config.
         config = tmp_path / "tiny.json"
         config.write_text(json.dumps(edited_tiny_config(path, value)))
         out = tmp_path / "scene"
@@ -108,7 +111,9 @@ class TestGen:
             assert run("gen", "--config", config, "--out", out) == 1
         err = capsys.readouterr().err
         if (path, value) in OUT_OF_RANGE_TINY_EDITS:
-            key = next(k for k in reversed(path) if isinstance(k, str))
+            at = max(i for i, k in enumerate(path) if isinstance(k, str))
+            section = "".join(f"[{k}]" if isinstance(k, int) else k for k in path[:at])
+            key = f"{section}: {path[at]}" if section else path[at]
             assert err.startswith(f"error: {key} must be "), err
         else:
             assert err.startswith(f"error: {config}: cannot generate this scene: "), err
@@ -194,6 +199,22 @@ class TestPipeline:
                    "--report", tmp_path / "r.json")
         assert code == 1
         assert "obj-999" in capsys.readouterr().err
+
+    def test_scene_without_tracks_labels_to_an_empty_file(self, tmp_path, capsys):
+        # No annotation gives no track; every --threads labels that in one worker.
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps(edited_tiny_config(("objects", 0, "count"), 0)))
+        scene = tmp_path / "scene"
+        assert run("gen", "--config", config, "--out", scene) == 0
+        for threads in (1, 2):
+            labels = tmp_path / f"labels{threads}.jsonl"
+            assert run("annotate", "--dataset", scene, "--out", labels,
+                       "--threads", threads) == 0
+            assert labels.read_text() == ""
+            assert run("eval", "--dataset", scene, "--labels", labels,
+                       "--report", tmp_path / f"report{threads}.json") == 0
+            assert json.loads((tmp_path / f"report{threads}.json").read_text())["n_tracks"] == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_exits_one_naming_option(self, tmp_path, capsys, threads):

@@ -18,7 +18,8 @@ from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import generate_scene
 from reference import brute_force_dbscan
 from support import (
-    camera_looking, corridor_instances, dense_coarse_instances, face_ids, passing_config,
+    DEFAULTS, camera_looking, corridor_instances, dense_coarse_instances, face_ids,
+    passing_config,
 )
 
 
@@ -75,7 +76,7 @@ class TestAggregate:
         spans = {
             (f.frame_id, s.track_id): s for f in scene.frames for s in f.gt_spans
         }
-        for track in build_tracks(scene):
+        for track in build_tracks(scene, DEFAULTS):
             inst = aggregate_static(track)
             boxes = scene.gt_tracks[track.track_id].boxes
             faces = set()
@@ -336,7 +337,7 @@ class TestDominantCluster:
                            bleed_offset_range=(1.0, 4.0))
         )
         spans = {(f.frame_id, s.track_id): s for f in scene.frames for s in f.gt_spans}
-        for track in build_tracks(scene):
+        for track in build_tracks(scene, DEFAULTS):
             inst = aggregate_static(track)
             labels = dbscan(inst.points_agg, 0.5, 10)
             cluster = select_dominant_cluster(inst, labels)

@@ -7,6 +7,7 @@ from boxlift.coarse import fit_coarse_box, verify_geometry
 from boxlift.errors import DegenerateSpread
 from boxlift.geometry import Box3D, iou_3d
 from reference import point_in_convex_polygon
+from support import DEFAULTS
 
 
 def box_surface_points(l, w, h, yaw=0.0, center=(0, 0, 0), step=0.25):
@@ -40,7 +41,7 @@ def box_surface_points(l, w, h, yaw=0.0, center=(0, 0, 0), step=0.25):
 class TestFitCoarseBox:
     def test_axis_aligned_recovery(self):
         pts = box_surface_points(4.0, 2.0, 1.5, yaw=0.0, center=(3, -2, 0.75))
-        box, clamped = fit_coarse_box(pts)
+        box, clamped = fit_coarse_box(pts, DEFAULTS.extent_floor)
         assert not clamped
         assert (box.cx, box.cy, box.cz) == pytest.approx((3, -2, 0.75), abs=1e-6)
         assert (box.l, box.w, box.h) == pytest.approx((4.0, 2.0, 1.5), abs=1e-6)
@@ -49,7 +50,7 @@ class TestFitCoarseBox:
     def test_rotated_recovery_mod_pi(self):
         yaw = math.radians(30)
         pts = box_surface_points(4.0, 2.0, 1.5, yaw=yaw)
-        box, _ = fit_coarse_box(pts)
+        box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
         assert (box.l, box.w, box.h) == pytest.approx((4.0, 2.0, 1.5), abs=1e-6)
         delta = math.remainder(box.yaw - yaw, math.pi)
         assert abs(delta) < 1e-6
@@ -57,14 +58,14 @@ class TestFitCoarseBox:
     def test_rotate_then_fit_equals_fit_then_rotate(self):
         rng = np.random.default_rng(50)
         base = box_surface_points(4.4, 1.8, 1.5, yaw=0.2)
-        box0, _ = fit_coarse_box(base)
+        box0, _ = fit_coarse_box(base, DEFAULTS.extent_floor)
         for _ in range(20):
             phi = rng.uniform(-math.pi, math.pi)
             t = rng.uniform(-10, 10, 2)
             c, s = math.cos(phi), math.sin(phi)
             rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
             moved = base @ rot.T + np.array([t[0], t[1], 0.0])
-            box1, _ = fit_coarse_box(moved)
+            box1, _ = fit_coarse_box(moved, DEFAULTS.extent_floor)
             expect_c = rot[:2, :2] @ np.array([box0.cx, box0.cy]) + t
             assert (box1.cx, box1.cy) == pytest.approx(tuple(expect_c), abs=1e-6)
             assert (box1.l, box1.w, box1.h) == pytest.approx(
@@ -76,7 +77,7 @@ class TestFitCoarseBox:
         rng = np.random.default_rng(51)
         for _ in range(30):
             pts = rng.normal(0, 1.0, (40, 3)) * rng.uniform(0.5, 3.0, 3)
-            box, _ = fit_coarse_box(pts)
+            box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
             footprint = box.footprint()
             for p in pts:
                 assert point_in_convex_polygon(p[:2], footprint, tol=1e-9)
@@ -87,13 +88,13 @@ class TestFitCoarseBox:
         pts = np.column_stack([
             np.linspace(0, 4, 50), np.zeros(50), np.zeros(50),
         ])
-        box, clamped = fit_coarse_box(pts + np.array([0, 0, 0.0]))
+        box, clamped = fit_coarse_box(pts + np.array([0, 0, 0.0]), DEFAULTS.extent_floor)
         assert clamped
         assert box.w == 0.05 and box.h == 0.05
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateSpread):
-            fit_coarse_box(np.zeros((2, 3)))
+            fit_coarse_box(np.zeros((2, 3)), DEFAULTS.extent_floor)
 
     def test_synthetic_multiview_recovery(self):
         # dense rim coverage with light noise recovers the box well
@@ -101,15 +102,15 @@ class TestFitCoarseBox:
         gt = Box3D(5.0, -3.0, 0.8, 4.5, 1.9, 1.6, 0.7)
         pts = box_surface_points(gt.l, gt.w, gt.h, gt.yaw, (gt.cx, gt.cy, gt.cz))
         pts = pts + rng.normal(0, 0.02, pts.shape)
-        box, _ = fit_coarse_box(pts)
+        box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
         assert iou_3d(box, gt) >= 0.8
 
 
 class TestVerifyGeometry:
     def test_dense_rectangle_verified(self):
         pts = box_surface_points(4.0, 2.0, 1.5)
-        box, _ = fit_coarse_box(pts)
-        result = verify_geometry(box, pts[:, :2], tau_iou=0.6)
+        box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
+        result = verify_geometry(box, pts[:, :2], tau_iou=0.6, metric=DEFAULTS.hull_metric)
         assert result.verified
         assert result.hull_iou > 0.95
 
@@ -124,8 +125,8 @@ class TestVerifyGeometry:
             rng.uniform(0, 0.3, 300), rng.uniform(0.3, 4, 300), rng.uniform(0, 1, 300),
         ])
         pts = np.concatenate([strip_a, strip_b])
-        box, _ = fit_coarse_box(pts)
-        result = verify_geometry(box, pts[:, :2], tau_iou=0.6)
+        box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
+        result = verify_geometry(box, pts[:, :2], tau_iou=0.6, metric=DEFAULTS.hull_metric)
         assert not result.verified
         assert result.hull_iou < 0.6
 
@@ -134,7 +135,7 @@ class TestVerifyGeometry:
         box = Box3D(0, 0, 0, 4, 2, 1, 0.3)
         corners = box.footprint()
         bev = np.repeat(corners, 3, axis=0)
-        result = verify_geometry(box, bev, tau_iou=0.6)
+        result = verify_geometry(box, bev, tau_iou=0.6, metric=DEFAULTS.hull_metric)
         assert result.hull_iou == pytest.approx(1.0, abs=1e-12)
         assert result.verified
 
@@ -142,21 +143,21 @@ class TestVerifyGeometry:
         rng = np.random.default_rng(54)
         for _ in range(50):
             pts = rng.normal(0, 1.0, (25, 3)) * rng.uniform(0.3, 2.0, 3)
-            box, _ = fit_coarse_box(pts)
-            result = verify_geometry(box, pts[:, :2])
+            box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
+            result = verify_geometry(box, pts[:, :2], DEFAULTS.tau_iou, DEFAULTS.hull_metric)
             assert 0.0 <= result.hull_iou <= 1.0
 
     def test_coverage_metric_option(self):
         pts = box_surface_points(4.0, 2.0, 1.5)
-        box, _ = fit_coarse_box(pts)
-        iou = verify_geometry(box, pts[:, :2], metric="iou").hull_iou
-        cov = verify_geometry(box, pts[:, :2], metric="coverage").hull_iou
+        box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
+        iou = verify_geometry(box, pts[:, :2], metric="iou", tau_iou=DEFAULTS.tau_iou).hull_iou
+        cov = verify_geometry(box, pts[:, :2], metric="coverage", tau_iou=DEFAULTS.tau_iou).hull_iou
         # hull lies inside the footprint, so the two scores coincide here
         assert cov == pytest.approx(iou, abs=1e-9)
 
     def test_yaw_ambiguity_never_resolved(self):
         pts = box_surface_points(4.0, 2.0, 1.5, yaw=2.5)
-        box, _ = fit_coarse_box(pts)
+        box, _ = fit_coarse_box(pts, DEFAULTS.extent_floor)
         assert -math.pi / 2 <= box.yaw <= math.pi / 2  # v1.x >= 0 convention
         gt = Box3D(0, 0, 0, 4.0, 2.0, 1.5, 2.5)
         assert iou_3d(box, gt) > 0.999

@@ -1,10 +1,20 @@
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from boxlift.cli import cli_main
-from boxlift.config import PipelineConfig
+from boxlift.config import DEFAULT_Z_NEAR, PipelineConfig
 from boxlift.errors import ConfigError
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boxlift"
+# Parameters that stand for a PipelineConfig field under another name.
+FIELD_ALIASES = {"mode": "centroid", "metric": "hull_metric", "min_points": "min_cluster_points"}
+# The projection defaults the generator draws its annotation boxes with.
+PROJECTION_DEFAULTS = {("geometry", name, "z_near")
+                       for name in ("project_points", "project_box_silhouette", "project_box3d")}
 
 # (key, bad value) pairs that must be rejected on load, naming the key.
 BAD_VALUES = [
@@ -123,3 +133,37 @@ def test_cli_bad_config_exits_one_naming_key(tmp_path, capsys, key, value):
     assert code == 1
     assert err.startswith(f"error: {key} ")
     assert "Traceback" not in err
+
+
+def package_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, default node) of each parameter with a default."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            yield from ((node.name, a.arg, d) for a, d in
+                        zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            yield from ((node.name, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None)
+
+
+def test_no_function_restates_a_pipeline_default():
+    # PipelineConfig is the only place a pipeline value is set: no function
+    # defaults its config, or a parameter that stands for one of its fields.
+    names = {f.name for f in dataclasses.fields(PipelineConfig)} | set(FIELD_ALIASES) | {"config"}
+    found = {(module, function, name): default
+             for module, tree in package_trees().items()
+             for function, name, default in defaulted_parameters(tree) if name in names}
+    assert set(found) == PROJECTION_DEFAULTS, sorted(set(found) - PROJECTION_DEFAULTS)
+    assert all(isinstance(d, ast.Name) and d.id == "DEFAULT_Z_NEAR" for d in found.values())
+
+
+def test_near_plane_is_written_once():
+    written = [module for module, tree in package_trees().items() for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value == DEFAULT_Z_NEAR]
+    assert written == ["config"]
+    assert PipelineConfig().z_near == DEFAULT_Z_NEAR

@@ -18,12 +18,12 @@ from boxlift.evaluate import (
 )
 from boxlift.extraction import build_tracks
 from boxlift.geometry import Box2D, Box3D, iou_3d
-from boxlift.refine import annotate_track
+from boxlift.refine import annotate_track, stage_tracks
 from boxlift.scene import (Annotation2D, Frame, GtSpan, GtTrack, ObjectTrack, Observation,
                            PseudoLabel, QualityRecord, Scene)
 from boxlift.synthetic import SceneConfig, generate_scene
 from reference import segmentation_scores_sets
-from support import BENCH, camera_looking, identity_pose, passing_config
+from support import BENCH, DEFAULTS, camera_looking, identity_pose, passing_config
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs/report.schema.json").read_text()
@@ -81,13 +81,13 @@ class TestSegmentationCurve:
 
     def test_threshold_zero_retains_all(self):
         scene = self.make_scene()
-        instances = segmentation_instances(scene)
+        instances = segmentation_instances(scene, DEFAULTS)
         curve = segmentation_curve(instances, [0])
         assert curve[0]["n_retained"] == len(instances)
 
     def test_absurd_threshold_retains_none(self):
         scene = self.make_scene()
-        curve = segmentation_curve(segmentation_instances(scene), [10**9])
+        curve = segmentation_curve(segmentation_instances(scene, DEFAULTS), [10**9])
         assert curve[0]["n_retained"] == 0
         assert curve[0]["mean_iou_aggregate"] is None
         assert curve[0]["mean_iou_cluster"] is None
@@ -95,26 +95,26 @@ class TestSegmentationCurve:
     def test_retained_counts_non_increasing(self):
         scene = self.make_scene()
         thresholds = [0, 5, 10, 50, 100, 200, 400]
-        curve = segmentation_curve(segmentation_instances(scene), thresholds)
+        curve = segmentation_curve(segmentation_instances(scene, DEFAULTS), thresholds)
         counts = [c["n_retained"] for c in curve]
         assert counts == sorted(counts, reverse=True)
 
     def test_cluster_beats_aggregate_with_bleed(self):
         scene = self.make_scene()
-        curve = segmentation_curve(segmentation_instances(scene), [0])
+        curve = segmentation_curve(segmentation_instances(scene, DEFAULTS), [0])
         assert curve[0]["mean_iou_cluster"] > curve[0]["mean_iou_aggregate"]
 
     def test_needs_ground_truth(self):
         scene = self.make_scene()
         scene.gt_tracks = None
         with pytest.raises(ConfigError):
-            segmentation_instances(scene)
+            segmentation_instances(scene, DEFAULTS)
 
     def test_needs_every_frames_spans(self):
         scene = self.make_scene()
         scene.frames[3].gt_spans = scene.frames[5].gt_spans = None
         with pytest.raises(ConfigError, match=f"frame {scene.frames[3].frame_id} has no gt_spans"):
-            segmentation_instances(scene)
+            segmentation_instances(scene, DEFAULTS)
 
     @pytest.mark.parametrize("name", ["bleed", "static_multiview", "dense_coarse", "corridor"])
     def test_matches_tuple_set_oracle(self, name):
@@ -176,7 +176,7 @@ class TestSegmentationCurve:
               "b": GtTrack("Car", True, (0.0, 0.0, 0.0), {})}
         monkeypatch.setattr(evaluate, "build_tracks",
                             lambda scene, cfg, track_ids: [ObjectTrack("a", "Car", observations)])
-        [inst] = segmentation_instances(Scene("hand", {}, frames, gt))
+        [inst] = segmentation_instances(Scene("hand", {}, frames, gt), DEFAULTS)
         assert (inst.track_id, inst.n_cluster) == ("a", 21)
         assert inst.iou_aggregate == 21 / 42
         assert inst.iou_cluster == 21 / 32
@@ -203,7 +203,8 @@ class TestReport:
             passing_config(seed, n_cars=2, n_frames=8, sigma=0.02)
         )
         cfg = PipelineConfig(refine_budget=150, tau_static=4.0)
-        labels = [annotate_track(t, cfg) for t in build_tracks(scene)]
+        labels = [annotate_track(t, cfg, stage_tracks([t], cfg)[0])
+                  for t in build_tracks(scene, DEFAULTS)]
         return scene, labels, cfg
 
     def test_report_validates_against_schema(self):

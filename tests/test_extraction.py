@@ -12,11 +12,11 @@ from boxlift.extraction import (
 )
 from boxlift.geometry import Box2D, CameraModel, Pose
 from boxlift.masks import Mask, encode_mask
-from boxlift.refine import annotate_track
+from boxlift.refine import annotate_track, stage_tracks
 from boxlift.scene import Annotation2D, Frame, Scene
 from boxlift.synthetic import SceneConfig, generate_scene
 from reference import extraction_per_annotation, point_in_mask, project_point
-from support import BENCH, CAM_BASE, camera_looking, identity_pose, passing_config
+from support import BENCH, CAM_BASE, DEFAULTS, camera_looking, identity_pose, passing_config
 
 
 def make_frame(points_world, frame_id=0):
@@ -33,7 +33,7 @@ def make_frame(points_world, frame_id=0):
 
 def masked_points(frame, annotation, camera):
     pts = frame.points_world
-    return pts[extraction_mask(camera, pts, annotation)]
+    return pts[extraction_mask(camera, pts, annotation, DEFAULTS.mask_conf_min, DEFAULTS.z_near)]
 
 
 class TestExtraction:
@@ -93,8 +93,9 @@ class TestExtraction:
         ])
         ann = Annotation2D("t", "Car", "cam", Box2D(100, 100, 700, 350))
         perm = rng.permutation(len(pts))
-        keep = extraction_mask(self.cam, pts, ann)
-        keep_perm = extraction_mask(self.cam, pts[perm], ann)
+        keep = extraction_mask(self.cam, pts, ann, DEFAULTS.mask_conf_min, DEFAULTS.z_near)
+        keep_perm = extraction_mask(self.cam, pts[perm], ann, DEFAULTS.mask_conf_min,
+                                    DEFAULTS.z_near)
         assert np.array_equal(keep[perm], keep_perm)
 
     def test_mask_shrink_monotone(self):
@@ -108,8 +109,9 @@ class TestExtraction:
                                mask=encode_mask(big), mask_confidence=1.0)
         ann_small = Annotation2D("t", "Car", "cam", Box2D(0, 0, 800, 450),
                                  mask=encode_mask(small), mask_confidence=1.0)
-        keep_big = extraction_mask(self.cam, pts, ann_big)
-        keep_small = extraction_mask(self.cam, pts, ann_small)
+        keep_big = extraction_mask(self.cam, pts, ann_big, DEFAULTS.mask_conf_min, DEFAULTS.z_near)
+        keep_small = extraction_mask(self.cam, pts, ann_small, DEFAULTS.mask_conf_min,
+                                     DEFAULTS.z_near)
         assert not np.any(keep_small & ~keep_big)
 
 
@@ -143,7 +145,7 @@ class TestClassifyMotion:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            classify_motion(np.empty((0, 3)))
+            classify_motion(np.empty((0, 3)), DEFAULTS.tau_static)
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(35)
@@ -164,7 +166,7 @@ class TestClassifyMotion:
             passing_config(36, n_cars=4, n_frames=8, sigma=0.01, static=None,
                            static_fraction=0.5)
         )
-        for track in build_tracks(scene):
+        for track in build_tracks(scene, DEFAULTS):
             gt = scene.gt_tracks[track.track_id]
             gt_centers = np.array(
                 [
@@ -175,7 +177,7 @@ class TestClassifyMotion:
             )
             if len(gt_centers) < 2:
                 continue
-            cents = track_centroids(track)
+            cents = track_centroids(track, DEFAULTS.centroid)
             # empirical per-frame centroid error, dominated by partial views
             sigma_c = float(
                 np.linalg.norm(cents - gt_centers, axis=1).max()
@@ -191,7 +193,7 @@ class TestClassifyMotion:
 class TestBuildTracks:
     def test_tracks_sorted_and_complete(self):
         scene = generate_scene(passing_config(37, n_cars=3, n_frames=5))
-        tracks = build_tracks(scene)
+        tracks = build_tracks(scene, DEFAULTS)
         ids = [t.track_id for t in tracks]
         assert ids == sorted(ids)
         annotated = {a.track_id for f in scene.frames for a in f.annotations}
@@ -207,7 +209,7 @@ class TestBuildTracks:
 
     def test_median_centroid_mode(self):
         scene = generate_scene(passing_config(38, n_cars=1, n_frames=4))
-        track = build_tracks(scene)[0]
+        track = build_tracks(scene, DEFAULTS)[0]
         mean_c = track_centroids(track, "mean")
         med_c = track_centroids(track, "median")
         assert mean_c.shape == med_c.shape
@@ -224,14 +226,14 @@ class TestBuildTracks:
                               Annotation2D("b", "Car", "cam", box)]
         rig = CameraModel(500, 500, 400, 225, 800, 450,
                           Pose.from_matrix(CAM_BASE, np.zeros(3)))
-        tracks = build_tracks(Scene("s", {"cam": rig}, [full, empty]))
+        tracks = build_tracks(Scene("s", {"cam": rig}, [full, empty]), DEFAULTS)
         assert [t.track_id for t in tracks] == ["a", "b"]
         assert len(tracks[0].observations[0].points) == 2
         for track in tracks:
             obs = track.observations[1]
             assert obs.points.shape == (0, 3) and obs.points.dtype == np.float64
             assert obs.indices.shape == (0,) and obs.indices.dtype == np.int64
-        label = annotate_track(tracks[1])
+        label = annotate_track(tracks[1], DEFAULTS, stage_tracks([tracks[1]], DEFAULTS)[0])
         assert not label.kept and label.drop_reason == "empty"
 
 

@@ -24,7 +24,7 @@ from boxlift.refine import (
 from boxlift.scene import Annotation2D, ObjectTrack, Observation
 from boxlift.synthetic import generate_scene
 from reference import l2d_multiview_loop, l_fit_rows
-from support import camera_looking, passing_config, two_view_track
+from support import DEFAULTS, camera_looking, passing_config, two_view_track
 
 
 def random_view_track(rng, k):
@@ -53,7 +53,7 @@ def view_kind(cam, box, z_near):
 
 def scene_track(seed=60, **kw):
     scene = generate_scene(passing_config(seed, n_cars=1, **kw))
-    track = build_tracks(scene)[0]
+    track = build_tracks(scene, DEFAULTS)[0]
     gt = scene.gt_tracks[track.track_id].boxes[0]
     return scene, track, gt
 
@@ -61,7 +61,7 @@ def scene_track(seed=60, **kw):
 class TestL2dMultiview:
     def test_gt_box_scores_zero_on_noise_free_track(self):
         _, track, gt = scene_track(sigma=0.0)
-        assert l2d_multiview(gt, track) == pytest.approx(0.0, abs=1e-12)
+        assert l2d_multiview(gt, track, DEFAULTS.z_near) == pytest.approx(0.0, abs=1e-12)
 
     def test_behind_every_camera_hits_penalty(self):
         cam = camera_looking([0.0, 0.0, 1.6], 0.0)
@@ -70,14 +70,14 @@ class TestL2dMultiview:
         obs = Observation(ann, cam, np.empty((0, 3)), np.empty(0, dtype=int))
         track = ObjectTrack("t", "Car", {0: obs})
         behind = Box3D(-20.0, 0.0, 0.8, 4, 2, 1.5, 0)
-        assert l2d_multiview(behind, track) == MISSING_PROJECTION_PENALTY
+        assert l2d_multiview(behind, track, DEFAULTS.z_near) == MISSING_PROJECTION_PENALTY
 
     def test_depth_shift_caught_by_second_view(self):
         rng = np.random.default_rng(61)
         gt, track_a, track_ab = two_view_track(rng)
         shifted = Box3D(gt.cx + 1.0, gt.cy, gt.cz, gt.l, gt.w, gt.h, gt.yaw)
-        loss_a = l2d_multiview(shifted, track_a)
-        loss_ab = l2d_multiview(shifted, track_ab)
+        loss_a = l2d_multiview(shifted, track_a, DEFAULTS.z_near)
+        loss_ab = l2d_multiview(shifted, track_ab, DEFAULTS.z_near)
         assert loss_ab > 0
         # the end-on view barely sees a depth shift; adding the lateral
         # view raises the average loss
@@ -91,9 +91,9 @@ class TestL2dMultiview:
                           {f: track.observations[f] for f in fids[:-1]})
         single = ObjectTrack(track.track_id, track.class_label,
                              {fids[-1]: track.observations[fids[-1]]})
-        full = l2d_multiview(box, track)
-        partial = l2d_multiview(box, sub)
-        new_term = l2d_multiview(box, single)
+        full = l2d_multiview(box, track, DEFAULTS.z_near)
+        partial = l2d_multiview(box, sub, DEFAULTS.z_near)
+        new_term = l2d_multiview(box, single, DEFAULTS.z_near)
         n = len(fids) - 1
         assert full == pytest.approx((n * partial + new_term) / (n + 1), abs=1e-12)
 
@@ -421,7 +421,7 @@ class TestRefineBox:
         out, trace = refine_box(gt, track, spans_pts, PipelineConfig(refine_budget=300))
         # l2d(GT) is exactly zero; only the tiny extent-slack from finite
         # surface sampling remains, so the box must stay put within it
-        assert l2d_multiview(gt, track) == 0.0
+        assert l2d_multiview(gt, track, DEFAULTS.z_near) == 0.0
         assert trace.j_init < 0.01
         assert iou_3d(out, gt) > 0.99
 
@@ -436,7 +436,8 @@ class TestRefineBox:
                      gt.yaw + math.radians(10))
         out, _ = refine_box(init, track, pts, PipelineConfig(refine_budget=600))
         assert iou_3d(out, gt) > iou_3d(init, gt)
-        assert l2d_multiview(out, track) < l2d_multiview(init, track)
+        z_near = DEFAULTS.z_near
+        assert l2d_multiview(out, track, z_near) < l2d_multiview(init, track, z_near)
 
     def test_points_only_ignores_views(self):
         _, track, gt = scene_track(sigma=0.02)
@@ -499,7 +500,7 @@ def mixed_tracks(cfg):
     so ``cfg.tau_static`` must be loose."""
     _, multi, _ = scene_track(sigma=0.02, n_frames=12)
     scene = generate_scene(passing_config(68, n_cars=3, sigma=0.02, static=False, n_frames=10))
-    moving = next(t for t in build_tracks(scene)
+    moving = next(t for t in build_tracks(scene, DEFAULTS)
                   if len(refine._stage(t, cfg).views.frame_ids) == 1)
     _, cams, _, straddled = straddled_track()
     empty = ObjectTrack("e", "Car", {0: Observation(
@@ -540,7 +541,7 @@ class TestLockstep:
             assert trace.improvements == expected.improvements
             assert trace.n_evals == expected.n_evals == 150
         labels = [annotate_track(t, cfg, s) for t, s in zip(tracks, staged)]
-        assert labels == [annotate_track(t, cfg) for t in tracks]
+        assert labels == [annotate_track(t, cfg, refine.stage_tracks([t], cfg)[0]) for t in tracks]
 
     @pytest.mark.parametrize("weights", [{}, {"refine": False}, {"lambda_2d": 0.0},
                                          {"mu_fit": 0.0}],
@@ -635,8 +636,9 @@ class TestFilter:
 class TestAnnotateTrack:
     def test_static_happy_path(self):
         scene = generate_scene(passing_config(64, n_cars=1, sigma=0.02))
-        track = build_tracks(scene)[0]
-        label = annotate_track(track, PipelineConfig(refine_budget=300, tau_static=4.0))
+        track = build_tracks(scene, DEFAULTS)[0]
+        cfg = PipelineConfig(refine_budget=300, tau_static=4.0)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
         assert label.kept
         assert label.source == "refined"
         assert label.drop_reason is None
@@ -647,23 +649,24 @@ class TestAnnotateTrack:
 
     def test_no_refine_emits_coarse(self):
         scene = generate_scene(passing_config(65, n_cars=1, sigma=0.02))
-        track = build_tracks(scene)[0]
-        label = annotate_track(track, PipelineConfig(refine=False, tau_static=4.0))
+        track = build_tracks(scene, DEFAULTS)[0]
+        cfg = PipelineConfig(refine=False, tau_static=4.0)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
         assert label.source == "coarse"
 
     def test_sparse_track_dropped(self):
         scene = generate_scene(passing_config(66, n_cars=1, sigma=0.02))
-        track = build_tracks(scene)[0]
-        label = annotate_track(
-            track, PipelineConfig(min_cluster_points=10**6, tau_static=4.0)
-        )
+        track = build_tracks(scene, DEFAULTS)[0]
+        cfg = PipelineConfig(min_cluster_points=10**6, tau_static=4.0)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
         assert not label.kept
         assert label.drop_reason == "sparse"
 
     def test_min_views_gate(self):
         scene = generate_scene(passing_config(67, n_cars=1, n_frames=1))
-        track = build_tracks(scene)[0]
-        label = annotate_track(track, PipelineConfig(min_views=2, tau_static=4.0))
+        track = build_tracks(scene, DEFAULTS)[0]
+        cfg = PipelineConfig(min_views=2, tau_static=4.0)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
         assert not label.kept
         assert label.drop_reason == "views"
 
@@ -672,15 +675,16 @@ class TestAnnotateTrack:
             passing_config(68, n_cars=3, sigma=0.02, static=False, n_frames=6)
         )
         found_moving = False
-        for track in build_tracks(scene):
-            label = annotate_track(track, PipelineConfig(refine_budget=200))
+        for track in build_tracks(scene, DEFAULTS):
+            cfg = PipelineConfig(refine_budget=200)
+            label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
             gt = scene.gt_tracks[track.track_id]
             cents = [
                 (fid, len(track.observations[fid].points)) for fid in track.frame_ids
             ]
             from boxlift.extraction import classify_motion, track_centroids
 
-            verdict = classify_motion(track_centroids(track), 0.5)
+            verdict = classify_motion(track_centroids(track, DEFAULTS.centroid), 0.5)
             if not verdict.is_static:
                 found_moving = True
                 densest = max(cents, key=lambda kv: (kv[1], -kv[0]))[0]
@@ -689,9 +693,9 @@ class TestAnnotateTrack:
 
     def test_confidence_is_exp_of_objective(self):
         scene = generate_scene(passing_config(69, n_cars=1, sigma=0.02))
-        track = build_tracks(scene)[0]
+        track = build_tracks(scene, DEFAULTS)[0]
         cfg = PipelineConfig(refine_budget=200, tau_static=4.0)
-        label = annotate_track(track, cfg)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
         j = cfg.mu_fit * label.quality.fit + cfg.lambda_2d * label.quality.l2d
         assert label.confidence == pytest.approx(math.exp(-j), abs=1e-12)
 
@@ -725,8 +729,8 @@ class TestAnnotateTrack:
         labels, ious = [], []
         for seed in range(7200, 7209):
             scene = generate_scene(mixed_cfg(seed))
-            for track in build_tracks(scene):
-                label = annotate_track(track, cfg)
+            for track in build_tracks(scene, DEFAULTS):
+                label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
                 labels.append(label)
                 if label.kept:
                     gt = scene.gt_tracks[label.track_id].boxes[label.anchor_frame_id or 0]
@@ -749,7 +753,7 @@ class TestAnnotateTrack:
         track = ObjectTrack("t", "Car", {fid: Observation(ann, cam, pts, np.arange(len(pts)))
                                          for fid in (0, 1)})
         cfg = PipelineConfig(dbscan_eps=2.0, dbscan_min_pts=1)
-        label = annotate_track(track, cfg)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
         assert (label.kept, label.drop_reason) == (False, "degenerate")
         assert label.quality.n_points == len(bev) * 4
         staged = refine._stage(track, cfg)
@@ -758,8 +762,9 @@ class TestAnnotateTrack:
     def test_verification_failure_drops_with_coarse_box(self):
         # strict tau forces the verification gate to fire
         scene = generate_scene(passing_config(70, n_cars=1, sigma=0.02))
-        track = build_tracks(scene)[0]
-        label = annotate_track(track, PipelineConfig(tau_iou=1.0, tau_static=5.0))
+        track = build_tracks(scene, DEFAULTS)[0]
+        cfg = PipelineConfig(tau_iou=1.0, tau_static=5.0)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
         assert not label.kept
         assert label.drop_reason == "verification"
         assert label.source == "coarse"

@@ -237,6 +237,7 @@ MALFORMED_MANIFESTS = [
     (set_key(lambda m: m["frames"][0], "pointcloud", "/outside/f1.mvpc"), "/frames/0/pointcloud"),
     (set_key(lambda m: m["frames"][0], "pointcloud", "../outside/f1.mvpc"),
      "/frames/0/pointcloud"),
+    (annotate_with(mask_confidence=7.0), "/frames/0/annotations/0/mask_confidence"),
 ]
 
 
@@ -396,6 +397,8 @@ MALFORMED_LABELS = [
     ("/quality/fit", MISSING, "/quality: missing key 'fit'"),
     ("/drop_reason", "banana", "/drop_reason: expected null or 'empty' or 'clustering'"),
     ("/quality/n_points", -5, "/quality/n_points: expected an integer >= 0"),
+    ("/confidence", 7.5, "/confidence: expected a number in [0, 1] or null"),
+    ("/quality/hull_iou", -4, "/quality/hull_iou: expected a number in [0, 1] or null"),
 ]
 
 
@@ -560,23 +563,27 @@ ANN_0, ANN_0_PATH = first_annotation(0)
 
 # (edit, JSON pointer the exit-1 message must name): JSON NaN and Infinity
 # are numbers to Python's json module, but not to the manifest format.
+# (edit, JSON pointer it names, what the error says the value must be).
 NON_FINITE_EDITS = [
-    (set_key(lambda m: m["cameras"]["cam_front"], "fx", math.nan), "/cameras/cam_front/fx"),
-    (set_key(lambda m: m["cameras"]["cam_front"], "cx", math.inf), "/cameras/cam_front/cx"),
+    (set_key(lambda m: m["cameras"]["cam_front"], "fx", math.nan), "/cameras/cam_front/fx",
+     "a finite number"),
+    (set_key(lambda m: m["cameras"]["cam_front"], "cx", math.inf), "/cameras/cam_front/cx",
+     "a finite number"),
     (set_key(lambda m: m["frames"][0]["world_from_ego"]["t"], 0, math.nan),
-     "/frames/0/world_from_ego/t/0"),
-    (set_key(ANN_0, "mask_confidence", math.nan), f"{ANN_0_PATH}/mask_confidence"),
+     "/frames/0/world_from_ego/t/0", "a finite number"),
+    (set_key(ANN_0, "mask_confidence", math.nan), f"{ANN_0_PATH}/mask_confidence",
+     "a number in [0, 1] or null"),
 ]
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("edit,where", NON_FINITE_EDITS,
-                             ids=[where for _, where in NON_FINITE_EDITS])
+    @pytest.mark.parametrize("edit,where,expected", NON_FINITE_EDITS,
+                             ids=[where for _, where, _ in NON_FINITE_EDITS])
     def test_non_finite_number_exits_one_naming_it(self, tiny_scene, tmp_path, capsys,
-                                                   edit, where):
+                                                   edit, where, expected):
         code, err = annotate_edited(tiny_scene, tmp_path, edit, capsys)
         assert code == 1, err
-        assert f"error: {where}: expected a finite number" in err
+        assert f"error: {where}: expected {expected}" in err
 
     @pytest.mark.parametrize("q", [[1e300, 0, 0, 0], [0, 1e200, -1e200, 0]])
     def test_quaternion_norm_past_float_range_exits_one_naming_pose(self, tiny_scene, tmp_path,

@@ -279,7 +279,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("path,value,key", [
         (("dt",), 1e300, "dt"),
-        (("ego", "velocity", 0), 1e308, "velocity"),
+        (("ego", "velocity", 0), 1e308, "ego: velocity"),
     ], ids=["dt", "ego.velocity"])
     def test_library_config_out_of_range_raises_naming_key(self, path, value, key):
         # Building the config refuses the value, so generate_scene, called

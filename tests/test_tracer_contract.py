@@ -15,9 +15,9 @@ from pathlib import Path
 
 from boxlift.config import PipelineConfig
 from boxlift.extraction import build_tracks
-from boxlift.refine import annotate_track
+from boxlift.refine import annotate_track, stage_tracks
 from boxlift.synthetic import generate_scene
-from support import passing_config
+from support import DEFAULTS, passing_config
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
 
@@ -30,8 +30,9 @@ def test_every_call_site_resolves():
 
 def test_annotate_track_takes_the_track_first():
     assert next(iter(inspect.signature(annotate_track).parameters)) == "track"
-    track = build_tracks(generate_scene(passing_config(90, n_cars=1, n_frames=2)))[0]
+    track = build_tracks(generate_scene(passing_config(90, n_cars=1, n_frames=2)), DEFAULTS)[0]
     tracer = TRACER["Tracer"]()
     traced = tracer.wrap(annotate_track, "refine.annotate_track")
-    traced(track, PipelineConfig(refine=False))
+    cfg = PipelineConfig(refine=False)
+    traced(track, cfg, stage_tracks([track], cfg)[0])
     assert tracer.spans[0][3] == track.track_id
