@@ -4,14 +4,14 @@ Aggregation unions the per-frame extracted points of a static track into
 one world-frame cloud; DBSCAN separates the object body from stray
 background points that leaked through the 2D annotation, and the largest
 cluster is kept for box fitting.  DBSCAN finds its eps-neighbour pairs
-with a voxel hash of cell size eps, sorted by x-y column and then by z,
-so the cells z-1..z+1 of a column hold one contiguous range of points.
-Each point is compared with the later points of its own cell and the
-next z cell, and with one such range in each of 4 neighbour columns:
-every pair of points in touching cells is tested once, and the cost
-grows with the points in each point's 3 x 3-column block.  Clusters are
-joined on the points' positions in that cell order too; only the
-finished labels go back to input order.
+with x-y columns of width eps, sorted by column and then by z, so the
+points of a column within eps in z of a point are one contiguous range.
+Each point is compared with such a z window of the later points of its
+own column and of each of 4 neighbour columns: every pair of points in
+touching columns is tested once, and the cost grows with the points in
+each point's 3 x 3-column block that lie within eps in z.  Clusters are
+joined on the points' positions in that order too; only the finished
+labels go back to input order.
 """
 
 from __future__ import annotations
@@ -80,61 +80,57 @@ def _find(sorted_keys: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
 
 def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair i != j with squared distance <= eps**2, each pair once,
-    as positions in cell order: returns ``(i, j, order)``, where position
-    ``p`` is input point ``order[p]``.
+    as positions ``i < j`` in column order: returns ``(i, j, order)``,
+    where position ``p`` is input point ``order[p]``.
 
-    Points are binned into cells a hair wider than eps (by 2**-20), which
-    absorbs the rounding of the division for coordinates up to about 1e9
-    cells: two points within eps are never more than one cell apart.
-    Cell coordinates are squeezed per axis and keyed in two steps (x-y
-    column, then z), so the keys fit in int64 for any coordinate range.
-    The coordinates are copied into three arrays in cell order: a column's
-    cells follow each other by z, so the points of any run of its cells
-    are one contiguous range of positions.
+    Points are binned into x-y columns a hair wider than eps (by 2**-20),
+    which absorbs the rounding of the division for coordinates up to
+    about 1e9 columns: two points within eps are never more than one
+    column apart.  Column coordinates are squeezed per axis, so their key
+    fits in int64 for any coordinate range.  Points are sorted by column,
+    then by z, and their coordinates copied into three arrays in order.
 
-    Each point is compared with one range of later positions per range
-    set: the rest of its own cell and the next z cell, and, for each of
-    the 4 column offsets in ``_HALF_COLUMNS``, cells z-1..z+1 of that
-    column.  Two ``searchsorted`` calls per cell find a range; squeezing
-    keeps z in [1, z_span - 2], so z-1 and z+2 stay inside the column.
-    Each unordered pair of touching cells is covered once.  A candidate's
-    squared distance is dx*dx + dy*dy + dz*dz on 1-D gathers, the same sum
-    in the same order as a row reduction.  One range set's candidates are
-    held at a time.
+    A point's candidates are the later points of its own column and the
+    points of the 4 ``_HALF_COLUMNS`` columns, which sort later, each cut
+    to the z window [z - w, z + w], with w the column width: one range of
+    positions per column.  ``searchsorted`` finds a window's ends on one
+    integer key per position, column * (n + 1) + the rank of its z among
+    the distinct z, which is exact for any coordinate range.  A
+    candidate's squared distance is dx*dx + dy*dy + dz*dz on 1-D gathers,
+    the same sum in the same order as a row reduction.  One column
+    offset's candidates are held at a time.
     """
+    n = len(pts)
+    width = eps * (1 + 2.0**-20)
     # A tiny eps takes the quotients past int64 range, or to inf; they are
     # squeezed as floats, and only the squeezed values, below 2n, are cast.
     with np.errstate(over="ignore"):
-        cells = np.floor(pts / (eps * (1 + 2.0**-20)))
-        x, y, z = (_squeeze(cells[:, axis]) for axis in range(3))
-    y_span, z_span = int(y.max()) + 2, int(z.max()) + 2
+        cells = np.floor(pts[:, :2] / width)
+        x, y = (_squeeze(cells[:, axis]) for axis in range(2))
+    y_span = int(y.max()) + 2
     columns, column_of = np.unique(x * y_span + y, return_inverse=True)
-    keys, cell_of = np.unique(column_of * z_span + z, return_inverse=True)
-    order = np.argsort(cell_of, kind="stable")     # point indices grouped by cell
+    z_values, z_rank = np.unique(pts[:, 2], return_inverse=True)
+    keys = column_of * (n + 1) + z_rank
+    order = np.argsort(keys, kind="stable")
+    keys, column = keys[order], column_of[order]
     coords = [np.ascontiguousarray(pts[order, axis]) for axis in range(3)]
-    counts = np.bincount(cell_of)
-    bounds = np.concatenate([[0], np.cumsum(counts)])   # cell c is bounds[c]:bounds[c + 1]
-    cell_column, cell_z = keys // z_span, keys % z_span
+    z_lo = np.searchsorted(z_values, coords[2] - width)
+    z_hi = np.searchsorted(z_values, coords[2] + width, side="right")
+    positions = np.arange(n)
     eps2 = eps * eps
     found_i, found_j = [], []
-    for half in (None,) + _HALF_COLUMNS:
-        if half is None:
-            lo = np.arange(1, len(pts) + 1)
-            hi = np.repeat(bounds[np.searchsorted(keys, keys + 2)], counts)
-        else:
-            column, present = _find(columns, columns + half[0] * y_span + half[1])
-            base = column[cell_column] * z_span + cell_z
-            cell_lo = bounds[np.searchsorted(keys, base - 1)]
-            cell_hi = np.where(present[cell_column], bounds[np.searchsorted(keys, base + 2)],
-                               cell_lo)
-            lo, hi = np.repeat(cell_lo, counts), np.repeat(cell_hi, counts)
-        # Candidate k is point i = searchsorted(ends, k, "right") and
-        # position pj[k] of its range.
+    for dx, dy in ((0, 0),) + _HALF_COLUMNS:
+        other, present = _find(columns, columns + dx * y_span + dy)
+        base = other[column] * (n + 1)
+        # Own-column ranges start after the point; other columns sort later.
+        lo = np.maximum(np.searchsorted(keys, base + z_lo), positions + 1)
+        hi = np.where(present[column], np.searchsorted(keys, base + z_hi), lo)
+        # Candidate k is position pj[k], in the range of the position it is
+        # a candidate of, np.repeat(positions, sizes)[k].
         sizes = hi - lo
         ends = np.cumsum(sizes)
         pj = np.arange(ends[-1])
         pj += np.repeat(lo - (ends - sizes), sizes)
-        del lo, hi
         # (b - a)**2 == (a - b)**2 exactly, so the sign of a delta is free.
         dist2 = None
         for c in coords:
@@ -148,7 +144,7 @@ def _neighbour_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarra
         del delta
         close = np.flatnonzero(dist2 <= eps2)
         del dist2
-        found_i.append(np.searchsorted(ends, close, side="right"))
+        found_i.append(np.repeat(positions, sizes)[close])
         found_j.append(pj[close])
     return np.concatenate(found_i), np.concatenate(found_j), order
 
@@ -157,13 +153,15 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     """Euclidean DBSCAN; returns per-point cluster labels, noise = -1.
 
     Neighbours are the points within eps, boundary included, found as
-    pairs with a voxel hash (see ``_neighbour_pairs``); a point is core
-    when its neighbours, itself included, number at least ``min_pts``.
-    Core points joined by a pair form a cluster.  Clusters are found by
-    min-label propagation with pointer jumping along the core-core pairs,
-    on the points' positions in cell order, where a pair's two ends lie
+    pairs of column-order positions i < j (see ``_neighbour_pairs``); a
+    point is core when its neighbours, itself included, number at least
+    ``min_pts``.  Core points joined by a pair form a cluster.  Clusters
+    are found by min-label propagation with pointer jumping along the
+    core-core pairs, on the points' positions, where a pair's two ends lie
     close in memory; after each round the pairs whose ends share a root
-    are dropped.  All work is array operations over the pairs, with no
+    are dropped.  In the first round every root is its own point, and
+    i < j, so hooking both roots onto the lower one is one scatter onto
+    root[j].  All work is array operations over the pairs, with no
     per-point Python loop.
 
     Labeling is deterministic for a fixed input order: cluster ids are
@@ -185,24 +183,29 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     # Each non-core point's lowest-index core neighbour, by input index,
     # found first so that only the core-core pairs are held through the
     # propagation loop.
-    border = core[i] != core[j]
+    core_i, core_j = core[i], core[j]
+    border = core_i != core_j
     nearest_core = np.full(n, n)
-    np.minimum.at(nearest_core, order[np.where(core[i], j, i)[border]],
-                  order[np.where(core[i], i, j)[border]])
-    linked = core[i] & core[j]
+    np.minimum.at(nearest_core, order[np.where(core_i, j, i)[border]],
+                  order[np.where(core_i, i, j)[border]])
+    linked = core_i & core_j
     ci, cj = i[linked], j[linked]
-    del i, j, border, linked
+    del i, j, core_i, core_j, border, linked
+    # Round 1 is one scatter: root is the identity and ci < cj.
     root = np.arange(n)
-    while len(ci):
-        ri, rj = root[ci], root[cj]
-        low = np.minimum(ri, rj)
-        np.minimum.at(root, ri, low)
-        np.minimum.at(root, rj, low)
+    np.minimum.at(root, cj, ci)
+    while True:
         jumped = root[root]
         while not np.array_equal(jumped, root):
             root, jumped = jumped, jumped[jumped]
         apart = root[ci] != root[cj]
         ci, cj = ci[apart], cj[apart]
+        if not len(ci):
+            break
+        ri, rj = root[ci], root[cj]
+        low = np.minimum(ri, rj)
+        np.minimum.at(root, ri, low)
+        np.minimum.at(root, rj, low)
     # Clusters are numbered in order of their lowest input index.
     lowest = np.full(n, n)
     np.minimum.at(lowest, root[core], order[core])

@@ -461,33 +461,28 @@ def convex_hull(points) -> ConvexPolygon2D:
 
 
 def _clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of one convex CCW polygon by another."""
-    out = subject
-    m = len(clipper)
-    for i in range(m):
-        if len(out) == 0:
+    """Sutherland-Hodgman clip of one convex CCW polygon by another, on
+    Python floats like ``convex_hull``'s chain."""
+    out, edges = subject.tolist(), clipper.tolist()
+    for (ax, ay), (bx, by) in zip(edges, edges[1:] + edges[:1]):
+        if not out:
             break
-        a = clipper[i]
-        b = clipper[(i + 1) % m]
-        ex, ey = b[0] - a[0], b[1] - a[1]
+        ex, ey = bx - ax, by - ay
         # inside = on or left of the directed edge a->b
-        side = ex * (out[:, 1] - a[1]) - ey * (out[:, 0] - a[0])
-        inside = side >= -1e-12
-        nxt: list[np.ndarray] = []
-        n = len(out)
-        for k in range(n):
-            cur, nxt_pt = out[k], out[(k + 1) % n]
-            cur_in, nxt_in = inside[k], inside[(k + 1) % n]
+        inside = [ex * (y - ay) - ey * (x - ax) >= -1e-12 for x, y in out]
+        nxt: list[list[float]] = []
+        for cur, nxt_pt, cur_in, nxt_in in zip(out, out[1:] + out[:1], inside,
+                                                inside[1:] + inside[:1]):
             if cur_in:
                 nxt.append(cur)
             if cur_in != nxt_in:
-                d = nxt_pt - cur
-                denom = ex * d[1] - ey * d[0]
+                dx, dy = nxt_pt[0] - cur[0], nxt_pt[1] - cur[1]
+                denom = ex * dy - ey * dx
                 if denom != 0.0:
-                    s = (ey * (cur[0] - a[0]) - ex * (cur[1] - a[1])) / denom
-                    nxt.append(cur + s * d)
-        out = np.array(nxt) if nxt else np.empty((0, 2))
-    return out
+                    s = (ey * (cur[0] - ax) - ex * (cur[1] - ay)) / denom
+                    nxt.append([cur[0] + s * dx, cur[1] + s * dy])
+        out = nxt
+    return np.array(out) if out else np.empty((0, 2))
 
 
 def convex_intersection_area(a: np.ndarray, b: np.ndarray) -> float:

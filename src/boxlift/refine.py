@@ -447,19 +447,17 @@ def filter_pseudo_label(class_label: str, confidence: float, config: PipelineCon
 # ---------------------------------------------------------------------------
 
 
-# The box of a track dropped before it has a coarse box; kept is always False.
-_SENTINEL_BOX = Box3D(0.0, 0.0, 0.0, 0.05, 0.05, 0.05, 0.0)
-
-
 @dataclass
 class StagedTrack:
     """One track's staging record, from which ``annotate_track`` builds its label.
 
     A track dropped before refinement carries its stage's ``drop_reason``
     and the counts that stage reached, and, past the coarse fit, its
-    ``box``, ``hull_iou`` and ``anchor``.  A survivor's ``views`` is the
-    track whose annotations the 2D loss scores (the anchor view alone for
-    a moving track) and ``points`` are the fit points.  ``box`` is the
+    ``box``, ``hull_iou`` and ``anchor``; dropped before the coarse fit,
+    its ``box`` sits at the origin with every extent at the run's
+    ``extent_floor``.  A survivor's ``views`` is the track whose
+    annotations the 2D loss scores (the anchor view alone for a moving
+    track) and ``points`` are the fit points.  ``box`` is the
     coarse box until refinement replaces it and sets ``trace``.  ``fit``
     and ``l2d`` are the objective's terms at the final box.
     """
@@ -467,7 +465,7 @@ class StagedTrack:
     drop_reason: str | None
     n_points: int
     n_views: int
-    box: Box3D = _SENTINEL_BOX
+    box: Box3D
     hull_iou: float | None = None
     anchor: int | None = None
     views: ObjectTrack | None = None
@@ -489,9 +487,10 @@ def _stage(track: ObjectTrack, cfg: PipelineConfig) -> StagedTrack:
     including them would drag the box off the anchor frame.  Both paths
     share one fit-and-verify step.
     """
+    unfitted = Box3D(0.0, 0.0, 0.0, *[cfg.extent_floor] * 3, 0.0)
     centroids = track_centroids(track, cfg.centroid)
     if len(centroids) == 0:
-        return StagedTrack("empty", 0, track.n_views_with_points)
+        return StagedTrack("empty", 0, track.n_views_with_points, unfitted)
     verdict = classify_motion(centroids, cfg.tau_static)
 
     if verdict.is_static:
@@ -500,14 +499,14 @@ def _stage(track: ObjectTrack, cfg: PipelineConfig) -> StagedTrack:
         try:
             cluster = select_dominant_cluster(inst, labels)
         except BoxliftError:
-            return StagedTrack("clustering", 0, track.n_views_with_points)
+            return StagedTrack("clustering", 0, track.n_views_with_points, unfitted)
         fit_points = inst.points_agg[cluster]
         n_views = inst.n_views
         anchor = track.frame_ids[0]
         loss_track = track
         gate = quality_gate(cluster, inst, cfg.min_cluster_points, cfg.min_views)
         if not gate.passed:
-            return StagedTrack(gate.reason, cluster.size, n_views)
+            return StagedTrack(gate.reason, cluster.size, n_views, unfitted)
     else:
         anchor = max(
             track.frame_ids, key=lambda fid: (len(track.observations[fid].points), -fid)
@@ -523,7 +522,7 @@ def _stage(track: ObjectTrack, cfg: PipelineConfig) -> StagedTrack:
         box, _ = fit_coarse_box(fit_points, cfg.extent_floor)
         geometry = verify_geometry(box, fit_points[:, :2], cfg.tau_iou, cfg.hull_metric)
     except BoxliftError:
-        return StagedTrack("degenerate", n_points, n_views)
+        return StagedTrack("degenerate", n_points, n_views, unfitted)
     hull_iou = geometry.hull_iou
     # A moving fit is single-view: its hull IoU is recorded, not gated on.
     if verdict.is_static and not geometry.verified:

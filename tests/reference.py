@@ -104,6 +104,39 @@ def monotone_chain_hull(points) -> np.ndarray:
     return np.array(half(pts)[:-1] + half(pts[::-1])[:-1]).reshape(-1, 2)
 
 
+def clip_convex_rows(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of one convex CCW polygon by another, on
+    numpy rows and numpy scalars.  ``geometry._clip_convex`` runs the same
+    float64 operations in the same order on Python floats, so the two
+    must agree bit for bit."""
+    out = subject
+    m = len(clipper)
+    for i in range(m):
+        if len(out) == 0:
+            break
+        a = clipper[i]
+        b = clipper[(i + 1) % m]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        # inside = on or left of the directed edge a->b
+        side = ex * (out[:, 1] - a[1]) - ey * (out[:, 0] - a[0])
+        inside = side >= -1e-12
+        nxt: list[np.ndarray] = []
+        n = len(out)
+        for k in range(n):
+            cur, nxt_pt = out[k], out[(k + 1) % n]
+            cur_in, nxt_in = inside[k], inside[(k + 1) % n]
+            if cur_in:
+                nxt.append(cur)
+            if cur_in != nxt_in:
+                d = nxt_pt - cur
+                denom = ex * d[1] - ey * d[0]
+                if denom != 0.0:
+                    s = (ey * (cur[0] - a[0]) - ex * (cur[1] - a[1])) / denom
+                    nxt.append(cur + s * d)
+        out = np.array(nxt) if nxt else np.empty((0, 2))
+    return out
+
+
 def points_in_box3d(points: np.ndarray, box) -> np.ndarray:
     """Inclusive point-in-box test via the box frame (independent of iou_3d)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)

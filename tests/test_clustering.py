@@ -89,19 +89,32 @@ class TestAggregate:
 
 
 def range_edge_clouds() -> list[tuple[np.ndarray, float, int]]:
-    """(points, eps, min_pts) at the edges of the contiguous-range pair
-    search: cells are a hair wider than eps, sorted by x-y column, then z."""
+    """(points, eps, min_pts) at the edges of the column and z-window pair
+    search: columns are a hair wider than eps, sorted by x-y column, then
+    z, and each window is z +- a hair more than eps."""
     rng = np.random.default_rng(52)
-    # One column with z cells 0, 1, 3 and 7 apart by gaps of 1, 2 and 4.
+    # One column with z runs 0, 1, 3 and 7 apart by gaps of 1, 2 and 4.
     z = np.repeat([0.1, 0.95, 1.05, 1.9, 3.3, 3.95, 7.5, 7.9], 3) + rng.uniform(0, 0.05, 24)
     column = np.column_stack([rng.uniform(0, 0.9, (24, 2)), z])
-    # A 4 x 4 x 4 lattice at exactly eps: 0 and eps share a cell, so pairs
-    # at eps cross column and z boundaries and also lie inside one cell.
+    # A 4 x 4 x 4 lattice at exactly eps: 0 and eps share a column, so pairs
+    # at eps cross column boundaries and also lie inside one column.
     lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3) * 0.5
-    # The column right of the first holds cells only at z - 2 and z + 2.
+    # The column right of the first holds points only about 2 away in z.
     gap = np.array([[0.5, 0.5, 2.5], [0.5, 0.5, 2.6], [1.5, 0.5, 0.5], [1.5, 0.5, 4.5],
                     [1.5, 0.5, 4.6], [1.6, 0.5, 0.6]])
     one_cell = rng.uniform(0, 0.4, (60, 3))
+    # 400 points on 3 z levels: z ranks tie in every column.
+    levels = np.column_stack([rng.uniform(0, 3, (400, 2)), rng.choice([0.0, 0.5, 1.0], 400)])
+    # Stacks at one x-y per column, exactly eps apart in z: each window's
+    # ends fall on a neighbour's z.
+    stacks = np.concatenate([np.column_stack([np.full((8, 2), xy), np.arange(8) * 0.25])
+                             for xy in (0.1, 0.6, 0.35)])
+    # Pairs whose second point lies only in the column at offset (1, -1).
+    diagonal = np.concatenate([np.array([[0.45, 0.55, 0.0], [0.55, 0.45, 0.1]]) + shift
+                               for shift in ([0, 0, 0], [5, -3, 1], [-7, 2, 4])])
+    # Clouds about 1e7 m from the origin, 2e7 columns wide at eps 0.5.
+    far = np.concatenate([rng.normal(0, 0.3, (150, 3)) + 1e7,
+                          rng.normal(0, 0.3, (150, 3)) - 1e7])
     return [
         (column, 1.0, 3),
         (lattice, 0.5, 5),
@@ -110,6 +123,10 @@ def range_edge_clouds() -> list[tuple[np.ndarray, float, int]]:
         (np.array([[1.0, 2.0, 3.0]]), 0.5, 1),
         (one_cell, 0.5, 10),
         (one_cell, 0.5, 61),
+        (levels, 0.5, 8),
+        (stacks, 0.25, 3),
+        (diagonal, 0.5, 2),
+        (far, 0.5, 6),
     ]
 
 
@@ -149,8 +166,8 @@ class TestDbscan:
                 n = int(rng.integers(1, 120))
                 pts = rng.integers(-3, 4, (n, 3)) * spacing
                 cases.append((pts, spacing, int(rng.integers(1, 8))))
-        # A cloud spanning +-1e6 m at eps 0.05: about 4e7 cells per axis, so
-        # a cell key multiplied out over the three axes would overflow int64.
+        # A cloud spanning +-1e6 m at eps 0.05: about 4e7 columns per axis,
+        # which squeezing renumbers below 2n.
         centres = rng.uniform(-1e6, 1e6, (30, 3))
         far = np.repeat(centres, 5, axis=0) + rng.normal(0, 0.02, (150, 3))
         cases.append((far, 0.05, 3))
@@ -169,7 +186,7 @@ class TestDbscan:
         cases.append((rng.uniform(-0.1, 0.1, (4, 3)), 0.5, 5))
         cases += range_edge_clouds()
         # The bench scenes' aggregates, shuffled so that input order says
-        # nothing about cell order: cluster ids and border points must
+        # nothing about column order: cluster ids and border points must
         # still follow input indices.
         for inst in dense_coarse_instances() + corridor_instances():
             cases.append((rng.permutation(inst.points_agg), 0.5, 10))
@@ -206,10 +223,10 @@ class TestDbscan:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eps", [1e-300, 5e-324])
     def test_matches_brute_force_at_tiny_eps(self, eps):
-        # The cell quotients pass int64 range, and at 5e-324 overflow to
-        # inf: only exact duplicates are neighbours, and each distinct
-        # point keeps a cell of its own.  A cast of an out-of-range quotient
-        # would warn, and would put every point in one cell.
+        # The column quotients pass int64 range, and at 5e-324 overflow to
+        # inf: only exact duplicates are neighbours, and each distinct x-y
+        # keeps a column of its own.  A cast of an out-of-range quotient
+        # would warn, and would put every point in one column.
         rng = np.random.default_rng(52)
         cloud = rng.uniform(-3, 3, (60, 3))
         far = rng.uniform(-1e6, 1e6, (30, 3))
@@ -224,8 +241,8 @@ class TestDbscan:
             assert np.array_equal(labels, brute_force_dbscan(pts, eps, min_pts))
 
     def test_matches_brute_force_on_crowded_cells(self):
-        # About 1,500 points in a 1.2 m cube at eps 0.5: each cell holds
-        # hundreds of points.  Neighbour counts run from about 60 in the
+        # About 1,500 points in a 1.2 m cube at eps 0.5: each of the 9
+        # columns holds about 170 points.  Neighbour counts run from about 60 in the
         # corners to about 460 in the middle, so min_pts 350 leaves core,
         # border and noise points.
         pts = np.random.default_rng(50).uniform(0, 1.2, (1500, 3))
@@ -279,10 +296,12 @@ class TestNeighbourPairs:
         clouds += [(pts, eps) for pts, eps, _ in range_edge_clouds()]
         for pts, eps in clouds:
             i, j, order = _neighbour_pairs(pts, eps)
-            # Positions in cell order: position p is input point order[p].
+            # Positions in column order: position p is input point order[p].
+            # Every pair's first position is the lower one, which dbscan's
+            # first hooking round relies on.
             assert np.array_equal(np.sort(order), np.arange(len(pts)))
+            assert (i < j).all()
             i, j = order[i], order[j]
-            assert not (i == j).any()
             found = np.sort(np.column_stack([i, j]), axis=1)
             found = found[np.lexsort((found[:, 1], found[:, 0]))]
             within = np.array([((pts - p) ** 2).sum(axis=1) <= eps * eps for p in pts])

@@ -162,8 +162,18 @@ def test_no_function_restates_a_pipeline_default():
     assert all(isinstance(d, ast.Name) and d.id == "DEFAULT_Z_NEAR" for d in found.values())
 
 
+def modules_writing(value):
+    """The modules in which ``value`` appears as a literal."""
+    return [module for module, tree in package_trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == value]
+
+
 def test_near_plane_is_written_once():
-    written = [module for module, tree in package_trees().items() for node in ast.walk(tree)
-               if isinstance(node, ast.Constant) and node.value == DEFAULT_Z_NEAR]
-    assert written == ["config"]
+    assert modules_writing(DEFAULT_Z_NEAR) == ["config"]
     assert PipelineConfig().z_near == DEFAULT_Z_NEAR
+
+
+def test_extent_floor_is_written_once():
+    # A label dropped before its coarse fit takes its extents from the
+    # run's config, not from a copy of the default.
+    assert modules_writing(PipelineConfig().extent_floor) == ["config"]

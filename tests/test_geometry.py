@@ -15,6 +15,7 @@ from boxlift.geometry import (
     ConvexPolygon2D,
     Pose,
     _candidates,
+    _clip_convex,
     box3d_corners,
     convex_hull,
     convex_intersection_area,
@@ -27,6 +28,7 @@ from boxlift.geometry import (
     project_points,
 )
 from reference import (
+    clip_convex_rows,
     clipped_silhouette_loop,
     mc_iou_3d,
     monotone_chain_hull,
@@ -387,6 +389,34 @@ class TestConvexIntersection:
             ba = convex_intersection_area(b.vertices, a.vertices)
             assert ab == pytest.approx(ba, abs=1e-9)
             assert ab <= min(a.area, b.area) + 1e-9
+
+
+    def test_clip_matches_numpy_rows(self):
+        # The clip runs on Python floats; clip_convex_rows is the same loop
+        # on numpy rows.  Both must give the same vertices bit for bit.
+        rng = np.random.default_rng(7)
+        sq = self.square
+        pairs = [(sq(), sq()), (sq(), sq(1.0)), (sq(0.0, 0.0, 3.0), sq(1.0, 1.0)),
+                 (sq(), sq(5.0)), (sq(), sq(1.0, 1.0)), (sq(), sq(0.5, 0.5))]
+        for _ in range(100):
+            pairs.append((convex_hull(rng.uniform(-3, 3, (12, 2))).vertices,
+                          convex_hull(rng.uniform(-3, 3, (12, 2))).vertices))
+            a = Box3D(*rng.uniform(-2, 2, 3), *rng.uniform(0.5, 4, 3), rng.uniform(-3, 3))
+            b = Box3D(*rng.uniform(-2, 2, 3), *rng.uniform(0.5, 4, 3), rng.uniform(-3, 3))
+            pairs.append((a.footprint(), b.footprint()))
+            # Near-parallel edges: the same box turned by a hair.
+            turned = Box3D(a.cx, a.cy, a.cz, a.l, a.w, a.h, a.yaw + rng.uniform(-1e-9, 1e-9))
+            pairs.append((a.footprint(), turned.footprint()))
+            # Coordinates up to 1e7: wide hulls, and small ones far out.
+            pairs.append((convex_hull(rng.uniform(-1e7, 1e7, (12, 2))).vertices,
+                          convex_hull(rng.uniform(-1e7, 1e7, (12, 2))).vertices))
+            far = rng.uniform(-1e7, 1e7, 2)
+            pairs.append((convex_hull(far + rng.uniform(-3, 3, (12, 2))).vertices,
+                          convex_hull(far + rng.uniform(-3, 3, (12, 2))).vertices))
+        for a, b in pairs:
+            for subject, clipper in ((a, b), (b, a)):
+                assert np.array_equal(_clip_convex(subject, clipper),
+                                      clip_convex_rows(subject, clipper))
 
 
 class TestIou3d:

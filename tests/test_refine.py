@@ -670,6 +670,18 @@ class TestAnnotateTrack:
         assert not label.kept
         assert label.drop_reason == "views"
 
+    def test_dropped_label_carries_extent_floor(self):
+        # A track dropped before its coarse fit gets a placeholder box at the
+        # origin whose extents are the run's floor, not the default's.
+        cam = camera_looking([0.0, 0.0, 0.0], 0.0)
+        track = ObjectTrack("e", "Car", {0: Observation(
+            Annotation2D("e", "Car", "cam", Box2D(0, 0, 10, 10)), cam,
+            np.empty((0, 3)), np.empty(0, dtype=int))})
+        cfg = PipelineConfig(extent_floor=0.2)
+        label = annotate_track(track, cfg, refine.stage_tracks([track], cfg)[0])
+        assert label.drop_reason == "empty"
+        assert label.box == Box3D(0.0, 0.0, 0.0, 0.2, 0.2, 0.2, 0.0)
+
     def test_moving_track_uses_densest_view_anchor(self):
         scene = generate_scene(
             passing_config(68, n_cars=3, sigma=0.02, static=False, n_frames=6)
