@@ -104,9 +104,12 @@ class _Batch:
       contiguous axis expands it to the points, so every point sees the
       operations of ``l_fit``'s formula in its order, and the squared
       overshoots add as x + y, then + z.  The extremes come from
-      ``np.maximum``/``np.minimum.reduceat``; the outside term is
-      ``np.add.reduce`` over each track's own slice, so its pairwise
-      summation order is the single-track one.
+      ``np.maximum``/``np.minimum.reduceat``.  Each track's share is then
+      one ``np.add.reduce`` over its own slice, whose pairwise summation
+      order is the single-track one (``np.add.reduceat`` sums a slice in
+      another order), and the rest of its term on Python floats: the
+      divisions by count and diagonal and the three slack terms, each
+      ``max(x, 0.0)`` written as the conditional that picks its operand.
     - One matmul builds every box's corners as ``box3d_corners`` does.
       They are repeated per view and moved into all V cameras with one
       more.  Views with every corner in front of ``z_near`` take their
@@ -180,14 +183,13 @@ class _Batch:
         tops = np.maximum.reduceat(local, self.point_starts, axis=1).T.tolist()
         bottoms = np.minimum.reduceat(local, self.point_starts, axis=1).T.tolist()
         fits = []
-        for (a, b), (_, _, _, l, w, h, _), top, bottom in zip(self.point_bounds, params,
-                                                             tops, bottoms):
-            diagonal = math.sqrt(l**2 + w**2 + h**2)
-            outside = np.add.reduce(r[a:b]) / (b - a) / diagonal
-            slack = 0.0
-            for extent, hi, lo in zip((l, w, h), top, bottom):
-                slack += max(extent - (hi - lo), 0.0) / extent
-            fits.append(float(outside + slack / 3))
+        for (a, b), (_, _, _, l, w, h, _), (tx, ty, tz), (bx, by, bz) in zip(
+                self.point_bounds, params, tops, bottoms):
+            outside = float(np.add.reduce(r[a:b])) / (b - a) / math.sqrt(l**2 + w**2 + h**2)
+            sl, sw, sh = l - (tx - bx), w - (ty - by), h - (tz - bz)
+            slack = ((0.0 if 0.0 > sl else sl) / l + (0.0 if 0.0 > sw else sw) / w
+                     + (0.0 if 0.0 > sh else sh) / h)
+            fits.append(outside + slack / 3)
         return fits
 
     def _l2d(self, table: np.ndarray, params: list[tuple]) -> list[float]:
@@ -216,7 +218,8 @@ class _Batch:
 def _params(x, extent_floor: float) -> tuple:
     """The fields of the box a search point ``x`` stands for: extents floored, yaw wrapped."""
     cx, cy, cz, l, w, h, yaw = x.tolist()
-    return (cx, cy, cz, max(l, extent_floor), max(w, extent_floor), max(h, extent_floor),
+    f = extent_floor
+    return (cx, cy, cz, f if f > l else l, f if f > w else w, f if f > h else h,
             normalize_yaw(yaw))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from boxlift.clustering import aggregate_static, dbscan, select_dominant_cluster
 from boxlift.errors import BoxliftError
 from boxlift.extraction import build_tracks
-from boxlift.geometry import (BOX_EDGES, DEFAULT_Z_NEAR, box3d_corners, giou_2d,
+from boxlift.geometry import (BOX_EDGES, DEFAULT_Z_NEAR, Box3D, box3d_corners, giou_2d,
                               project_box3d, project_points)
 from boxlift.masks import decode_mask
 
@@ -271,6 +271,26 @@ def l_fit_rows(box, points) -> float:
     extents = np.array([box.l, box.w, box.h])
     slack = (np.maximum(extents - observed, 0.0) / extents).mean()
     return float(outside + slack)
+
+
+class RowBatch:
+    """``refine._Batch`` one track at a time: ``l_fit_rows`` and ``l2d_multiview_loop``.
+
+    Takes ``_Batch``'s arguments and gives its ``terms``: each track's
+    ``(l_fit, l2d_multiview)`` at its box ``(cx, cy, cz, l, w, h, yaw)``,
+    None for a term that ``fit`` or ``l2d`` switches off.
+    """
+
+    def __init__(self, tracks, points, z_near: float, fit: bool = True, l2d: bool = True):
+        self.tracks, self.points, self.z_near = tracks, points, z_near
+        self.fit, self.l2d = fit, l2d
+
+    def terms(self, params):
+        boxes = [Box3D(*p) for p in params]
+        fits = [l_fit_rows(b, p) if self.fit else None for b, p in zip(boxes, self.points)]
+        l2ds = [l2d_multiview_loop(b, t, self.z_near) if self.l2d else None
+                for b, t in zip(boxes, self.tracks)]
+        return fits, l2ds
 
 
 def project_point(camera, p_world, z_near: float = DEFAULT_Z_NEAR) -> tuple[float, float] | None:

@@ -8,7 +8,9 @@ from boxlift import geometry, refine
 from boxlift.config import PipelineConfig
 from boxlift.errors import ConfigError
 from boxlift.extraction import build_tracks
-from boxlift.geometry import Box2D, Box3D, box3d_corners, giou_2d, iou_3d, project_box3d
+from boxlift.geometry import (
+    Box2D, Box3D, box3d_corners, giou_2d, iou_3d, normalize_yaw, project_box3d,
+)
 from boxlift.refine import (
     MISSING_PROJECTION_PENALTY,
     RefineTrace,
@@ -172,6 +174,45 @@ class TestLFit:
             box = Box3D(*rng.uniform(-3, 3, 3), *rng.uniform(0.2, 5, 3), rng.uniform(-4, 4))
             pts = rng.normal(box.center, rng.uniform(0.1, 4), (int(rng.integers(1, 200)), 3))
             assert l_fit(box, pts) == l_fit_rows(box, pts)
+        # One batch of twelve tracks, so that every slice but the first
+        # starts past offset 0.  The point counts sit on both sides of each
+        # regime of numpy's pairwise sum (a plain loop below 8, eight
+        # accumulators up to 128, halving above); the search points' extents
+        # sit at, just above and below the floor, and their yaws at and past
+        # +-pi.
+        floor = DEFAULTS.extent_floor
+        counts = [1, 7, 8, 9, 127, 128, 129, 1000, 2, 16, 255, 257]
+        near = [floor, math.nextafter(floor, 1.0), math.nextafter(floor, 0.0), 0.5 * floor, -1.0]
+        past_pi = math.nextafter(math.pi, 4.0)
+        yaws = [math.pi, -math.pi, past_pi, -past_pi, 3.5, -7.0]
+        xs, clouds = [], []
+        for k, n in enumerate(counts):
+            center = rng.uniform(-3, 3, 3)
+            extents = rng.permutation([near[k % 5], near[(k + 2) % 5], rng.uniform(0.2, 5)])
+            xs.append(np.array([*center, *extents, yaws[k % 6]]))
+            clouds.append(rng.normal(center, rng.uniform(0.02, 2), (n, 3)))
+        params = [refine._params(x, floor) for x in xs]
+        fits, l2ds = refine._Batch([None] * 12, clouds, DEFAULTS.z_near, l2d=False).terms(params)
+        assert l2ds == [None] * 12
+        for p, fit, cloud in zip(params, fits, clouds):
+            assert type(fit) is float
+            assert fit == l_fit_rows(Box3D(*p), cloud)
+
+    def test_search_point_box_floors_like_max(self):
+        # _params floors each extent as max(extent, floor) does, on ties,
+        # below the floor and on NaN, and wraps the yaw with normalize_yaw.
+        floor = DEFAULTS.extent_floor
+        nan = math.nan
+        for x in ([0.0, 0.0, 0.0, floor, floor, floor, math.pi],
+                  [1.0, -2.0, 3.0, math.nextafter(floor, 0.0), 0.5 * floor, -2.0, -math.pi],
+                  [0.0, 0.0, 0.0, math.nextafter(floor, 1.0), 4.0, 0.0, 7.0],
+                  [0.0, 0.0, 0.0, nan, floor, nan, -3.5],
+                  [0.0, 0.0, 0.0, 1.0, nan, -0.0, nan]):
+            got = refine._params(np.array(x), floor)
+            cx, cy, cz, l, w, h, yaw = x
+            expected = (cx, cy, cz, max(l, floor), max(w, floor), max(h, floor), normalize_yaw(yaw))
+            assert [type(v) for v in got] == [float] * 7
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
 
     def test_zero_when_points_fill_box(self):
         box = Box3D(0, 0, 0, 4, 2, 2, 0)
