@@ -21,7 +21,6 @@ from .evaluate import build_report, frames_histogram
 from .extraction import build_tracks
 from .refine import annotate_track, stage_tracks
 from .scene_io import load_scene, read_pseudo_labels, save_scene, write_json, write_pseudo_labels
-from .synthetic import SceneConfig, generate_scene
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +87,10 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 def _cmd_gen(args) -> int:
     """Generate and save a scene.  A scene that numpy or memory refuses, or whose
-    poses or points leave the loader's range, is an input error: nothing is written."""
+    poses or points leave the loader's range, is an input error: nothing is written.
+    The generator is imported here, so no other command pays for loading it."""
+    from .synthetic import SceneConfig, generate_scene
+
     cfg = SceneConfig.from_json_file(args.config)
     try:
         scene = generate_scene(cfg, seed=args.seed)

@@ -28,6 +28,10 @@ NOISE = -1
 
 @dataclass(eq=False)
 class AggregatedInstance:
+    """A static track's extracted points in the world frame, with each point's
+    source frame and index in that frame's cloud.
+    """
+
     track_id: str
     points_agg: np.ndarray                 # (n, 3) world frame
     point_frame_ids: np.ndarray            # (n,) source frame per point
@@ -239,6 +243,8 @@ def select_dominant_cluster(inst: AggregatedInstance, labels: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class GateResult:
+    """Whether a cleaned cluster passed the quality gate, and the drop reason when it did not."""
+
     passed: bool
     reason: str | None = None
 

@@ -50,6 +50,8 @@ def fit_coarse_box(points, extent_floor: float) -> tuple[Box3D, bool]:
 
 @dataclass(frozen=True)
 class CoarseBoxResult:
+    """A coarse box's hull score and whether it passed geometric verification."""
+
     hull_iou: float
     verified: bool
 

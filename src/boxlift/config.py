@@ -210,6 +210,8 @@ class JsonConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig(JsonConfig):
+    """The thresholds, weights and budgets of one ``annotate`` or ``eval`` run."""
+
     tau_static: Length = 0.5         # max pairwise centroid displacement, meters
     mask_conf_min: Unit = 0.6        # below this, fall back to the 2D box
     centroid: Centroid = "mean"

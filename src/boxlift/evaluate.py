@@ -24,6 +24,10 @@ from .scene import PseudoLabel, Scene
 
 @dataclass(frozen=True)
 class SegmentationInstance:
+    """One static track's cluster size and the point-set IoUs of its aggregate
+    and clean cluster against ground truth.
+    """
+
     track_id: str
     n_cluster: int                # |C*|
     iou_aggregate: float          # point-set IoU of P_agg vs ground truth

@@ -75,6 +75,10 @@ def extraction_mask(camera: CameraModel, points_world: np.ndarray, annotation: A
 
 @dataclass(frozen=True)
 class MotionVerdict:
+    """A track's motion state, the displacement it was judged on and how many
+    observations backed it.
+    """
+
     is_static: bool
     max_pairwise_displacement: float  # meters
     n_observations: int

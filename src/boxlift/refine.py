@@ -270,6 +270,10 @@ def objective_value(box: Box3D, track: ObjectTrack, points, config: PipelineConf
 
 @dataclass
 class RefineTrace:
+    """One search's evaluation count, first and final objective values, and
+    each improvement as (evaluation, value).
+    """
+
     n_evals: int
     j_init: float
     j_final: float

@@ -21,6 +21,8 @@ from .masks import Mask
 
 @dataclass(frozen=True)
 class Annotation2D:
+    """One camera's 2D box, optional mask and mask confidence for a track in one frame."""
+
     track_id: str
     class_label: str = field(metadata={"json": "class"})
     camera_id: str
@@ -45,6 +47,10 @@ class GtSpan:
 
 @dataclass(eq=False)
 class Frame:
+    """One LiDAR sweep: its time, ego pose, ego-frame points, 2D annotations
+    and, in synthetic scenes, ground-truth spans.
+    """
+
     frame_id: int
     timestamp: float
     world_from_ego: Pose
@@ -76,6 +82,10 @@ class GtTrack:
 
 @dataclass(eq=False)
 class Scene:
+    """A loaded scene: its camera rig, frames and, in synthetic scenes,
+    ground-truth tracks and generator provenance.
+    """
+
     scene_id: str
     cameras: dict[str, CameraModel]      # ego-frame cameras
     frames: list[Frame]
@@ -101,6 +111,8 @@ class Observation:
 
 @dataclass(eq=False)
 class ObjectTrack:
+    """A track's class and its observations, keyed by frame id."""
+
     track_id: str
     class_label: str
     observations: dict[int, Observation]  # frame_id -> observation
@@ -120,6 +132,10 @@ class ObjectTrack:
 
 @dataclass(frozen=True)
 class QualityRecord:
+    """The evidence behind a label: points, views, hull score and the final fit
+    and 2D loss terms.
+    """
+
     n_points: Count
     n_views: Count
     hull_iou: Unit | None
@@ -129,6 +145,10 @@ class QualityRecord:
 
 @dataclass(frozen=True)
 class PseudoLabel:
+    """One track's output box with its source, quality evidence, keep decision,
+    confidence and anchor frame.
+    """
+
     track_id: str
     class_label: str = field(metadata={"json": "class"})
     box: Box3D

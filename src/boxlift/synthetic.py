@@ -49,6 +49,8 @@ _CAM_BASE = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 
 @dataclass(frozen=True)
 class CameraSpec(JsonConfig):
+    """One generated camera: its intrinsics, image size and mounting on the ego vehicle."""
+
     camera_id: str
     fx: Focal = 500.0
     fy: Focal = 500.0
@@ -68,6 +70,8 @@ class CameraSpec(JsonConfig):
 
 @dataclass(frozen=True)
 class EgoSpec(JsonConfig):
+    """The ego vehicle's start pose and its constant velocity and yaw rate."""
+
     start: Point = (0.0, 0.0, 1.8)
     velocity: Velocity = (4.0, 0.0, 0.0)  # m/s
     yaw0: float = 0.0
@@ -80,6 +84,10 @@ class EgoSpec(JsonConfig):
 
 @dataclass(frozen=True)
 class ObjectClassSpec(JsonConfig):
+    """How many objects of one class to place, their size and speed ranges,
+    motion and point density.
+    """
+
     class_label: str
     count: Count
     length_range: LengthRange
@@ -93,6 +101,10 @@ class ObjectClassSpec(JsonConfig):
 
 @dataclass(frozen=True)
 class PlacementSpec(JsonConfig):
+    """Where objects may be placed and how far apart they should stay from each
+    other and from the sensor.
+    """
+
     x_range: PositionRange = (8.0, 40.0)
     y_range: PositionRange = (-10.0, 10.0)
     min_separation: Distance = 6.0      # BEV meters between object centers
@@ -107,6 +119,10 @@ class PlacementSpec(JsonConfig):
 
 @dataclass(frozen=True)
 class SceneConfig(JsonConfig):
+    """A whole generated scene: frames, timing, cameras, ego motion, objects,
+    outliers, masks and clutter.
+    """
+
     scene_id: str = "synthetic"
     n_frames: PosInt = 10
     dt: Seconds = 0.5                   # seconds between frames
@@ -138,6 +154,8 @@ class SceneConfig(JsonConfig):
 
 @dataclass
 class _ObjectState:
+    """One placed object: its size, heading, start centre, velocity and motion state."""
+
     track_id: str
     spec: ObjectClassSpec
     size: tuple      # (l, w, h)

@@ -5,8 +5,9 @@ that module, and every private module-level function or class must be
 referenced there.  ``__init__.py`` re-exports names, so it is left out.
 The command line must run on numpy alone: scipy is a test-only dependency,
 no command loads ``numpy.ma``, and ``annotate --threads`` needs no process
-pool.  The label file's reader and the evaluator do not depend on the
-optimizer.
+pool.  Only ``gen`` loads the scene generator.  The label file's reader and
+the evaluator do not depend on the optimizer.  Every dataclass has a
+docstring of its own.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ def test_every_private_definition_is_referenced(path):
     assert not dead, f"{path.name} defines but never references {dead}"
 
 
-def cli_import_loads(*packages: str) -> list[str]:
-    """The modules of ``packages`` that ``import boxlift.cli`` loads in a fresh interpreter."""
+def cli_import_loads(*packages: str, module: str = "boxlift.cli") -> list[str]:
+    """The modules of ``packages`` that ``import module`` loads in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, boxlift.cli; "
+    probe = (f"import sys, {module}; "
              f"print(json.dumps([m for m in sys.modules if m.split('.')[0] in {packages!r}]))")
     out = subprocess.run([sys.executable, "-c", "import json; " + probe],
                          env=dict(os.environ, PYTHONPATH=path),
@@ -88,6 +89,17 @@ def test_cli_import_loads_no_process_pool():
     # annotate --threads forks its children itself; the executor and
     # multiprocessing imports cost about 20 ms per command.
     assert cli_import_loads("concurrent", "multiprocessing") == []
+
+
+@pytest.mark.parametrize("module", ["boxlift", "boxlift.cli"])
+def test_import_loads_every_module_but_the_generator(module):
+    # Only gen runs the generator; compiling and building it cost every
+    # other command about 15 ms of start-up.  Nothing else may be dropped
+    # from import boxlift, or its cost would move into a command.
+    expected = {"boxlift"} | {f"boxlift.{p.stem}" for p in MODULES} - {"boxlift.synthetic"}
+    if module == "boxlift":
+        expected.discard("boxlift.cli")
+    assert set(cli_import_loads("boxlift", module=module)) == expected
 
 
 COMMANDS_TWICE = """
@@ -127,6 +139,70 @@ def test_commands_load_no_numpy_ma(tmp_path):
     for rel in plain:
         if (tmp_path / "plain" / rel).is_file():
             assert (tmp_path / "plain" / rel).read_bytes() == (tmp_path / "no_ma" / rel).read_bytes()
+
+
+COMMANDS_WITHOUT_GENERATOR = """
+import json, sys
+mode, root, bench = sys.argv[1:]
+if mode == "no_gen":
+    sys.modules["boxlift.synthetic"] = None     # any import of it now raises ImportError
+from boxlift.cli import cli_main
+
+scene, out, pipeline = f"{root}/scene", f"{root}/{mode}", f"{bench}/pipeline.json"
+commands = [
+    ["annotate", "--dataset", scene, "--config", pipeline, "--out", f"{out}/labels_t1.jsonl"],
+    ["annotate", "--dataset", scene, "--config", pipeline, "--out", f"{out}/labels_t2.jsonl",
+     "--threads", "2"],
+    ["eval", "--dataset", scene, "--labels", f"{out}/labels_t1.jsonl", "--config", pipeline,
+     "--report", f"{out}/report.json"],
+    ["stats", "--dataset", scene, "--report", f"{out}/stats.json"],
+]
+if mode == "plain":
+    commands.insert(0, ["gen", "--config", f"{bench}/scenes/tiny.json", "--out", scene])
+print(json.dumps([cli_main(args) for args in commands]))
+"""
+
+
+def test_commands_run_without_the_generator(tmp_path):
+    # gen builds tiny in a normal process; annotate at --threads 1 and 2,
+    # eval and stats then run where boxlift.synthetic cannot be imported,
+    # and write the same files as in the normal process.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    bench = PACKAGE.parents[1] / "bench"
+    for mode, codes in (("plain", [0] * 5), ("no_gen", [0] * 4)):
+        (tmp_path / mode).mkdir()
+        out = subprocess.run(
+            [sys.executable, "-c", COMMANDS_WITHOUT_GENERATOR, mode, str(tmp_path), str(bench)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == codes, out.stderr
+    names = ["labels_t1.jsonl", "labels_t2.jsonl", "report.json", "stats.json"]
+    assert sorted(p.name for p in (tmp_path / "no_gen").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "no_gen" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert (tmp_path / "plain" / "labels_t1.jsonl").read_bytes() == \
+        (tmp_path / "plain" / "labels_t2.jsonl").read_bytes()
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or the same through ``dataclasses.``."""
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_dataclass_has_a_docstring(path):
+    # dataclasses builds a missing docstring from inspect.signature when
+    # the class is created, about 0.1 ms a class at every import.  A
+    # docstring says what the record holds, so it need not name the class.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(is_dataclass_decorator(d) for d in node.decorator_list)]
+    missing = [c.name for c in classes if not ast.get_docstring(c)]
+    assert not missing, f"{path.name}: dataclasses without a docstring: {missing}"
+    naming = [c.name for c in classes if c.name in ast.get_docstring(c)]
+    assert not naming, f"{path.name}: docstrings that repeat their class name: {naming}"
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
